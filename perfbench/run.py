@@ -7,10 +7,13 @@ JSON result:
 
 --trace 0 runs the workload's job list with tracing off, repeating the
 whole list while another pass fits in --seconds, and reports the
-end-to-end metrics from each job's best time over the passes.  --trace 1
-runs the list untraced and traced, twice each in turn, and reports the
-per-layer metrics per pass and the tracing overhead.  Every job's output is
-checked either way.
+end-to-end metrics from each job's median time over the passes.  Times are
+in reference seconds (see speed.py): each is scaled by the speed of a fixed
+probe timed between jobs, which takes out the drift of a shared host's CPU
+speed.  --trace 1 runs the list untraced and traced in turn, at least twice
+each and while another pair fits in --seconds, and reports the per-layer
+metrics per pass and the tracing overhead.  Every job's output is checked
+either way.
 
 Steadiness: run each workload --repeat times on consecutive seeds, each in a
 fresh process, and print every end-to-end metric's median and quartiles:
@@ -36,13 +39,14 @@ from pathlib import Path
 
 import checks
 import jobs as jobmod
+import speed
 import tracing
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 SETUP_CODE = "import zetalab.cli as cli; cli.build_parser()"
 TAIL_BEYOND = 10   # job_tail_ms: the highest per-job time with this many jobs beyond it
-TRACE_ROUNDS = 2   # a traced run makes this many (untraced, traced) pairs of passes
+TRACE_ROUNDS = 2   # a traced run makes at least this many (untraced, traced) pairs of passes
 RUN_TIMEOUT_S = 900
 
 
@@ -54,16 +58,18 @@ def _src_env() -> dict:
 
 
 def measure_setup() -> float:
-    """Median wall time from a fresh interpreter to zetalab.cli imported and
-    its parser built (numpy, scipy and mpmath imports included)."""
+    """Median time, in reference seconds, from a fresh interpreter to
+    zetalab.cli imported and its parser built (numpy, scipy and mpmath
+    imports included)."""
     env = _src_env()
-    times = []
+    spans, probes = [], [speed.probe()]
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         subprocess.run([sys.executable, "-c", SETUP_CODE], env=env, check=True,
                        stdout=subprocess.DEVNULL, timeout=120)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        spans.append((t0, time.perf_counter()))
+        probes.append(speed.probe())
+    return statistics.median(speed.reference_times(spans, probes))
 
 
 def run_job(job) -> tuple[int, str, str]:
@@ -84,17 +90,23 @@ def run_job(job) -> tuple[int, str, str]:
         return -1, "", traceback.format_exc()
 
 
-def run_pass(job_list, tracer=None) -> dict:
-    times, results = [], []
+def run_pass(job_list, tracer=None, sensitivity: float = 1.0) -> dict:
+    """One pass over the list.  `times` are the jobs' reference seconds, the
+    probe being timed between consecutive jobs; `wall` is the pass's
+    elapsed time, probes included."""
+    spans, probes, results = [], [speed.probe()], []
     start = time.perf_counter()
     for job in job_list:
         root = tracer.open_job(job.band) if tracer else None
         t0 = time.perf_counter()
         results.append(run_job(job))
-        times.append(time.perf_counter() - t0)
+        spans.append((t0, time.perf_counter()))
         if tracer:
             tracer.close(root)
-    return {"wall": time.perf_counter() - start, "times": times, "results": results}
+        probes.append(speed.probe())
+    return {"wall": time.perf_counter() - start,
+            "times": speed.reference_times(spans, probes, sensitivity),
+            "results": results, "probe_s": statistics.median(s for _, s in probes)}
 
 
 def _quantile_tail(times: list[float]) -> float:
@@ -137,20 +149,26 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
         run_job(jobmod.Job(argv, "warmup"))
 
     passes = []
+    sensitivity = jobmod.SPEED_SENSITIVITY.get(workload, 1.0)
     if trace:
         # untraced and traced passes alternate; per-layer figures are per pass
         tracer = tracing.Tracer()
-        for _ in range(TRACE_ROUNDS):
-            passes.append(run_pass(job_list))
+        start = time.perf_counter()
+        while True:
+            passes.append(run_pass(job_list, sensitivity=sensitivity))
             tracer.install()
             try:
-                passes.append(run_pass(job_list, tracer))
+                passes.append(run_pass(job_list, tracer, sensitivity))
             finally:
                 tracer.uninstall()
+            pair = passes[-2]["wall"] + passes[-1]["wall"]
+            if (len(passes) >= 2 * TRACE_ROUNDS
+                    and time.perf_counter() - start + pair > seconds):
+                break
     else:
         start = time.perf_counter()
         while True:
-            passes.append(run_pass(job_list))
+            passes.append(run_pass(job_list, sensitivity=sensitivity))
             if time.perf_counter() - start + passes[-1]["wall"] > seconds:
                 break
     attempted, failed, failures = check_passes(job_list, passes)
@@ -158,26 +176,23 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
 
     n = len(job_list)
 
-    def best(of_passes):
-        # A job's time is its best over the passes.  The jobs are
-        # deterministic, so interference from the rest of the machine only
-        # adds time; on a shared 2-CPU container one pass of a list can take
-        # 70% longer than the next, and the best of the passes repeats much
-        # more closely than their median.
-        return [min(p["times"][i] for p in of_passes) for i in range(n)]
+    def per_job(of_passes):
+        # a job's time is its median over the passes, in reference seconds;
+        # the median is not moved by a pass in which the job was preempted
+        return [statistics.median(p["times"][i] for p in of_passes) for i in range(n)]
 
     if trace:
-        values = {k: v / TRACE_ROUNDS for k, v in tracer.per_layer().items()}
-        values["trace_overhead_frac"] = (math.fsum(best(passes[1::2]))
-                                         / math.fsum(best(passes[0::2])) - 1)
+        values = {k: v / (len(passes) // 2) for k, v in tracer.per_layer().items()}
+        values["trace_overhead_frac"] = (math.fsum(per_job(passes[1::2]))
+                                         / math.fsum(per_job(passes[0::2])) - 1)
         units = dict(tracing.metric_names())
     else:
-        per_job = best(passes)
+        job_s = per_job(passes)
         values = {
             "setup_s": setup_s,
-            "wall_s": math.fsum(per_job),
-            "job_p50_ms": 1000 * statistics.median(per_job),
-            "job_tail_ms": 1000 * _quantile_tail(per_job),
+            "wall_s": math.fsum(job_s),
+            "job_p50_ms": 1000 * statistics.median(job_s),
+            "job_tail_ms": 1000 * _quantile_tail(job_s),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         units = {"setup_s": "s", "wall_s": "s", "job_p50_ms": "ms",
@@ -185,7 +200,11 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
 
     tail_rank = min(n, TAIL_BEYOND + 1)
     print(f"workload {workload}  seed {seed}  jobs {n}  passes {len(passes)}"
-          f"{'  (untraced, traced)' if trace else ''}")
+          f"{'  (untraced, traced)' if trace else ''}  elapsed per pass "
+          + " ".join(f"{p['wall']:.2f}" for p in passes) + " s")
+    print(f"times in reference seconds (probe {1000 * speed.PROBE_REF_S:g} ms, sensitivity "
+          f"{sensitivity:g}); probe median per pass "
+          + " ".join(f"{1000 * p['probe_s']:.3f}" for p in passes) + " ms")
     if not trace:
         print(f"job_tail_ms is the {tail_rank}th-slowest job of {n} "
               f"(percentile {100 * (n - tail_rank) / max(1, n - 1):.1f})")
@@ -274,7 +293,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True,
-                        choices=jobmod.WORKLOADS + ("all",))
+                        choices=jobmod.WORKLOADS + jobmod.EXTRA_WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
