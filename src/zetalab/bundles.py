@@ -432,12 +432,18 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 # ---------------------------------------------------------------------------
 # mass invariants
 
+def paper_split_beta2(q: int, n1: int) -> Fraction:
+    """PAPER_SPLIT beta_2(0) = N_1 (q + 3)/(q^2 - 1), the mass of the
+    printed split census; it depends on (q, N_1) alone."""
+    return Fraction(n1 * (q + 3), q * q - 1)
+
+
 def _beta_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
     q, n1 = curve.q, curve.n1
     if r == 1:
         return Fraction(n1, q - 1)
     if conv is Convention.PAPER_SPLIT and r == 2:
-        return Fraction(n1 * (q + 3), q * q - 1)
+        return paper_split_beta2(q, n1)
     return n1 * strata_census(r, curve, conv).mass
 
 
@@ -517,41 +523,30 @@ def _zeta_value(zc: ZetaCurve, i: int) -> Fraction:
     return zc.zfunc(Fraction(1, zc.q ** i))
 
 
-def _beta2_parity(zc: ZetaCurve, parity: int) -> Fraction:
-    b1 = Fraction(nm(zc, 1), zc.q - 1)
+def _beta2_parity(zc: ZetaCurve, b1: Fraction, parity: int) -> Fraction:
     s = Fraction(zc.q, zc.q ** 2 - 1) if parity else Fraction(1, zc.q ** 2 - 1)
     return b1 * _zeta_value(zc, 2) - b1 * b1 * s
 
 
-def _t12_closed(zc: ZetaCurve, d: int, m_start: int | None = None) -> Fraction:
-    # sum over d1 = m (rank 1) > (d - m)/2 of B1 * beta2(d-m) / q^(3m-d)
+def _t12_t21_closed(zc: ZetaCurve, b1: Fraction, d: int, skip: int = 0) -> Fraction:
+    # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term B1 * beta2(d-m) / q^(3m-d),
+    # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) * B1 / q^(3m-2d);
+    # each summed from its (skip+1)-th term on, two parities per q^-6 block
     q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
-    m0 = d // 3 + 1 if m_start is None else m_start
-    e0 = 3 * m0 - d
-    ratio = Fraction(1, q ** 6)
-    first = _beta2_parity(zc, (d - m0) % 2)
-    second = _beta2_parity(zc, (d - m0 - 1) % 2)
-    return b1 * Fraction(1, q ** e0) * (first + second * Fraction(1, q ** 3)) / (1 - ratio)
+    beta2 = (_beta2_parity(zc, b1, 0), _beta2_parity(zc, b1, 1))
+    m12 = d // 3 + 1 + skip
+    m21 = (2 * d) // 3 + 1 + skip
+    total = Fraction(0)
+    for e0, d2 in ((3 * m12 - d, d - m12), (3 * m21 - 2 * d, m21)):
+        first, second = beta2[d2 % 2], beta2[1 - d2 % 2]
+        total += Fraction(1, q ** e0) * (first + second * Fraction(1, q ** 3))
+    return b1 * total / (1 - Fraction(1, q ** 6))
 
 
-def _t21_closed(zc: ZetaCurve, d: int, m_start: int | None = None) -> Fraction:
-    # sum over d1 = m (rank 2) with m/2 > d - m of beta2(m) * B1 / q^(3m-2d)
-    q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
-    m0 = (2 * d) // 3 + 1 if m_start is None else m_start
-    e0 = 3 * m0 - 2 * d
-    ratio = Fraction(1, q ** 6)
-    first = _beta2_parity(zc, m0 % 2)
-    second = _beta2_parity(zc, (m0 + 1) % 2)
-    return b1 * Fraction(1, q ** e0) * (first + second * Fraction(1, q ** 3)) / (1 - ratio)
-
-
-def _t111_closed(zc: ZetaCurve, d: int) -> Fraction:
+def _t111_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
     # sum over d1 > d2 > d3, sum d: gaps u = d1-d2 >= 1, v = d2-d3 >= 1 with
     # u - v = d (mod 3); weight q^(-2(u+v))
     q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
     ratio = Fraction(1, q ** 6)
     total = Fraction(0)
     for u0 in (1, 2, 3):
@@ -572,9 +567,9 @@ def hn_correction_truncated(r: int, d: int, zc: ZetaCurve, terms: int) -> Fracti
                    for m in range(m0, m0 + terms))
     if r != 3:
         raise CapabilityError("recursion implemented for rank <= 3")
-    t12 = sum(b1 * _beta2_parity(zc, (d - m) % 2) * Fraction(1, q ** (3 * m - d))
+    t12 = sum(b1 * _beta2_parity(zc, b1, (d - m) % 2) * Fraction(1, q ** (3 * m - d))
               for m in range(d // 3 + 1, d // 3 + 1 + terms))
-    t21 = sum(_beta2_parity(zc, m % 2) * b1 * Fraction(1, q ** (3 * m - 2 * d))
+    t21 = sum(_beta2_parity(zc, b1, m % 2) * b1 * Fraction(1, q ** (3 * m - 2 * d))
               for m in range((2 * d) // 3 + 1, (2 * d) // 3 + 1 + terms))
     t111 = Fraction(0)
     for u in range(1, terms + 1):
@@ -598,9 +593,9 @@ def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
     if r == 1:
         return b1
     if r == 2:
-        return _beta2_parity(zc, d % 2)
+        return _beta2_parity(zc, b1, d % 2)
     total = b1 * _zeta_value(zc, 2) * _zeta_value(zc, 3)
-    return total - _t12_closed(zc, d) - _t21_closed(zc, d) - _t111_closed(zc, d)
+    return total - _t12_t21_closed(zc, b1, d) - _t111_closed(zc, b1, d)
 
 
 def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
@@ -616,21 +611,12 @@ def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
         return b1 * b1 * Fraction(1, q ** (2 * m0 - d)) / (1 - Fraction(1, q * q))
     if r != 3:
         raise CapabilityError("recursion implemented for rank <= 3")
-    t12 = _t12_closed(zc, d, m_start=d // 3 + 1 + terms)
-    t21 = _t21_closed(zc, d, m_start=(2 * d) // 3 + 1 + terms)
-    # t111 tail: complement of the truncated box, summed exactly
-    ratio = Fraction(1, q ** 6)
-    full_u = {u0: Fraction(1, q ** (2 * u0)) / (1 - ratio) for u0 in (1, 2, 3)}
-    box_u = {u0: sum(Fraction(1, q ** (2 * u)) for u in range(1, terms + 1)
-                     if (u - 1) % 3 == u0 - 1) for u0 in (1, 2, 3)}
-    t111_tail = Fraction(0)
-    for u0 in (1, 2, 3):
-        v0 = ((u0 - d - 1) % 3) + 1
-        full_v = Fraction(1, q ** (2 * v0)) / (1 - ratio)
-        box_v = sum(Fraction(1, q ** (2 * v)) for v in range(1, terms + 1)
-                    if (v - 1) % 3 == v0 - 1)
-        t111_tail += full_u[u0] * full_v - box_u[u0] * box_v
-    return t12 + t21 + b1 ** 3 * t111_tail
+    # t111 tail: the full sum minus the truncated box, exactly
+    box = {k: sum(Fraction(1, q ** (2 * u)) for u in range(k, terms + 1, 3))
+           for k in (1, 2, 3)}
+    t111_box = sum(box[u0] * box[(u0 - d - 1) % 3 + 1] for u0 in (1, 2, 3))
+    return (_t12_t21_closed(zc, b1, d, skip=terms) + _t111_closed(zc, b1, d)
+            - b1 ** 3 * t111_box)
 
 
 # ---------------------------------------------------------------------------

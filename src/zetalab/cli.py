@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -262,7 +261,7 @@ def cmd_lattice(args) -> dict:
         "rank": lattice.rank,
         "covolume2": fmt_rat(lattice.covolume2),
         "degree": fmt_real(lat.deg(lattice)),
-        "semistable": lat.is_semistable(lattice),
+        "semistable": filtration.is_single,
         "hn_steps": [{
             "rank": step.rank,
             "covol2": fmt_rat(step.covol2),
@@ -430,7 +429,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("artin", help="zeta datum of an elliptic curve")
     p.add_argument("--curve", required=True)
@@ -478,6 +476,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", required=True)
     p.add_argument("--pmax", type=int, default=1000)
     p.add_argument("--convention", choices=("paper", "descent"), default="paper")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(fn=cmd_euler)
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.special import digamma
@@ -31,6 +30,7 @@ from scipy.special import digamma
 from zetalab.artin import ZetaCurve, nm
 from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import rat
+from zetalab.ffield import primes_up_to
 from zetalab.lattice import xi_q
 
 FIRST_ZERO = 14.134725
@@ -423,26 +423,37 @@ class QuadratureSpec:
     halfwidth_sigmas: float = 10.0
 
 
-def _gl_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _panel_points(lo: float, hi: float, panels: int, nodes: np.ndarray):
+    """Gauss nodes of `panels` equal panels on [lo, hi], and the half-width."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * nodes[None, :]).ravel(), half
 
 
-def _composite_quad(fn, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    nodes, weights = _gl_nodes(spec.order)
+def _refine_until_stable(estimate, panels: int, spec: QuadratureSpec,
+                         what: str) -> float:
+    """estimate(panels) with panels doubling until two successive values
+    agree to spec.rel_tol."""
     prev = None
-    panels = spec.base_panels
     for _ in range(spec.max_refine + 1):
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (mid[:, None] + half * nodes[None, :]).ravel()
-        vals = fn(pts).reshape(panels, -1)
-        total = float(half * (vals * weights[None, :]).sum())
+        total = estimate(panels)
         if prev is not None and abs(total - prev) <= spec.rel_tol * max(1.0, abs(total)):
             return total
         prev = total
         panels *= 2
-    raise NumericError("quadrature failed to stabilize")
+    raise NumericError(f"{what} failed to stabilize")
+
+
+def _composite_quad(fn, lo: float, hi: float, spec: QuadratureSpec) -> float:
+    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+
+    def estimate(panels: int) -> float:
+        pts, half = _panel_points(lo, hi, panels, nodes)
+        vals = fn(pts).reshape(panels, -1)
+        return float(half * (vals * weights[None, :]).sum())
+
+    return _refine_until_stable(estimate, spec.base_panels, spec, "quadrature")
 
 
 @dataclass(frozen=True)
@@ -488,12 +499,7 @@ def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
             np.exp(u) <= 1, 1.0, np.exp(-u))
 
     def integrand_d1(u):
-        x = np.exp(u)
-        lo = np.minimum(x, 1.0)
-        hi = np.maximum(x, 1.0)
-        base = model.base_arr(lo / hi)
-        pairing = np.where(hi <= 1, hi * base, np.where(lo >= 1, base / lo, base))
-        return _weight_arr(f, u) * pairing
+        return _weight_arr(f, u) * micro_pairing_mesh(model, np.exp(u), [1.0])[:, 0]
 
     deg1 = _composite_quad(integrand_deg1, lo_f, hi_f, spec)
     deg2 = _composite_quad(integrand_deg2, lo_f, hi_f, spec)
@@ -504,31 +510,21 @@ def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
     ef2_rhs = fhat0 + fhat1 - _zero_sum_truncated(model, f)
 
     # cross pairing: double quadrature over the two log-axes
-    nodes, weights = _gl_nodes(spec.order)
-    panels = spec.base_panels * 2
-    prev = None
-    for _ in range(spec.max_refine + 1):
-        def axis(h):
-            lo = h.mu - spec.halfwidth_sigmas * h.sigma
-            hi = h.mu + spec.halfwidth_sigmas * h.sigma
-            edges = np.linspace(lo, hi, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            pts = (mid[:, None] + half * nodes[None, :]).ravel()
-            return pts, half
+    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
 
-        uf, hf = axis(f)
-        ug, hg = axis(g)
-        wf = _weight_arr(f, uf) * np.tile(weights, panels) * hf
-        wg = _weight_arr(g, ug) * np.tile(weights, panels) * hg
-        mesh = micro_pairing_mesh(model, np.exp(uf), np.exp(ug))
-        cross = float(wf @ mesh @ wg)
-        if prev is not None and abs(cross - prev) <= spec.rel_tol * max(1.0, abs(cross)):
-            break
-        prev = cross
-        panels *= 2
-    else:
-        raise NumericError("cross quadrature failed to stabilize")
+    def cross_estimate(panels: int) -> float:
+        def axis(h):
+            pts, half = _panel_points(h.mu - spec.halfwidth_sigmas * h.sigma,
+                                      h.mu + spec.halfwidth_sigmas * h.sigma,
+                                      panels, nodes)
+            return pts, _weight_arr(h, pts) * np.tile(weights, panels) * half
+
+        uf, wf = axis(f)
+        ug, wg = axis(g)
+        return float(wf @ micro_pairing_mesh(model, np.exp(uf), np.exp(ug)) @ wg)
+
+    cross = _refine_until_stable(cross_estimate, spec.base_panels * 2, spec,
+                                 "cross quadrature")
 
     # fixed-point right side: <D_h, D_1> with h = f * g^*
     h = f.convolve_with_dual(g)
@@ -577,16 +573,10 @@ def _von_mangoldt_sum(f: NFTestFn, prime_bound: int) -> float:
     """
     if prime_bound > 10 ** 6:
         raise ResourceError("prime bound capped at 10^6")
-    sieve = np.ones(prime_bound + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(prime_bound ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.nonzero(sieve)[0]
     cutoff = abs(f.mu) + 40 * f.sigma
     terms = []
-    for p in primes:
-        logp = math.log(int(p))
+    for p in primes_up_to(prime_bound):
+        logp = math.log(p)
         m = 1
         while m * logp <= cutoff:
             x = float(p) ** m

@@ -28,6 +28,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_up_to(n: int) -> list[int]:
+    """All primes p <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (little-endian int tuples)
 
@@ -38,13 +50,19 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
-def _poly_mulmod(a, b, modulus, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _poly_mulmod_nored(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_reduce(out, modulus, p)
+    return _poly_trim(out)
+
+
+def _poly_mulmod(a, b, modulus, p):
+    return _poly_reduce(_poly_mulmod_nored(a, b, p), modulus, p)
 
 
 def _poly_reduce(c, modulus, p):
@@ -188,22 +206,10 @@ class FieldSpec:
                                      itertools.zip_longest(s0, qs1, fillvalue=0)])
         # r0 is a nonzero constant
         c_inv = pow(r0[0], -1, self.p)
-        return _poly_reduce([(c_inv * si) % self.p for si in s0],
-                            self.modulus if self.n > 1 else (0, 1), self.p)
+        return _poly_reduce([(c_inv * si) % self.p for si in s0], self.modulus, self.p)
 
     def equal(self, a, b) -> bool:
         return a == b
-
-
-def _poly_mulmod_nored(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 # ---------------------------------------------------------------------------

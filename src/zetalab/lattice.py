@@ -208,25 +208,12 @@ def is_semistable(lat: Lattice) -> bool:
     """Semistability: every proper sublattice has covol' ^ (2 rank) >=
     covol ^ (2 rank'), decided exactly on squared covolumes.
 
-    Only rank-1 sublattices matter at rank 2; at rank 3 rank-2
-    sublattices are tested through the dual's shortest vector
-    (covol_sub^2 = covol^2 * |w_dual|^2).
+    This is the statement that the Harder-Narasimhan filtration has a
+    single step; the minima comparison itself lives in `_hn_steps`.
     """
-    n = lat.rank
-    if n == 1:
-        return True
-    if n > 3:
+    if lat.rank > 3:
         raise CapabilityError("stability decided for rank <= 3")
-    lam2, _ = shortest_vector(lat)
-    c2 = lat.covolume2
-    if lam2 ** n < c2:
-        return False
-    if n == 3:
-        dlam2, _ = shortest_vector(dual(lat))
-        sub2 = c2 * dlam2               # minimal rank-2 squared covolume
-        if sub2 ** 3 < c2 ** 2:
-            return False
-    return True
+    return len(_hn_steps(lat.gram)) == 1
 
 
 # -- integer basis completion utilities
@@ -332,29 +319,39 @@ def _slope(rank: int, covol2: Fraction) -> float:
     return -_log_fraction(covol2) / (2 * rank)
 
 
-def _hn_steps(gram: Matrix) -> list[tuple[int, Fraction]]:
-    n = len(gram)
-    lat = Lattice(gram)
-    if is_semistable(lat):
-        return [(n, _det(gram))]
+def _minima(lat: Lattice):
+    """(lambda_1^2, minimal vector) of L and, at rank 3, of L* (else None)."""
     lam2, x = shortest_vector(lat)
-    if n == 2:
-        sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
-        return [(1, sub_cov2)] + _hn_steps(quot)
-    # rank 3: compare the best rank-1 slope with the best rank-2 slope;
-    # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
-    # Ties go to the larger rank (the maximal destabilizer convention).
-    dlam2, w = shortest_vector(dual(lat))
+    return (lam2, x) + (shortest_vector(dual(lat)) if lat.rank == 3 else (None, None))
+
+
+def _hn_steps(gram: Matrix) -> list[tuple[int, Fraction]]:
+    """(rank, squared covolume) of each semistable HN quotient, top-down;
+    the one place where lattice minima are compared with the covolume."""
+    n = len(gram)
     c2 = _det(gram)
-    sub2_cov2 = c2 * dlam2
-    if sub2_cov2 > lam2 * lam2:
-        sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
-        return [(1, sub_cov2)] + _hn_steps(quot)
-    sub_gram = _rank2_sub_gram(gram, _primitive(w))
-    if not is_semistable(Lattice(sub_gram)):
-        raise NumericError("rank-2 destabilizer unexpectedly unstable")
-    sub_det = _det(sub_gram)
-    return [(2, sub_det), (1, c2 / sub_det)]
+    if n == 1:
+        return [(1, c2)]
+    lam2, x, dlam2, w = _minima(Lattice(gram))
+    if n == 2:
+        if lam2 ** 2 >= c2:
+            return [(2, c2)]
+    else:
+        # minimal rank-2 squared covolume: covol^2 * lambda_1(L*)^2
+        sub2_cov2 = c2 * dlam2
+        if lam2 ** 3 >= c2 and sub2_cov2 ** 3 >= c2 ** 2:
+            return [(3, c2)]
+        # compare the best rank-1 slope with the best rank-2 slope;
+        # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
+        # Ties go to the larger rank (the maximal destabilizer convention).
+        if sub2_cov2 <= lam2 * lam2:
+            sub_gram = _rank2_sub_gram(gram, _primitive(w))
+            if len(_hn_steps(sub_gram)) != 1:
+                raise NumericError("rank-2 destabilizer unexpectedly unstable")
+            sub_det = _det(sub_gram)
+            return [(2, sub_det), (1, c2 / sub_det)]
+    sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
+    return [(1, sub_cov2)] + _hn_steps(quot)
 
 
 def hn_filtration(lat: Lattice) -> HNFiltration:
@@ -392,16 +389,12 @@ def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
                 raise InputError("unimodular check needs an integral Gram")
     if lat.covolume2 != 1:
         raise InputError("unimodular check needs covolume 1")
-    if not is_semistable(lat):
-        raise NumericError("unimodular lattice failed semistability")
-    lam2, _ = shortest_vector(lat)
-    stable = lam2 > 1
-    if lat.rank == 3 and stable:
-        dlam2, _ = shortest_vector(dual(lat))
-        stable = dlam2 > 1
-    if lat.rank == 1:
-        stable = True
-    return True, stable
+    if lat.rank > 3:
+        raise CapabilityError("stability decided for rank <= 3")
+    # L and L* are integral, so both minima are >= 1 = covol^2: always
+    # semistable, and stable unless a minimum equals 1
+    lam2, _, dlam2, _ = _minima(lat)
+    return True, lat.rank == 1 or (lam2 > 1 and (dlam2 is None or dlam2 > 1))
 
 
 # ---------------------------------------------------------------------------

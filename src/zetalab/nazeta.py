@@ -23,18 +23,25 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from zetalab.artin import ZetaCurve, nm
-from zetalab.bundles import Convention, CurveData, invariant, mass_recursion_beta
+from zetalab.artin import elliptic_zeta
+from zetalab.bundles import (
+    Convention,
+    CurveData,
+    invariant,
+    mass_recursion_beta,
+    paper_split_beta2,
+)
 from zetalab.errors import CapabilityError, InputError, ResourceError
 from zetalab.exact import (
     Poly,
     RatFunc,
+    RatLike,
     Series,
     fe_transform_check,
     power_sums_from_poly,
     rat,
 )
-from zetalab.ffield import is_prime
+from zetalab.ffield import primes_up_to
 
 
 @dataclass(frozen=True)
@@ -75,29 +82,35 @@ class RankZeta:
         return self.zfunc.series(order)
 
 
-def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
-    """Assemble the rank-r zeta function of an elliptic curve in closed form.
+def na_numerator(q: int, r: int, gamma0: RatLike,
+                 betas: Sequence[RatLike]) -> list[RatLike]:
+    """Exact numerator coefficients n_0..n_2r of a genus-1 rank-r zeta.
 
-    Sums the degree classes d mod r as geometric series; rank 1 recovers
-    the ordinary zeta function of the curve exactly.
+    Z(t) = sum_d c_d t^d, c_0 = gamma0, c_d = (q^d - 1) beta_(d mod r);
+    times (1 - t^r)(1 - q^r t^r) this is n_k = c_k - (1 + q^r) c_(k-r) +
+    q^r c_(k-2r), which vanishes for k > 2r as beta is period-r.
+    """
+    qr = q ** r
+    c = [gamma0] + [(q ** d - 1) * betas[d % r] for d in range(1, 2 * r + 1)]
+    n = c[:]
+    for k in range(r, 2 * r + 1):
+        n[k] -= (1 + qr) * c[k - r]
+    n[2 * r] += qr * c[0]
+    return n
+
+
+def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
+    """The rank-r zeta function of an elliptic curve in closed form.
+
+    The numerator comes from `na_numerator` on the curve's gamma_r(0) and
+    beta_r(0..r-1) masses; rank 1 recovers the ordinary zeta function of
+    the curve exactly.
     """
     if r not in (1, 2, 3):
         raise CapabilityError("rank must be 1, 2 or 3")
-    q = curve.q
-    den_tr = Poly([1] + [0] * (r - 1) + [-1])                 # 1 - t^r
-    den_qtr = Poly([1] + [0] * (r - 1) + [-(q ** r)])         # 1 - q^r t^r
     gamma0 = invariant("gamma", r, 0, curve, conv)
-    z = RatFunc(Poly([gamma0]), Poly.one())
-    for j in range(r):
-        beta_j = invariant("beta", r, j, curve, conv)
-        lead = r if j == 0 else j
-        top = RatFunc(Poly.x(lead, q ** lead), den_qtr)       # q^l t^l/(1-q^r t^r)
-        bottom = RatFunc(Poly.x(lead if j else r), den_tr)    # t^l/(1-t^r)
-        z = z + (top - bottom).scale(beta_j)
-    numerator = z * RatFunc.from_poly(den_tr * den_qtr)
-    if numerator.den != Poly.one():
-        raise InputError("assembly did not clear the denominator")
-    return RankZeta(r, q, 1, numerator.num, conv)
+    betas = [invariant("beta", r, j, curve, conv) for j in range(r)]
+    return RankZeta(r, curve.q, 1, Poly(na_numerator(curve.q, r, gamma0, betas)), conv)
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +445,6 @@ class GlobalCurve:
         return p not in self.bad_primes
 
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
-
-
 def ap_fast(p: int, A: int, B: int) -> int:
     """a_p by a vectorized quadratic-residue census (independent of the
     pure-Python square-table route in ffield)."""
@@ -485,7 +487,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     if prime_bound > 10 ** 5:
         raise ResourceError("prime bound capped at 10^5")
 
-    primes = [p for p in _primes_up_to(prime_bound) if curve.is_good(p) and p > 3]
+    bad_primes = curve.bad_primes
+    primes = [p for p in primes_up_to(prime_bound) if p > 3 and p not in bad_primes]
 
     def ap_of(p: int) -> int:
         return ap_fast(p, curve.A % p, curve.B % p)
@@ -504,26 +507,19 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
         if r == 1:
             local = 1 - ap * x + p * x * x
         else:
-            b1 = Fraction(n1, p - 1)
             if conv is Convention.PAPER_SPLIT:
-                beta0 = Fraction(n1 * (p + 3), p * p - 1)
+                beta0 = paper_split_beta2(p, n1)
             else:
-                beta0 = _beta2_closed(p, n1)
-            c2 = -b1 * (1 + p * p) + beta0 * (p * p - 1)
-            coeffs = [b1, b1 * (p - 1), c2, b1 * (p * p - p), b1 * p * p]
-            local = sum(float(c / coeffs[0]) * x ** i for i, c in enumerate(coeffs))
+                beta0 = mass_recursion_beta(2, 0, elliptic_zeta(p, n1))
+            # divided through by gamma_2(0) = beta_2(1) = N_1/(p-1): P(0) = 1
+            coeffs = na_numerator(p, 2, 1, (beta0 / Fraction(n1, p - 1), 1))
+            local = sum(float(c) * x ** i for i, c in enumerate(coeffs))
         logs.append(-cmath.log(local))
     total = _ordered_complex_sum(logs)
     sigma = s.real
     tail = 8.0 * prime_bound ** (2 - sigma) / (sigma - 2) if sigma > 2 else math.inf
     return EulerReport(cmath.exp(total), total, s, prime_bound, len(primes),
-                       curve.bad_primes, tail)
-
-
-def _beta2_closed(q: int, n1: int) -> Fraction:
-    """beta_2(0) from the mass recursion, directly from (q, N_1)."""
-    from zetalab.artin import elliptic_zeta
-    return mass_recursion_beta(2, 0, elliptic_zeta(q, n1))
+                       bad_primes, tail)
 
 
 def _ordered_complex_sum(values: Sequence[complex]) -> complex:

@@ -140,6 +140,10 @@ class TestExitCodes:
     def test_usage_error_bad_flag(self, capsys):
         assert main(["artin", "--curve", "y2=x3+x+1"]) == 64  # missing --p
 
+    def test_threads_only_on_euler(self, capsys):
+        assert main(["artin", "--curve", "y2=x3+x+1", "--p", "5",
+                     "--threads", "2"]) == 64
+
     def test_validation_error(self, capsys):
         # singular curve -> validation failure
         code = main(["artin", "--curve", "y2=x3", "--p", "5"])

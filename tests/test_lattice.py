@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab.errors import CapabilityError, ConfigError, InputError
 from zetalab.lattice import (
@@ -25,6 +27,40 @@ from zetalab.lattice import (
 # with covolume exactly 1
 A0 = F(2149139863647, 2 * 10 ** 12)
 HEX_LIKE = Lattice.from_basis_columns([[A0, 0], [A0 / 2, 1 / A0]])
+BASES = [Lattice.standard(2), Lattice.standard(3), Lattice.diagonal([F(1, 2), 2]),
+         Lattice.diagonal([1, 1, 9]), Lattice.diagonal([F(1, 4), 1, 4]), HEX_LIKE]
+
+
+def minima_semistable(lat):
+    """Oracle for is_semistable, straight from the minima: no rank-1
+    sublattice with lambda_1^(2n) < covol^2 and, at rank 3, no rank-2
+    sublattice with (covol^2 * lambda_1(L*)^2)^3 < covol^4."""
+    n = lat.rank
+    c2 = lat.covolume2
+    lam2, _ = shortest_vector(lat)
+    if lam2 ** n < c2:
+        return False
+    if n == 3:
+        dlam2, _ = shortest_vector(dual(lat))
+        if (c2 * dlam2) ** 3 < c2 ** 2:
+            return False
+    return True
+
+
+@st.composite
+def unimodular(draw, n):
+    """A signed permutation times one transvection e_j += k e_i, |k| <= 3:
+    entries of U and of U^-1 stay within 3.  (Box enumeration cost grows
+    with the skew of the basis, so more general changes of basis would make
+    single examples take seconds.)"""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    k = draw(st.integers(-3, 3))
+    u = [[signs[r] * int(perm[r] == c) for c in range(n)] for r in range(n)]
+    for r in range(n):
+        u[r][j] += k * u[r][i]
+    return u
 
 
 class TestLatticeConstruction:
@@ -114,6 +150,8 @@ class TestSemistability:
         assert not is_semistable(lat)
 
     def test_semistable_iff_single_hn_step(self):
+        # is_semistable is the one-step test; the minima criterion is the
+        # independent route
         rng = random.Random(11)
         samples = [Lattice.standard(2), Lattice.standard(3),
                    Lattice.diagonal([F(1, 2), 2]), Lattice.diagonal([1, 1, 9]),
@@ -127,6 +165,22 @@ class TestSemistability:
                 pass
         for lat in samples:
             assert is_semistable(lat) == hn_filtration(lat).is_single
+            assert is_semistable(lat) == minima_semistable(lat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_change_of_basis_invariance(self, data):
+        lat = data.draw(st.sampled_from(BASES))
+        n = lat.rank
+        u = data.draw(unimodular(n))
+        g = lat.gram
+        moved = Lattice.from_gram([[sum(u[a][r] * g[a][b] * u[b][c]
+                                        for a in range(n) for b in range(n))
+                                    for c in range(n)] for r in range(n)])
+        assert moved.covolume2 == lat.covolume2
+        steps = [(s.rank, s.covol2) for s in hn_filtration(moved).steps]
+        assert steps == [(s.rank, s.covol2) for s in hn_filtration(lat).steps]
+        assert is_semistable(moved) == minima_semistable(moved)
 
 
 class TestHNFiltration:

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from zetalab.artin import elliptic_zeta, nm
 from zetalab.bundles import Convention, CurveData, invariant
 from zetalab.errors import CapabilityError, InputError
 from zetalab.exact import Poly, RatFunc, Series
-from zetalab.ffield import FieldSpec, WeierstrassCurve, trace_of_frobenius
+from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to, trace_of_frobenius
 from zetalab.nazeta import (
     GlobalCurve,
     RankZeta,
@@ -17,6 +18,7 @@ from zetalab.nazeta import (
     ell_na_zeta,
     global_na_zeta_partial,
     na_counts,
+    na_numerator,
     na_properties_check,
     roots_of_unity_product_check,
     ugly_formula_coeffs,
@@ -32,6 +34,38 @@ GALLERY = [E59, E58,
 
 def paper_rank2_numerator(q):
     return Poly([1, q - 1, 2 * q - 4, q * q - q, q * q])
+
+
+def ratfunc_assembly(q, r, gamma0, betas):
+    """Oracle for na_numerator: sum the degree classes d mod r of
+    Z = gamma0 + sum_{d>=1} (q^d - 1) beta_(d mod r) t^d as geometric
+    series of rational functions, then clear (1 - t^r)(1 - q^r t^r)."""
+    den_tr = Poly([1] + [0] * (r - 1) + [-1])                 # 1 - t^r
+    den_qtr = Poly([1] + [0] * (r - 1) + [-(q ** r)])         # 1 - q^r t^r
+    z = RatFunc(Poly([gamma0]), Poly.one())
+    for j, beta_j in enumerate(betas):
+        lead = r if j == 0 else j
+        top = RatFunc(Poly.x(lead, q ** lead), den_qtr)       # q^l t^l/(1-q^r t^r)
+        bottom = RatFunc(Poly.x(lead), den_tr)                # t^l/(1-t^r)
+        z = z + (top - bottom).scale(beta_j)
+    numerator = z * RatFunc.from_poly(den_tr * den_qtr)
+    assert numerator.den == Poly.one()
+    return numerator.num
+
+
+@pytest.fixture(scope="module")
+def curves_to_23():
+    """Every nonsingular y^2 = x^3 + ax + b over F_p, 5 <= p <= 23, up to
+    its CurveData (the rank-r zeta depends on nothing else), with one
+    (a, b) for each."""
+    table = {}
+    for p in primes_up_to(23)[2:]:
+        for a in range(p):
+            for b in range(p):
+                if (4 * a ** 3 + 27 * b ** 2) % p:
+                    curve = CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
+                    table.setdefault(curve, (a, b))
+    return table
 
 
 class TestEllNaZeta:
@@ -73,6 +107,32 @@ class TestEllNaZeta:
     def test_denominator_shape(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
         assert z.denominator == Poly([1, 0, -1]) * Poly([1, 0, -25])
+
+
+class TestNaNumerator:
+    def test_matches_ratfunc_assembly_for_every_curve(self, curves_to_23):
+        for curve in curves_to_23:
+            for r in (1, 2, 3):
+                for conv in Convention:
+                    gamma0 = invariant("gamma", r, 0, curve, conv)
+                    betas = [invariant("beta", r, j, curve, conv) for j in range(r)]
+                    assert (Poly(na_numerator(curve.q, r, gamma0, betas))
+                            == ratfunc_assembly(curve.q, r, gamma0, betas))
+
+    def test_rank2_euler_factor_is_normalized_numerator(self, curves_to_23):
+        # the local factor at p is read off as the difference of the
+        # partial products up to p and up to p - 1
+        s = 3 + 1j
+        for curve, (a, b) in curves_to_23.items():
+            p = curve.q
+            ec = GlobalCurve(a, b)
+            x = complex(p) ** (-s)
+            for conv in Convention:
+                upto = global_na_zeta_partial(ec, 2, s, p, conv).log_value
+                below = global_na_zeta_partial(ec, 2, s, p - 1, conv).log_value
+                ptilde = ell_na_zeta(curve, 2, conv).normalized_numerator
+                local = sum(float(c) * x ** i for i, c in enumerate(ptilde.coeffs))
+                assert abs(upto - below + cmath.log(local)) < 1e-14
 
 
 class TestProperties:
