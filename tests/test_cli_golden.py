@@ -34,6 +34,13 @@ CASES = [
                            "--rank", "3", "--convention", "descent"]),
     ("census_r2_paper", ["census", *CURVE, "--rank", "2", "--convention", "paper"]),
     ("census_r2_descent", ["census", *CURVE, "--rank", "2", "--convention", "descent"]),
+    # descent censuses whose group exponent is stripped at l = 2, 3 and 5
+    ("census_r3_descent_z6xz18", ["census", "--curve", "y2=x3+1", "--p", "109",
+                                  "--rank", "3", "--convention", "descent"]),
+    ("census_r3_descent_z8xz16", ["census", "--curve", "y2=x3+x", "--p", "113",
+                                  "--rank", "3", "--convention", "descent"]),
+    ("census_r2_descent_z10xz10", ["census", "--curve", "y2=x3+x", "--p", "101",
+                                   "--rank", "2", "--convention", "descent"]),
     ("mass", ["mass", "--curve", "y2=x3+4x", "--p", "5"]),
     ("allbundles", ["allbundles", *CURVE, "--order", "6"]),
     ("euler_r2_paper", ["euler", "--A", "-1", "--B", "0", "--rank", "2",
