@@ -349,30 +349,21 @@ def _census_paper(r: int, curve: CurveData) -> CensusResult:
                         "generic determinant, split counts as printed", rows)
 
 
-def _group_elements(gs: GroupStructure) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(gs.n1) for j in range(gs.n2)]
+def _triple_count(n: int, eps2: int, eps3: int) -> int:
+    """Unordered triples of distinct nonzero elements summing to zero in a
+    group of order n with eps2 2-torsion and eps3 3-torsion points.
 
-
-def _triple_count(gs: GroupStructure) -> int:
-    """Unordered triples of distinct nonzero group elements summing to zero."""
-    n1, n2 = gs.n1, gs.n2
-    zero = (0, 0)
-    ordered = 0
-    for a in _group_elements(gs):
-        if a == zero:
-            continue
-        for b in _group_elements(gs):
-            if b == zero or b == a:
-                continue
-            c = ((-a[0] - b[0]) % n1, (-a[1] - b[1]) % n2)
-            if c != zero and c != a and c != b:
-                ordered += 1
+    Of the (n-1)(n-2) ordered pairs (a, b) of distinct nonzero elements,
+    c = -a-b is zero for the n - eps2 pairs b = -a, and repeats a (or b)
+    for the n - eps2 - eps3 + 1 elements outside E[2] and E[3].
+    """
+    ordered = (n - 1) * (n - 2) - (n - eps2) - 2 * (n - eps2 - eps3 + 1)
     assert ordered % 6 == 0
     return ordered // 6
 
 
 def _census_descent(r: int, curve: CurveData) -> CensusResult:
-    q, n1, gs = curve.q, curve.n1, curve.group
+    q, n1 = curve.q, curve.n1
     eps2 = curve.torsion(2)
     n2 = curve.point_count(2)
     if n2 % n1:
@@ -416,7 +407,7 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
         _class_row(StratumKey(0, (2, 1)), "(0;2,1)",
                    n1 - (eps2 + eps3 - 1),
                    BundleDescriptor.of((1, L), (1, L), (1, Linv)), q),
-        _class_row(StratumKey(0, (1, 1, 1)), "(0;1,1,1)", _triple_count(gs),
+        _class_row(StratumKey(0, (1, 1, 1)), "(0;1,1,1)", _triple_count(n1, eps2, eps3),
                    BundleDescriptor.of((1, L), (1, Linv),
                                        (1, LineOrbit.rational(4))), q),
         _class_row(StratumKey(0, (1,)), "(0;1,conj-pair)",

@@ -274,8 +274,8 @@ def cmd_lattice(args) -> dict:
                                "in_domain": ok}
     integral = all(x.denominator == 1 for row in lattice.gram for x in row)
     if integral and lattice.covolume2 == 1:
-        semi, stable = lat.unimodular_semistable_check(lattice)
-        result["unimodular"] = {"semistable": semi, "stable": stable}
+        result["unimodular"] = {"semistable": filtration.is_single,
+                                "stable": filtration.stable}
     return result
 
 

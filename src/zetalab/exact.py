@@ -170,16 +170,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose_scale(self, c: RatLike) -> "Poly":
-        """Return p(c*t)."""
-        c = rat(c)
-        power = Fraction(1)
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Poly(out)
-
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 

@@ -355,11 +355,8 @@ class MicroModel:
     def gammas(self) -> np.ndarray:
         return np.asarray(self.zeros.ordinates[:self.K])
 
-    def base(self, u: float) -> float:
-        """<D_u, D_1> = 1 + u - S_K(u) for u in [0, 1]."""
-        return float(self.base_arr(np.asarray([u]))[0])
-
     def base_arr(self, u: np.ndarray) -> np.ndarray:
+        """<D_u, D_1> = 1 + u - S_K(u) for u in [0, 1]."""
         u = np.asarray(u, dtype=float)
         out = 1.0 + u
         pos = u > 0
@@ -373,9 +370,8 @@ class MicroModel:
 def micro_pairing(model: MicroModel, x: float, y: float) -> float:
     """<D_x, D_y> for x, y in [0, infinity], by the axiom reduction.
 
-    Symmetry orders the pair; the mirror map handles infinity and the
-    both-above-1 region; the two fixed-point rules reduce everything to
-    the base pairing against D_1 at a ratio in [0, 1].
+    Symmetry orders the pair and the mirror map handles infinity; a
+    positive finite pair is one cell of `micro_pairing_mesh`.
     """
     for v in (x, y):
         if v < 0:
@@ -392,15 +388,15 @@ def micro_pairing(model: MicroModel, x: float, y: float) -> float:
         return 0.0
     if x == 0:
         return min(y, 1.0) if y > 0 else 0.0
-    if y <= 1:
-        return y * model.base(x / y)
-    if x >= 1:
-        return model.base(x / y) / x
-    return model.base(x / y)
+    return float(micro_pairing_mesh(model, [x], [y])[0, 0])
 
 
 def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized <D_x, D_y> over a positive-finite mesh (outer grid)."""
+    """Vectorized <D_x, D_y> over a positive-finite mesh (outer grid).
+
+    The two fixed-point rules reduce each pair to the base pairing against
+    D_1 at the ratio min/max in [0, 1]; the mirror map covers both above 1.
+    """
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     lo = np.minimum(gx, gy)
     hi = np.maximum(gx, gy)

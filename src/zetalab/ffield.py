@@ -1,10 +1,13 @@
-"""Small finite fields and brute-force point counting on Weierstrass curves.
+"""Small finite fields and point counting on Weierstrass curves.
 
-This is the enumeration oracle that grounds the zeta machinery: prime
+This is the enumeration layer that grounds the zeta machinery: prime
 fields F_p, extensions F_{p^n} as polynomial quotients with a
 deterministically chosen modulus, projective point counts of
 y^2 = x^3 + ax + b, and the group structure of the rational points.
-Speed is secondary to trustworthiness; everything is a direct census.
+Point counts are censuses over a table of squares.  The group structure
+is derived from N = #E(F_q): the points are read from a square-root
+table and the exponent is N with its primes stripped by scalar
+multiplication (Cohen, GTM 138, section 7.4).
 """
 
 from __future__ import annotations
@@ -19,13 +22,23 @@ from zetalab.errors import CapabilityError, InputError, ResourceError
 ENUMERATION_BUDGET = 10 ** 7
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
         if n % d == 0:
-            return False
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -330,28 +343,38 @@ def _pt_add(fld: FieldSpec, a_coeff, P, Q):
     return (x3, y3)
 
 
+def _pt_mul(fld: FieldSpec, a_coeff, P, k: int):
+    """k * P for k >= 0, by double-and-add."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = _pt_add(fld, a_coeff, acc, P)
+        P = _pt_add(fld, a_coeff, P, P)
+        k >>= 1
+    return acc
+
+
 def _enumerate_points(fld: FieldSpec, a_coeff, b_coeff):
+    """Infinity (None) and the affine points, read from one table of
+    square roots: O(q) field operations."""
+    roots: dict = {}
+    for y in fld.elements():
+        roots.setdefault(fld.mul(y, y), []).append(y)
     points = [None]
     for x in fld.elements():
         fx = fld.add(fld.mul(fld.mul(x, x), x),
                      fld.add(fld.mul(a_coeff, x), b_coeff))
-        for y in fld.elements():
-            if fld.equal(fld.mul(y, y), fx):
-                points.append((x, y))
+        points.extend((x, y) for y in roots.get(fx, ()))
     return points
 
 
-def _point_order(fld: FieldSpec, a_coeff, P, bound: int) -> int:
-    acc = P
-    for k in range(1, bound + 1):
-        if acc is None:
-            return k
-        acc = _pt_add(fld, a_coeff, acc, P)
-    raise InputError("point order exceeds group order; inconsistent curve")
-
-
 def group_structure(curve: WeierstrassCurve) -> GroupStructure:
-    """(n1, n2) with E(F_p) = Z/n1 x Z/n2, by a full point-order census."""
+    """(n1, n2) with E(F_p) = Z/n1 x Z/n2, derived from N = #E(F_p).
+
+    Every point must satisfy N * P = O.  The exponent n2 starts at N; for
+    each prime l | N it is divided by l while (n2 / l) * P = O for every
+    point, and then n1 = N / n2.
+    """
     p = curve.p
     if p * p > ENUMERATION_BUDGET:
         raise ResourceError("group census exceeds the enumeration budget")
@@ -360,13 +383,16 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     b = fld.from_int(curve.b)
     points = _enumerate_points(fld, a, b)
     n = len(points)
-    exponent = 1
-    for P in points:
-        if P is None:
-            continue
-        k = _point_order(fld, a, P, n)
-        exponent = exponent * k // gcd(exponent, k)
-    n2 = exponent
+
+    def kills_all(k: int) -> bool:
+        return all(_pt_mul(fld, a, P, k) is None for P in points)
+
+    if not kills_all(n):
+        raise InputError("point order exceeds group order; inconsistent curve")
+    n2 = n
+    for ell in prime_factors(n):
+        while n2 % ell == 0 and kills_all(n2 // ell):
+            n2 //= ell
     n1, rem = divmod(n, n2)
     if rem or n2 % n1:
         raise InputError("point census inconsistent with Z/n1 x Z/n2")

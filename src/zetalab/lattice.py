@@ -213,7 +213,7 @@ def is_semistable(lat: Lattice) -> bool:
     """
     if lat.rank > 3:
         raise CapabilityError("stability decided for rank <= 3")
-    return len(_hn_steps(lat.gram)) == 1
+    return len(_hn_steps(lat.gram)[0]) == 1
 
 
 # -- integer basis completion utilities
@@ -309,6 +309,7 @@ class HNStep:
 @dataclass(frozen=True)
 class HNFiltration:
     steps: tuple[HNStep, ...]
+    stable: bool     # every proper sublattice strictly below the slope
 
     @property
     def is_single(self) -> bool:
@@ -319,39 +320,36 @@ def _slope(rank: int, covol2: Fraction) -> float:
     return -_log_fraction(covol2) / (2 * rank)
 
 
-def _minima(lat: Lattice):
-    """(lambda_1^2, minimal vector) of L and, at rank 3, of L* (else None)."""
-    lam2, x = shortest_vector(lat)
-    return (lam2, x) + (shortest_vector(dual(lat)) if lat.rank == 3 else (None, None))
-
-
-def _hn_steps(gram: Matrix) -> list[tuple[int, Fraction]]:
-    """(rank, squared covolume) of each semistable HN quotient, top-down;
+def _hn_steps(gram: Matrix) -> tuple[list[tuple[int, Fraction]], bool]:
+    """(rank, squared covolume) of each semistable HN quotient, top-down,
+    and whether the lattice is stable (the same minima comparisons, strict);
     the one place where lattice minima are compared with the covolume."""
     n = len(gram)
     c2 = _det(gram)
     if n == 1:
-        return [(1, c2)]
-    lam2, x, dlam2, w = _minima(Lattice(gram))
+        return [(1, c2)], True
+    lat = Lattice(gram)
+    lam2, x = shortest_vector(lat)
     if n == 2:
         if lam2 ** 2 >= c2:
-            return [(2, c2)]
+            return [(2, c2)], lam2 ** 2 > c2
     else:
         # minimal rank-2 squared covolume: covol^2 * lambda_1(L*)^2
+        dlam2, w = shortest_vector(dual(lat))
         sub2_cov2 = c2 * dlam2
         if lam2 ** 3 >= c2 and sub2_cov2 ** 3 >= c2 ** 2:
-            return [(3, c2)]
+            return [(3, c2)], lam2 ** 3 > c2 and sub2_cov2 ** 3 > c2 ** 2
         # compare the best rank-1 slope with the best rank-2 slope;
         # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
         # Ties go to the larger rank (the maximal destabilizer convention).
         if sub2_cov2 <= lam2 * lam2:
             sub_gram = _rank2_sub_gram(gram, _primitive(w))
-            if len(_hn_steps(sub_gram)) != 1:
+            if len(_hn_steps(sub_gram)[0]) != 1:
                 raise NumericError("rank-2 destabilizer unexpectedly unstable")
             sub_det = _det(sub_gram)
-            return [(2, sub_det), (1, c2 / sub_det)]
+            return [(2, sub_det), (1, c2 / sub_det)], False
     sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
-    return [(1, sub_cov2)] + _hn_steps(quot)
+    return [(1, sub_cov2)] + _hn_steps(quot)[0], False
 
 
 def hn_filtration(lat: Lattice) -> HNFiltration:
@@ -363,7 +361,7 @@ def hn_filtration(lat: Lattice) -> HNFiltration:
     """
     if lat.rank > 3:
         raise CapabilityError("filtration computed for rank <= 3")
-    steps = _hn_steps(lat.gram)
+    steps, stable = _hn_steps(lat.gram)
     for (r1, c1), (r2, c2) in zip(steps, steps[1:]):
         # mu_1 > mu_2  iff  c1^r2 < c2^r1
         if not c1 ** r2 < c2 ** r1:
@@ -373,7 +371,7 @@ def hn_filtration(lat: Lattice) -> HNFiltration:
         total *= c
     if total != lat.covolume2:
         raise NumericError("filtration does not reconstruct the covolume")
-    return HNFiltration(tuple(HNStep(r, c, _slope(r, c)) for r, c in steps))
+    return HNFiltration(tuple(HNStep(r, c, _slope(r, c)) for r, c in steps), stable)
 
 
 def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
@@ -391,10 +389,8 @@ def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
         raise InputError("unimodular check needs covolume 1")
     if lat.rank > 3:
         raise CapabilityError("stability decided for rank <= 3")
-    # L and L* are integral, so both minima are >= 1 = covol^2: always
-    # semistable, and stable unless a minimum equals 1
-    lam2, _, dlam2, _ = _minima(lat)
-    return True, lat.rank == 1 or (lam2 > 1 and (dlam2 is None or dlam2 > 1))
+    filtration = hn_filtration(lat)
+    return filtration.is_single, filtration.stable
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from zetalab.exact import (
     power_sums_from_poly,
     rat,
 )
-from zetalab.ffield import primes_up_to
+from zetalab.ffield import prime_factors, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -428,18 +428,7 @@ class GlobalCurve:
 
     @property
     def bad_primes(self) -> tuple[int, ...]:
-        n = abs(6 * (4 * self.A ** 3 + 27 * self.B ** 2))
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return tuple(out)
+        return prime_factors(abs(6 * (4 * self.A ** 3 + 27 * self.B ** 2)))
 
     def is_good(self, p: int) -> bool:
         return p not in self.bad_primes

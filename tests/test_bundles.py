@@ -10,6 +10,7 @@ from zetalab.bundles import (
     InvariantTable,
     LineOrbit,
     StratumKey,
+    _triple_count,
     aut_order,
     bn_stratum_shape,
     class_contents,
@@ -21,7 +22,14 @@ from zetalab.bundles import (
     strata_census,
 )
 from zetalab.errors import CapabilityError, InputError
-from zetalab.ffield import FieldSpec, WeierstrassCurve, norm_kernel_size
+from zetalab.ffield import (
+    FieldSpec,
+    GroupStructure,
+    WeierstrassCurve,
+    norm_kernel_size,
+    primes_up_to,
+    torsion_count,
+)
 
 O = LineOrbit.trivial()
 L = LineOrbit.rational(1)
@@ -99,6 +107,26 @@ class TestH0:
         assert h0_of_bundle(BundleDescriptor.of((2, L))) == 0
 
 
+def pair_loop_triple_count(gs):
+    """Oracle for _triple_count: unordered triples of distinct nonzero
+    elements of Z/n1 x Z/n2 summing to zero, by a loop over pairs."""
+    n1, n2 = gs.n1, gs.n2
+    elements = [(i, j) for i in range(n1) for j in range(n2)]
+    zero = (0, 0)
+    ordered = 0
+    for a in elements:
+        if a == zero:
+            continue
+        for b in elements:
+            if b == zero or b == a:
+                continue
+            c = ((-a[0] - b[0]) % n1, (-a[1] - b[1]) % n2)
+            if c != zero and c != a and c != b:
+                ordered += 1
+    assert ordered % 6 == 0
+    return ordered // 6
+
+
 class TestCensus:
     def test_rank1(self):
         res = strata_census(1, E59, Convention.PAPER_SPLIT)
@@ -138,6 +166,18 @@ class TestCensus:
             res = strata_census(2, curve, Convention.GALOIS_DESCENT)
             conj = next(r for r in res.rows if r.label == "(0;conj-pair)")
             assert conj.classes == F(k2 - eps2, 2)
+
+    def test_triple_count_against_pair_loop(self):
+        # every Z/n1 x Z/n2 a curve over 5 <= p <= 43 can have: n1 | n2,
+        # n1 | p - 1 and N = n1 n2 within the Hasse bound
+        groups = {GroupStructure(n1, n // n1)
+                  for p in primes_up_to(43)[2:]
+                  for n in range(1, 2 * p + 2) if (p + 1 - n) ** 2 <= 4 * p
+                  for n1 in range(1, n + 1)
+                  if (p - 1) % n1 == 0 and n % (n1 * n1) == 0}
+        for gs in groups:
+            closed = _triple_count(gs.order, torsion_count(gs, 2), torsion_count(gs, 3))
+            assert closed == pair_loop_triple_count(gs)
 
     def test_gamma_only_from_sections(self):
         for curve in GALLERY[:3]:

@@ -190,6 +190,19 @@ class TestZeroTable:
         assert critical_strip_zero_count(12.0, 15.0) == 1
 
 
+def scalar_micro_pairing(model, x, y):
+    """Oracle for micro_pairing at positive finite x, y: the fixed-point
+    rules applied one scalar at a time to the base pairing at min/max."""
+    if x > y:
+        x, y = y, x
+    base = float(model.base_arr(np.asarray([x / y]))[0])
+    if y <= 1:
+        return y * base
+    if x >= 1:
+        return base / x
+    return base
+
+
 class TestMicroModel:
     def setup_method(self):
         self.model = MicroModel(40, ZEROS)
@@ -231,6 +244,15 @@ class TestMicroModel:
             direct = float(self.model.base_arr(np.array([x]))[0])
             routed = x * float(self.model.base_arr(np.array([1 / x]))[0])
             assert direct == pytest.approx(routed, rel=1e-12, abs=1e-12)
+
+    def test_mesh_cell_matches_scalar_branches_bitwise(self):
+        grid = [*np.geomspace(1e-3, 1e3, 41), 0.5, 2.0, 0.999999, 1.000001]
+        for K in (1, 10, 40, 100):
+            model = MicroModel(K, ZEROS)
+            for x in grid:
+                for y in grid:
+                    got = micro_pairing(model, x, y)
+                    assert got.hex() == scalar_micro_pairing(model, x, y).hex()
 
     def test_truncated_diagonal_self_intersection(self):
         # the K-truncated <D_1, D_1> is 2 - 2K; reported, not interpreted

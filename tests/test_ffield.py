@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from zetalab.errors import CapabilityError, InputError, ResourceError
@@ -5,9 +7,13 @@ from zetalab.ffield import (
     FieldSpec,
     GroupStructure,
     WeierstrassCurve,
+    _pt_add,
     count_points,
     group_structure,
+    is_prime,
     norm_kernel_size,
+    prime_factors,
+    primes_up_to,
     smallest_irreducible,
     torsion_count,
     trace_of_frobenius,
@@ -113,6 +119,73 @@ class TestGroupStructure:
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def census_group_structure(curve):
+    """Oracle for group_structure: points by an x-by-y search, each point's
+    order by adding it to itself, n2 the lcm of the orders."""
+    p, a, b = curve.p, curve.a, curve.b
+    points = [(x, y) for x in range(p) for y in range(p)
+              if (y * y - x ** 3 - a * x - b) % p == 0]
+    n = len(points) + 1
+    exponent = 1
+    for P in points:
+        k, acc = 1, P
+        while acc is not None:
+            assert k < n
+            acc = _pt_add(curve.field, a, acc, P)
+            k += 1
+        exponent = lcm(exponent, k)
+    return GroupStructure(n // exponent, exponent)
+
+
+def nonsingular_curves(p):
+    fld = FieldSpec(p)
+    return [WeierstrassCurve(fld, a, b) for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p]
+
+
+# the first curve (by p, a, b) for each n1 in 2..12 that occurs at
+# 101 <= p <= 157; n1 = 11 needs 11 | p - 1, which no prime there has, and
+# n1 = 9 needs 81 | N, which no Hasse interval at p = 109 or 127 allows
+NONCYCLIC = [
+    # (n1, p, a, b)
+    (2, 101, 1, 10), (3, 103, 0, 2), (4, 101, 2, 12), (5, 101, 2, 26),
+    (6, 103, 3, 54), (7, 113, 5, 0), (8, 113, 1, 0), (10, 101, 1, 0),
+    (12, 157, 0, 1),
+]
+
+
+class TestGroupStructureOracle:
+    def test_every_curve_up_to_23(self):
+        for p in (5, 7, 11, 13, 17, 19, 23):
+            for curve in nonsingular_curves(p):
+                assert group_structure(curve) == census_group_structure(curve)
+
+    @pytest.mark.parametrize("n1,p,a,b", NONCYCLIC)
+    def test_noncyclic_curves(self, n1, p, a, b):
+        curve = WeierstrassCurve(FieldSpec(p), a, b)
+        gs = census_group_structure(curve)
+        assert gs.n1 == n1
+        assert group_structure(curve) == gs
+
+
+class TestPrimeFactors:
+    def test_against_brute_force(self):
+        # every prime q <= 10^4 is listed at each of its multiples
+        top = 10 ** 4
+        brute = [[] for _ in range(top + 1)]
+        for q in range(2, top + 1):
+            if _is_prime(q):
+                for m in range(q, top + 1, q):
+                    brute[m].append(q)
+        for n in range(1, top + 1):
+            assert prime_factors(n) == tuple(brute[n])
+
+    def test_is_prime(self):
+        for n in range(-2, 10 ** 4 + 1):
+            assert is_prime(n) == _is_prime(n)
+        assert [n for n in range(10 ** 4 + 1) if is_prime(n)] == primes_up_to(10 ** 4)
 
 
 class TestTorsionCount:

@@ -31,18 +31,22 @@ BASES = [Lattice.standard(2), Lattice.standard(3), Lattice.diagonal([F(1, 2), 2]
          Lattice.diagonal([1, 1, 9]), Lattice.diagonal([F(1, 4), 1, 4]), HEX_LIKE]
 
 
-def minima_semistable(lat):
+def minima_semistable(lat, strict=False):
     """Oracle for is_semistable, straight from the minima: no rank-1
     sublattice with lambda_1^(2n) < covol^2 and, at rank 3, no rank-2
-    sublattice with (covol^2 * lambda_1(L*)^2)^3 < covol^4."""
+    sublattice with (covol^2 * lambda_1(L*)^2)^3 < covol^4.  With strict,
+    equality destabilizes too: the oracle for stability."""
     n = lat.rank
+    if n == 1:
+        return True
+    below = (lambda u, v: u <= v) if strict else (lambda u, v: u < v)
     c2 = lat.covolume2
     lam2, _ = shortest_vector(lat)
-    if lam2 ** n < c2:
+    if below(lam2 ** n, c2):
         return False
     if n == 3:
         dlam2, _ = shortest_vector(dual(lat))
-        if (c2 * dlam2) ** 3 < c2 ** 2:
+        if below((c2 * dlam2) ** 3, c2 ** 2):
             return False
     return True
 
@@ -143,6 +147,7 @@ class TestSemistability:
         lam2, _ = shortest_vector(HEX_LIKE)
         assert lam2 ** 2 > HEX_LIKE.covolume2
         assert is_semistable(HEX_LIKE)
+        assert hn_filtration(HEX_LIKE).stable
 
     def test_rank3_dual_route(self):
         # very flat lattice: a dense rank-2 sublattice destabilizes
@@ -166,6 +171,7 @@ class TestSemistability:
         for lat in samples:
             assert is_semistable(lat) == hn_filtration(lat).is_single
             assert is_semistable(lat) == minima_semistable(lat)
+            assert hn_filtration(lat).stable == minima_semistable(lat, strict=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -181,6 +187,7 @@ class TestSemistability:
         steps = [(s.rank, s.covol2) for s in hn_filtration(moved).steps]
         assert steps == [(s.rank, s.covol2) for s in hn_filtration(lat).steps]
         assert is_semistable(moved) == minima_semistable(moved)
+        assert hn_filtration(moved).stable == minima_semistable(moved, strict=True)
 
 
 class TestHNFiltration:
