@@ -27,6 +27,13 @@ from zetalab.lattice import (
 # with covolume exactly 1
 A0 = F(2149139863647, 2 * 10 ** 12)
 HEX_LIKE = Lattice.from_basis_columns([[A0, 0], [A0 / 2, 1 / A0]])
+# e1 plus HEX_LIKE lifted by e1/2: lambda_1^6 equals covol^2 while every
+# rank-2 sublattice lies strictly above the slope (and the reverse in the
+# dual), so it is semistable but not stable
+_H = HEX_LIKE.gram
+HEX_LIFTED = Lattice.from_gram([[1, F(1, 2), F(1, 2)],
+                                [F(1, 2), F(1, 4) + _H[0][0], F(1, 4) + _H[0][1]],
+                                [F(1, 2), F(1, 4) + _H[1][0], F(1, 4) + _H[1][1]]])
 BASES = [Lattice.standard(2), Lattice.standard(3), Lattice.diagonal([F(1, 2), 2]),
          Lattice.diagonal([1, 1, 9]), Lattice.diagonal([F(1, 4), 1, 4]), HEX_LIKE]
 
@@ -160,7 +167,7 @@ class TestSemistability:
         rng = random.Random(11)
         samples = [Lattice.standard(2), Lattice.standard(3),
                    Lattice.diagonal([F(1, 2), 2]), Lattice.diagonal([1, 1, 9]),
-                   HEX_LIKE]
+                   HEX_LIKE, HEX_LIFTED, dual(HEX_LIFTED)]
         for _ in range(15):
             cols = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
                     for _ in range(3)]
