@@ -54,6 +54,9 @@ CASES = [
     ("lattice_z3_skewed", ["lattice", "--lattice", "1 0 0 / 2 1 0 / 5 2 1"]),
     ("lattice_rank2_destabilizer", ["lattice", "--gram", "1 0 0 / 0 1 0 / 0 0 9"]),
     ("lattice_rank1_first", ["lattice", "--lattice", "1/4 0 0 / 0 1 0 / 0 0 4"]),
+    # sheared bases of Z^3 whose input-basis enumeration box is large
+    ("lattice_z3_shear_k20", ["lattice", "--lattice", "1 0 0 / 20 1 0 / 401 20 1"]),
+    ("lattice_z3_wide_box", ["lattice", "--lattice", "1 3 3 / -3 2 -2 / 3 1 4"]),
     ("lattice_rank4_refused", ["lattice", "--gram",
                                "1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1"]),
     ("theta_rank4", ["theta", "--gram", "2 1 0 0 / 1 2 1 0 / 0 1 2 1 / 0 0 1 2"]),
