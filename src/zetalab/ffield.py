@@ -37,8 +37,36 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# the first 13 primes as Miller-Rabin bases decide every n below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+    """Deterministic Miller-Rabin, exact for n < 3.3e24; larger n are
+    refused (ResourceError) rather than decided."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ResourceError("primality decided below 3.3e24 only")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -181,27 +181,101 @@ def _enumeration_box(gram: Matrix, bound: Fraction) -> list[int]:
     return out
 
 
+def _round_frac(x: Fraction) -> int:
+    return math.floor(x + Fraction(1, 2))
+
+
+def _lll(gram: Matrix) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
+    """Exact LLL reduction (delta = 3/4) of a positive definite Gram matrix.
+
+    Returns (U^T G U, U) with U integral and unimodular: the columns of U
+    are the reduced basis in input coordinates.  The Gram-Schmidt data
+    mu, B are updated in place on each size reduction and swap, as in
+    Cohen, GTM 138, Algorithm 2.6.3.
+    """
+    n = len(gram)
+    # the integral Gram den * G has the same mu and the same swaps
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    g = [[int(x * den) for x in row] for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]   # u[k]: basis vector k
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
+                                      for i in range(j))) / b[j]
+        b[k] = Fraction(g[k][k]) - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+
+    def size_reduce(k: int, l: int) -> None:
+        if abs(mu[k][l]) > Fraction(1, 2):
+            q = _round_frac(mu[k][l])
+            u[k] = [a - q * c for a, c in zip(u[k], u[l])]
+            mu[k][l] -= q
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if b[k] < (Fraction(3, 4) - m * m) * b[k - 1]:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            bb = b[k] + m * m * b[k - 1]
+            mu[k][k - 1] = m * b[k - 1] / bb
+            b[k] = b[k - 1] * b[k] / bb
+            b[k - 1] = bb
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    gu = [[sum(g[a][c] * u[j][c] for c in range(n)) for j in range(n)]
+          for a in range(n)]
+    reduced = tuple(tuple(Fraction(sum(u[i][a] * gu[a][j] for a in range(n)), den)
+                          for j in range(n)) for i in range(n))
+    return reduced, tuple(zip(*u))
+
+
 def shortest_vector(lat: Lattice) -> tuple[Fraction, tuple[int, ...]]:
     """Minimal nonzero squared length and a coefficient vector achieving it.
 
-    Box enumeration with exact norms; the initial bound is the smallest
-    Gram diagonal entry.
+    The Gram is LLL-reduced first; a box enumeration on the reduced basis
+    (exact norms, initial bound the smallest reduced diagonal entry) finds
+    every minimal vector.  Each is mapped back to the input coordinates,
+    and the lexicographically least one whose first nonzero entry is
+    positive is returned.  On a reduced basis of rank <= 4 the box has
+    bounded size, so the cost follows the lattice, not its basis.
     """
-    g = lat.gram
+    reduced, u = _lll(lat.gram)
     n = lat.rank
-    best = min(g[i][i] for i in range(n))
-    best_x = tuple(1 if j == min(range(n), key=lambda i: g[i][i]) else 0
-                   for j in range(n))
-    box = _enumeration_box(g, best)
-    for x in iproduct(*(range(-b, b + 1) for b in box)):
-        if all(c == 0 for c in x):
+    # integer norms: the reduced Gram over a common denominator
+    den = math.lcm(*(x.denominator for row in reduced for x in row))
+    m = [[int(x * den) for x in row] for row in reduced]
+    terms = [(i, j, m[i][j] * (1 if i == j else 2))
+             for i in range(n) for j in range(i, n)]
+    best = min(m[i][i] for i in range(n))
+    box = _enumeration_box(reduced, Fraction(best, den))
+    # y0 >= 0 meets every +-pair, and both members map to one representative
+    ranges = [range(box[0] + 1)] + [range(-c, c + 1) for c in box[1:]]
+    found = []
+    for y in iproduct(*ranges):
+        norm = sum(c * y[i] * y[j] for i, j, c in terms)
+        if norm == 0 or norm > best:
             continue
-        if x < tuple(-c for c in x):   # one representative per +-pair
-            continue
-        norm = lat.norm2(x)
-        if norm < best or (norm == best and x < best_x):
-            best, best_x = norm, x
-    return best, best_x
+        if norm < best:
+            best, found = norm, []
+        found.append(y)
+    cands = []
+    for y in found:
+        x = tuple(sum(u[i][j] * y[j] for j in range(n)) for i in range(n))
+        cands.append(max(x, tuple(-c for c in x)))
+    return Fraction(best, den), min(cands)
 
 
 def is_semistable(lat: Lattice) -> bool:
@@ -395,10 +469,6 @@ def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
 
 # ---------------------------------------------------------------------------
 # rank-2 reduction to the fundamental domain
-
-def _round_frac(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
 
 def reduce_rank2(lat: Lattice, tol: float = 1e-12) -> tuple[float, float, bool]:
     """Gauss-reduce a covolume-1 rank-2 lattice to (a, b, in_domain).

@@ -154,6 +154,11 @@ class TestExitCodes:
                      "--pmax", "2000000"])
         assert code == 2
 
+    def test_characteristic_beyond_primality_bound(self, capsys):
+        assert main(["artin", "--curve", "y2=x3+x+1", "--p", str(2 ** 89 - 1)]) == 2
+        assert main(["artin", "--curve", "y2=x3+x+1",
+                     "--p", str(2 * 1000003 * 1000033)]) == 1
+
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1
 

@@ -4,6 +4,7 @@ import pytest
 
 from zetalab.errors import CapabilityError, InputError, ResourceError
 from zetalab.ffield import (
+    MILLER_RABIN_BOUND,
     FieldSpec,
     GroupStructure,
     WeierstrassCurve,
@@ -186,6 +187,41 @@ class TestPrimeFactors:
         for n in range(-2, 10 ** 4 + 1):
             assert is_prime(n) == _is_prime(n)
         assert [n for n in range(10 ** 4 + 1) if is_prime(n)] == primes_up_to(10 ** 4)
+
+
+class TestMillerRabin:
+    def test_carmichael_numbers(self):
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
+                  825265, 321197185, 5394826801, 232250619601):
+            assert not is_prime(n)
+
+    def test_strong_pseudoprimes(self):
+        # 3215031751 passes bases 2, 3, 5, 7; 3825123056546413051 passes
+        # every prime base up to 23
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9, 2 ** 31 - 1,
+                  1000003, 1000033):
+            assert is_prime(n)
+        assert not is_prime((2 ** 61 - 1) * 1000003)
+        assert not is_prime(1000003 * 1000033)
+
+    def test_refused_beyond_bound(self):
+        # 3317044064679887385961981 is the least strong pseudoprime to the
+        # first 13 prime bases, so it and everything above are refused
+        for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 2 ** 89 - 1):
+            with pytest.raises(ResourceError):
+                is_prime(n)
+        with pytest.raises(ResourceError):
+            FieldSpec(2 ** 89 - 1)
+
+    def test_composite_with_large_cofactor_is_refused_as_input(self):
+        # trial division would factor the cofactor 1000003 * 1000033 fully
+        with pytest.raises(InputError):
+            FieldSpec(2 * 1000003 * 1000033)
 
 
 class TestTorsionCount:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import mpmath
 import pytest
@@ -11,6 +12,7 @@ from zetalab.errors import CapabilityError, ConfigError, InputError
 from zetalab.lattice import (
     HNFiltration,
     Lattice,
+    _lll,
     deg,
     dual,
     hn_filtration,
@@ -58,19 +60,81 @@ def minima_semistable(lat, strict=False):
     return True
 
 
+D4 = Lattice.from_gram([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+
+
+def box_shortest_vector(lat):
+    """Oracle for shortest_vector: box enumeration in the input basis.  The
+    box |x_i| <= sqrt(m (G^-1)_ii) + 1, m the smallest Gram diagonal entry,
+    holds every minimal vector; of those, the lexicographically least with
+    positive first nonzero entry is kept.  Its cost grows with the skew of
+    the basis."""
+    g = lat.gram
+    n = lat.rank
+    ginv = dual(lat).gram
+    best = min(g[i][i] for i in range(n))
+    best_x = tuple(1 if j == min(range(n), key=lambda i: g[i][i]) else 0
+                   for j in range(n))
+    box = [math.isqrt(math.floor(best * ginv[i][i])) + 1 for i in range(n)]
+    for x in iproduct(*(range(-b, b + 1) for b in box)):
+        if all(c == 0 for c in x) or x < tuple(-c for c in x):
+            continue
+        norm = lat.norm2(x)
+        if norm < best or (norm == best and x < best_x):
+            best, best_x = norm, x
+    return best, best_x
+
+
+def change_basis(lat, u):
+    """The lattice with Gram U^T G U: the same lattice in the basis given by
+    the columns of the integer matrix U."""
+    n = lat.rank
+    g = lat.gram
+    return Lattice.from_gram([[sum(u[a][r] * g[a][b] * u[b][c]
+                                   for a in range(n) for b in range(n))
+                               for c in range(n)] for r in range(n)])
+
+
+def transvection(u, i, j, k):
+    """Column j of u gains k times column i, in place."""
+    for row in u:
+        row[j] += k * row[i]
+
+
+def shear3(k):
+    """The basis [1,0,0], [k,1,0], [k^2+1,k,1] of Z^3, as columns."""
+    return Lattice.from_basis_columns([[1, 0, 0], [k, 1, 0], [k * k + 1, k, 1]])
+
+
+def is_lll_reduced(gram):
+    """Size-reduced (|mu_ij| <= 1/2) and Lovasz with delta = 3/4, from the
+    Gram-Schmidt recursion on the Gram matrix."""
+    n = len(gram)
+    mu = [[F(0)] * n for _ in range(n)]
+    b = [F(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (gram[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
+                                         for i in range(j))) / b[j]
+        b[k] = gram[k][k] - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+    sized = all(abs(mu[k][j]) <= F(1, 2) for k in range(n) for j in range(k))
+    lovasz = all(b[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+                 for k in range(1, n))
+    return sized and lovasz
+
+
 @st.composite
 def unimodular(draw, n):
-    """A signed permutation times one transvection e_j += k e_i, |k| <= 3:
-    entries of U and of U^-1 stay within 3.  (Box enumeration cost grows
-    with the skew of the basis, so more general changes of basis would make
-    single examples take seconds.)"""
+    """A signed permutation times a product of up to 4 transvections
+    e_j += k e_i with |k| <= 20.  Shortest vectors are searched on an
+    LLL-reduced basis, so the skew this gives costs little."""
     perm = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    k = draw(st.integers(-3, 3))
     u = [[signs[r] * int(perm[r] == c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        u[r][j] += k * u[r][i]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        transvection(u, i, j, draw(st.integers(-20, 20)))
     return u
 
 
@@ -184,17 +248,116 @@ class TestSemistability:
     @given(st.data())
     def test_change_of_basis_invariance(self, data):
         lat = data.draw(st.sampled_from(BASES))
-        n = lat.rank
-        u = data.draw(unimodular(n))
-        g = lat.gram
-        moved = Lattice.from_gram([[sum(u[a][r] * g[a][b] * u[b][c]
-                                        for a in range(n) for b in range(n))
-                                    for c in range(n)] for r in range(n)])
+        moved = change_basis(lat, data.draw(unimodular(lat.rank)))
         assert moved.covolume2 == lat.covolume2
+        assert shortest_vector(moved)[0] == shortest_vector(lat)[0]
         steps = [(s.rank, s.covol2) for s in hn_filtration(moved).steps]
         assert steps == [(s.rank, s.covol2) for s in hn_filtration(lat).steps]
         assert is_semistable(moved) == minima_semistable(moved)
         assert hn_filtration(moved).stable == minima_semistable(moved, strict=True)
+
+
+def _random_lattices(rng, count, ranks=(2, 3, 4)):
+    out = []
+    while len(out) < count:
+        n = rng.choice(ranks)
+        cols = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        try:
+            out.append(Lattice.from_basis_columns(cols))
+        except InputError:
+            pass
+    return out
+
+
+def _sheared_lattices():
+    # base lattices in benchmark-style skewed bases: a shear
+    # [[1,0,0],[k,1,0],[k^2+1,k,1]] (its top-left block at rank 2, padded
+    # at rank 4) times a few small transvections
+    rng = random.Random(17)
+    out = [shear3(k) for k in (2, 10, 40, 200)]
+    out.append(Lattice.from_basis_columns([[1, -3, 3], [3, 2, 1], [3, -2, 4]]))
+    for lat in BASES + [HEX_LIFTED, D4]:
+        n = lat.rank
+        for _ in range(3):
+            k = rng.randint(5, 200) if n == 2 else rng.randint(2, 40)
+            shear = [[1, 0, 0, 0], [k, 1, 0, 0], [k * k + 1, k, 1, 0], [0, 0, 0, 1]]
+            u = [row[:n] for row in shear[:n]]
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                transvection(u, i, j, rng.randint(-1, 1))
+            out.append(change_basis(lat, u))
+    return out
+
+
+class TestLLL:
+    def _check(self, lat):
+        reduced, u = _lll(lat.gram)
+        assert all(isinstance(c, int) for row in u for c in row)
+        assert reduced == change_basis(lat, u).gram
+        # the Gram of U's columns has determinant det(U)^2
+        assert Lattice.from_basis_columns(list(zip(*u))).covolume2 == 1
+        assert is_lll_reduced(reduced)
+
+    def test_random_rational_grams(self):
+        for lat in _random_lattices(random.Random(41), 60):
+            self._check(lat)
+
+    def test_sheared_bases(self):
+        for lat in _sheared_lattices():
+            self._check(lat)
+
+    def test_k40_shear_reduces_to_identity(self):
+        reduced, u = _lll(shear3(40).gram)
+        assert reduced == tuple(tuple(F(int(i == j)) for j in range(3))
+                                for i in range(3))
+
+    def test_reduced_input_is_fixed(self):
+        for lat in (Lattice.standard(3), Lattice.from_gram([[2, 1], [1, 2]])):
+            reduced, u = _lll(lat.gram)
+            assert u == tuple(tuple(int(i == j) for j in range(lat.rank))
+                              for i in range(lat.rank))
+            assert reduced == lat.gram
+
+
+class TestShortestVectorOracle:
+    """shortest_vector (LLL, then a box on the reduced basis, mapped back)
+    against the box search in the input basis, byte for byte."""
+
+    def _samples(self):
+        rng = random.Random(3)
+        base = BASES + [dual(lat) for lat in BASES] + [HEX_LIFTED, dual(HEX_LIFTED), D4]
+        out = list(base)
+        for lat in base:
+            n = lat.rank
+            for _ in range(2):
+                u = [[int(r == c) for c in range(n)] for r in range(n)]
+                rng.shuffle(u)
+                for _ in range(2):
+                    i, j = rng.sample(range(n), 2)
+                    transvection(u, i, j, rng.choice((-2, -1, 1, 2)))
+                out.append(change_basis(lat, u))
+        return out
+
+    def test_against_input_basis_box(self):
+        for lat in self._samples():
+            assert repr(shortest_vector(lat)) == repr(box_shortest_vector(lat))
+
+    def test_many_minimal_vectors_tie_break(self):
+        # Z^2, Z^3, hex and D4 have 4, 6, 6 and 24 minimal vectors; the
+        # representative is fixed in input coordinates
+        assert shortest_vector(Lattice.standard(2)) == (1, (0, 1))
+        assert shortest_vector(Lattice.standard(3)) == (1, (0, 0, 1))
+        assert shortest_vector(D4) == (2, (0, 0, 0, 1))
+        hexagonal = Lattice.from_gram([[2, 1], [1, 2]])
+        assert shortest_vector(hexagonal) == (2, (0, 1))
+
+    def test_sheared_bases_against_oracle(self):
+        for k in (2, 5):
+            lat = shear3(k)
+            assert repr(shortest_vector(lat)) == repr(box_shortest_vector(lat))
+            assert repr(shortest_vector(dual(lat))) == repr(
+                box_shortest_vector(dual(lat)))
 
 
 class TestHNFiltration:
