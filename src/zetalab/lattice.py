@@ -3,9 +3,13 @@
 A lattice is held by its exact rational Gram matrix (a basis matrix, when
 one is supplied, stays available for duals and reduction).  Stability
 comparisons never leave exact arithmetic: they compare squared covolumes
-raised to integer powers.  The analytic layer on top -- theta sums with
-certified tail bounds, the Riemann-Roch residual over Q, and the
-completed zeta evaluation -- is the only place floating point appears.
+raised to integer powers.  The minima they need come from one
+shortest-vector search, which LLL-reduces the Gram exactly before a bounded
+box enumeration, so its cost follows the lattice rather than the basis it
+is given (Lenstra, Lenstra and Lovasz 1982; Cohen, GTM 138, section 2.6).
+The analytic layer on top -- theta sums with certified tail bounds, the
+Riemann-Roch residual over Q, and the completed zeta evaluation -- is the
+only place floating point appears.
 """
 
 from __future__ import annotations

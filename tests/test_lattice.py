@@ -257,19 +257,6 @@ class TestSemistability:
         assert hn_filtration(moved).stable == minima_semistable(moved, strict=True)
 
 
-def _random_lattices(rng, count, ranks=(2, 3, 4)):
-    out = []
-    while len(out) < count:
-        n = rng.choice(ranks)
-        cols = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-                for _ in range(n)]
-        try:
-            out.append(Lattice.from_basis_columns(cols))
-        except InputError:
-            pass
-    return out
-
-
 def _sheared_lattices():
     # base lattices in benchmark-style skewed bases: a shear
     # [[1,0,0],[k,1,0],[k^2+1,k,1]] (its top-left block at rank 2, padded
@@ -300,8 +287,18 @@ class TestLLL:
         assert is_lll_reduced(reduced)
 
     def test_random_rational_grams(self):
-        for lat in _random_lattices(random.Random(41), 60):
+        rng = random.Random(41)
+        done = 0
+        while done < 60:
+            n = rng.choice((2, 3, 4))
+            cols = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            try:
+                lat = Lattice.from_basis_columns(cols)
+            except InputError:
+                continue
             self._check(lat)
+            done += 1
 
     def test_sheared_bases(self):
         for lat in _sheared_lattices():
@@ -324,10 +321,13 @@ class TestShortestVectorOracle:
     """shortest_vector (LLL, then a box on the reduced basis, mapped back)
     against the box search in the input basis, byte for byte."""
 
-    def _samples(self):
+    def test_against_input_basis_box(self):
+        # Z^2, Z^3, the hexagonal lattice and D4 have many minimal vectors,
+        # so they pin the tie-break in input coordinates
         rng = random.Random(3)
-        base = BASES + [dual(lat) for lat in BASES] + [HEX_LIFTED, dual(HEX_LIFTED), D4]
-        out = list(base)
+        base = (BASES + [dual(lat) for lat in BASES]
+                + [HEX_LIFTED, dual(HEX_LIFTED), D4, Lattice.from_gram([[2, 1], [1, 2]])])
+        samples = base + [shear3(2), dual(shear3(2)), shear3(5), dual(shear3(5))]
         for lat in base:
             n = lat.rank
             for _ in range(2):
@@ -336,28 +336,9 @@ class TestShortestVectorOracle:
                 for _ in range(2):
                     i, j = rng.sample(range(n), 2)
                     transvection(u, i, j, rng.choice((-2, -1, 1, 2)))
-                out.append(change_basis(lat, u))
-        return out
-
-    def test_against_input_basis_box(self):
-        for lat in self._samples():
+                samples.append(change_basis(lat, u))
+        for lat in samples:
             assert repr(shortest_vector(lat)) == repr(box_shortest_vector(lat))
-
-    def test_many_minimal_vectors_tie_break(self):
-        # Z^2, Z^3, hex and D4 have 4, 6, 6 and 24 minimal vectors; the
-        # representative is fixed in input coordinates
-        assert shortest_vector(Lattice.standard(2)) == (1, (0, 1))
-        assert shortest_vector(Lattice.standard(3)) == (1, (0, 0, 1))
-        assert shortest_vector(D4) == (2, (0, 0, 0, 1))
-        hexagonal = Lattice.from_gram([[2, 1], [1, 2]])
-        assert shortest_vector(hexagonal) == (2, (0, 1))
-
-    def test_sheared_bases_against_oracle(self):
-        for k in (2, 5):
-            lat = shear3(k)
-            assert repr(shortest_vector(lat)) == repr(box_shortest_vector(lat))
-            assert repr(shortest_vector(dual(lat))) == repr(
-                box_shortest_vector(dual(lat)))
 
 
 class TestHNFiltration:
