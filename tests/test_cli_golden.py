@@ -64,6 +64,10 @@ CASES = [
     ("explicit_ff", ["explicit-ff", *CURVE, "--count", "10", "--seed", "1"]),
     ("explicit_nf", ["explicit-nf", "--zeros", "tests/data/zeros100.txt",
                      "--K", "50", "--pmax", "2000"]),
+    # the K = 100 micro model at the default prime bound: the largest cross
+    # pairing any CLI default reaches
+    ("explicit_nf_k100", ["explicit-nf", "--zeros", "tests/data/zeros100.txt",
+                          "--K", "100", "--mu", "0.1", "--sigma", "0.05"]),
     ("andrianov_text", ["andrianov", "--format", "text"]),
     ("artin_csv", ["artin", *CURVE, "--format", "csv"]),
 ]
