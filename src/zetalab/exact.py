@@ -5,10 +5,12 @@ polynomial is a dense ascending coefficient tuple with the trailing zero
 coefficients stripped, a rational function keeps its denominator monic and
 coprime to the numerator, and a truncated power series carries its
 truncation order as explicit state (mixing orders takes the minimum).
+The one float helper, `complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -27,6 +29,13 @@ def rat(x: RatLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def complex_fsum(values: Sequence[complex]) -> complex:
+    """Sum of complex floats with each component correctly rounded
+    (math.fsum over the real parts, then over the imaginary parts)."""
+    return complex(math.fsum(v.real for v in values),
+                   math.fsum(v.imag for v in values))
 
 
 def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -29,8 +29,8 @@ from scipy.special import digamma
 
 from zetalab.artin import ZetaCurve, nm
 from zetalab.errors import InputError, NumericError, ResourceError
-from zetalab.exact import rat
-from zetalab.ffield import primes_up_to
+from zetalab.exact import complex_fsum, rat
+from zetalab.ffield import ENUMERATION_BUDGET, primes_up_to
 from zetalab.lattice import xi_q
 
 FIRST_ZERO = 14.134725
@@ -362,9 +362,19 @@ class MicroModel:
         pos = u > 0
         if np.any(pos):
             logu = np.log(u[pos])
-            s = 2 * np.sqrt(u[pos]) * np.cos(np.outer(self.gammas, logu)).sum(axis=0)
+            s = 2 * np.sqrt(u[pos]) * np.cos(_phase_grid(self.gammas, logu)).sum(axis=0)
             out[pos] -= s
         return out
+
+
+def _phase_grid(gammas: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The K x len(u) phases gamma_k u_j, refused over budget before any
+    allocation (the cos and sin grids built from it have the same size)."""
+    if len(gammas) * len(u) > ENUMERATION_BUDGET:
+        raise ResourceError(
+            f"phase grid of {len(gammas)} zeros x {len(u)} points exceeds "
+            f"the budget of {ENUMERATION_BUDGET}")
+    return np.outer(gammas, u)
 
 
 def micro_pairing(model: MicroModel, x: float, y: float) -> float:
@@ -396,6 +406,9 @@ def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.
 
     The two fixed-point rules reduce each pair to the base pairing against
     D_1 at the ratio min/max in [0, 1]; the mirror map covers both above 1.
+    This is the route for single cells and for the D_1 integrand (one
+    column, O(K M)); for the cross pairing of two global divisors it is
+    the test oracle of `_cross_pairing`, which never builds the mesh.
     """
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     lo = np.minimum(gx, gy)
@@ -469,6 +482,37 @@ def _weight_arr(f: NFTestFn, u: np.ndarray) -> np.ndarray:
     return f.at_log(u) * np.exp(np.maximum(u, 0.0))
 
 
+def _cross_pairing(model: MicroModel, uf: np.ndarray, wf: np.ndarray,
+                   ug: np.ndarray, wg: np.ndarray) -> float:
+    """sum_ij wf_i <D_x_i, D_y_j> wg_j with x = exp(uf), y = exp(ug).
+
+    Write a = log x, b = log y and S = sum_k cos gamma_k (a - b).  On each
+    sign block the pairing is separable:
+
+        a, b <= 0:    e^a + e^b - 2 e^((a+b)/2) S
+        a, b > 0:     e^-a + e^-b - 2 e^(-(a+b)/2) S
+        a <= 0 < b:   1 + e^(a-b) - 2 e^((a-b)/2) S, and the mirror.
+
+    In terms of e^-|u| the S term is the same product on every block, and
+    S splits by cos(x - y) = cos x cos y + sin x sin y, so the double sum
+    costs O(K (M + N)) and no M x N array is built.
+    """
+    def moments(u, w):
+        decay = np.exp(-np.abs(u))
+        # per sign block (u <= 0, u > 0): sum of w and of w e^-|u|
+        blocks = np.array([[w[b].sum(), (w * decay)[b].sum()]
+                           for b in (u <= 0, u > 0)])
+        half = w * np.sqrt(decay)
+        phase = _phase_grid(model.gammas, u)
+        return blocks, np.cos(phase) @ half, np.sin(phase) @ half
+
+    mf, cf, sf = moments(uf, wf)
+    mg, cg, sg = moments(ug, wg)
+    same = sum(mf[s, 1] * mg[s, 0] + mf[s, 0] * mg[s, 1] for s in (0, 1))
+    mixed = sum(mf[s, 0] * mg[1 - s, 0] + mf[s, 1] * mg[1 - s, 1] for s in (0, 1))
+    return float(same + mixed - 2 * (cf @ cg + sf @ sg))
+
+
 def _zero_sum_truncated(model: MicroModel, f: NFTestFn) -> float:
     return float(sum(2 * f.mellin(0.5 + 1j * g).real for g in model.gammas))
 
@@ -517,7 +561,7 @@ def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
 
         uf, wf = axis(f)
         ug, wg = axis(g)
-        return float(wf @ micro_pairing_mesh(model, np.exp(uf), np.exp(ug)) @ wg)
+        return _cross_pairing(model, uf, wf, ug, wg)
 
     cross = _refine_until_stable(cross_estimate, spec.base_panels * 2, spec,
                                  "cross quadrature")
@@ -652,12 +696,10 @@ def cramer_partial(z: complex, K: int, zeros: ZeroTable) -> CramerReport:
     if K < 0 or K > len(zeros):
         raise InputError("K must lie within the zero table")
     terms = [cmath.exp(z * (0.5 + 1j * g)) for g in zeros.ordinates[:K]]
-    value = complex(math.fsum(t.real for t in terms),
-                    math.fsum(t.imag for t in terms))
+    value = complex_fsum(terms)
     # |V_K - V_{K/2}|, summed over the tail terms directly so the
     # indicator is not drowned by cancellation in the leading terms
-    tail = complex(math.fsum(t.real for t in terms[K // 2:]),
-                   math.fsum(t.imag for t in terms[K // 2:]))
+    tail = complex_fsum(terms[K // 2:])
     bound = K * math.exp(z.real / 2 - zeros.ordinates[0] * z.imag) if K else 0.0
     if abs(value) > bound + 1e-12:
         raise NumericError("termwise bound violated")

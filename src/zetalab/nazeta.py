@@ -37,6 +37,7 @@ from zetalab.exact import (
     RatFunc,
     RatLike,
     Series,
+    complex_fsum,
     fe_transform_check,
     power_sums_from_poly,
     rat,
@@ -504,16 +505,11 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
             coeffs = na_numerator(p, 2, 1, (beta0 / Fraction(n1, p - 1), 1))
             local = sum(float(c) * x ** i for i, c in enumerate(coeffs))
         logs.append(-cmath.log(local))
-    total = _ordered_complex_sum(logs)
+    total = complex_fsum(logs)
     sigma = s.real
     tail = 8.0 * prime_bound ** (2 - sigma) / (sigma - 2) if sigma > 2 else math.inf
     return EulerReport(cmath.exp(total), total, s, prime_bound, len(primes),
                        bad_primes, tail)
-
-
-def _ordered_complex_sum(values: Sequence[complex]) -> complex:
-    return complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
-from zetalab.errors import InputError
+from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import Poly
 from zetalab.explicit import (
+    FIRST_ZERO,
     ArchQuadSpec,
     CramerReport,
     FFTestFn,
@@ -30,8 +32,10 @@ from zetalab.explicit import (
     global_pairing,
     load_zeros,
     micro_pairing,
+    micro_pairing_mesh,
     riemann_weil_residual,
 )
+from zetalab.explicit import _cross_pairing, _panel_points, _weight_arr
 
 ZEROS_PATH = Path(__file__).parent / "data" / "zeros100.txt"
 ZEROS = load_zeros(ZEROS_PATH)
@@ -263,6 +267,103 @@ class TestMicroModel:
             MicroModel(101, ZEROS)
 
 
+def quad_axis(h, panels, spec=QuadratureSpec()):
+    """Log-axis nodes and weights of h's divisor, laid out as the cross
+    pairing in `global_pairing` lays them out."""
+    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+    u, half = _panel_points(h.mu - spec.halfwidth_sigmas * h.sigma,
+                            h.mu + spec.halfwidth_sigmas * h.sigma, panels, nodes)
+    return u, _weight_arr(h, u) * np.tile(weights, panels) * half
+
+
+BELOW = NFTestFn(-0.8, 0.05)       # support [-1.3, -0.3]
+ABOVE = NFTestFn(0.7, 0.04)        # support [0.3, 1.1]
+STRADDLE = NFTestFn(0.1, 0.05)     # support [-0.4, 0.6]
+SKEWED = NFTestFn(-0.2, 0.08)      # support [-1.0, 0.6]
+
+
+def pinned_axis(h, panels):
+    """h's axis with one more node placed exactly at u = 0 (x = 1), the
+    boundary between the sign blocks, weighted like its neighbours."""
+    u, w = quad_axis(h, panels)
+    return np.append(u, 0.0), np.append(w, w[len(w) // 2])
+
+
+class TestSeparableCrossPairing:
+    AXES = {
+        "below": lambda: quad_axis(BELOW, 4),
+        "above": lambda: quad_axis(ABOVE, 4),
+        "straddle": lambda: quad_axis(STRADDLE, 4),
+        "skewed": lambda: quad_axis(SKEWED, 3),
+        "pinned": lambda: pinned_axis(STRADDLE, 4),
+    }
+    PAIRS = [
+        ("below", "below"), ("above", "above"), ("straddle", "straddle"),
+        ("pinned", "pinned"), ("below", "above"), ("above", "below"),
+        ("straddle", "skewed"), ("skewed", "above"), ("pinned", "below"),
+        ("above", "pinned"),
+    ]
+
+    @pytest.mark.parametrize("K", [1, 25, 100])
+    @pytest.mark.parametrize("f_axis,g_axis", PAIRS)
+    def test_matches_mesh_oracle(self, K, f_axis, g_axis):
+        model = MicroModel(K, ZEROS)
+        uf, wf = self.AXES[f_axis]()
+        ug, wg = self.AXES[g_axis]()
+        want = float(wf @ micro_pairing_mesh(model, np.exp(uf), np.exp(ug)) @ wg)
+        got = _cross_pairing(model, uf, wf, ug, wg)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_pinned_node_sits_on_the_boundary(self):
+        u, _ = pinned_axis(STRADDLE, 4)
+        assert np.count_nonzero(u == 0.0) == 1
+        assert np.any(u < 0) and np.any(u > 0)
+
+    def test_unstable_refinement_stays_small(self):
+        # rel_tol = 0 lets the cross pairing refine up to 2,048 panels,
+        # 32,768 nodes per axis, where the M x N x K mesh would have been
+        # 32768 x 32768 x 100.  Whether two successive doublings agree to
+        # the last bit is down to rounding, so both outcomes are allowed;
+        # the last grid is also paired directly so it is always reached.
+        model = MicroModel(100, ZEROS)
+        f = NFTestFn(0.1, 0.05)
+        tracemalloc.start()
+        try:
+            try:
+                report = global_pairing(model, f, f, QuadratureSpec(rel_tol=0.0))
+            except NumericError as exc:
+                assert str(exc) == "cross quadrature failed to stabilize"
+            else:
+                assert report.fixed_point_residual < 1e-12
+            u, w = quad_axis(f, 2048)
+            assert len(u) == 32768
+            finest = _cross_pairing(model, u, w, u, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+        coarse = _cross_pairing(model, *quad_axis(f, 16), *quad_axis(f, 16))
+        assert finest == pytest.approx(coarse, rel=1e-12)
+
+    def test_phase_grid_refused_before_allocation(self):
+        table = ZeroTable(tuple(FIRST_ZERO + 0.5 * k for k in range(10 ** 5)))
+        model = MicroModel(10 ** 5, table)
+        u = np.linspace(-0.5, 0.5, 101)     # 10^5 x 101 phases, over 10^7
+        w = np.ones_like(u)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                model.base_arr(np.exp(-np.abs(u)))
+            with pytest.raises(ResourceError):
+                _cross_pairing(model, u, w, u, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one refused grid alone would be 81 MB
+        assert peak < 8e6
+        assert _cross_pairing(MicroModel(100, table), u, w, u, w) != 0
+
+
 class TestGlobalPairing:
     def test_relative_degrees_bypass_zeros(self):
         f = NFTestFn(0.0, 0.1)
@@ -292,7 +393,6 @@ class TestGlobalPairing:
         assert fine.fixed_point_residual < 1e-7
 
     def test_nonconvergent_budget_is_an_error(self):
-        from zetalab.errors import NumericError
         f = NFTestFn(0.0, 0.1)
         with pytest.raises(NumericError):
             global_pairing(MicroModel(20, ZEROS), f, f,
