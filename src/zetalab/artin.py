@@ -98,8 +98,12 @@ def artin_zeta_from_counts(q: int, g: int, counts: Sequence[int]) -> ZetaCurve:
 
 
 def elliptic_zeta(q: int, n1: int) -> ZetaCurve:
-    """Genus-1 shortcut: P = 1 - a t + q t^2 with a = q + 1 - N_1."""
-    return artin_zeta_from_counts(q, 1, [n1])
+    """Genus-1 shortcut: P = 1 - a t + q t^2 with a = q + 1 - N_1.
+
+    The datum's own checks refuse an N_1 outside the Hasse range, as
+    `artin_zeta_from_counts(q, 1, [n1])` does, with the same message.
+    """
+    return ZetaCurve(q, 1, Poly([1, n1 - q - 1, q]))
 
 
 def nm(zc: ZetaCurve, m: int) -> int:

@@ -511,7 +511,9 @@ class InvariantTable:
 # Harder-Narasimhan / Desale-Ramanan mass recursion
 
 def _zeta_value(zc: ZetaCurve, i: int) -> Fraction:
-    return zc.zfunc(Fraction(1, zc.q ** i))
+    # Z(x) = P(x)/((1-x)(1-qx)) at x = q^-i, with no RatFunc (and so no gcd)
+    x = Fraction(1, zc.q ** i)
+    return zc.P(x) / ((1 - x) * (1 - zc.q * x))
 
 
 def _beta2_parity(zc: ZetaCurve, b1: Fraction, parity: int) -> Fraction:

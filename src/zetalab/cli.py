@@ -525,8 +525,9 @@ def build_parser() -> _Parser:
 
 
 def _public_params(args) -> dict:
-    # threads is an execution detail, not part of the job: results must be
-    # byte-identical across thread counts
+    # threads is still accepted but selects nothing (every job runs
+    # serially), so it is not part of the job and the output cannot depend
+    # on it
     skip = {"fn", "command", "format", "out", "threads"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}

@@ -31,7 +31,7 @@ from zetalab.bundles import (
     mass_recursion_beta,
     paper_split_beta2,
 )
-from zetalab.errors import CapabilityError, InputError, ResourceError
+from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
 from zetalab.exact import (
     Poly,
     RatFunc,
@@ -42,7 +42,7 @@ from zetalab.exact import (
     power_sums_from_poly,
     rat,
 )
-from zetalab.ffield import prime_factors, primes_up_to
+from zetalab.ffield import prime_factors, primes_up_to, trace_of_frobenius
 
 
 @dataclass(frozen=True)
@@ -435,16 +435,114 @@ class GlobalCurve:
         return p not in self.bad_primes
 
 
+# Mestre: for p > 229, E or its quadratic twist has a point whose order has
+# exactly one multiple in the Hasse interval, so intersecting the candidate
+# traces of points on both curves always ends at one value (Cohen, "A Course
+# in Computational Algebraic Number Theory", GTM 138, section 7.4.3)
+MESTRE_BOUND = 229
+
+
+def _ec_add(p: int, a: int, P, Q):
+    """P + Q on y^2 = x^3 + ax + b over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(p: int, a: int, P, k: int):
+    """k * P for k >= 0, by double-and-add."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = _ec_add(p, a, acc, P)
+        P = _ec_add(p, a, P, P)
+        k >>= 1
+    return acc
+
+
+def _hasse_multiples(p: int, a: int, P) -> list[int]:
+    """Every M in [p+1-w, p+1+w], w = floor(2 sqrt p), with M * P = O.
+
+    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a zero
+    or a repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the second
+    case a giant-step window [c-m, c+m] holds at most one multiple of n, and
+    cP = tP, |t| <= m, is told from -tP by its y-coordinate.
+    """
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    m = math.isqrt(w) + 1
+    baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
+    R, n = P, 0
+    for j in range(1, m + 2):
+        if R is None:
+            n = j
+            break
+        if R[0] in baby:
+            n = j + baby[R[0]][0]
+            break
+        if j <= m:
+            baby[R[0]] = (j, R[1])
+        R = _ec_add(p, a, R, P)
+    if n:
+        return list(range(-(-lo // n) * n, hi + 1, n))
+    found = []
+    step = _ec_mul(p, a, P, 2 * m + 1)
+    c = lo + m
+    Q = _ec_mul(p, a, P, c)
+    while c - m <= hi:                      # windows tile [lo, hi] from lo up
+        M = None
+        if Q is None:
+            M = c
+        elif Q[0] in baby:
+            j, y = baby[Q[0]]
+            M = c - j if Q[1] == y else c + j
+        if M is not None and M <= hi:
+            found.append(M)
+        Q = _ec_add(p, a, Q, step)
+        c += 2 * m + 1
+    return found
+
+
 def ap_fast(p: int, A: int, B: int) -> int:
-    """a_p by a vectorized quadratic-residue census (independent of the
-    pure-Python square-table route in ffield)."""
-    x = np.arange(p, dtype=np.int64)
-    fx = (x * x % p * x + A * x + B) % p
-    sq = np.zeros(p, dtype=bool)
-    sq[(x * x) % p] = True
-    n_affine = (int(np.count_nonzero(fx == 0))
-                + 2 * int(np.count_nonzero(sq[fx] & (fx != 0))))
-    return p + 1 - (n_affine + 1)
+    """a_p of y^2 = x^3 + Ax + B over F_p in O(p^(1/4)) group operations.
+
+    Shanks-Mestre: for x = 0, 1, 2, ... with d = f(x) != 0, the point
+    (dx, d^2) lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a
+    square and its quadratic twist (trace -a_p) otherwise.  Each point's
+    orders in the Hasse interval give candidate traces, signed by the
+    Legendre symbol of d; the candidates are intersected until one is left.
+    Primes up to MESTRE_BOUND use the square-table census instead.
+    """
+    A, B = A % p, B % p
+    if p < 5 or (4 * A ** 3 + 27 * B * B) % p == 0:
+        raise InputError(f"y^2 = x^3 + {A}x + {B} is not an elliptic curve over F_{p}")
+    if p <= MESTRE_BOUND:
+        return trace_of_frobenius(p, A, B)
+    candidates: set[int] | None = None
+    for x in range(p):
+        d = (x * x * x + A * x + B) % p
+        if d == 0:
+            continue
+        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+        Ms = _hasse_multiples(p, A * d * d % p, (d * x % p, d * d % p))
+        traces = {chi * (p + 1 - M) for M in Ms}
+        candidates = traces if candidates is None else candidates & traces
+        if len(candidates) == 1:
+            return candidates.pop()
+        if not candidates:
+            raise NumericError(f"no trace at p = {p} fits every point")
+    raise NumericError(f"a_p at p = {p} still ambiguous after every x")
 
 
 @dataclass(frozen=True)
@@ -464,9 +562,11 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     """Partial Euler product over good primes p <= prime_bound.
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
-    which at genus 1 reads Re(s) > 2 for every rank.  Factors are combined
-    by summing logs in ascending-prime order, so the result is independent
-    of how the per-prime work is scheduled.
+    which at genus 1 reads Re(s) > 2 for every rank.  Each factor costs one
+    `ap_fast` and, at rank 2, one exact beta_2(0); the logs are summed in
+    ascending-prime order.  `threads` is accepted and ignored: the work is
+    pure Python, so a thread pool would only contend for the interpreter
+    lock.
     """
     if r not in (1, 2):
         raise CapabilityError("global products implemented for rank 1 and 2")
@@ -480,18 +580,9 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     bad_primes = curve.bad_primes
     primes = [p for p in primes_up_to(prime_bound) if p > 3 and p not in bad_primes]
 
-    def ap_of(p: int) -> int:
-        return ap_fast(p, curve.A % p, curve.B % p)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            aps = list(pool.map(ap_of, primes))
-    else:
-        aps = [ap_of(p) for p in primes]
-
     logs: list[complex] = []
-    for p, ap in zip(primes, aps):
+    for p in primes:
+        ap = ap_fast(p, curve.A, curve.B)
         x = complex(p) ** (-s)
         n1 = p + 1 - ap
         if r == 1:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from zetalab.artin import (
 )
 from zetalab.errors import InputError
 from zetalab.exact import Poly
-from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
+from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points, primes_up_to
 
 ZC59 = elliptic_zeta(5, 9)    # y^2 = x^3 + x + 1 over F_5
 ZC58 = elliptic_zeta(5, 8)    # y^2 = x^3 + 4x over F_5
@@ -137,6 +138,31 @@ class TestRH:
             if rh_check(zc):
                 for m in range(1, 21):
                     assert nm(zc, m) >= 0
+
+
+def _hasse_range(q):
+    w = math.isqrt(4 * q)
+    return range(q + 1 - w, q + 2 + w)
+
+
+class TestEllipticZetaDirect:
+    """elliptic_zeta builds P = 1 - at + qt^2 directly; the counts route
+    through artin_zeta_from_counts is its oracle."""
+
+    def test_equals_counts_route_on_hasse_range(self):
+        for q in primes_up_to(50):
+            for n1 in _hasse_range(q):
+                assert elliptic_zeta(q, n1) == artin_zeta_from_counts(q, 1, [n1])
+
+    def test_outside_hasse_range_same_error(self):
+        for q in primes_up_to(50):
+            inside = _hasse_range(q)
+            for n1 in (inside.start - 1, inside.stop, -1):
+                with pytest.raises(InputError) as direct:
+                    elliptic_zeta(q, n1)
+                with pytest.raises(InputError) as counts:
+                    artin_zeta_from_counts(q, 1, [n1])
+                assert str(direct.value) == str(counts.value)
 
 
 class TestFunctionalEquation:

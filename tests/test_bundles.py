@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -11,6 +12,7 @@ from zetalab.bundles import (
     LineOrbit,
     StratumKey,
     _triple_count,
+    _zeta_value,
     aut_order,
     bn_stratum_shape,
     class_contents,
@@ -298,6 +300,15 @@ class TestMassRecursion:
                         - mass_recursion_beta(3, d, zc))
             trunc = hn_correction_truncated(r, d, zc, 30)
             assert 0 <= full - trunc < F(1, 5 ** 40)
+
+    def test_zeta_value_equals_ratfunc_evaluation(self):
+        # the direct P(x)/((1-x)(1-qx)) against the reduced RatFunc, exactly
+        for q in primes_up_to(50):
+            w = isqrt(4 * q)
+            for n1 in range(q + 1 - w, q + 2 + w):
+                zc = elliptic_zeta(q, n1)
+                for i in (2, 3):
+                    assert _zeta_value(zc, i) == zc.zfunc(F(1, q ** i))
 
     def test_requires_elliptic(self):
         from zetalab.artin import ZetaCurve

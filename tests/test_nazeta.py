@@ -1,17 +1,29 @@
 import cmath
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from zetalab import nazeta
 from zetalab.artin import elliptic_zeta, nm
 from zetalab.bundles import Convention, CurveData, invariant
-from zetalab.errors import CapabilityError, InputError
+from zetalab.errors import CapabilityError, InputError, NumericError
 from zetalab.exact import Poly, RatFunc, Series
-from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to, trace_of_frobenius
+from zetalab.ffield import (
+    FieldSpec,
+    WeierstrassCurve,
+    _pt_add,
+    group_structure,
+    primes_up_to,
+    trace_of_frobenius,
+)
 from zetalab.nazeta import (
     GlobalCurve,
+    MESTRE_BOUND,
     RankZeta,
+    _hasse_multiples,
     allbundles_rank2,
     andrianov_formal_match,
     ap_fast,
@@ -322,8 +334,8 @@ class TestGlobalEuler:
                 assert ap_fast(p, A % p, B % p) == trace_of_frobenius(p, A, B)
 
     def test_rank1_partial_product_against_independent_route(self):
-        # y^2 = x^3 - x at s = 3, primes to 10^4: the vectorized census and
-        # the pure-Python square-table census must give the same product
+        # y^2 = x^3 - x at s = 3, primes to 10^4: Shanks-Mestre a_p and the
+        # pure-Python square-table census must give the same product
         import cmath
         import math
         ec = GlobalCurve(-1, 0)
@@ -369,6 +381,110 @@ class TestGlobalEuler:
         a = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=1)
         b = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=4)
         assert a.value == b.value
+
+
+def ap_census(p, A, B):
+    """Oracle for ap_fast: a_p by a numpy quadratic-residue census, O(p)."""
+    x = np.arange(p, dtype=np.int64)
+    fx = (x * x % p * x + A % p * x + B % p) % p
+    sq = np.zeros(p, dtype=bool)
+    sq[(x * x) % p] = True
+    n_affine = (int(np.count_nonzero(fx == 0))
+                + 2 * int(np.count_nonzero(sq[fx] & (fx != 0))))
+    return p + 1 - (n_affine + 1)
+
+
+# y^2 = x^3 - x (full 2-torsion), j = 0 (A = 0), j = 1728 (B = 0), the
+# p = 593 regression curve, and a spread of generic models
+AP_CURVES = [(-1, 0), (0, 1), (0, -2), (3, 0), (1, 1), (5, -2), (2, 3),
+             (-7, 6), (-2, 1), (11, -13)]
+
+
+def _good(p, A, B):
+    return (4 * A ** 3 + 27 * B ** 2) % p != 0
+
+
+class TestApShanksMestre:
+    def test_every_good_prime_to_5000(self):
+        for A, B in AP_CURVES:
+            for p in primes_up_to(5000)[2:]:
+                if _good(p, A, B):
+                    assert ap_fast(p, A, B) == ap_census(p, A, B), (A, B, p)
+
+    @pytest.mark.parametrize("p", [99991, 100003, 100019, 999983, 1000003])
+    def test_large_primes(self, p):
+        for A, B in ((-1, 0), (0, 1), (5, -2), (11, -13)):
+            assert ap_fast(p, A, B) == ap_census(p, A, B), (A, B, p)
+
+    def test_small_primes_use_the_table(self):
+        rng = random.Random(5)
+        for p in primes_up_to(MESTRE_BOUND)[2:]:
+            for A, B in AP_CURVES + [(rng.randrange(p), rng.randrange(p))]:
+                if _good(p, A, B):
+                    assert ap_fast(p, A, B) == trace_of_frobenius(p, A, B)
+
+    def test_regression_first_point_of_order_2m(self):
+        # p = 593: m = 7, and the first point (x = 0, d = B) has order 14,
+        # so a giant-step window of 2m + 1 = 15 can hold two multiples
+        p, A, B = 593, 5, -2
+        d = B % p
+        w = math.isqrt(4 * p)
+        assert math.isqrt(w) + 1 == 7
+        assert _hasse_multiples(p, A * d * d % p, (0, d * d % p)) == \
+            [M for M in range(p + 1 - w, p + 2 + w) if M % 14 == 0]
+        assert ap_fast(p, A, B) == 34 == ap_census(p, A, B)
+
+    def test_hasse_multiples_of_small_order_points(self):
+        # every point (dx, d^2), x < 25, whose order n is at most 2m + 3
+        # (found by repeated addition with the ffield group law) must give
+        # exactly the multiples of n in the Hasse interval
+        orders = set()
+        for p in (q for q in primes_up_to(1000) if q > MESTRE_BOUND):
+            fld = FieldSpec(p)
+            w = math.isqrt(4 * p)
+            m = math.isqrt(w) + 1
+            for A, B in ((5, -2), (0, 1), (1, 0), (-7, 6)):
+                if not _good(p, A, B):
+                    continue
+                for x in range(25):
+                    d = (x ** 3 + A * x + B) % p
+                    if d == 0:
+                        continue
+                    a, P = A * d * d % p, (d * x % p, d * d % p)
+                    R, n = P, 1
+                    while R is not None and n <= 2 * m + 3:
+                        R, n = _pt_add(fld, a, R, P), n + 1
+                    if R is None:
+                        orders.add(n - 2 * m)
+                        assert _hasse_multiples(p, a, P) == \
+                            [M for M in range(p + 1 - w, p + 2 + w) if M % n == 0]
+        assert {0, 1, 2, 3} <= orders   # n = 2m .. 2m + 3 all occur
+
+    @pytest.mark.parametrize("p, A, B", [(257, 1, 0), (241, 0, 2), (271, 0, 1)])
+    def test_twist_points_decide(self, p, A, B):
+        # E(F_p) is Z/16 x Z/16, Z/15 x Z/15 or Z/10 x Z/30: the exponent
+        # has several multiples in the Hasse interval, so points of E alone
+        # never single out a_p, and a point of the twist must
+        w = math.isqrt(4 * p)
+        e = group_structure(WeierstrassCurve(FieldSpec(p), A, B)).n2
+        assert (p + 1 + w) // e - (p - w) // e > 1
+        assert ap_fast(p, A, B) == ap_census(p, A, B)
+
+    def test_never_guesses(self, monkeypatch):
+        # a point that always leaves two traces open must end in
+        # NumericError once x runs out, not in a pick
+        def both_ends(p, a, P):
+            w = math.isqrt(4 * p)
+            return [p + 1 - w, p + 1 + w]
+        monkeypatch.setattr(nazeta, "_hasse_multiples", both_ends)
+        with pytest.raises(NumericError):
+            ap_fast(233, 1, 1)
+
+    def test_singular_reduction_refused(self):
+        with pytest.raises(InputError):
+            ap_fast(241, 0, 0)
+        with pytest.raises(InputError):
+            ap_fast(5, 0, 5)
 
 
 class TestAndrianov:
