@@ -1,7 +1,7 @@
 """zetalab: exact-arithmetic zeta functions, bundle masses, lattices, explicit formulas.
 
 The package is organized around an exact rational substrate (`exact`),
-enumeration over small finite fields (`ffield`), zeta functions of curves
+point counting over prime fields (`ffield`), zeta functions of curves
 (`artin`, `nazeta`), mass invariants of semistable bundles on elliptic
 curves (`bundles`), lattice semistability and theta cohomology over the
 rationals (`lattice`), and explicit-formula / intersection-model checks

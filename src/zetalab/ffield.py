@@ -1,13 +1,14 @@
-"""Small finite fields and point counting on Weierstrass curves.
+"""Prime fields and point counting on Weierstrass curves.
 
-This is the enumeration layer that grounds the zeta machinery: prime
-fields F_p, extensions F_{p^n} as polynomial quotients with a
-deterministically chosen modulus, projective point counts of
-y^2 = x^3 + ax + b, and the group structure of the rational points.
-Point counts are censuses over a table of squares.  The group structure
-is derived from N = #E(F_q): the points are read from a square-root
-table and the exponent is N with its primes stripped by scalar
-multiplication (Cohen, GTM 138, section 7.4).
+This is the counting layer that grounds the zeta machinery: prime fields
+F_p, projective point counts of y^2 = x^3 + ax + b, one group law over
+F_p, and the group structure of the rational points.  N_1 = #E(F_p) is a
+census over a table of squares; counts over F_{p^n} follow from N_1
+through the curve's zeta function, and the enumeration of F_{p^n} that
+checks them lives in the tests.  The group structure is derived from
+N = #E(F_p): the points are read from a square-root table and the
+exponent is N with its primes stripped by scalar multiplication (Cohen,
+GTM 138, section 7.4).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable
 
+from zetalab.artin import elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError, ResourceError
 
 ENUMERATION_BUDGET = 10 ** 7
@@ -81,176 +82,21 @@ def primes_up_to(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), sieve))
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (little-endian int tuples)
-
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _poly_mulmod_nored(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mulmod(a, b, modulus, p):
-    return _poly_reduce(_poly_mulmod_nored(a, b, p), modulus, p)
-
-
-def _poly_reduce(c, modulus, p):
-    c = list(c)
-    n = len(modulus) - 1  # modulus is monic of degree n
-    for i in range(len(c) - 1, n - 1, -1):
-        f = c[i]
-        if f:
-            c[i] = 0
-            for j in range(n):
-                c[i - n + j] = (c[i - n + j] - f * modulus[j]) % p
-    return _poly_trim(c)
-
-
-def _poly_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        f = (a[i + db] * inv_lb) % p
-        q[i] = f
-        if f:
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - f * bj) % p
-    return _poly_trim(q), _poly_trim(a[:db])
-
-
-def _irreducible(candidate, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(candidate) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            _, rem = _poly_divmod(candidate, divisor, p)
-            if not rem:
-                return False
-    return True
-
-
-def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """The lexicographically smallest monic irreducible of degree n over F_p.
-
-    Candidates are ordered by their coefficient vector read as a base-p
-    integer (leading coefficient most significant), so the choice is
-    reproducible across runs and platforms.
-    """
-    for k in range(p ** n):
-        tail = tuple((k // p ** i) % p for i in range(n))
-        candidate = tail + (1,)
-        if _irreducible(candidate, p):
-            return candidate
-    raise InputError(f"no irreducible of degree {n} over F_{p}")  # unreachable
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """A finite field F_{p^n}; modulus is empty for n = 1."""
+    """The prime field F_p.  Extension fields are not built: counts over
+    F_{p^n} come from the curve's zeta function (see count_points)."""
 
     p: int
     n: int = 1
-    modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
-        if self.n < 1:
-            raise InputError("extension degree must be >= 1")
-        if self.n == 1:
-            if self.modulus:
-                raise InputError("prime field takes no modulus")
-        else:
-            if not self.modulus:
-                object.__setattr__(self, "modulus", smallest_irreducible(self.p, self.n))
-            if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
-                raise InputError("modulus must be monic of degree n")
-            if not _irreducible(self.modulus, self.p):
-                raise InputError("modulus is reducible")
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.n
-
-    # -- element arithmetic (ints for n=1, little-endian tuples otherwise)
-
-    def zero(self):
-        return 0 if self.n == 1 else ()
-
-    def one(self):
-        return 1 if self.n == 1 else (1,)
-
-    def from_int(self, k: int):
-        if self.n == 1:
-            return k % self.p
-        return _poly_trim([k % self.p])
-
-    def elements(self) -> Iterable:
-        if self.n == 1:
-            return range(self.p)
-        return (_poly_trim(list(digits))
-                for digits in itertools.product(range(self.p), repeat=self.n))
-
-    def add(self, a, b):
-        if self.n == 1:
-            return (a + b) % self.p
-        out = list(a) + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-        for i, bi in enumerate(b):
-            out[i] = (out[i] + bi) % self.p
-        return _poly_trim(out)
-
-    def neg(self, a):
-        if self.n == 1:
-            return (-a) % self.p
-        return tuple((-ai) % self.p for ai in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.n == 1:
-            return (a * b) % self.p
-        if not a or not b:
-            return ()
-        return _poly_mulmod(a, b, self.modulus, self.p)
-
-    def inv(self, a):
-        if self.n == 1:
-            if a % self.p == 0:
-                raise InputError("inverse of zero")
-            return pow(a, -1, self.p)
-        if not a:
-            raise InputError("inverse of zero")
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = tuple(self.modulus), tuple(a)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            qs1 = _poly_mulmod_nored(q, s1, self.p)
-            s0, s1 = s1, _poly_trim([(x - y) % self.p for x, y in
-                                     itertools.zip_longest(s0, qs1, fillvalue=0)])
-        # r0 is a nonzero constant
-        c_inv = pow(r0[0], -1, self.p)
-        return _poly_reduce([(c_inv * si) % self.p for si in s0], self.modulus, self.p)
-
-    def equal(self, a, b) -> bool:
-        return a == b
+        if self.n != 1:
+            raise CapabilityError(
+                "only prime fields are built; counts over F_{p^n} come from "
+                "the zeta function (count_points)")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +111,6 @@ class WeierstrassCurve:
     b: int
 
     def __post_init__(self):
-        if self.field.n != 1:
-            raise CapabilityError(
-                "curves are constructed over prime fields; extensions enter "
-                "only as counting fields")
         p = self.field.p
         if p <= 3:
             raise InputError("characteristic must exceed 3")
@@ -298,10 +140,12 @@ class GroupStructure:
 def count_points(curve: WeierstrassCurve, ext: int = 1) -> int:
     """#C(F_{p^ext}) for the projective model, point at infinity included.
 
-    ext = 1 walks x once with a precomputed residue table; larger
-    extensions enumerate the quotient-ring field directly.  The census is
-    refused (ResourceError) beyond the enumeration budget; recover exact
-    counts for larger fields through the zeta function instead (nm).
+    N_1 comes from one walk over x with a precomputed residue table.  For
+    ext >= 2 the count is read off the zeta function that N_1 fixes,
+    N_ext = p^ext + 1 - (alpha^ext + conj(alpha)^ext) (artin.nm); no
+    extension field is built.  The tests check it against an enumeration
+    of F_{p^ext}.  Fields beyond the enumeration budget are still refused
+    (ResourceError); call nm on the zeta datum for those.
     """
     if ext < 1:
         raise InputError("extension degree must be >= 1")
@@ -310,22 +154,10 @@ def count_points(curve: WeierstrassCurve, ext: int = 1) -> int:
         raise ResourceError(
             f"p^m = {p}^{ext} exceeds the enumeration budget; derive the "
             "count from the curve's zeta function (abelian-zeta nm) instead")
+    n1 = _count_prime_field(p, curve.a, curve.b)
     if ext == 1:
-        return _count_prime_field(p, curve.a, curve.b)
-    fld = FieldSpec(p, ext)
-    a = fld.from_int(curve.a)
-    b = fld.from_int(curve.b)
-    squares = set()
-    for y in fld.elements():
-        squares.add(fld.mul(y, y))
-    count = 1  # infinity
-    for x in fld.elements():
-        fx = fld.add(fld.mul(fld.mul(x, x), x), fld.add(fld.mul(a, x), b))
-        if not fx:
-            count += 1
-        elif fx in squares:
-            count += 2
-    return count
+        return n1
+    return nm(elliptic_zeta(p, n1), ext)
 
 
 def _count_prime_field(p: int, a: int, b: int) -> int:
@@ -347,52 +179,47 @@ def trace_of_frobenius(p: int, a: int, b: int) -> int:
     return p + 1 - _count_prime_field(p, a % p, b % p)
 
 
-# -- group law over an arbitrary FieldSpec (points are None for infinity)
+# -- group law on y^2 = x^3 + ax + b over F_p; points are (x, y) with
+# 0 <= x, y < p, and None is the point at infinity
 
-def _pt_add(fld: FieldSpec, a_coeff, P, Q):
+def ec_add(p: int, a: int, P, Q):
+    """P + Q on y^2 = x^3 + ax + b over F_p."""
     if P is None:
         return Q
     if Q is None:
         return P
     x1, y1 = P
     x2, y2 = Q
-    if fld.equal(x1, x2):
-        if fld.equal(y1, fld.neg(y2)):
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
             return None
-        # doubling
-        num = fld.add(fld.mul(fld.from_int(3), fld.mul(x1, x1)), a_coeff)
-        den = fld.mul(fld.from_int(2), y1)
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
-        num = fld.sub(y2, y1)
-        den = fld.sub(x2, x1)
-    lam = fld.mul(num, fld.inv(den))
-    x3 = fld.sub(fld.sub(fld.mul(lam, lam), x1), x2)
-    y3 = fld.sub(fld.mul(lam, fld.sub(x1, x3)), y1)
-    return (x3, y3)
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _pt_mul(fld: FieldSpec, a_coeff, P, k: int):
+def ec_mul(p: int, a: int, P, k: int):
     """k * P for k >= 0, by double-and-add."""
     acc = None
     while k:
         if k & 1:
-            acc = _pt_add(fld, a_coeff, acc, P)
-        P = _pt_add(fld, a_coeff, P, P)
+            acc = ec_add(p, a, acc, P)
+        P = ec_add(p, a, P, P)
         k >>= 1
     return acc
 
 
-def _enumerate_points(fld: FieldSpec, a_coeff, b_coeff):
+def _enumerate_points(p: int, a: int, b: int):
     """Infinity (None) and the affine points, read from one table of
-    square roots: O(q) field operations."""
-    roots: dict = {}
-    for y in fld.elements():
-        roots.setdefault(fld.mul(y, y), []).append(y)
+    square roots: O(p) field operations."""
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
     points = [None]
-    for x in fld.elements():
-        fx = fld.add(fld.mul(fld.mul(x, x), x),
-                     fld.add(fld.mul(a_coeff, x), b_coeff))
-        points.extend((x, y) for y in roots.get(fx, ()))
+    for x in range(p):
+        points.extend((x, y) for y in roots.get((x * x * x + a * x + b) % p, ()))
     return points
 
 
@@ -403,17 +230,14 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     each prime l | N it is divided by l while (n2 / l) * P = O for every
     point, and then n1 = N / n2.
     """
-    p = curve.p
+    p, a = curve.p, curve.a
     if p * p > ENUMERATION_BUDGET:
         raise ResourceError("group census exceeds the enumeration budget")
-    fld = curve.field
-    a = fld.from_int(curve.a)
-    b = fld.from_int(curve.b)
-    points = _enumerate_points(fld, a, b)
+    points = _enumerate_points(p, a, curve.b)
     n = len(points)
 
     def kills_all(k: int) -> bool:
-        return all(_pt_mul(fld, a, P, k) is None for P in points)
+        return all(ec_mul(p, a, P, k) is None for P in points)
 
     if not kills_all(n):
         raise InputError("point order exceeds group order; inconsistent curve")
@@ -434,46 +258,3 @@ def torsion_count(gs: GroupStructure, m: int) -> int:
     if m < 1:
         raise InputError("torsion level must be >= 1")
     return gcd(m, gs.n1) * gcd(m, gs.n2)
-
-
-def norm_kernel_size(curve: WeierstrassCurve, ext: int) -> int:
-    """#ker of the trace map E(F_{p^ext}) -> E(F_p), by direct enumeration.
-
-    Counts points with P + P^frob + ... + P^{frob^(ext-1)} = O.  This is an
-    oracle for the Galois-descent census (where the kernel size enters as
-    N_ext / N_1) and is budgeted like any other enumeration.
-    """
-    p = curve.p
-    if p ** (2 * ext) > ENUMERATION_BUDGET:
-        raise ResourceError("trace-map census exceeds the enumeration budget")
-    fld = FieldSpec(p, ext)
-    a = fld.from_int(curve.a)
-    b = fld.from_int(curve.b)
-
-    def frob(P):
-        if P is None:
-            return None
-        x, y = P
-        return (_poly_powmod(x, p, fld), _poly_powmod(y, p, fld))
-
-    kernel = 0
-    for P in _enumerate_points(fld, a, b):
-        acc = P
-        Q = P
-        for _ in range(ext - 1):
-            Q = frob(Q)
-            acc = _pt_add(fld, a, acc, Q)
-        if acc is None:
-            kernel += 1
-    return kernel
-
-
-def _poly_powmod(x, e, fld: FieldSpec):
-    result = fld.one()
-    base = x
-    while e:
-        if e & 1:
-            result = fld.mul(result, base)
-        base = fld.mul(base, base)
-        e >>= 1
-    return result

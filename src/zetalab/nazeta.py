@@ -42,7 +42,7 @@ from zetalab.exact import (
     power_sums_from_poly,
     rat,
 )
-from zetalab.ffield import prime_factors, primes_up_to, trace_of_frobenius
+from zetalab.ffield import ec_add, ec_mul, prime_factors, primes_up_to, trace_of_frobenius
 
 
 @dataclass(frozen=True)
@@ -442,35 +442,6 @@ class GlobalCurve:
 MESTRE_BOUND = 229
 
 
-def _ec_add(p: int, a: int, P, Q):
-    """P + Q on y^2 = x^3 + ax + b over F_p; None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _ec_mul(p: int, a: int, P, k: int):
-    """k * P for k >= 0, by double-and-add."""
-    acc = None
-    while k:
-        if k & 1:
-            acc = _ec_add(p, a, acc, P)
-        P = _ec_add(p, a, P, P)
-        k >>= 1
-    return acc
-
-
 def _hasse_multiples(p: int, a: int, P) -> list[int]:
     """Every M in [p+1-w, p+1+w], w = floor(2 sqrt p), with M * P = O.
 
@@ -493,13 +464,13 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
             break
         if j <= m:
             baby[R[0]] = (j, R[1])
-        R = _ec_add(p, a, R, P)
+        R = ec_add(p, a, R, P)
     if n:
         return list(range(-(-lo // n) * n, hi + 1, n))
     found = []
-    step = _ec_mul(p, a, P, 2 * m + 1)
+    step = ec_mul(p, a, P, 2 * m + 1)
     c = lo + m
-    Q = _ec_mul(p, a, P, c)
+    Q = ec_mul(p, a, P, c)
     while c - m <= hi:                      # windows tile [lo, hi] from lo up
         M = None
         if Q is None:
@@ -509,7 +480,7 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
             M = c - j if Q[1] == y else c + j
         if M is not None and M <= hi:
             found.append(M)
-        Q = _ec_add(p, a, Q, step)
+        Q = ec_add(p, a, Q, step)
         c += 2 * m + 1
     return found
 

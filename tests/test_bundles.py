@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from fq_oracle import norm_kernel_size
 
 from zetalab.artin import elliptic_zeta
 from zetalab.bundles import (
@@ -28,7 +29,6 @@ from zetalab.ffield import (
     FieldSpec,
     GroupStructure,
     WeierstrassCurve,
-    norm_kernel_size,
     primes_up_to,
     torsion_count,
 )
