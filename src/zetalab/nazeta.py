@@ -9,8 +9,9 @@ implemented verbatim for genus >= 2 against caller-supplied mass tables.
 
 The module also carries the all-rank-2-bundles decomposition (what the
 zeta function would pick up from unstable bundles), partial global Euler
-products over good primes, and the formal match between the rank-2 local
-factor and a genus-two spinor factor under a specific substitution.
+products over good primes, whose rank-2 factors are integer polynomials in
+p and a_p with a_p computed only where a factor uses it, and the formal
+match with a genus-two spinor factor under a specific substitution.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from zetalab.artin import elliptic_zeta
-from zetalab.bundles import (
-    Convention,
-    CurveData,
-    invariant,
-    mass_recursion_beta,
-    paper_split_beta2,
-)
+from zetalab.bundles import Convention, CurveData, invariant
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
 from zetalab.exact import (
     Poly,
@@ -448,7 +442,8 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
     Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a zero
     or a repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the second
     case a giant-step window [c-m, c+m] holds at most one multiple of n, and
-    cP = tP, |t| <= m, is told from -tP by its y-coordinate.
+    cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The giant
+    step is (2m+1)P = (m+1)P + mP.
     """
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
@@ -464,11 +459,11 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
             break
         if j <= m:
             baby[R[0]] = (j, R[1])
-        R = ec_add(p, a, R, P)
+            mP, R = R, ec_add(p, a, R, P)
     if n:
         return list(range(-(-lo // n) * n, hi + 1, n))
     found = []
-    step = ec_mul(p, a, P, 2 * m + 1)
+    step = ec_add(p, a, R, mP)
     c = lo + m
     Q = ec_mul(p, a, P, c)
     while c - m <= hi:                      # windows tile [lo, hi] from lo up
@@ -516,6 +511,13 @@ def ap_fast(p: int, A: int, B: int) -> int:
     raise NumericError(f"a_p at p = {p} still ambiguous after every x")
 
 
+def rank2_local_numerator(p: int, ap: int | None, conv: Convention) -> tuple[int, ...]:
+    """1 + (p-1)t + c_2 t^2 + (p^2-p)t^3 + p^2 t^4, the rank-2 numerator at
+    a good prime p divided by gamma_2(0) = N_1/(p-1)."""
+    c2 = 2 * p - 4 if conv is Convention.PAPER_SPLIT else p - 1 - ap
+    return (1, p - 1, c2, p * p - p, p * p)
+
+
 @dataclass(frozen=True)
 class EulerReport:
     value: complex
@@ -533,11 +535,13 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     """Partial Euler product over good primes p <= prime_bound.
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
-    which at genus 1 reads Re(s) > 2 for every rank.  Each factor costs one
-    `ap_fast` and, at rank 2, one exact beta_2(0); the logs are summed in
-    ascending-prime order.  `threads` is accepted and ignored: the work is
-    pure Python, so a thread pool would only contend for the interpreter
-    lock.
+    which at genus 1 reads Re(s) > 2 for every rank.  A rank-2 factor has
+    c_2 = p - 1 - a_p under GALOIS_DESCENT (beta_2(0)/beta_1(0) =
+    (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under PAPER_SPLIT, so rank 1 and
+    rank-2 GALOIS_DESCENT cost one `ap_fast` per factor and rank-2
+    PAPER_SPLIT costs none.  The logs are summed in ascending-prime order.
+    `threads` is accepted and ignored: the work is pure Python, so a thread
+    pool would only contend for the interpreter lock.
     """
     if r not in (1, 2):
         raise CapabilityError("global products implemented for rank 1 and 2")
@@ -553,18 +557,12 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
 
     logs: list[complex] = []
     for p in primes:
-        ap = ap_fast(p, curve.A, curve.B)
         x = complex(p) ** (-s)
-        n1 = p + 1 - ap
         if r == 1:
-            local = 1 - ap * x + p * x * x
+            local = 1 - ap_fast(p, curve.A, curve.B) * x + p * x * x
         else:
-            if conv is Convention.PAPER_SPLIT:
-                beta0 = paper_split_beta2(p, n1)
-            else:
-                beta0 = mass_recursion_beta(2, 0, elliptic_zeta(p, n1))
-            # divided through by gamma_2(0) = beta_2(1) = N_1/(p-1): P(0) = 1
-            coeffs = na_numerator(p, 2, 1, (beta0 / Fraction(n1, p - 1), 1))
+            ap = None if conv is Convention.PAPER_SPLIT else ap_fast(p, curve.A, curve.B)
+            coeffs = rank2_local_numerator(p, ap, conv)
             local = sum(float(c) * x ** i for i, c in enumerate(coeffs))
         logs.append(-cmath.log(local))
     total = complex_fsum(logs)

@@ -154,6 +154,10 @@ class TestExitCodes:
                      "--pmax", "2000000"])
         assert code == 2
 
+    def test_prime_bound_cap_is_pinned(self, capsys):
+        assert main(["euler", "--A", "1", "--B", "1", "--s", "3",
+                     "--pmax", "100001"]) == 2
+
     def test_characteristic_beyond_primality_bound(self, capsys):
         assert main(["artin", "--curve", "y2=x3+x+1", "--p", str(2 ** 89 - 1)]) == 2
         assert main(["artin", "--curve", "y2=x3+x+1",

@@ -9,8 +9,14 @@ from fq_oracle import Fq, pt_add
 
 from zetalab import nazeta
 from zetalab.artin import elliptic_zeta, nm
-from zetalab.bundles import Convention, CurveData, invariant
-from zetalab.errors import CapabilityError, InputError, NumericError
+from zetalab.bundles import (
+    Convention,
+    CurveData,
+    invariant,
+    mass_recursion_beta,
+    paper_split_beta2,
+)
+from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
 from zetalab.exact import Poly, RatFunc, Series
 from zetalab.ffield import (
     FieldSpec,
@@ -32,6 +38,7 @@ from zetalab.nazeta import (
     na_counts,
     na_numerator,
     na_properties_check,
+    rank2_local_numerator,
     roots_of_unity_product_check,
     ugly_formula_coeffs,
 )
@@ -381,6 +388,66 @@ class TestGlobalEuler:
         a = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=1)
         b = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=4)
         assert a.value == b.value
+
+    def test_prime_bound_cap(self):
+        ec = GlobalCurve(1, 1)
+        with pytest.raises(ResourceError):
+            global_na_zeta_partial(ec, 2, 3 + 0j, 100_001, Convention.PAPER_SPLIT)
+        # the cap itself is allowed; rank-2 PAPER_SPLIT needs no a_p there
+        report = global_na_zeta_partial(ec, 2, 3 + 0j, 100_000, Convention.PAPER_SPLIT)
+        assert report.prime_bound == 100_000
+
+
+def rank2_factor_oracle(p, n1, conv):
+    """Oracle for rank2_local_numerator: the exact beta_2(0) of the
+    convention (mass recursion or printed split census), divided by
+    gamma_2(0) = beta_1(0) = N_1/(p-1) and fed through na_numerator."""
+    if conv is Convention.PAPER_SPLIT:
+        beta0 = paper_split_beta2(p, n1)
+    else:
+        beta0 = mass_recursion_beta(2, 0, elliptic_zeta(p, n1))
+    return na_numerator(p, 2, 1, (beta0 / F(n1, p - 1), 1))
+
+
+class TestRank2LocalNumerator:
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_closed_form_matches_oracle(self, conv):
+        for p in primes_up_to(300)[2:] + [9973, 99991]:
+            w = math.isqrt(4 * p)
+            for n1 in range(p + 1 - w, p + 2 + w):
+                closed = rank2_local_numerator(p, p + 1 - n1, conv)
+                assert all(type(c) is int for c in closed)
+                assert list(closed) == rank2_factor_oracle(p, n1, conv), (p, n1)
+
+    @pytest.mark.parametrize("r, conv, per_factor", [
+        (1, Convention.PAPER_SPLIT, 1),
+        (1, Convention.GALOIS_DESCENT, 1),
+        (2, Convention.GALOIS_DESCENT, 1),
+        (2, Convention.PAPER_SPLIT, 0),
+    ])
+    def test_ap_fast_calls(self, monkeypatch, r, conv, per_factor):
+        calls = []
+
+        def counted(p, A, B):
+            calls.append(p)
+            return ap_fast(p, A, B)
+        monkeypatch.setattr(nazeta, "ap_fast", counted)
+        report = global_na_zeta_partial(GlobalCurve(1, 1), r, 3 + 1j, 2000, conv)
+        assert report.factors_used > 250
+        assert len(calls) == per_factor * report.factors_used
+
+    def test_paper_split_product_depends_only_on_bad_primes(self):
+        # y^2 = x^3 - x and y^2 = x^3 + 1 are both bad at {2, 3} alone,
+        # and their a_p differ, yet the rank-2 PAPER_SPLIT products agree
+        e1, e2 = GlobalCurve(-1, 0), GlobalCurve(0, 1)
+        assert e1.bad_primes == e2.bad_primes == (2, 3)
+        assert ap_fast(7, -1, 0) != ap_fast(7, 0, 1)
+        s = 2.5 + 3j
+        for conv, same in ((Convention.PAPER_SPLIT, True),
+                           (Convention.GALOIS_DESCENT, False)):
+            a = global_na_zeta_partial(e1, 2, s, 3000, conv).log_value
+            b = global_na_zeta_partial(e2, 2, s, 3000, conv).log_value
+            assert (a == b) is same
 
 
 def ap_census(p, A, B):
