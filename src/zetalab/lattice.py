@@ -8,13 +8,16 @@ shortest-vector search, which LLL-reduces the Gram exactly before a bounded
 box enumeration, so its cost follows the lattice rather than the basis it
 is given (Lenstra, Lenstra and Lovasz 1982; Cohen, GTM 138, section 2.6).
 The analytic layer on top -- theta sums with certified tail bounds, the
-Riemann-Roch residual over Q, and the completed zeta evaluation -- is the
-only place floating point appears.
+Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
+factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
+bound -- is the only place floating point appears.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -23,7 +26,13 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from zetalab.errors import CapabilityError, ConfigError, InputError, NumericError
+from zetalab.errors import (
+    CapabilityError,
+    ConfigError,
+    InputError,
+    NumericError,
+    ResourceError,
+)
 from zetalab.exact import rat
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -632,27 +641,102 @@ def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:
 # ---------------------------------------------------------------------------
 # the completed zeta function of the rationals
 
+XI_DPS = 30
+# Dirichlet terms beyond |t|/pi.  Successive Euler-Maclaurin terms differ by
+# a factor of about |(s+2j-1)(s+2j)|/(2 pi N)^2, under 1/4 at N >= |t|/pi
+# while 2j << |t|; the extra terms let them fall to about e^(-2 pi 12) ~
+# 1e-33 near t = 0 before they grow, below what XI_DPS digits resolve.
+XI_EXTRA_TERMS = 12
+XI_MAX_ORDER = 40
+# Dirichlet terms at most; about half a second of XI_DPS-digit powers
+XI_TERM_BUDGET = 10 ** 4
+
+
+@functools.cache
+def _em_coefficients() -> tuple[Fraction, ...]:
+    """B_2k/(2k)! for k = 0..XI_MAX_ORDER, exactly.
+
+    With b_j = B_j/j! the coefficients of x/(e^x - 1), the recurrence
+    sum_{j <= m} b_j/(m+1-j)! = 0 at m = 2M, where b_1 = -1/2 and the
+    other odd b_j vanish, gives b_2M from the lower even ones.
+    """
+    c = [Fraction(1)]
+    for m in range(1, XI_MAX_ORDER + 1):
+        rest = (Fraction(1, math.factorial(2 * m + 1))
+                - Fraction(1, 2 * math.factorial(2 * m))
+                + sum(c[k] / math.factorial(2 * m + 1 - 2 * k) for k in range(1, m)))
+        c.append(-rest)
+    return tuple(c)
+
+
+def _zeta_em(s: mpmath.mpc, n: int, eps: float) -> mpmath.mpc:
+    """zeta(s) by Euler-Maclaurin summation at N = n (Edwards, Riemann's
+    Zeta Function, section 6.4):
+
+        zeta(s) = sum_{k<N} k^(-s) + N^(1-s)/(s-1) + N^(-s)/2 + sum_j T_j + R,
+        T_j = B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1),
+
+    stopping before the first T_j whose remainder bound
+    |s+2j-1|/(sigma+2j-1) |T_j| is at most eps |partial sum|.
+    """
+    sigma = float(s.real)
+    total = mpmath.fsum(mpmath.power(k, -s) for k in range(1, n))
+    n_s = mpmath.power(n, -s)
+    total += n * n_s / (s - 1) + n_s / 2
+    rising = s                              # (s)_(2j-1)
+    n_pow = n_s / n                         # N^(-s-2j+1)
+    inv_n2 = mpmath.mpf(1) / (n * n)
+    for j, c in enumerate(_em_coefficients()[1:], start=1):
+        term = mpmath.mpf(c.numerator) / c.denominator * rising * n_pow
+        edge = sigma + 2 * j - 1            # the bound needs sigma > -(2j-1)
+        if edge > 0 and abs(s + 2 * j - 1) / edge * abs(term) <= eps * abs(total):
+            return total
+        total += term
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        n_pow *= inv_n2
+    raise NumericError(f"Euler-Maclaurin remainder above eps after "
+                       f"{XI_MAX_ORDER} Bernoulli terms")
+
+
 def xi_q(s: complex, eps: float = 1e-14) -> complex:
-    """Completed zeta xi(s) = pi^(-s/2) Gamma(s/2) zeta(s), via the
-    incomplete-theta representation split at x = 1:
+    """Completed zeta xi(s) = pi^(-s/2) Gamma(s/2) zeta(s).
 
-        xi(s) = 1/(s(s-1))
-              + sum_{n>=1} [ G(s/2, pi n^2) + G((1-s)/2, pi n^2) ],
+    The gamma factor is exp(-(s/2) log pi + loggamma(s/2)), so the
+    e^(-pi |t|/4) size of xi high on the critical line comes from a product
+    and nothing cancels.  zeta(s) is the Euler-Maclaurin sum of `_zeta_em`
+    with N = ceil(|t|/pi) + XI_EXTRA_TERMS Dirichlet terms at XI_DPS
+    digits, truncated where its proven remainder is below eps times the
+    partial sum.  Left of sigma = 0 the terms k^(-s) grow like k^|sigma|
+    and cancel down to zeta(s), so the working precision gains that many
+    digits.  xi(s) and xi(1-s) sum different series, which makes the
+    functional equation a check; only at the trivial zeros s = -2, -4, ...,
+    where Gamma(s/2) has its poles, is xi(1-s) returned instead.
 
-    with G(a, y) = y^(-a) Gamma(a, y).  The representation is manifestly
-    symmetric under s -> 1-s; the theta tail is truncated below eps.
+    Refused: s not finite or near the poles 0, 1 (InputError), N above XI_TERM_BUDGET
+    (ResourceError), a value outside the normal double range or a
+    remainder the Bernoulli table cannot bring below eps (NumericError).
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise InputError("s must be finite")
     if abs(s) < 1e-6 or abs(s - 1) < 1e-6:
         raise InputError("evaluation too close to the poles s = 0, 1")
     if eps <= 0:
         raise InputError("eps must be positive")
-    n_terms = max(3, math.ceil(math.sqrt((math.log(1 / eps) + 5) / math.pi)))
-    with mpmath.workdps(30):
+    trivial = round(s.real / 2)
+    if trivial < 0 and abs(s - 2 * trivial) < 1e-6:
+        # Gamma(s/2) has a pole where zeta(s) has its trivial zero
+        return xi_q(1 - s, eps)
+    n = math.ceil(abs(s.imag) / math.pi) + XI_EXTRA_TERMS
+    if n > XI_TERM_BUDGET:
+        raise ResourceError(f"xi at |t| = {abs(s.imag):g} needs {n} Dirichlet "
+                            f"terms (budget {XI_TERM_BUDGET})")
+    dps = XI_DPS + max(0, math.ceil(-s.real * math.log10(n)))
+    with mpmath.workdps(dps):
         ms = mpmath.mpc(s)
-        total = 1 / (ms * (ms - 1))
-        for n in range(1, n_terms + 1):
-            y = mpmath.pi * n * n
-            for a in (ms / 2, (1 - ms) / 2):
-                total += mpmath.power(y, -a) * mpmath.gammainc(a, y)
-        return complex(total)
+        gamma_factor = mpmath.exp(-ms / 2 * mpmath.log(mpmath.pi)
+                                  + mpmath.loggamma(ms / 2))
+        value = complex(gamma_factor * _zeta_em(ms, n, eps))
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise NumericError(f"|xi({s})| is outside the normal double range")
+    return value

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -165,6 +166,11 @@ class TestExitCodes:
 
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1
+
+    def test_xi_term_budget(self, capsys):
+        start = time.perf_counter()
+        assert main(["xi", "--s", "0.5+1e9j"]) == 2
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDeterminism:

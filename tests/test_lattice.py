@@ -8,10 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.errors import CapabilityError, ConfigError, InputError
+from zetalab.errors import (
+    CapabilityError,
+    ConfigError,
+    InputError,
+    NumericError,
+    ResourceError,
+)
 from zetalab.lattice import (
+    XI_TERM_BUDGET,
     HNFiltration,
     Lattice,
+    _em_coefficients,
     _lll,
     deg,
     dual,
@@ -507,6 +515,37 @@ class TestRiemannRoch:
 XI_HALF = -3.97696622550651   # pi^(-1/4) Gamma(1/4) zeta(1/2), mpmath 30 dps
 
 
+def xi_incomplete_theta(s, eps=1e-14):
+    """Oracle: xi(s) from the incomplete-theta representation split at x = 1,
+
+        xi(s) = 1/(s(s-1)) + sum_{n>=1} [G(s/2, pi n^2) + G((1-s)/2, pi n^2)],
+
+    with G(a, y) = y^(-a) Gamma(a, y), the theta tail truncated below eps,
+    at 30 digits.  The sum cancels down to |xi| ~ e^(-pi |t|/4), so it is
+    accurate only for moderate t (relative error 2e-10 at t = 70).
+    """
+    n_terms = max(3, math.ceil(math.sqrt((math.log(1 / eps) + 5) / math.pi)))
+    with mpmath.workdps(30):
+        ms = mpmath.mpc(s)
+        total = 1 / (ms * (ms - 1))
+        for n in range(1, n_terms + 1):
+            y = mpmath.pi * n * n
+            for a in (ms / 2, (1 - ms) / 2):
+                total += mpmath.power(y, -a) * mpmath.gammainc(a, y)
+        return complex(total)
+
+
+def xi_reference(s, dps=60):
+    """pi^(-s/2) Gamma(s/2) zeta(s) by mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(s)
+        return complex(mpmath.pi ** (-z / 2) * mpmath.gamma(z / 2) * mpmath.zeta(z))
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
 class TestXiQ:
     def test_functional_equation(self):
         for s in (0.3 + 2j, 0.7 - 1.3j, 2.5 + 0.1j, -1.2 + 0.4j, 0.5 + 14j):
@@ -532,6 +571,8 @@ class TestXiQ:
 
     def test_pole_guard(self):
         with pytest.raises(InputError):
+            xi_q(complex("nan"))
+        with pytest.raises(InputError):
             xi_q(1e-9)
         with pytest.raises(InputError):
             xi_q(1 + 1e-8)
@@ -542,3 +583,50 @@ class TestXiQ:
         hi = xi_q(0.5 + 14.3j)
         assert abs(lo.imag) < 1e-12 and abs(hi.imag) < 1e-12
         assert lo.real * hi.real < 0
+
+    def test_against_incomplete_theta_oracle(self):
+        rng = random.Random(10)
+        points = [0.5 + 14.134725j, 2.5 + 0.1j, -1.2 + 0.4j, 0.9 - 60j]
+        points += [complex(rng.uniform(-1, 2), rng.uniform(0, 60)) for _ in range(8)]
+        for s in points:
+            assert rel_err(xi_q(s), xi_incomplete_theta(s)) < 1e-11
+
+    @pytest.mark.parametrize("t", [100.0, 150.0])
+    def test_high_on_the_line(self, t):
+        # the incomplete-theta sum was off by 1.3e-2 at t = 100 and had the
+        # wrong sign at t = 150, where xi = -4.0e-53
+        s = complex(0.5, t)
+        assert rel_err(xi_q(s), xi_reference(s)) < 1e-12
+
+    def test_functional_equation_relative(self):
+        # xi(s) and xi(1-s) sum different Dirichlet series
+        rng = random.Random(11)
+        for _ in range(25):
+            s = complex(rng.uniform(-1, 2), rng.uniform(-150, 150))
+            assert rel_err(xi_q(s), xi_q(1 - s)) < 1e-12
+
+    @pytest.mark.parametrize("s", [-2, -4 + 1e-8j, -30 + 1j, 30 + 2j])
+    def test_far_from_the_strip(self, s):
+        # trivial zeros meet poles of Gamma(s/2); far left the terms cancel
+        assert rel_err(xi_q(s), xi_reference(1 - s)) < 1e-12
+
+    def test_bernoulli_coefficients_exact(self):
+        for k, c in enumerate(_em_coefficients()):
+            num, den = mpmath.bernfrac(2 * k)
+            assert c == F(num, den) / math.factorial(2 * k)
+
+    def test_term_budget(self):
+        with pytest.raises(ResourceError):
+            xi_q(0.5 + 1e9j)
+        with pytest.raises(ResourceError):
+            xi_q(0.5 + 1j * math.pi * XI_TERM_BUDGET)
+
+    def test_value_outside_double_range(self):
+        # |xi(1/2 + 900i)| ~ 1e-308 is subnormal
+        with pytest.raises(NumericError):
+            xi_q(0.5 + 900j)
+
+    def test_remainder_out_of_reach(self):
+        # far below what 30 digits and the Bernoulli table can certify
+        with pytest.raises(NumericError):
+            xi_q(0.5, 1e-60)
