@@ -4,8 +4,8 @@ A `ZetaCurve` packages (q, g, P) with Z(t) = P(t)/((1-t)(1-qt)).  All
 identity-level operations (functional equation, base extension, the
 roots-of-unity reciprocity law, point-count recovery) run through exact
 power sums of the numerator's reciprocal roots; no root is ever
-extracted on the exact path.  Only the genus >= 2 Riemann-hypothesis
-modulus check is numeric.
+extracted: the Riemann-hypothesis check counts the real roots of the
+real Weil polynomial with Sturm sequences over Q.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from zetalab.errors import InputError, NumericError
+from zetalab.errors import InputError
 from zetalab.exact import (
     Poly,
     RatFunc,
@@ -147,30 +145,58 @@ def reciprocity_check(zc: ZetaCurve, n: int, order: int) -> bool:
     return left.truncate(common) == right.truncate(common)
 
 
-def rh_check(zc: ZetaCurve, tol: float = 1e-9) -> bool:
+def _sign_changes(values: Sequence[Fraction]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _real_roots_above(p: Poly, lo: Fraction | None) -> int:
+    """Distinct real roots of p in (lo, +infinity), lo = None meaning
+    -infinity, by Sturm's theorem; lo must not be a root of p."""
+    if p.degree < 1:
+        return 0
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq = [f for f in seq if not f.is_zero()]
+    top = _sign_changes([f.coeffs[-1] for f in seq])
+    if lo is None:
+        return _sign_changes([f.coeffs[-1] * (-1) ** f.degree for f in seq]) - top
+    return _sign_changes([f(lo) for f in seq]) - top
+
+
+def rh_check(zc: ZetaCurve) -> bool:
     """Riemann hypothesis for the curve: all reciprocal roots have |w|^2 = q.
 
-    Genus 1 is decided exactly by the integer inequality (q+1-N_1)^2 <= 4q;
-    higher genus locates the roots numerically (companion matrix) and
-    checks | |w|^2 - q | <= tol.
+    Genus 1 is decided by the integer inequality (q+1-N_1)^2 <= 4q.  Higher
+    genus is decided exactly on the real Weil polynomial h of degree g,
+    x^g h(x + q/x) = x^2g P(1/x): the w are the roots of w^2 - y w + q for
+    the roots y of h, so RH holds iff every y is real with y^2 <= 4q
+    (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+    Sturm counts over Q decide both: the roots y = +-2 sqrt(q) are divided
+    out by a gcd with y^2 - 4q, and no remaining root may have its square
+    above 4q, which is a root count of h(y) h(-y) = k(y^2) above the
+    rational point 4q.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
     if zc.g == 0:
         return True
     if zc.g == 1:
         a = -int(zc.P[1])
         return a * a <= 4 * zc.q
-    # deflate multiplicities exactly first: companion eigenvalues only reach
-    # sqrt(eps) accuracy at a multiple root, which would defeat the tolerance
-    squarefree = zc.P // zc.P.gcd(zc.P.derivative())
-    # np.roots wants descending powers; the roots of P are 1/w_i
-    roots = np.roots([float(c) for c in reversed(squarefree.coeffs)])
-    if len(roots) != squarefree.degree:
-        raise NumericError("root finder lost roots")
-    if any(abs(r) < 1e-300 for r in roots):
-        raise NumericError("spurious zero root")
-    return all(abs(abs(1 / r) ** 2 - zc.q) <= tol for r in roots)
+    q, y = zc.q, Poly.x()
+    # x^k + (q/x)^k as a polynomial in y = x + q/x
+    dickson = [Poly([2]), y]
+    for _ in range(zc.g - 1):
+        dickson.append(y * dickson[-1] - dickson[-2].scale(q))
+    h = Poly([zc.P[zc.g]])
+    for k in range(1, zc.g + 1):
+        h = h + dickson[k].scale(zc.P[zc.g - k])
+    squarefree = h // h.gcd(h.derivative())
+    inner = squarefree // squarefree.gcd(Poly([-4 * q, 0, 1]))
+    even = inner * Poly([c if i % 2 == 0 else -c for i, c in enumerate(inner.coeffs)])
+    k_poly = Poly(even.coeffs[::2])
+    return (_real_roots_above(inner, None) == inner.degree
+            and _real_roots_above(k_poly, Fraction(4 * q)) == 0)
 
 
 def fe_check_zeta(zc: ZetaCurve) -> bool:

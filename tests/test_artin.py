@@ -132,7 +132,42 @@ class TestRH:
 
     def test_numeric_genus2(self):
         p = Poly([1, 3, 5]) * Poly([1, 3, 5])
-        assert rh_check(ZetaCurve(5, 2, p), 1e-9)
+        assert rh_check(ZetaCurve(5, 2, p))
+
+    def test_genus2_large_q(self):
+        # np.roots with an absolute 1e-9 tolerance on |w|^2 returned False
+        q = 1000003
+        p = Poly([1, -1000, q]) * Poly([1, 500, q])
+        assert rh_check(ZetaCurve(q, 2, p))
+
+    def test_products_of_elliptic_factors(self):
+        # RH holds for a product of 1 - a t + q t^2 iff every a^2 <= 4q;
+        # a is drawn from a range a little wider than the Hasse range
+        rng = random.Random(12)
+        for q in (4, 5, 9, 49, 1000003):
+            w = math.isqrt(4 * q)
+            for _ in range(20):
+                traces = [rng.randint(-w - 2, w + 2) for _ in range(rng.choice((2, 3)))]
+                p = Poly.one()
+                for a in traces:
+                    p = p * Poly([1, -a, q])
+                zc = ZetaCurve(q, len(traces), p)
+                assert rh_check(zc) == all(a * a <= 4 * q for a in traces), (q, traces)
+
+    @pytest.mark.parametrize("q,coeffs,holds", [
+        (4, [1, 0, -8, 0, 16], True),            # h = y^2 - 16: roots at +-2 sqrt(q)
+        (1000003, [1, 0, -2000006, 0, 1000003 ** 2], True),   # h = y^2 - 4q
+        (5, [1, 0, 11, 0, 25], False),           # h = y^2 + 1: y not real
+    ])
+    def test_genus2_edges(self, q, coeffs, holds):
+        assert rh_check(ZetaCurve(q, 2, Poly(coeffs))) is holds
+
+    @pytest.mark.parametrize("a,holds", [(2000, True), (2001, False)])
+    def test_root_beside_an_irrational_end(self, a, holds):
+        # h = (y^2 - 4q)(y - a), and 2 sqrt(q) = 2000.003 for q = 1000003
+        q = 1000003
+        p = Poly([1, 0, -2 * q, 0, q * q]) * Poly([1, -a, q])
+        assert rh_check(ZetaCurve(q, 3, p)) is holds
 
     def test_rh_implies_nonnegative_counts(self):
         for zc in GALLERY:
