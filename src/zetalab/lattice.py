@@ -648,25 +648,22 @@ XI_DPS = 30
 # 1e-33 near t = 0 before they grow, below what XI_DPS digits resolve.
 XI_EXTRA_TERMS = 12
 XI_MAX_ORDER = 40
+# Left of this sigma xi(1-s) is summed instead.  The remainder bound needs
+# sigma + 2j - 1 > 0, and far left the Dirichlet terms k^|sigma| dwarf
+# zeta(s), so the Bernoulli table runs out: measured, it reaches eps = 1e-14
+# for sigma >= -35 at heights up to 880, and fails for sigma <= -45 from
+# t = 200 on and for sigma <= -70 at every height.  The cap also bounds the
+# extra working digits at -XI_MIN_SIGMA log10(XI_TERM_BUDGET).
+XI_MIN_SIGMA = -20
 # Dirichlet terms at most; about half a second of XI_DPS-digit powers
 XI_TERM_BUDGET = 10 ** 4
 
 
 @functools.cache
 def _em_coefficients() -> tuple[Fraction, ...]:
-    """B_2k/(2k)! for k = 0..XI_MAX_ORDER, exactly.
-
-    With b_j = B_j/j! the coefficients of x/(e^x - 1), the recurrence
-    sum_{j <= m} b_j/(m+1-j)! = 0 at m = 2M, where b_1 = -1/2 and the
-    other odd b_j vanish, gives b_2M from the lower even ones.
-    """
-    c = [Fraction(1)]
-    for m in range(1, XI_MAX_ORDER + 1):
-        rest = (Fraction(1, math.factorial(2 * m + 1))
-                - Fraction(1, 2 * math.factorial(2 * m))
-                + sum(c[k] / math.factorial(2 * m + 1 - 2 * k) for k in range(1, m)))
-        c.append(-rest)
-    return tuple(c)
+    """B_2k/(2k)! for k = 0..XI_MAX_ORDER, exactly."""
+    return tuple(Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k)
+                 for k in range(XI_MAX_ORDER + 1))
 
 
 def _zeta_em(s: mpmath.mpc, n: int, eps: float) -> mpmath.mpc:
@@ -709,8 +706,9 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     partial sum.  Left of sigma = 0 the terms k^(-s) grow like k^|sigma|
     and cancel down to zeta(s), so the working precision gains that many
     digits.  xi(s) and xi(1-s) sum different series, which makes the
-    functional equation a check; only at the trivial zeros s = -2, -4, ...,
-    where Gamma(s/2) has its poles, is xi(1-s) returned instead.
+    functional equation a check; only left of XI_MIN_SIGMA and at the
+    trivial zeros s = -2, -4, ..., where Gamma(s/2) has its poles, is
+    xi(1-s) returned instead.
 
     Refused: s not finite or near the poles 0, 1 (InputError), N above XI_TERM_BUDGET
     (ResourceError), a value outside the normal double range or a
@@ -724,8 +722,8 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     if eps <= 0:
         raise InputError("eps must be positive")
     trivial = round(s.real / 2)
-    if trivial < 0 and abs(s - 2 * trivial) < 1e-6:
-        # Gamma(s/2) has a pole where zeta(s) has its trivial zero
+    if s.real < XI_MIN_SIGMA or (trivial < 0 and abs(s - 2 * trivial) < 1e-6):
+        # far left, or where Gamma(s/2) has a pole at a trivial zero of zeta
         return xi_q(1 - s, eps)
     n = math.ceil(abs(s.imag) / math.pi) + XI_EXTRA_TERMS
     if n > XI_TERM_BUDGET:

@@ -172,6 +172,16 @@ class TestExitCodes:
         assert main(["xi", "--s", "0.5+1e9j"]) == 2
         assert time.perf_counter() - start < 0.5
 
+    def test_xi_far_left_is_bounded(self, capsys):
+        # a large negative sigma must not raise the working precision
+        start = time.perf_counter()
+        assert main(["xi", "--s=-1e9+1j"]) == 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_xi_far_right(self, capsys):
+        payload = run_json(["xi", "--s", "80"], capsys)
+        assert float(payload["result"]["functional_equation_residual"]) == 0
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs(self, capsys):

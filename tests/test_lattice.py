@@ -16,10 +16,10 @@ from zetalab.errors import (
     ResourceError,
 )
 from zetalab.lattice import (
+    XI_MIN_SIGMA,
     XI_TERM_BUDGET,
     HNFiltration,
     Lattice,
-    _em_coefficients,
     _lll,
     deg,
     dual,
@@ -605,15 +605,18 @@ class TestXiQ:
             s = complex(rng.uniform(-1, 2), rng.uniform(-150, 150))
             assert rel_err(xi_q(s), xi_q(1 - s)) < 1e-12
 
-    @pytest.mark.parametrize("s", [-2, -4 + 1e-8j, -30 + 1j, 30 + 2j])
+    @pytest.mark.parametrize("s", [-2, -4 + 1e-8j, -19.9 + 0.5j, -19.5 + 40j,
+                                   -30 + 1j, 30 + 2j])
     def test_far_from_the_strip(self, s):
         # trivial zeros meet poles of Gamma(s/2); far left the terms cancel
         assert rel_err(xi_q(s), xi_reference(1 - s)) < 1e-12
 
-    def test_bernoulli_coefficients_exact(self):
-        for k, c in enumerate(_em_coefficients()):
-            num, den = mpmath.bernfrac(2 * k)
-            assert c == F(num, den) / math.factorial(2 * k)
+    @pytest.mark.parametrize("s", [80, -79, -100 + 1j, -45 + 300j,
+                                   XI_MIN_SIGMA + 0.01 + 950j])
+    def test_far_left_reflects(self, s):
+        # the Bernoulli table cannot certify the series far left of the
+        # strip; xi(1-s) is summed there instead
+        assert rel_err(xi_q(s), xi_reference(s)) < 1e-12
 
     def test_term_budget(self):
         with pytest.raises(ResourceError):
