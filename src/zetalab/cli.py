@@ -11,6 +11,7 @@ for the table-shaped results.  Rationals print as "num/den", reals with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -422,6 +423,7 @@ RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 # ---------------------------------------------------------------------------
 # argument wiring
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

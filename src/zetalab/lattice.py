@@ -10,7 +10,9 @@ is given (Lenstra, Lenstra and Lovasz 1982; Cohen, GTM 138, section 2.6).
 The analytic layer on top -- theta sums with certified tail bounds, the
 Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
 factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
-bound -- is the only place floating point appears.
+bound -- is the only place floating point appears.  numpy and mpmath are
+imported inside the functions that use them, so loading the module (and
+the CLI) does not load them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Sequence
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from zetalab.errors import (
     CapabilityError,
@@ -34,6 +33,9 @@ from zetalab.errors import (
     ResourceError,
 )
 from zetalab.exact import rat
+
+if TYPE_CHECKING:
+    import mpmath
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -560,6 +562,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     partial sum is at least 1, so the bound also controls the error of
     the logarithm.
     """
+    import numpy as np
     if eps <= 0:
         raise InputError("eps must be positive")
     lam1 = _lambda1_lower_bound(lat)
@@ -662,6 +665,7 @@ XI_TERM_BUDGET = 10 ** 4
 @functools.cache
 def _em_coefficients() -> tuple[Fraction, ...]:
     """B_2k/(2k)! for k = 0..XI_MAX_ORDER, exactly."""
+    import mpmath
     return tuple(Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k)
                  for k in range(XI_MAX_ORDER + 1))
 
@@ -676,6 +680,7 @@ def _zeta_em(s: mpmath.mpc, n: int, eps: float) -> mpmath.mpc:
     stopping before the first T_j whose remainder bound
     |s+2j-1|/(sigma+2j-1) |T_j| is at most eps |partial sum|.
     """
+    import mpmath
     sigma = float(s.real)
     total = mpmath.fsum(mpmath.power(k, -s) for k in range(1, n))
     n_s = mpmath.power(n, -s)
@@ -714,6 +719,7 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     (ResourceError), a value outside the normal double range or a
     remainder the Bernoulli table cannot bring below eps (NumericError).
     """
+    import mpmath
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise InputError("s must be finite")

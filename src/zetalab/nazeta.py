@@ -12,6 +12,7 @@ zeta function would pick up from unstable bundles), partial global Euler
 products over good primes, whose rank-2 factors are integer polynomials in
 p and a_p with a_p computed only where a factor uses it, and the formal
 match with a genus-two spinor factor under a specific substitution.
+numpy is imported only by `na_properties_check`, for its float spot-check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from zetalab.bundles import Convention, CurveData, invariant
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
@@ -199,6 +198,7 @@ def na_properties_check(z: RankZeta) -> PropertiesReport:
     spot-checked numerically by matching the root multiset against q over
     its reflection.
     """
+    import numpy as np
     rg = z.r * z.g
     degree_ok = z.P.degree == 2 * rg
     fe_ok = fe_transform_check(z.P, z.q, rg)

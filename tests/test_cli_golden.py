@@ -95,6 +95,29 @@ def test_cli_golden(name, argv, golden, monkeypatch):
     assert run_case(argv) == golden[name]
 
 
+def test_shared_parser_keeps_no_state(golden, monkeypatch, capsys):
+    # main parses with one cached parser; interleave commands, the three
+    # formats, a usage error and a resource error, twice over, and every
+    # call must still give its golden (or its exit code and no stdout)
+    monkeypatch.chdir(ROOT)
+    cases = dict(CASES)
+    errors = {"usage": (["artin", "--curve", "y2=x3+x+1"], 64),
+              "resource": (["euler", "--A", "1", "--B", "1", "--s", "3",
+                            "--pmax", "2000000"], 2)}
+    order = ["artin", "usage", "artin_csv", "xi", "resource", "andrianov_text",
+             "nazeta_r2_descent", "usage", "lattice_rank4_refused",
+             "euler_r1_threads", "theta_rank4", "resource", "artin"]
+    for name in order * 2:
+        if name in errors:
+            argv, code = errors[name]
+            assert run_case(argv) == {"stdout": "", "exit": code}, name
+            assert capsys.readouterr().err.startswith(f"{name} error: ")
+        else:
+            assert run_case(cases[name]) == golden[name], name
+            err = capsys.readouterr().err
+            assert (err == "") == (golden[name]["exit"] == 0), name
+
+
 def record():
     os.chdir(ROOT)
     results = {name: run_case(argv) for name, argv in CASES}

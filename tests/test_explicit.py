@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +36,14 @@ from zetalab.explicit import (
     micro_pairing_mesh,
     riemann_weil_residual,
 )
-from zetalab.explicit import _cross_pairing, _panel_points, _weight_arr
+from zetalab.explicit import (
+    PSI_SHIFT,
+    _arch_term,
+    _cross_pairing,
+    _panel_points,
+    _re_digamma,
+    _weight_arr,
+)
 
 ZEROS_PATH = Path(__file__).parent / "data" / "zeros100.txt"
 ZEROS = load_zeros(ZEROS_PATH)
@@ -320,17 +328,19 @@ class TestSeparableCrossPairing:
         assert np.any(u < 0) and np.any(u > 0)
 
     def test_unstable_refinement_stays_small(self):
-        # rel_tol = 0 lets the cross pairing refine up to 2,048 panels,
-        # 32,768 nodes per axis, where the M x N x K mesh would have been
-        # 32768 x 32768 x 100.  Whether two successive doublings agree to
-        # the last bit is down to rounding, so both outcomes are allowed;
-        # the last grid is also paired directly so it is always reached.
+        # rel_tol = 1e-300 lets the cross pairing refine up to 2,048
+        # panels, 32,768 nodes per axis, where the M x N x K mesh would have
+        # been 32768 x 32768 x 100.  Near |cross| = 0.013 only two equal
+        # floats agree that closely, and whether two successive doublings
+        # agree to the last bit is down to rounding, so both outcomes are
+        # allowed; the last grid is also paired directly so it is always
+        # reached.
         model = MicroModel(100, ZEROS)
         f = NFTestFn(0.1, 0.05)
         tracemalloc.start()
         try:
             try:
-                report = global_pairing(model, f, f, QuadratureSpec(rel_tol=0.0))
+                report = global_pairing(model, f, f, QuadratureSpec(rel_tol=1e-300))
             except NumericError as exc:
                 assert str(exc) == "cross quadrature failed to stabilize"
             else:
@@ -362,6 +372,19 @@ class TestSeparableCrossPairing:
         # one refused grid alone would be 81 MB
         assert peak < 8e6
         assert _cross_pairing(MicroModel(100, table), u, w, u, w) != 0
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, math.nan])
+    def test_unreachable_tolerance_refused(self, rel_tol):
+        # only bit-identical estimates could meet it, so convergence would
+        # be decided by rounding
+        with pytest.raises(InputError, match="rel_tol must be positive"):
+            QuadratureSpec(rel_tol=rel_tol)
+
+    def test_arch_spec_refused_when_used(self):
+        with pytest.raises(InputError):
+            _arch_term(NFTestFn(0.1, 0.05), ArchQuadSpec(rel_tol=0.0))
 
 
 class TestGlobalPairing:
@@ -412,6 +435,45 @@ class TestGlobalPairing:
         for s in (0.3 + 1j, 1.2 - 0.4j, 0.5 + 3j):
             assert h.mellin(s) == pytest.approx(
                 f.mellin(s) * g.mellin(1 - s), rel=1e-12)
+
+
+def mp_re_digamma(z: complex) -> float:
+    with mpmath.workdps(30):
+        return float(mpmath.digamma(mpmath.mpc(z.real, z.imag)).real)
+
+
+class TestReDigamma:
+    # the critical-line argument of the arch term, then small |z| and
+    # large Re z
+    LINE = 0.25 + 0.5j * np.linspace(0.0, 1000.0, 1001)
+    OFF_LINE = np.array([1e-3, 0.01 + 0.02j, 0.1 + 5j, 0.5, 1, 2 + 3j, 7.5 - 2j,
+                         20, 50 + 100j, 1e3 + 1j, 1e5, 1e6 + 1e6j])
+
+    @pytest.mark.parametrize("zs", [LINE, OFF_LINE], ids=["line", "off_line"])
+    def test_matches_mpmath(self, zs):
+        got = _re_digamma(zs)
+        for z, value in zip(zs, got):
+            want = mp_re_digamma(z)
+            # psi(z) = psi(z + n) - sum 1/(z + k) cancels where Re psi(z)
+            # changes sign (t near 2.03), so the ulp is taken of the larger
+            # of the two psi values; measured, the error is at most 2 ulp
+            scale = max(abs(want), abs(mp_re_digamma(z + PSI_SHIFT)))
+            assert abs(value - want) <= 4 * np.spacing(scale), z
+
+    def test_arch_term_matches_mpmath_quadrature(self):
+        f = NFTestFn(0.1, 0.05)             # the CLI default
+        t_max = math.sqrt(2 * 38.0) / f.sigma + abs(f.mu) + 10.0
+
+        def integrand(t):
+            s = mpmath.mpc(0.5, t)
+            fhat = (f.amplitude * f.sigma * mpmath.sqrt(2 * mpmath.pi)
+                    * mpmath.exp(f.mu * s + f.sigma ** 2 * s * s / 2))
+            psi = mpmath.digamma(mpmath.mpc(0.25, t / 2))
+            return fhat.real * (psi.real - mpmath.log(mpmath.pi))
+
+        with mpmath.workdps(20):
+            want = float(mpmath.quad(integrand, mpmath.linspace(0, t_max, 9)) / mpmath.pi)
+        assert _arch_term(f, ArchQuadSpec()) == pytest.approx(want, rel=1e-12)
 
 
 class TestRiemannWeil:

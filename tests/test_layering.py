@@ -3,9 +3,17 @@
 ffield imports artin (extension counts come from the zeta function), so
 artin and the exact-arithmetic core below it must not import any layer
 above them, or the package's imports would form a cycle.
+
+Start-up: the CLI imports every zetalab module but no numeric library;
+numpy and mpmath are imported inside the functions that use them, and
+scipy not at all.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +54,40 @@ def test_import_reader_finds_known_edges():
     assert zetalab_imports("ffield") >= {"artin", "errors"}
     assert zetalab_imports("cli") >= {"artin", "bundles", "explicit", "ffield",
                                       "lattice", "nazeta"}
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def imported_packages(module: str) -> set[str]:
+    """Top-level names of everything `module` imports, at any depth."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
+    assert "scipy" not in imported_packages(module)
+
+
+def test_package_reader_finds_function_local_imports():
+    assert "numpy" in imported_packages("explicit")
+    assert "mpmath" in imported_packages("lattice")
+
+
+def test_cli_startup_loads_no_numeric_library():
+    code = ("import json, sys, zetalab.cli; zetalab.cli.build_parser(); "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out))
+    assert {name.split(".")[0] for name in loaded} & {"numpy", "scipy", "mpmath"} == set()
+    # the benchmark's tracer finds every layer under sys.modules
+    assert {f"zetalab.{m}" for m in MODULES if m != "__init__"} <= loaded
