@@ -120,20 +120,25 @@ class BundleDescriptor:
         return BundleDescriptor(tuple(summands))
 
 
-def _module_aut_count(partition: Sequence[int], q: int) -> Fraction:
+def _module_aut_count(partition: Sequence[int], q: int) -> int:
     """#Aut of (+)_i I_{r_i} (x) L for a fixed line bundle L over F_q.
 
     This is the automorphism count of a finite module of type `partition`
     over a discrete valuation ring with residue field F_q:
-    q^(sum_{i,j} min(r_i, r_j)) * prod_k prod_{i=1}^{m_k} (1 - q^-i),
-    where m_k is the multiplicity of the part k.
+    q^s * prod_k prod_{i=1}^{m_k} (1 - q^-i), s = sum_{i,j} min(r_i, r_j),
+    where m_k is the multiplicity of the part k.  As an integer it is
+    q^(s - sum_k m_k(m_k+1)/2) * prod_k prod_{i=1}^{m_k} (q^i - 1).
     """
-    s = sum(min(a, b) for a in partition for b in partition)
-    val = Fraction(q) ** s
-    for _, mult in Counter(partition).items():
+    mults = Counter(partition).values()
+    exponent = (sum(min(a, b) for a in partition for b in partition)
+                - sum(m * (m + 1) // 2 for m in mults))
+    if exponent < 0:
+        raise InputError("non-integral automorphism count")
+    total = q ** exponent
+    for mult in mults:
         for i in range(1, mult + 1):
-            val *= 1 - Fraction(1, q ** i)
-    return val
+            total *= q ** i - 1
+    return total
 
 
 def aut_order(b: BundleDescriptor, q: int) -> int:
@@ -149,12 +154,10 @@ def aut_order(b: BundleDescriptor, q: int) -> int:
     blocks: dict[LineOrbit, list[int]] = {}
     for r_j, orbit in b.summands:
         blocks.setdefault(orbit, []).append(r_j)
-    total = Fraction(1)
+    total = 1
     for orbit, partition in blocks.items():
         total *= _module_aut_count(partition, q ** orbit.size)
-    if total.denominator != 1:
-        raise InputError("non-integral automorphism count")
-    return int(total)
+    return total
 
 
 def h0_of_bundle(b: BundleDescriptor) -> int:
@@ -272,9 +275,10 @@ class CensusResult:
 def _class_row(key: StratumKey, label: str, classes, gr: BundleDescriptor,
                q: int) -> Stratum:
     contents = class_contents(gr)
-    mass = sum(Fraction(1, aut_order(v, q)) for v in contents)
-    gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, aut_order(v, q))
-                for v in contents)
+    auts = [aut_order(v, q) for v in contents]
+    mass = sum(Fraction(1, a) for a in auts)
+    gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, a)
+                for v, a in zip(contents, auts))
     return Stratum(key, label, Fraction(classes), len(contents), mass, gamma)
 
 

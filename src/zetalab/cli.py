@@ -161,7 +161,7 @@ def cmd_nazeta(args) -> dict:
         "functional_equation_ok": report.functional_equation_ok,
         "root_pairing_exact_ok": report.root_pairing_exact_ok,
         "root_pairing_numeric_residual": fmt_real(report.root_pairing_numeric_residual),
-        "counts": [fmt_rat(nazeta.na_counts(z, m)) for m in range(1, args.mmax + 1)],
+        "counts": [fmt_rat(c) for c in nazeta.na_counts(z, max(args.mmax, 0))],
     }
 
 

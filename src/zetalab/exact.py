@@ -1,11 +1,15 @@
 """Exact rational substrate: dense polynomials, rational functions, truncated series.
 
-All coefficients are `fractions.Fraction`; nothing here ever rounds.  A
-polynomial is a dense ascending coefficient tuple with the trailing zero
-coefficients stripped, a rational function keeps its denominator monic and
-coprime to the numerator, and a truncated power series carries its
-truncation order as explicit state (mixing orders takes the minimum).
-The one float helper, `complex_fsum`, rounds once per component.
+Coefficients are `fractions.Fraction` at the interface; nothing here ever
+rounds.  A polynomial is a dense ascending coefficient tuple with the
+trailing zero coefficients stripped, a rational function keeps its
+denominator monic and coprime to the numerator, and a truncated power
+series carries its truncation order as explicit state (mixing orders takes
+the minimum).  Inside, the series product, inverse and log and the power
+sums run their recurrences on Python ints whenever every input coefficient
+is an integer (a unit constant term for the inverse), and build Fractions
+only for the output; other input takes the Fraction recurrence.  The one
+float helper, `complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ def complex_fsum(values: Sequence[complex]) -> complex:
     (math.fsum over the real parts, then over the imaginary parts)."""
     return complex(math.fsum(v.real for v in values),
                    math.fsum(v.imag for v in values))
+
+
+def _ints(coeffs: Sequence[Fraction]) -> list[int] | None:
+    """The coefficients as ints, or None if any is not an integer."""
+    if all(c.denominator == 1 for c in coeffs):
+        return [c.numerator for c in coeffs]
+    return None
 
 
 def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -248,9 +259,13 @@ class RatFunc:
 
     def series(self, order: int) -> "Series":
         """Power-series expansion at t=0 to the given truncation order."""
-        if self.den[0] == 0:
+        d0 = self.den[0]
+        if d0 == 0:
             raise InputError("rational function has a pole at t=0")
-        return Series.from_poly(self.num, order) * Series.from_poly(self.den, order).inverse()
+        # a unit constant term keeps an integral pair, such as a Weil
+        # numerator over (1-t)(1-qt), on the integer recurrences
+        num, den = self.num.scale(1 / d0), self.den.scale(1 / d0)
+        return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -316,12 +331,15 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
-        out = [Fraction(0)] * n
-        for i in range(n):
-            ci = self.coeffs[i]
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        ia, ib = _ints(a), _ints(b)
+        if ia is not None and ib is not None:
+            a, b = ia, ib
+        out = [0] * n
+        for i, ci in enumerate(a):
             if ci:
                 for j in range(n - i):
-                    out[i + j] += ci * other.coeffs[j]
+                    out[i + j] += ci * b[j]
         return Series(out, n)
 
     def scale(self, c: RatLike) -> "Series":
@@ -333,6 +351,17 @@ class Series:
         if self.coeffs[0] == 0:
             raise InputError("series inverse needs nonzero constant term")
         n = self.order
+        a = _ints(self.coeffs)
+        if a is not None and a[0] in (1, -1):
+            # 1/a_0 = a_0, so every coefficient of the inverse is an integer
+            u = a[0]
+            out = [u] + [0] * (n - 1)
+            for k in range(1, n):
+                acc = 0
+                for j in range(1, k + 1):
+                    acc += a[j] * out[k - j]
+                out[k] = -u * acc
+            return Series(out, n)
         inv = [Fraction(0)] * n
         inv[0] = 1 / self.coeffs[0]
         for k in range(1, n):
@@ -347,6 +376,16 @@ class Series:
         if self.coeffs[0] != 1:
             raise InputError("series log needs constant term 1")
         n = self.order
+        a = _ints(self.coeffs)
+        if a is not None:
+            # M_k = k*L_k is an integer: M_k = k*S_k - sum_{j<k} M_j*S_{k-j}
+            ms = [0] * n
+            for k in range(1, n):
+                acc = k * a[k]
+                for j in range(1, k):
+                    acc -= ms[j] * a[k - j]
+                ms[k] = acc
+            return Series([0] + [Fraction(ms[k], k) for k in range(1, n)], n)
         lg = [Fraction(0)] * n
         # k*S_k = sum_{j=1..k} j*L_j*S_{k-j}, solved for L_k
         for k in range(1, n):
@@ -405,13 +444,22 @@ def power_sums_from_poly(p: Poly, m_max: int) -> list[Fraction]:
     """Power sums of the reciprocal roots of p, for m = 1..m_max.
 
     p must be normalized with p(0) = 1, i.e. p(t) = prod_i (1 - w_i t);
-    returns [sum_i w_i^m for m in 1..m_max] without any root extraction
-    (Newton's identities via the log derivative).
+    returns [sum_i w_i^m for m in 1..m_max] without any root extraction.
+    Newton's identity p_m = -m*a_m - sum_{j=1}^{min(m-1, d)} a_j*p_(m-j),
+    with a_m = 0 beyond the degree d, costs O(m_max * d) operations, on
+    ints when p is integral.
     """
     if p[0] != 1:
         raise InputError("power sums require p(0) = 1")
-    lg = Series.from_poly(p, m_max + 1).log()
-    return [-m * lg[m] for m in range(1, m_max + 1)]
+    a = _ints(p.coeffs) or list(p.coeffs)
+    d = p.degree
+    ps = [0] * (m_max + 1)
+    for m in range(1, m_max + 1):
+        acc = -m * a[m] if m <= d else 0
+        for j in range(1, min(m - 1, d) + 1):
+            acc -= a[j] * ps[m - j]
+        ps[m] = acc
+    return [Fraction(v) for v in ps[1:]]
 
 
 def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:

@@ -23,17 +23,33 @@ from zetalab.errors import CapabilityError, InputError, ResourceError
 ENUMERATION_BUDGET = 10 ** 7
 
 
+# prime_factors trial-divides up to this bound (about 50 ms at most), so it
+# factors every n below 10^12 and any n whose cofactor above it is prime
+TRIAL_DIVISION_BOUND = 10 ** 6
+
+
 def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division by d <= TRIAL_DIVISION_BOUND; what is left must then be
+    1, below the square of the next divisor, or prime by `is_prime`.  A
+    cofactor with every prime factor above the bound is refused
+    (ResourceError).
+    """
     out = []
-    d = 2
-    while d * d <= n:
+    d, limit = 2, min(isqrt(n), TRIAL_DIVISION_BOUND)
+    while d <= limit:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+            limit = min(isqrt(n), TRIAL_DIVISION_BOUND)
+        d += 1 if d == 2 else 2
     if n > 1:
+        if d * d <= n and not is_prime(n):
+            raise ResourceError(
+                f"{n} has no prime factor up to {TRIAL_DIVISION_BOUND} and is "
+                "not prime; factoring it is beyond the trial-division budget")
         out.append(n)
     return tuple(out)
 
@@ -144,16 +160,16 @@ def count_points(curve: WeierstrassCurve, ext: int = 1) -> int:
     ext >= 2 the count is read off the zeta function that N_1 fixes,
     N_ext = p^ext + 1 - (alpha^ext + conj(alpha)^ext) (artin.nm); no
     extension field is built.  The tests check it against an enumeration
-    of F_{p^ext}.  Fields beyond the enumeration budget are still refused
-    (ResourceError); call nm on the zeta datum for those.
+    of F_{p^ext}.  The census walks F_p, so p is held to the enumeration
+    budget (ResourceError); the extension degree only lengthens the
+    recurrence in nm.
     """
     if ext < 1:
         raise InputError("extension degree must be >= 1")
     p = curve.p
-    if p ** ext > ENUMERATION_BUDGET:
+    if p > ENUMERATION_BUDGET:
         raise ResourceError(
-            f"p^m = {p}^{ext} exceeds the enumeration budget; derive the "
-            "count from the curve's zeta function (abelian-zeta nm) instead")
+            f"p = {p} exceeds the enumeration budget of the F_p census")
     n1 = _count_prime_field(p, curve.a, curve.b)
     if ext == 1:
         return n1

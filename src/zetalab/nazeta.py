@@ -219,22 +219,26 @@ def na_properties_check(z: RankZeta) -> PropertiesReport:
     return PropertiesReport(degree_ok, fe_ok, pairing_exact, residual)
 
 
-def na_counts(z: RankZeta, m: int) -> Fraction:
-    """The rational count N(m): r(1 + q^m) - p_m when r | m, else -p_m.
+def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
+    """The rational counts [N(1), ..., N(m_max)]: N(m) = r(1 + q^m) - p_m
+    when r | m, else -p_m.
 
     p_m are exact power sums of the normalized numerator's reciprocal
-    roots; the value is verified against the log derivative of Z before
-    being returned.
+    roots, from Newton's identities.  Every N(m) is compared with
+    m * [log Z]_m, read off one log series of Z / P(0), before the list is
+    returned.
     """
-    if m < 1:
-        raise InputError("m must be >= 1")
-    ptilde = z.normalized_numerator
-    p_m = power_sums_from_poly(ptilde, m)[m - 1]
-    value = (z.r * (1 + rat(z.q) ** m) - p_m) if m % z.r == 0 else -p_m
-    logz = z.zfunc.scale(Fraction(1) / z.P[0]).series(m + 1).log()
-    if value != m * logz[m]:
-        raise InputError("count mismatch against the log derivative")
-    return value
+    if m_max < 0:
+        raise InputError("m_max must be >= 0")
+    psums = power_sums_from_poly(z.normalized_numerator, m_max)
+    q = rat(z.q)
+    values = [(z.r * (1 + q ** m) - p_m) if m % z.r == 0 else -p_m
+              for m, p_m in enumerate(psums, start=1)]
+    logz = z.zfunc.scale(Fraction(1) / z.P[0]).series(m_max + 1).log()
+    for m, value in enumerate(values, start=1):
+        if value != m * logz[m]:
+            raise InputError(f"count N({m}) mismatch against the log derivative")
+    return values
 
 
 def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
@@ -266,8 +270,8 @@ def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
 
     den = cyc(Fraction(1)) * cyc(rat(z.q) ** z.r)
     lhs = num_series * RatFunc(Poly.one(), den).series(order)
-    counts = [na_counts(z, a * m) for m in range(1, order)]
-    rhs = Series([0] + [counts[m - 1] / m for m in range(1, order)], order).exp()
+    counts = na_counts(z, a * (order - 1))
+    rhs = Series([0] + [counts[a * m - 1] / m for m in range(1, order)], order).exp()
     return lhs == rhs
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
 
@@ -12,6 +13,8 @@ from zetalab.bundles import (
     InvariantTable,
     LineOrbit,
     StratumKey,
+    _module_aut_count,
+    _partitions,
     _triple_count,
     _zeta_value,
     aut_order,
@@ -83,6 +86,23 @@ class TestAutOrder:
         v = BundleDescriptor.of((5, O))
         with pytest.raises(CapabilityError):
             aut_order(v, 5)
+
+    def test_closed_form_matches_fraction_product(self):
+        # q^s * prod_k prod_{i<=m_k} (1 - q^-i), s = sum_{i,j} min(r_i, r_j)
+        for q in (2, 3, 5, 49):
+            for n in range(1, 5):
+                for partition in _partitions(n):
+                    want = F(q) ** sum(min(a, b) for a in partition for b in partition)
+                    for mult in Counter(partition).values():
+                        for i in range(1, mult + 1):
+                            want *= 1 - F(1, q ** i)
+                    got = _module_aut_count(partition, q)
+                    assert type(got) is int and got == want, (q, partition)
+
+    def test_negative_exponent_is_refused(self):
+        # a zero part is no module type; its exponent would be negative
+        with pytest.raises(InputError):
+            _module_aut_count((0, 0), 5)
 
 
 class TestClassContents:

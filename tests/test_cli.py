@@ -172,6 +172,15 @@ class TestExitCodes:
         assert main(["xi", "--s", "0.5+1e9j"]) == 2
         assert time.perf_counter() - start < 0.5
 
+    def test_euler_discriminant_factoring_is_bounded(self, capsys):
+        # 6 * (4A^3 + 27B^2) has an 89-bit cofactor with no prime factor up
+        # to the trial-division bound: refused, not trial-divided to its root
+        start = time.perf_counter()
+        assert main(["euler", "--A", "1000000007", "--B", "1", "--s=3",
+                     "--pmax", "100"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == ""
+
     def test_xi_far_left_is_bounded(self, capsys):
         # a large negative sigma must not raise the working precision
         start = time.perf_counter()

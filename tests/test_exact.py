@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab.errors import InputError
 from zetalab.exact import (
@@ -30,6 +32,46 @@ def longdiv_series(num, den, order):
             if k + j < len(rem):
                 rem[k + j] -= c * dj
     return out
+
+
+# The Fraction recurrences that Series used for every input before it grew
+# integer paths, kept as oracles for both paths.
+
+def fraction_mul(a, b):
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def fraction_inverse(a):
+    n = len(a)
+    inv = [Fraction(0)] * n
+    inv[0] = 1 / Fraction(a[0])
+    for k in range(1, n):
+        acc = sum((a[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0))
+        inv[k] = -acc / a[0]
+    return inv
+
+
+def fraction_log(a):
+    # k*S_k = sum_{j=1..k} j*L_j*S_{k-j}, solved for L_k
+    n = len(a)
+    lg = [Fraction(0)] * n
+    for k in range(1, n):
+        acc = Fraction(k) * a[k]
+        for j in range(1, k):
+            acc -= j * lg[j] * a[k - j]
+        lg[k] = acc / k
+    return lg
+
+
+def log_power_sums(p, m_max):
+    """Power sums as -m * [log p]_m, in Fractions: O(m_max^2)."""
+    lg = fraction_log(list(Series.from_poly(p, m_max + 1).coeffs))
+    return [-m * lg[m] for m in range(1, m_max + 1)]
 
 
 def rand_poly(rng, deg, bound=9):
@@ -175,6 +217,90 @@ def fe_transform(p, q, rg):
     for i, c in enumerate(p.coeffs):
         out[2 * rg - i] = c * Fraction(q) ** (rg - i)
     return Poly(out)
+
+
+integers = st.integers(-30, 30)
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def coefficient_lists(elements, min_size=1, max_size=14):
+    return st.lists(elements, min_size=min_size, max_size=max_size)
+
+
+class TestIntegerPaths:
+    """The integer recurrences agree with the Fraction oracles, on integral
+    input (the integer path) and on rational input (the Fraction path)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(integers), coefficient_lists(integers))
+    def test_mul_integral(self, a, b):
+        got = Series(a) * Series(b)
+        assert list(got.coeffs) == fraction_mul(a, b)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(rationals), coefficient_lists(integers))
+    def test_mul_rational(self, a, b):
+        assert list((Series(a) * Series(b)).coeffs) == fraction_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, -1, 2, -3]), coefficient_lists(integers, 0))
+    def test_inverse_integral(self, c0, tail):
+        a = [c0] + tail
+        got = Series(a).inverse()
+        assert list(got.coeffs) == fraction_inverse(a)
+        assert list((got * Series(a)).coeffs) == [1] + [0] * len(tail)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rationals.filter(bool), coefficient_lists(rationals, 0))
+    def test_inverse_rational(self, c0, tail):
+        a = [c0] + tail
+        assert list(Series(a).inverse().coeffs) == fraction_inverse(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(integers, 0))
+    def test_log_integral(self, tail):
+        a = [1] + tail
+        got = Series(a).log()
+        assert list(got.coeffs) == fraction_log(a)
+        assert got.exp() == Series(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(rationals, 0))
+    def test_log_rational(self, tail):
+        a = [1] + tail
+        assert list(Series(a).log().coeffs) == fraction_log(a)
+
+    def test_log_needs_unit_constant(self):
+        # constant term -1 has no log, on either path
+        with pytest.raises(InputError):
+            Series([-1, 3, 4]).log()
+        with pytest.raises(InputError):
+            Series([-1, Fraction(1, 2)]).log()
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists(integers, 0, 8), st.integers(0, 16))
+    def test_power_sums_integral(self, tail, m_max):
+        # d < m and d > m both occur: deg p is 0..8, m_max is 0..16
+        p = Poly([1] + tail)
+        got = power_sums_from_poly(p, m_max)
+        assert got == log_power_sums(p, m_max)
+        assert all(type(c) is Fraction for c in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists(rationals, 0, 8), st.integers(0, 16))
+    def test_power_sums_rational(self, tail, m_max):
+        p = Poly([1] + tail)
+        assert power_sums_from_poly(p, m_max) == log_power_sums(p, m_max)
+
+    def test_curve_series_is_integral(self):
+        # the monic denominator (1-t)(1-qt)/q is rescaled to a unit constant
+        # term, so the Weil numerator's series stays integral
+        f = RatFunc(Poly([1, -2, 5]), Poly([1, -1]) * Poly([1, -5]))
+        assert f.den.coeffs[0] == Fraction(1, 5)
+        s = f.series(12)
+        assert list(s.coeffs) == longdiv_series(f.num.coeffs, f.den.coeffs, 12)
+        assert all(c.denominator == 1 for c in s.coeffs)
 
 
 class TestFETransformCheck:

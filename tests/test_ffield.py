@@ -3,9 +3,12 @@ from math import lcm
 import pytest
 from fq_oracle import Fq, enumerated_count, norm_kernel_size, pt_add, smallest_irreducible
 
+from zetalab.artin import elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError, ResourceError
 from zetalab.ffield import (
+    ENUMERATION_BUDGET,
     MILLER_RABIN_BOUND,
+    TRIAL_DIVISION_BOUND,
     FieldSpec,
     GroupStructure,
     WeierstrassCurve,
@@ -79,9 +82,20 @@ class TestCountPoints:
         assert count_points(WeierstrassCurve(FieldSpec(7), 1, 3), 6) == 117180
 
     def test_budget(self):
-        big = WeierstrassCurve(FieldSpec(9973), 1, 1)
-        with pytest.raises(ResourceError):
-            count_points(big, 2)
+        # the budget is on p, which sets the cost of the F_p census; the
+        # extension degree only lengthens the zeta recurrence
+        assert ENUMERATION_BUDGET < 10000019
+        big = WeierstrassCurve(FieldSpec(10000019), 1, 1)
+        for ext in (1, 2):
+            with pytest.raises(ResourceError):
+                count_points(big, ext)
+
+    def test_large_extension_from_zeta(self):
+        # 9973^2 is past the enumeration budget; only the census of F_9973 runs
+        curve = WeierstrassCurve(FieldSpec(9973), 1, 1)
+        n1 = count_points(curve, 1)
+        assert count_points(curve, 2) == nm(elliptic_zeta(9973, n1), 2)
+        assert count_points(curve, 5) == nm(elliptic_zeta(9973, n1), 5)
 
     def test_hasse_bound_over_gallery(self):
         for p in (5, 7, 11, 13):
@@ -196,6 +210,17 @@ class TestPrimeFactors:
                     brute[m].append(q)
         for n in range(1, top + 1):
             assert prime_factors(n) == tuple(brute[n])
+
+    def test_prime_cofactor_past_trial_division(self):
+        big = 1000003 * 1000033          # both primes, above the bound
+        assert 1000003 > TRIAL_DIVISION_BOUND
+        assert prime_factors(6 * 1000003) == (2, 3, 1000003)
+        assert prime_factors(12 * 999983 ** 2 * 1000000007) == (2, 3, 999983, 1000000007)
+        # a composite cofactor without a factor up to the bound is refused
+        with pytest.raises(ResourceError):
+            prime_factors(big)
+        with pytest.raises(ResourceError):
+            prime_factors(5 * big)
 
     def test_is_prime(self):
         for n in range(-2, 10 ** 4 + 1):

@@ -200,21 +200,38 @@ class TestProperties:
 class TestCounts:
     def test_paper_rank2_values(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
-        assert na_counts(z, 1) == 4
-        assert na_counts(z, 2) == 48
+        assert na_counts(z, 2) == [4, 48]
 
     def test_rank1_reduces_to_point_counts(self):
         z = ell_na_zeta(E59, 1, Convention.PAPER_SPLIT)
-        for m in range(1, 7):
-            assert na_counts(z, m) == nm(E59.zeta, m)
+        assert na_counts(z, 6) == [nm(E59.zeta, m) for m in range(1, 7)]
 
     def test_counts_match_log_derivative_for_all(self):
         # na_counts self-verifies; exercise across ranks and conventions
         for conv in Convention:
             for r in (1, 2, 3):
                 z = ell_na_zeta(E58, r, conv)
-                for m in range(1, 7):
-                    na_counts(z, m)
+                assert len(na_counts(z, 6)) == 6
+
+    def test_log_derivative_check_is_live(self, monkeypatch):
+        # counts built from wrong power sums must be refused, so the kept
+        # comparison with m * [log Z]_m is not dead code
+        exact_sums = nazeta.power_sums_from_poly
+        z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
+        monkeypatch.setattr(nazeta, "power_sums_from_poly",
+                            lambda p, m_max: [c + 1 for c in exact_sums(p, m_max)])
+        with pytest.raises(InputError, match="log derivative"):
+            na_counts(z, 1)
+        monkeypatch.setattr(nazeta, "power_sums_from_poly",
+                            lambda p, m_max: exact_sums(p, m_max)[:-1] + [0])
+        with pytest.raises(InputError, match=r"N\(6\)"):
+            na_counts(z, 6)
+
+    def test_empty_and_negative(self):
+        z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
+        assert na_counts(z, 0) == []
+        with pytest.raises(InputError):
+            na_counts(z, -1)
 
 
 class TestRootsOfUnityProduct:
