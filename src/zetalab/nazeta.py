@@ -12,7 +12,8 @@ zeta function would pick up from unstable bundles), partial global Euler
 products over good primes, whose rank-2 factors are integer polynomials in
 p and a_p with a_p computed only where a factor uses it, and the formal
 match with a genus-two spinor factor under a specific substitution.
-numpy is imported only by `na_properties_check`, for its float spot-check.
+The module imports no numeric library: the float spot-check in
+`na_properties_check` finds its roots by Durand-Kerner iteration.
 """
 
 from __future__ import annotations
@@ -190,6 +191,51 @@ class PropertiesReport:
                 and self.root_pairing_numeric_residual <= 1e-9)
 
 
+# Durand-Kerner stops once every correction is below DK_TOL relative to
+# its root, then makes DK_POLISH more sweeps; from there a sweep squares the
+# error, so the polish leaves the roots at the rounding floor
+DK_MAX_SWEEPS = 500
+DK_TOL = 1e-10
+DK_POLISH = 3
+
+
+def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
+    """Every root of the float polynomial with ascending `coeffs`, which
+    must have simple roots and a nonzero constant term.
+
+    Weierstrass (Durand-Kerner) iteration from a circle of the roots'
+    geometric-mean radius, updating in place; a polynomial that has not
+    converged within DK_MAX_SWEEPS sweeps raises NumericError.
+    """
+    n = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    radius = abs(monic[0]) ** (1 / n)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    polish = None
+    for _ in range(DK_MAX_SWEEPS):
+        small = True
+        for i, zi in enumerate(z):
+            value = 0j
+            for c in reversed(monic):
+                value = value * zi + c
+            spread = 1 + 0j
+            for j, zj in enumerate(z):
+                if j != i:
+                    spread *= zi - zj
+            if spread == 0:
+                raise NumericError("Durand-Kerner iterates collided")
+            delta = value / spread
+            z[i] = zi - delta
+            small = small and abs(delta) <= DK_TOL * abs(z[i])
+        if polish is None and small:
+            polish = DK_POLISH
+        if polish is not None:
+            if polish == 0:
+                return z
+            polish -= 1
+    raise NumericError(f"Durand-Kerner did not converge in {DK_MAX_SWEEPS} sweeps")
+
+
 def na_properties_check(z: RankZeta) -> PropertiesReport:
     """Degree 2rg, functional equation, and the root pairing w * w' = q.
 
@@ -198,7 +244,6 @@ def na_properties_check(z: RankZeta) -> PropertiesReport:
     spot-checked numerically by matching the root multiset against q over
     its reflection.
     """
-    import numpy as np
     rg = z.r * z.g
     degree_ok = z.P.degree == 2 * rg
     fe_ok = fe_transform_check(z.P, z.q, rg)
@@ -207,7 +252,7 @@ def na_properties_check(z: RankZeta) -> PropertiesReport:
                       for i in range(2 * rg + 1)])
     pairing_exact = reflected == ptilde
     squarefree = ptilde // ptilde.gcd(ptilde.derivative())
-    roots = list(np.roots([float(c) for c in reversed(squarefree.coeffs)]))
+    roots = _durand_kerner([float(c) for c in squarefree.coeffs])
     omegas = [1 / r_ for r_ in roots]
     residual = 0.0
     targets = omegas.copy()

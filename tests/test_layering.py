@@ -6,7 +6,8 @@ above them, or the package's imports would form a cycle.
 
 Start-up: the CLI imports every zetalab module but no numeric library;
 numpy and mpmath are imported inside the functions that use them, and
-scipy not at all.
+scipy not at all.  The curve commands over F_q (artin, nazeta, census,
+mass, allbundles, explicit-ff) run without either.
 """
 
 import ast
@@ -91,3 +92,28 @@ def test_cli_startup_loads_no_numeric_library():
     assert {name.split(".")[0] for name in loaded} & {"numpy", "scipy", "mpmath"} == set()
     # the benchmark's tracer finds every layer under sys.modules
     assert {f"zetalab.{m}" for m in MODULES if m != "__init__"} <= loaded
+
+
+CURVE_JOBS = [
+    ["artin", "--curve", "y2=x3+x+1", "--p", "5"],
+    ["nazeta", "--curve", "y2=x3+2x+3", "--p", "7", "--rank", "3",
+     "--convention", "descent"],
+    ["census", "--curve", "y2=x3+x", "--p", "13", "--rank", "3",
+     "--convention", "descent"],
+    ["mass", "--curve", "y2=x3+4x", "--p", "5"],
+    ["allbundles", "--curve", "y2=x3+x+1", "--p", "5", "--order", "6"],
+    ["explicit-ff", "--curve", "y2=x3+x+1", "--p", "5", "--count", "5"],
+]
+
+
+def test_curve_commands_load_no_numeric_library():
+    code = ("import contextlib, io, json, sys, zetalab.cli\n"
+            f"for argv in {CURVE_JOBS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert zetalab.cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out)}
+    assert loaded & {"numpy", "mpmath"} == set()

@@ -197,6 +197,65 @@ class TestProperties:
                                                     Convention.PAPER_SPLIT)
 
 
+def np_roots_residual(z):
+    """The pairing residual as computed before Durand-Kerner: the roots of
+    the squarefree normalized numerator from numpy's companion matrix."""
+    ptilde = z.normalized_numerator
+    squarefree = ptilde // ptilde.gcd(ptilde.derivative())
+    roots = list(np.roots([float(c) for c in reversed(squarefree.coeffs)]))
+    omegas = [1 / r_ for r_ in roots]
+    residual, targets = 0.0, omegas.copy()
+    for w in omegas:
+        want = z.q / w
+        best = min(targets, key=lambda t: abs(t - want))
+        residual = max(residual, abs(best - want))
+        targets.remove(best)
+    return residual, roots, squarefree
+
+
+def small_curve_data():
+    """Every CurveData (q, N_1, group) of a curve over F_p, 5 <= p <= 23."""
+    found = set()
+    for p in primes_up_to(23):
+        if p < 5:
+            continue
+        for a in range(p):
+            for b in range(p):
+                if (4 * a ** 3 + 27 * b * b) % p:
+                    found.add(CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b)))
+    return sorted(found, key=lambda d: (d.q, d.n1, d.group.n1))
+
+
+class TestDurandKerner:
+    def test_against_numpy_roots(self):
+        datas = small_curve_data()
+        assert len(datas) > 100
+        for data in datas:
+            for conv in Convention:
+                for r in (1, 2, 3):
+                    z = ell_na_zeta(data, r, conv)
+                    want, np_roots, squarefree = np_roots_residual(z)
+                    got = na_properties_check(z).root_pairing_numeric_residual
+                    assert got <= 1e-12 and abs(got - want) <= 1e-12, (data, r, conv)
+                    roots = nazeta._durand_kerner([float(c) for c in squarefree.coeffs])
+                    assert len(roots) == len(np_roots) == squarefree.degree
+                    for x in roots:
+                        nearest = min(abs(x - y) for y in np_roots)
+                        assert nearest <= 1e-12 * abs(x), (data, r, conv)
+
+    def test_simple_roots(self):
+        # (t - 1)(t - 2)(t + 3)(t^2 + 1), ascending coefficients
+        poly = Poly([-1, 1]) * Poly([-2, 1]) * Poly([3, 1]) * Poly([1, 0, 1])
+        roots = nazeta._durand_kerner([float(c) for c in poly.coeffs])
+        for want in (1, 2, -3, 1j, -1j):
+            assert min(abs(x - want) for x in roots) < 1e-14
+
+    def test_sweep_budget(self, monkeypatch):
+        monkeypatch.setattr(nazeta, "DK_MAX_SWEEPS", 2)
+        with pytest.raises(NumericError):
+            nazeta._durand_kerner([6.0, -5.0, 1.0, 3.0, -2.0])
+
+
 class TestCounts:
     def test_paper_rank2_values(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
