@@ -279,7 +279,7 @@ def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
     q = rat(z.q)
     values = [(z.r * (1 + q ** m) - p_m) if m % z.r == 0 else -p_m
               for m, p_m in enumerate(psums, start=1)]
-    logz = z.zfunc.scale(Fraction(1) / z.P[0]).series(m_max + 1).log()
+    logz = z.zseries(m_max + 1).scale(1 / z.P[0]).log()
     for m, value in enumerate(values, start=1):
         if value != m * logz[m]:
             raise InputError(f"count N({m}) mismatch against the log derivative")
