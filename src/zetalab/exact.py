@@ -7,9 +7,10 @@ denominator monic and coprime to the numerator, and a truncated power
 series carries its truncation order as explicit state (mixing orders takes
 the minimum).  Inside, the series product, inverse and log and the power
 sums run their recurrences on Python ints whenever every input coefficient
-is an integer (a unit constant term for the inverse), and build Fractions
-only for the output; other input takes the Fraction recurrence.  The one
-float helper, `complex_fsum`, rounds once per component.
+is an integer (with a constant term of +-1 for the inverse), and build
+Fractions only for the output; other input runs the same recurrences on
+Fractions.  The one float helper, `complex_fsum`, rounds once per
+component.
 """
 
 from __future__ import annotations
@@ -331,12 +332,12 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        ia, ib = _ints(a), _ints(b)
-        if ia is not None and ib is not None:
-            a, b = ia, ib
+        a, b = _ints(self.coeffs[:n]), _ints(other.coeffs[:n])
+        if a is None or b is None:
+            a, b = self.coeffs, other.coeffs
         out = [0] * n
-        for i, ci in enumerate(a):
+        for i in range(n):
+            ci = a[i]
             if ci:
                 for j in range(n - i):
                     out[i + j] += ci * b[j]
@@ -353,22 +354,15 @@ class Series:
         n = self.order
         a = _ints(self.coeffs)
         if a is not None and a[0] in (1, -1):
-            # 1/a_0 = a_0, so every coefficient of the inverse is an integer
-            u = a[0]
-            out = [u] + [0] * (n - 1)
-            for k in range(1, n):
-                acc = 0
-                for j in range(1, k + 1):
-                    acc += a[j] * out[k - j]
-                out[k] = -u * acc
-            return Series(out, n)
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / self.coeffs[0]
+            c = a[0]                      # 1/a_0 = a_0: the inverse is integral
+        else:
+            a, c = self.coeffs, 1 / self.coeffs[0]
+        inv = [c] + [0] * (n - 1)
         for k in range(1, n):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, k + 1):
-                acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / self.coeffs[0]
+                acc += a[j] * inv[k - j]
+            inv[k] = -acc * c
         return Series(inv, n)
 
     def log(self) -> "Series":
@@ -376,24 +370,16 @@ class Series:
         if self.coeffs[0] != 1:
             raise InputError("series log needs constant term 1")
         n = self.order
-        a = _ints(self.coeffs)
-        if a is not None:
-            # M_k = k*L_k is an integer: M_k = k*S_k - sum_{j<k} M_j*S_{k-j}
-            ms = [0] * n
-            for k in range(1, n):
-                acc = k * a[k]
-                for j in range(1, k):
-                    acc -= ms[j] * a[k - j]
-                ms[k] = acc
-            return Series([0] + [Fraction(ms[k], k) for k in range(1, n)], n)
-        lg = [Fraction(0)] * n
-        # k*S_k = sum_{j=1..k} j*L_j*S_{k-j}, solved for L_k
+        a = _ints(self.coeffs) or self.coeffs
+        # M_k = k*L_k solves k*S_k = sum_{j=1..k} M_j*S_{k-j}; it is an
+        # integer when S is integral
+        ms = [0] * n
         for k in range(1, n):
-            acc = Fraction(k) * self.coeffs[k]
+            acc = k * a[k]
             for j in range(1, k):
-                acc -= j * lg[j] * self.coeffs[k - j]
-            lg[k] = acc / k
-        return Series(lg, n)
+                acc -= ms[j] * a[k - j]
+            ms[k] = acc
+        return Series([0] + [Fraction(ms[k], k) for k in range(1, n)], n)
 
     def exp(self) -> "Series":
         """exp of a series with constant term 0."""
@@ -451,7 +437,7 @@ def power_sums_from_poly(p: Poly, m_max: int) -> list[Fraction]:
     """
     if p[0] != 1:
         raise InputError("power sums require p(0) = 1")
-    a = _ints(p.coeffs) or list(p.coeffs)
+    a = _ints(p.coeffs) or p.coeffs
     d = p.degree
     ps = [0] * (m_max + 1)
     for m in range(1, m_max + 1):

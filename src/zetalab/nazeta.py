@@ -208,31 +208,30 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
     converged within DK_MAX_SWEEPS sweeps raises NumericError.
     """
     n = len(coeffs) - 1
-    monic = [c / coeffs[-1] for c in coeffs]
-    radius = abs(monic[0]) ** (1 / n)
+    monic = [c / coeffs[-1] for c in reversed(coeffs)]
+    radius = abs(monic[-1]) ** (1 / n)
     z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-    polish = None
-    for _ in range(DK_MAX_SWEEPS):
+
+    def sweep() -> bool:
+        """Update every root once; True if every step was below DK_TOL."""
         small = True
         for i, zi in enumerate(z):
             value = 0j
-            for c in reversed(monic):
+            for c in monic:
                 value = value * zi + c
-            spread = 1 + 0j
-            for j, zj in enumerate(z):
-                if j != i:
-                    spread *= zi - zj
+            spread = math.prod(zi - zj for j, zj in enumerate(z) if j != i)
             if spread == 0:
                 raise NumericError("Durand-Kerner iterates collided")
-            delta = value / spread
-            z[i] = zi - delta
-            small = small and abs(delta) <= DK_TOL * abs(z[i])
-        if polish is None and small:
-            polish = DK_POLISH
-        if polish is not None:
-            if polish == 0:
-                return z
-            polish -= 1
+            step = value / spread
+            z[i] = zi - step
+            small = small and abs(step) <= DK_TOL * abs(z[i])
+        return small
+
+    for _ in range(DK_MAX_SWEEPS):
+        if sweep():
+            for _ in range(DK_POLISH):
+                sweep()
+            return z
     raise NumericError(f"Durand-Kerner did not converge in {DK_MAX_SWEEPS} sweeps")
 
 
