@@ -1,11 +1,11 @@
 """Prime fields and point counting on Weierstrass curves.
 
 This is the counting layer that grounds the zeta machinery: prime fields
-F_p, projective point counts of y^2 = x^3 + ax + b, one group law over
-F_p, and the group structure of the rational points.  N_1 = #E(F_p) is a
-census over a table of squares; counts over F_{p^n} follow from N_1
-through the curve's zeta function, and the enumeration of F_{p^n} that
-checks them lives in the tests.  The group structure is derived from
+F_p, projective point counts of y^2 = x^3 + ax + b, scalar multiplication
+on such a curve, and the group structure of the rational points.
+N_1 = #E(F_p) is a census over a table of squares; counts over F_{p^n}
+follow from N_1 through the curve's zeta function, and the enumeration of
+F_{p^n} that checks them lives in the tests.  The group structure is derived from
 N = #E(F_p): the points are read from a square-root table and the
 exponent is N with its primes stripped by scalar multiplication (Cohen,
 GTM 138, section 7.4).
@@ -195,36 +195,60 @@ def trace_of_frobenius(p: int, a: int, b: int) -> int:
     return p + 1 - _count_prime_field(p, a % p, b % p)
 
 
-# -- group law on y^2 = x^3 + ax + b over F_p; points are (x, y) with
-# 0 <= x, y < p, and None is the point at infinity
-
-def ec_add(p: int, a: int, P, Q):
-    """P + Q on y^2 = x^3 + ax + b over F_p."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
+# -- group law on y^2 = x^3 + ax + b over F_p.  Affine points are (x, y)
+# with 0 <= x, y < p and None is the point at infinity.  ec_mul is the one
+# scalar multiplication; the Shanks-Mestre walks in nazeta add affine points
+# inline, and tests/fq_oracle.py's pt_add is the group-law oracle.
 
 def ec_mul(p: int, a: int, P, k: int):
-    """k * P for k >= 0, by double-and-add."""
-    acc = None
-    while k:
-        if k & 1:
-            acc = ec_add(p, a, acc, P)
-        P = ec_add(p, a, P, P)
-        k >>= 1
-    return acc
+    """k * P for k >= 0, returned affine (None for O).
+
+    Left-to-right double-and-add in Jacobian coordinates (X : Y : Z) =
+    (X/Z^2, Y/Z^3), with Z = 0 for O: doublings for a general a, additions
+    mixed with the affine P, and one inversion at the end (Cohen, Miyaji
+    and Ono, ASIACRYPT 1998).  A point with Y = 0 doubles to Z = 0, and O
+    plus P is P.  If the running point equals P before an addition, the
+    sum is 2P, taken from this routine at k = 2; P then has odd order, so
+    2P is affine.
+    """
+    if P is None or k == 0:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        if Z:
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + a * ZZ * ZZ) % p
+            Z = 2 * Y * Z % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+        if bit == "0":
+            continue
+        if not Z:
+            X, Y, Z = x, y, 1
+            continue
+        ZZ = Z * Z % p
+        H = (x * ZZ - X) % p
+        r = (y * ZZ * Z - Y) % p
+        if not H:
+            if r:
+                Z = 0
+            else:
+                (X, Y), Z = ec_mul(p, a, P, 2), 1
+            continue
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X = (r * r - HHH - 2 * V) % p
+        Y = (r * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 * zi % p
 
 
 def _enumerate_points(p: int, a: int, b: int):

@@ -36,7 +36,7 @@ from zetalab.exact import (
     power_sums_from_poly,
     rat,
 )
-from zetalab.ffield import ec_add, ec_mul, prime_factors, primes_up_to, trace_of_frobenius
+from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobenius
 
 
 @dataclass(frozen=True)
@@ -485,47 +485,74 @@ MESTRE_BOUND = 229
 
 
 def _hasse_multiples(p: int, a: int, P) -> list[int]:
-    """Every M in [p+1-w, p+1+w], w = floor(2 sqrt p), with M * P = O.
+    """Every M in [lo, hi] = [p+1-w, p+1+w], w = floor(2 sqrt p), with
+    M * P = O.
 
-    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a zero
-    or a repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the second
-    case a giant-step window [c-m, c+m] holds at most one multiple of n, and
-    cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The giant
-    step is (2m+1)P = (m+1)P + mP.
+    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a
+    repeated x-coordinate, jP = -j'P, or 2P = O) or show n >= 2m+2.  In the
+    second case a giant-step window [c-m, c+m] holds at most one multiple
+    of n, and cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The
+    giant step is G = (2m+1)P = (m+1)P + mP, and the windows are centred on
+    the multiples c of 2m+1 from k(2m+1), k = floor((lo+m)/(2m+1)), whose
+    window is the first to reach lo, so the walk starts at kG = ec_mul(G, k).
+    That first window can reach below lo; only M in [lo, hi] are kept.
+    Both walks add affine points inline: one inversion per step.
     """
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
     m = math.isqrt(w) + 1
+    px, py = P
     baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
-    R, n = P, 0
+    x, y = P                                  # jP
     for j in range(1, m + 2):
-        if R is None:
-            n = j
+        if x in baby:
+            n = j + baby[x][0]
+            return list(range(-(-lo // n) * n, hi + 1, n))
+        if j > m:
             break
-        if R[0] in baby:
-            n = j + baby[R[0]][0]
-            break
-        if j <= m:
-            baby[R[0]] = (j, R[1])
-            mP, R = R, ec_add(p, a, R, P)
-    if n:
-        return list(range(-(-lo // n) * n, hi + 1, n))
+        baby[x] = (j, y)
+        mx, my = x, y
+        if j > 1:                             # x(jP) != x(P): a chord
+            lam = (y - py) * pow(x - px, -1, p) % p
+        elif py:                              # 2P by the tangent
+            lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
+        else:
+            return list(range(-(-lo // 2) * 2, hi + 1, 2))
+        x3 = (lam * lam - x - px) % p
+        x, y = x3, (lam * (x - x3) - y) % p
+    # (m+1)P and mP have different x, or (2m+1)P = O would have been found
+    lam = (y - my) * pow(x - mx, -1, p) % p
+    gx = (lam * lam - x - mx) % p
+    gy = (lam * (x - gx) - y) % p
+    step = 2 * m + 1
+    k = (lo + m) // step
+    c = k * step
+    Q = ec_mul(p, a, (gx, gy), k)
     found = []
-    step = ec_add(p, a, R, mP)
-    c = lo + m
-    Q = ec_mul(p, a, P, c)
-    while c - m <= hi:                      # windows tile [lo, hi] from lo up
-        M = None
+    while True:
         if Q is None:
             M = c
-        elif Q[0] in baby:
-            j, y = baby[Q[0]]
-            M = c - j if Q[1] == y else c + j
-        if M is not None and M <= hi:
+        else:
+            qx, qy = Q
+            hit = baby.get(qx)                # cP = jP or -jP
+            M = None if hit is None else (c - hit[0] if qy == hit[1] else c + hit[0])
+        if M is not None and lo <= M <= hi:
             found.append(M)
-        Q = ec_add(p, a, Q, step)
-        c += 2 * m + 1
-    return found
+        c += step
+        if c - m > hi:
+            return found
+        if Q is None:                         # Q += G
+            Q = gx, gy
+            continue
+        if qx != gx:
+            lam = (gy - qy) * pow(gx - qx, -1, p) % p
+        elif qy == gy and qy:
+            lam = (3 * qx * qx + a) * pow(2 * qy, -1, p) % p
+        else:                                 # Q = -G
+            Q = None
+            continue
+        x3 = (lam * lam - qx - gx) % p
+        Q = x3, (lam * (qx - x3) - qy) % p
 
 
 def ap_fast(p: int, A: int, B: int) -> int:

@@ -215,6 +215,14 @@ def pt_add(fld: Fq, a_coeff, P, Q):
     return (x3, y3)
 
 
+def multiples(fld: Fq, a_coeff, P) -> list:
+    """[O, P, 2P, ..., nP = O] for P of order n, by repeated pt_add."""
+    out = [None, P]
+    while out[-1] is not None:
+        out.append(pt_add(fld, a_coeff, out[-1], P))
+    return out
+
+
 def _enumerate_points(fld: Fq, a_coeff, b_coeff):
     """Infinity (None) and the affine points, read from one table of
     square roots: O(q) field operations."""

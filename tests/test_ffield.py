@@ -1,7 +1,14 @@
 from math import lcm
 
 import pytest
-from fq_oracle import Fq, enumerated_count, norm_kernel_size, pt_add, smallest_irreducible
+from fq_oracle import (
+    Fq,
+    enumerated_count,
+    multiples,
+    norm_kernel_size,
+    pt_add,
+    smallest_irreducible,
+)
 
 from zetalab.artin import elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError, ResourceError
@@ -13,6 +20,7 @@ from zetalab.ffield import (
     GroupStructure,
     WeierstrassCurve,
     count_points,
+    ec_mul,
     group_structure,
     is_prime,
     prime_factors,
@@ -198,6 +206,47 @@ class TestGroupStructureOracle:
         assert gs.n1 == n1
         assert group_structure(curve) == gs
 
+
+
+class TestEcMul:
+    # y^2 = x^3 - x has full 2-torsion, y^2 = x^3 + 1 points of orders 2
+    # and 3, y^2 = x^3 + x + 1 and y^2 = x^3 + 2x + 3 are generic
+    CURVES = ((-1, 0), (0, 1), (1, 1), (2, 3))
+
+    def test_against_repeated_addition(self):
+        seen_orders = set()
+        for p in (q for q in primes_up_to(300) if q >= 5):
+            fld = Fq(p)
+            roots = [[y for y in range(p) if y * y % p == r] for r in range(p)]
+            for a, b in self.CURVES:
+                if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                    continue
+                a %= p
+                # the points with x < 4 and every point with y = 0
+                points = [(x, y) for x in range(p) for y in roots[(x ** 3 + a * x + b) % p]
+                          if x < 4 or y == 0]
+                for P in points:
+                    mult = multiples(fld, a, P)
+                    n = len(mult) - 1
+                    seen_orders.add(n)
+                    ks = {0, 1, 2, n - 1, n, n + 1, 5 * n + 3}
+                    if n <= 12:                   # every ladder shape up to 3n + 1
+                        ks.update(range(3 * n + 2))
+                    for k in ks:
+                        assert ec_mul(p, a, P, k) == mult[k % n], (p, a, b, P, k)
+        assert 2 in seen_orders and 3 in seen_orders
+
+    def test_sum_of_p_and_p_inside_an_addition(self):
+        # P of order 3 and k = 5 = 0b101: the ladder doubles 2P to 4P = P
+        # and then adds P to it, so the mixed addition meets P + P = 2P
+        p, a, P = 7, 0, (0, 1)                    # y^2 = x^3 + 1
+        mult = multiples(Fq(p), a, P)
+        assert len(mult) - 1 == 3
+        assert ec_mul(p, a, P, 5) == mult[2] == (0, 6)
+
+    def test_infinity(self):
+        assert ec_mul(7, 0, None, 5) is None
+        assert ec_mul(7, 0, (0, 1), 0) is None
 
 class TestPrimeFactors:
     def test_against_brute_force(self):

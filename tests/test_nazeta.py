@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from fq_oracle import Fq, pt_add
+from fq_oracle import Fq, multiples, pt_add
 
 from zetalab import nazeta
 from zetalab.artin import elliptic_zeta, nm
@@ -554,6 +554,13 @@ class TestApShanksMestre:
                 if _good(p, A, B):
                     assert ap_fast(p, A, B) == ap_census(p, A, B), (A, B, p)
 
+    def test_every_good_prime_to_the_benchmark_bound(self):
+        # the euler benchmark's pmax reaches 2 * 10^4
+        for A, B in ((-1, 0), (5, -2)):
+            for p in primes_up_to(20000)[2:]:
+                if _good(p, A, B):
+                    assert ap_fast(p, A, B) == ap_census(p, A, B), (A, B, p)
+
     @pytest.mark.parametrize("p", [99991, 100003, 100019, 999983, 1000003])
     def test_large_primes(self, p):
         for A, B in ((-1, 0), (0, 1), (5, -2), (11, -13)):
@@ -576,6 +583,28 @@ class TestApShanksMestre:
         assert _hasse_multiples(p, A * d * d % p, (0, d * d % p)) == \
             [M for M in range(p + 1 - w, p + 2 + w) if M % 14 == 0]
         assert ap_fast(p, A, B) == 34 == ap_census(p, A, B)
+
+    def test_first_window_reaching_below_the_interval(self):
+        # p = 239, y^2 = x^3 + 1, x = 3: P has order 16 >= 2m + 2 = 14, and
+        # the giant walk starts at c0 = 16 * 13 = 208, so c0 P = O although
+        # 208 lies below lo = 210; it must not be reported
+        p, A, B, x = 239, 0, 1, 3
+        d = (x ** 3 + A * x + B) % p
+        a, P = A * d * d % p, (d * x % p, d * d % p)
+        w = math.isqrt(4 * p)
+        m = math.isqrt(w) + 1
+        lo, hi = p + 1 - w, p + 1 + w
+        c0 = (lo + m) // (2 * m + 1) * (2 * m + 1)
+        assert (m, lo, c0) == (6, 210, 208)
+        assert len(multiples(Fq(p), a, P)) - 1 == 16
+        assert _hasse_multiples(p, a, P) == [224, 240, 256] == \
+            [M for M in range(lo, hi + 1) if M % 16 == 0]
+
+    def test_hasse_multiples_of_a_point_of_order_two(self):
+        p = 241
+        w = math.isqrt(4 * p)
+        assert _hasse_multiples(p, p - 1, (0, 0)) == \
+            [M for M in range(p + 1 - w, p + 2 + w) if M % 2 == 0]
 
     def test_hasse_multiples_of_small_order_points(self):
         # every point (dx, d^2), x < 25, whose order n is at most 2m + 3
