@@ -240,7 +240,7 @@ def cmd_euler(args) -> dict:
     curve = nazeta.GlobalCurve(args.A, args.B)
     report = nazeta.global_na_zeta_partial(
         curve, args.rank, parse_complex(args.s), args.pmax,
-        _convention(args.convention), threads=args.threads)
+        _convention(args.convention))
     return {
         "A": args.A,
         "B": args.B,

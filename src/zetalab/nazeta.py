@@ -605,8 +605,7 @@ class EulerReport:
 
 
 def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
-                           prime_bound: int, conv: Convention,
-                           threads: int = 1) -> EulerReport:
+                           prime_bound: int, conv: Convention) -> EulerReport:
     """Partial Euler product over good primes p <= prime_bound.
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
@@ -615,8 +614,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under PAPER_SPLIT, so rank 1 and
     rank-2 GALOIS_DESCENT cost one `ap_fast` per factor and rank-2
     PAPER_SPLIT costs none.  The logs are summed in ascending-prime order.
-    `threads` is accepted and ignored: the work is pure Python, so a thread
-    pool would only contend for the interpreter lock.
+    The work is pure Python and runs serially: a thread pool would only
+    contend for the interpreter lock.
     """
     if r not in (1, 2):
         raise CapabilityError("global products implemented for rank 1 and 2")

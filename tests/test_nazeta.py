@@ -458,13 +458,6 @@ class TestGlobalEuler:
         local = 1 + (p - 1) * x + (2 * p - 4) * x ** 2 + (p * p - p) * x ** 3 + p * p * x ** 4
         assert abs(report.value - 1 / local) < 1e-14
 
-    def test_threads_deterministic(self):
-        ec = GlobalCurve(1, 1)
-        s = 3 + 1j
-        a = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=1)
-        b = global_na_zeta_partial(ec, 2, s, 800, Convention.GALOIS_DESCENT, threads=4)
-        assert a.value == b.value
-
     def test_prime_bound_cap(self):
         ec = GlobalCurve(1, 1)
         with pytest.raises(ResourceError):
