@@ -7,7 +7,8 @@ above them, or the package's imports would form a cycle.
 Start-up: the CLI imports every zetalab module but no numeric library;
 numpy and mpmath are imported inside the functions that use them, and
 scipy not at all.  The curve commands over F_q (artin, nazeta, census,
-mass, allbundles, explicit-ff) run without either.
+mass, allbundles, explicit-ff) and the Euler products (euler) run
+without either.
 """
 
 import ast
@@ -103,6 +104,10 @@ CURVE_JOBS = [
     ["mass", "--curve", "y2=x3+4x", "--p", "5"],
     ["allbundles", "--curve", "y2=x3+x+1", "--p", "5", "--order", "6"],
     ["explicit-ff", "--curve", "y2=x3+x+1", "--p", "5", "--count", "5"],
+    # pmax > MESTRE_BOUND, so a_p runs the Shanks-Mestre path
+    ["euler", "--A", "1", "--B", "1", "--s", "2.5", "--pmax", "1000"],
+    ["euler", "--A", "-1", "--B", "0", "--rank", "2", "--s", "3",
+     "--pmax", "1000", "--convention", "descent"],
 ]
 
 
