@@ -503,11 +503,11 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
     m = math.isqrt(w) + 1
     px, py = P
     baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
-    x, y = P                                  # jP
+    x, y, n = px, py, 0                       # jP
     for j in range(1, m + 2):
         if x in baby:
             n = j + baby[x][0]
-            return list(range(-(-lo // n) * n, hi + 1, n))
+            break
         if j > m:
             break
         baby[x] = (j, y)
@@ -517,9 +517,12 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
         elif py:                              # 2P by the tangent
             lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
         else:
-            return list(range(-(-lo // 2) * 2, hi + 1, 2))
+            n = 2
+            break
         x3 = (lam * lam - x - px) % p
         x, y = x3, (lam * (x - x3) - y) % p
+    if n:
+        return list(range(-(-lo // n) * n, hi + 1, n))
     # (m+1)P and mP have different x, or (2m+1)P = O would have been found
     lam = (y - my) * pow(x - mx, -1, p) % p
     gx = (lam * lam - x - mx) % p
