@@ -207,7 +207,6 @@ class TestGroupStructureOracle:
         assert group_structure(curve) == gs
 
 
-
 class TestEcMul:
     # y^2 = x^3 - x has full 2-torsion, y^2 = x^3 + 1 points of orders 2
     # and 3, y^2 = x^3 + x + 1 and y^2 = x^3 + 2x + 3 are generic
@@ -247,6 +246,7 @@ class TestEcMul:
     def test_infinity(self):
         assert ec_mul(7, 0, None, 5) is None
         assert ec_mul(7, 0, (0, 1), 0) is None
+
 
 class TestPrimeFactors:
     def test_against_brute_force(self):
