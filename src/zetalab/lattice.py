@@ -1,12 +1,14 @@
 """Lattices over the rationals: stability, filtrations, theta cohomology.
 
-A lattice is held by its exact rational Gram matrix (a basis matrix, when
-one is supplied, stays available for duals and reduction).  Stability
-comparisons never leave exact arithmetic: they compare squared covolumes
-raised to integer powers.  The minima they need come from one
-shortest-vector search, which LLL-reduces the Gram exactly before a bounded
-box enumeration, so its cost follows the lattice rather than the basis it
-is given (Lenstra, Lenstra and Lovasz 1982; Cohen, GTM 138, section 2.6).
+A lattice is its exact rational Gram matrix; a basis, when one is
+supplied, only gives the Gram.  One exact Gram-Schmidt pass (the LDL^T
+pivots) validates the Gram, gives the squared covolume as the product of
+its pivots and is the starting data of LLL.  Stability comparisons never
+leave exact arithmetic: they compare squared covolumes raised to integer
+powers.  The minima they need come from one shortest-vector search, which
+LLL-reduces the Gram exactly before a bounded box enumeration, so its cost
+follows the lattice rather than the basis it is given (Lenstra, Lenstra
+and Lovasz 1982; Cohen, GTM 138, section 2.6).
 The analytic layer on top -- theta sums with certified tail bounds, the
 Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
 factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Sequence
@@ -58,27 +60,6 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def _det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
 def _inverse(a: Matrix) -> Matrix:
     n = len(a)
     m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
@@ -97,6 +78,26 @@ def _inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def _gram_schmidt(g) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Gram-Schmidt data (mu, B) of a symmetric Gram matrix: G = M D M^T
+    with M unit lower triangular (entries mu) and D = diag(B) (Cohen,
+    GTM 138, Algorithm 2.6.3).  The k-th leading minor of G is
+    B_0 ... B_(k-1), so G is positive definite exactly when every pivot is
+    positive; the first pivot B_k <= 0 raises before it is used as a
+    divisor."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
+                                      for i in range(j))) / b[j]
+        b[k] = Fraction(g[k][k]) - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+        if b[k] <= 0:
+            raise InputError("Gram matrix must be positive definite")
+    return mu, b
+
+
 def _log_fraction(x: Fraction) -> float:
     # avoids overflow for very large numerators/denominators
     return math.log(x.numerator) - math.log(x.denominator)
@@ -104,15 +105,17 @@ def _log_fraction(x: Fraction) -> float:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank lattice with exact rational Gram data.
+    """Full-rank lattice, held as its exact rational Gram matrix.
 
-    `basis` columns are basis vectors when present; Gram-only lattices
-    (e.g. integral Gram inputs) support every operation except recovering
-    explicit coordinates.
+    Construction validates the Gram with one Gram-Schmidt pass: square,
+    symmetric, and positive definite exactly when every pivot is positive.
+    The squared covolume is the product of those pivots.  A basis given to
+    `from_basis_columns` only supplies the Gram B^T B; a singular basis is
+    refused because that Gram is singular.
     """
 
     gram: Matrix
-    basis: Matrix | None = None
+    covolume2: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -122,18 +125,12 @@ class Lattice:
             raise InputError("Gram matrix must be square")
         if self.gram != _transpose(self.gram):
             raise InputError("Gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = tuple(row[:k] for row in self.gram[:k])
-            if _det(minor) <= 0:
-                raise InputError("Gram matrix must be positive definite")
-        if self.basis is not None and _det(self.basis) == 0:
-            raise InputError("basis must be nonsingular")
+        object.__setattr__(self, "covolume2", math.prod(_gram_schmidt(self.gram)[1]))
 
     @staticmethod
     def from_basis_columns(cols: Sequence[Sequence]) -> "Lattice":
-        basis = _transpose(_mat(cols))      # store as matrix with these columns
-        gram = _mat_mul(_transpose(basis), basis)
-        return Lattice(gram, basis)
+        cols = _mat(cols)
+        return Lattice(_mat_mul(cols, _transpose(cols)))
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence]) -> "Lattice":
@@ -141,23 +138,19 @@ class Lattice:
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(_identity(n), _identity(n))
+        return Lattice(_identity(n))
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Lattice":
+        """The lattice spanned by entries[i] * e_i."""
         entries = [rat(e) for e in entries]
         n = len(entries)
-        basis = tuple(tuple(entries[i] if i == j else Fraction(0)
-                            for j in range(n)) for i in range(n))
-        return Lattice(_mat_mul(basis, basis), basis)
+        return Lattice(tuple(tuple(entries[i] ** 2 if i == j else Fraction(0)
+                                   for j in range(n)) for i in range(n)))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @property
-    def covolume2(self) -> Fraction:
-        return _det(self.gram)
 
     @property
     def covolume(self) -> float:
@@ -176,20 +169,19 @@ def deg(lat: Lattice) -> float:
 
 
 def dual(lat: Lattice) -> Lattice:
-    """Dual lattice: Gram inverts exactly; the basis (when present) maps to
-    its inverse transpose, so dual(dual(L)) == L on the nose."""
-    gram = _inverse(lat.gram)
-    basis = _transpose(_inverse(lat.basis)) if lat.basis is not None else None
-    return Lattice(gram, basis)
+    """Dual lattice in the dual basis: its Gram is G^-1, inverted exactly,
+    so dual(dual(L)) == L on the nose."""
+    return Lattice(_inverse(lat.gram))
 
 
 # ---------------------------------------------------------------------------
 # shortest vectors and stability
 
-def _enumeration_box(gram: Matrix, bound: Fraction) -> list[int]:
-    ginv = _inverse(gram)
+def _enumeration_box(ginv: Matrix, bound: Fraction) -> list[int]:
+    """Half-widths of a box holding every x with x^T G x <= bound, from
+    the inverse Gram."""
     out = []
-    for i in range(len(gram)):
+    for i in range(len(ginv)):
         # |x_i| <= sqrt(bound * (G^-1)_ii)
         val = bound * ginv[i][i]
         out.append(math.isqrt(val.numerator // val.denominator) + 1)
@@ -204,22 +196,16 @@ def _lll(gram: Matrix) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
     """Exact LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
     Returns (U^T G U, U) with U integral and unimodular: the columns of U
-    are the reduced basis in input coordinates.  The Gram-Schmidt data
-    mu, B are updated in place on each size reduction and swap, as in
-    Cohen, GTM 138, Algorithm 2.6.3.
+    are the reduced basis in input coordinates.  It starts from the
+    `_gram_schmidt` data mu, B and updates them in place on each size
+    reduction and swap, as in Cohen, GTM 138, Algorithm 2.6.3.
     """
     n = len(gram)
     # the integral Gram den * G has the same mu and the same swaps
     den = math.lcm(*(x.denominator for row in gram for x in row))
     g = [[int(x * den) for x in row] for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]   # u[k]: basis vector k
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for k in range(n):
-        for j in range(k):
-            mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
-                                      for i in range(j))) / b[j]
-        b[k] = Fraction(g[k][k]) - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+    mu, b = _gram_schmidt(g)
 
     def size_reduce(k: int, l: int) -> None:
         if abs(mu[k][l]) > Fraction(1, 2):
@@ -275,7 +261,7 @@ def shortest_vector(lat: Lattice) -> tuple[Fraction, tuple[int, ...]]:
     terms = [(i, j, m[i][j] * (1 if i == j else 2))
              for i in range(n) for j in range(i, n)]
     best = min(m[i][i] for i in range(n))
-    box = _enumeration_box(reduced, Fraction(best, den))
+    box = _enumeration_box(_inverse(reduced), Fraction(best, den))
     # y0 >= 0 meets every +-pair, and both members map to one representative
     ranges = [range(box[0] + 1)] + [range(-c, c + 1) for c in box[1:]]
     found = []
@@ -414,10 +400,10 @@ def _hn_steps(gram: Matrix) -> tuple[list[tuple[int, Fraction]], bool]:
     and whether the lattice is stable (the same minima comparisons, strict);
     the one place where lattice minima are compared with the covolume."""
     n = len(gram)
-    c2 = _det(gram)
+    lat = Lattice(gram)
+    c2 = lat.covolume2
     if n == 1:
         return [(1, c2)], True
-    lat = Lattice(gram)
     lam2, x = shortest_vector(lat)
     if n == 2:
         if lam2 ** 2 >= c2:
@@ -432,11 +418,11 @@ def _hn_steps(gram: Matrix) -> tuple[list[tuple[int, Fraction]], bool]:
         # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
         # Ties go to the larger rank (the maximal destabilizer convention).
         if sub2_cov2 <= lam2 * lam2:
-            sub_gram = _rank2_sub_gram(gram, _primitive(w))
-            if len(_hn_steps(sub_gram)[0]) != 1:
+            sub_steps = _hn_steps(_rank2_sub_gram(gram, _primitive(w)))[0]
+            if len(sub_steps) != 1:
                 raise NumericError("rank-2 destabilizer unexpectedly unstable")
-            sub_det = _det(sub_gram)
-            return [(2, sub_det), (1, c2 / sub_det)], False
+            dest_cov2 = sub_steps[0][1]
+            return [(2, dest_cov2), (1, c2 / dest_cov2)], False
     sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
     return [(1, sub_cov2)] + _hn_steps(quot)[0], False
 
@@ -531,10 +517,9 @@ class ThetaValue:
     radius: float
 
 
-def _lambda1_lower_bound(lat: Lattice) -> float:
+def _lambda1_lower_bound(ginv: Matrix) -> float:
     # lambda_1^2 >= 1/trace(G^-1), exactly computable
-    ginv = _inverse(lat.gram)
-    trace = sum(ginv[i][i] for i in range(lat.rank))
+    trace = sum(ginv[i][i] for i in range(len(ginv)))
     return math.sqrt(1.0 / float(trace))
 
 
@@ -565,7 +550,8 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     import numpy as np
     if eps <= 0:
         raise InputError("eps must be positive")
-    lam1 = _lambda1_lower_bound(lat)
+    ginv = _inverse(lat.gram)
+    lam1 = _lambda1_lower_bound(ginv)
     radius = max(1.5, math.sqrt(math.log(2.0 / eps) / math.pi))
     while True:
         bound = _tail_bound(radius, lam1, lat.rank)
@@ -575,7 +561,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
         if radius > 1e6:
             raise NumericError("theta radius blow-up")
     bound_norm = Fraction(radius ** 2).limit_denominator(10 ** 12) + 1
-    box = _enumeration_box(lat.gram, bound_norm)
+    box = _enumeration_box(ginv, bound_norm)
     # vectorized norms; the sum is a float quantity and the certification
     # lives entirely in the tail bound at `radius`, so float norms with a
     # tiny slack on the cut are sound (extra boundary points only help)

@@ -93,6 +93,29 @@ def box_shortest_vector(lat):
     return best, best_x
 
 
+def fraction_det(a):
+    """Oracle determinant: Fraction elimination with row pivoting."""
+    m = [[F(x) for x in row] for row in a]
+    n = len(m)
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def leading_minors(a):
+    return [fraction_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
+
 def change_basis(lat, u):
     """The lattice with Gram U^T G U: the same lattice in the basis given by
     the columns of the integer matrix U."""
@@ -169,6 +192,43 @@ class TestLatticeConstruction:
         lat = Lattice.diagonal([F(1, 2), 2])
         assert lat.covolume2 == 1
 
+    def test_singular_basis_refused(self):
+        with pytest.raises(InputError, match="positive definite"):
+            Lattice.from_basis_columns([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+
+    def test_gram_schmidt_against_leading_minors(self):
+        """Accepted exactly when every leading minor is positive
+        (Sylvester), with covolume2 the determinant, on random symmetric
+        Grams M^T diag(d) M: d of mixed sign gives indefinite ones, a zero
+        in d or a singular M semidefinite ones."""
+        rng = random.Random(14)
+        kinds = {"definite": 0, "semidefinite": 0, "indefinite": 0}
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            d = [F(rng.choice((-1, 0, 1, 1, 1, 2)), rng.randint(1, 4))
+                 for _ in range(n)]
+            gram = [[sum(m[k][i] * d[k] * m[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+            minors = leading_minors(gram)
+            definite = all(x > 0 for x in minors)
+            if definite:
+                kinds["definite"] += 1
+            elif any(x < 0 for x in d) and any(x > 0 for x in d) and minors[-1]:
+                kinds["indefinite"] += 1
+            elif min(d) >= 0:
+                kinds["semidefinite"] += 1
+            try:
+                lat = Lattice.from_gram(gram)
+            except InputError as exc:
+                assert not definite, gram
+                assert str(exc) == "Gram matrix must be positive definite"
+                continue
+            assert definite, gram
+            assert lat.covolume2 == minors[-1]
+        assert min(kinds.values()) >= 20, kinds
+
 
 class TestDeg:
     def test_standard_lattice(self):
@@ -198,7 +258,6 @@ class TestDual:
                 continue
             back = dual(dual(lat))
             assert back.gram == lat.gram
-            assert back.basis == lat.basis
 
     def test_scaled_line_inverts(self):
         lat = Lattice.diagonal([4])
