@@ -66,10 +66,6 @@ class Poly:
         self.coeffs: tuple[Fraction, ...] = _strip([rat(c) for c in coeffs])
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly([1])
 
@@ -145,12 +141,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
         return acc
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -255,9 +245,6 @@ class RatFunc:
             raise InputError(f"pole of rational function at {x}")
         return self.num(x) / d
 
-    def eval_complex(self, z: complex) -> complex:
-        return self.num.eval_complex(z) / self.den.eval_complex(z)
-
     def series(self, order: int) -> "Series":
         """Power-series expansion at t=0 to the given truncation order."""
         d0 = self.den[0]
@@ -291,10 +278,6 @@ class Series:
     @staticmethod
     def from_poly(p: Poly, order: int) -> "Series":
         return Series(p.coeffs, order)
-
-    @staticmethod
-    def zero(order: int) -> "Series":
-        return Series([], order)
 
     @staticmethod
     def one(order: int) -> "Series":
@@ -455,10 +438,7 @@ def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:
     """
     if len(psums) < degree:
         raise InputError(f"need {degree} power sums, got {len(psums)}")
-    lg = [Fraction(0)] * (degree + 1)
-    for m in range(1, degree + 1):
-        lg[m] = -rat(psums[m - 1]) / m
-    return Poly(Series(lg, degree + 1).exp().coeffs)
+    return Poly(series_exp_from_power_sums([-c for c in psums[:degree]], degree + 1).coeffs)
 
 
 def fe_transform_check(p: Poly, q: RatLike, rg: int) -> bool:
