@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError
-from zetalab.ffield import GroupStructure, WeierstrassCurve, count_points, group_structure, torsion_count
+from zetalab.ffield import GroupStructure, WeierstrassCurve, group_structure, torsion_count
 
 
 class Convention(Enum):
@@ -52,7 +52,8 @@ class CurveData:
 
     @staticmethod
     def from_curve(curve: WeierstrassCurve) -> "CurveData":
-        return CurveData(curve.p, count_points(curve, 1), group_structure(curve))
+        group = group_structure(curve)
+        return CurveData(curve.p, group.order, group)
 
     @property
     def zeta(self) -> ZetaCurve:
