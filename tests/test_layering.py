@@ -7,7 +7,8 @@ above them, or the package's imports would form a cycle.
 Start-up: the CLI imports every zetalab module but no numeric library;
 numpy and mpmath are imported inside the functions that use them, and
 scipy not at all.  The curve commands over F_q (artin, nazeta, census,
-mass, allbundles, explicit-ff) and the Euler products (euler) run
+mass, allbundles, explicit-ff), the Euler products (euler) and the
+lattice stability command (lattice: exact minima and HN filtration) run
 without either.
 """
 
@@ -110,10 +111,18 @@ CURVE_JOBS = [
      "--pmax", "1000", "--convention", "descent"],
 ]
 
+# HN filtrations of a rank-2 basis, a rank-3 Gram and the wide-box rank-3
+# basis: the exact path, down to the rank-2 destabilizer and the reduction
+LATTICE_JOBS = [
+    ["lattice", "--lattice", "2 1 / 1 1"],
+    ["lattice", "--gram", "1 0 0 / 0 1 0 / 0 0 9"],
+    ["lattice", "--lattice", "1 3 3 / -3 2 -2 / 3 1 4"],
+]
+
 
 def test_curve_commands_load_no_numeric_library():
     code = ("import contextlib, io, json, sys, zetalab.cli\n"
-            f"for argv in {CURVE_JOBS!r}:\n"
+            f"for argv in {CURVE_JOBS + LATTICE_JOBS!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert zetalab.cli.main(argv) == 0, argv\n"
             "print(json.dumps(sorted(sys.modules)))")
