@@ -1,20 +1,20 @@
 """Lattices over the rationals: stability, filtrations, theta cohomology.
 
-A lattice is its exact rational Gram matrix; a basis, when one is
-supplied, only gives the Gram.  One exact Gram-Schmidt pass (the LDL^T
-pivots) validates the Gram, gives the squared covolume as the product of
-its pivots and is the starting data of LLL.  Stability comparisons never
-leave exact arithmetic: they compare squared covolumes raised to integer
-powers.  The minima they need come from one shortest-vector search, which
-LLL-reduces the Gram exactly before a bounded box enumeration, so its cost
-follows the lattice rather than the basis it is given (Lenstra, Lenstra
-and Lovasz 1982; Cohen, GTM 138, section 2.6).
+A lattice is its exact rational Gram matrix G; a basis, when one is
+supplied, only gives the Gram.  The exact layer runs on the integral Gram
+den*G, den the lcm of G's denominators: one fraction-free Gram-Schmidt
+pass (leading minors d_k and integers lambda_kj) validates it, gives the
+squared covolume and seeds an integral LLL (Cohen, GTM 138, Alg. 2.6.7).
+Stability comparisons compare squared covolumes raised to integer powers.
+The minima they need come from a Fincke-Pohst enumeration on the d and
+lambda of the LLL-reduced Gram, so its cost follows the lattice rather
+than the basis it is given (Fincke and Pohst, Math. Comp. 44, 1985).
 The analytic layer on top -- theta sums with certified tail bounds, the
 Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
 factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
-bound -- is the only place floating point appears.  numpy and mpmath are
-imported inside the functions that use them, so loading the module (and
-the CLI) does not load them.
+bound -- is the only place floating point appears.  mpmath is imported
+inside the functions that use it, so loading the module (and the CLI)
+does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import TYPE_CHECKING, Sequence
 
 from zetalab.errors import (
@@ -35,67 +34,56 @@ from zetalab.errors import (
     ResourceError,
 )
 from zetalab.exact import rat
+from zetalab.ffield import ENUMERATION_BUDGET
 
 if TYPE_CHECKING:
     import mpmath
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = list[list[int]]
 
 
 def _mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(rat(x) for x in row) for row in rows)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(k))
-                       for j in range(m)) for i in range(n))
+def _scaled(a: Matrix) -> tuple[int, IntMatrix]:
+    """(den, den * a), den the lcm of the entries' denominators."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
 
 
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+def _gram_of(g: IntMatrix, cols: Sequence[Sequence[int]]) -> IntMatrix:
+    """The Gram (c_i^T g c_j) of integer coefficient vectors c_i."""
+    gc = [[sum(r * x for r, x in zip(row, c)) for row in g] for c in cols]
+    return [[sum(x * y for x, y in zip(a, b)) for b in gc] for a in cols]
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+def _over(a: IntMatrix, den: int) -> Matrix:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in a)
 
 
-def _inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def _gram_schmidt(g) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt data (mu, B) of a symmetric Gram matrix: G = M D M^T
-    with M unit lower triangular (entries mu) and D = diag(B) (Cohen,
-    GTM 138, Algorithm 2.6.3).  The k-th leading minor of G is
-    B_0 ... B_(k-1), so G is positive definite exactly when every pivot is
-    positive; the first pivot B_k <= 0 raises before it is used as a
-    divisor."""
+def _gram_schmidt(g: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Fraction-free Gram-Schmidt data (d, lam) of an integral symmetric
+    Gram (Cohen, GTM 138, Algorithm 2.6.7, step 2).  d[k] is the k-th
+    leading minor (d[0] = 1) and lam[k][j] = d[j+1] mu[k][j] for j < k,
+    all integers: every division below is exact.  G is positive definite
+    exactly when every d[k] is positive; the first d[k] <= 0 raises before
+    it is used as a divisor."""
     n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for k in range(n):
-        for j in range(k):
-            mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
-                                      for i in range(j))) / b[j]
-        b[k] = Fraction(g[k][k]) - sum(mu[k][i] ** 2 * b[i] for i in range(k))
-        if b[k] <= 0:
+        for j in range(k + 1):
+            u = g[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+        if u <= 0:
             raise InputError("Gram matrix must be positive definite")
-    return mu, b
+        d[k + 1] = u
+    return d, lam
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -107,15 +95,18 @@ def _log_fraction(x: Fraction) -> float:
 class Lattice:
     """Full-rank lattice, held as its exact rational Gram matrix.
 
-    Construction validates the Gram with one Gram-Schmidt pass: square,
-    symmetric, and positive definite exactly when every pivot is positive.
-    The squared covolume is the product of those pivots.  A basis given to
-    `from_basis_columns` only supplies the Gram B^T B; a singular basis is
-    refused because that Gram is singular.
+    Construction checks the Gram is square and symmetric; its fraction-free
+    Gram-Schmidt pass over den * G refuses it unless every leading minor
+    d_k is positive, and covolume2 = d_n / den^n.  `scaled` keeps
+    (den, den * G, d, lam) for LLL, the dual and the HN splits.  A basis
+    given to `from_basis_columns` only supplies the Gram B^T B, so a
+    singular basis is refused through its singular Gram.
     """
 
     gram: Matrix
     covolume2: Fraction = field(init=False, repr=False, compare=False)
+    scaled: tuple[int, IntMatrix, list[int], IntMatrix] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -123,14 +114,18 @@ class Lattice:
             raise CapabilityError("rank must be between 1 and 4")
         if any(len(row) != n for row in self.gram):
             raise InputError("Gram matrix must be square")
-        if self.gram != _transpose(self.gram):
+        den, g = _scaled(self.gram)
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise InputError("Gram matrix must be symmetric")
-        object.__setattr__(self, "covolume2", math.prod(_gram_schmidt(self.gram)[1]))
+        d, lam = _gram_schmidt(g)
+        object.__setattr__(self, "scaled", (den, g, d, lam))
+        object.__setattr__(self, "covolume2", Fraction(d[n], den ** n))
 
     @staticmethod
     def from_basis_columns(cols: Sequence[Sequence]) -> "Lattice":
-        cols = _mat(cols)
-        return Lattice(_mat_mul(cols, _transpose(cols)))
+        den, b = _scaled(_mat(cols))
+        return Lattice(_over([[sum(x * y for x, y in zip(u, v)) for v in b] for u in b],
+                             den * den))
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence]) -> "Lattice":
@@ -138,7 +133,7 @@ class Lattice:
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(_identity(n))
+        return Lattice.diagonal([1] * n)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Lattice":
@@ -168,115 +163,132 @@ def deg(lat: Lattice) -> float:
     return -0.5 * _log_fraction(lat.covolume2)
 
 
+def _inverse(lat: Lattice) -> Matrix:
+    """G^-1 = den adj(g) / det(g), g = den * G: fraction-free Gauss-Jordan
+    on [g | I] (Bareiss) ends with det(g) I beside adj(g).  Each division
+    is exact, and pivot k is the leading minor d[k+1] > 0: no row swaps."""
+    den, g, d, _ = lat.scaled
+    n = len(g)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pivot
+    return tuple(tuple(Fraction(den * x, d[n]) for x in row[n:]) for row in m)
+
+
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice in the dual basis: its Gram is G^-1, inverted exactly,
     so dual(dual(L)) == L on the nose."""
-    return Lattice(_inverse(lat.gram))
+    return Lattice(_inverse(lat))
 
 
 # ---------------------------------------------------------------------------
 # shortest vectors and stability
 
-def _enumeration_box(ginv: Matrix, bound: Fraction) -> list[int]:
-    """Half-widths of a box holding every x with x^T G x <= bound, from
-    the inverse Gram."""
-    out = []
-    for i in range(len(ginv)):
-        # |x_i| <= sqrt(bound * (G^-1)_ii)
-        val = bound * ginv[i][i]
-        out.append(math.isqrt(val.numerator // val.denominator) + 1)
-    return out
-
-
-def _round_frac(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
-def _lll(gram: Matrix) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
-    """Exact LLL reduction (delta = 3/4) of a positive definite Gram matrix.
-
-    Returns (U^T G U, U) with U integral and unimodular: the columns of U
-    are the reduced basis in input coordinates.  It starts from the
-    `_gram_schmidt` data mu, B and updates them in place on each size
-    reduction and swap, as in Cohen, GTM 138, Algorithm 2.6.3.
-    """
-    n = len(gram)
-    # the integral Gram den * G has the same mu and the same swaps
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    g = [[int(x * den) for x in row] for row in gram]
+def _lll(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[int], IntMatrix]:
+    """Integral LLL reduction (delta = 3/4, Cohen, GTM 138, Algorithm 2.6.7)
+    of the lattice's Gram, from its d and lam, updated on each size
+    reduction and swap.  Returns (U, d, lam): U integral and unimodular,
+    its columns the reduced basis in input coordinates, and d, lam those of
+    den * U^T G U.  As mu[k][j] = lam[k][j] / d[j+1] and B_k = d[k+1] / d[k],
+    the rounding and the Lovasz test are the rational algorithm's."""
+    _, g, d, lam = lat.scaled
+    n = len(g)
+    d, lam = list(d), [list(row) for row in lam]
     u = [[int(i == j) for j in range(n)] for i in range(n)]   # u[k]: basis vector k
-    mu, b = _gram_schmidt(g)
 
     def size_reduce(k: int, l: int) -> None:
-        if abs(mu[k][l]) > Fraction(1, 2):
-            q = _round_frac(mu[k][l])
+        # |mu| > 1/2, q = floor(mu + 1/2)
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
             u[k] = [a - q * c for a, c in zip(u[k], u[l])]
-            mu[k][l] -= q
+            lam[k][l] -= q * d[l + 1]
             for i in range(l):
-                mu[k][i] -= q * mu[l][i]
+                lam[k][i] -= q * lam[l][i]
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        m = mu[k][k - 1]
-        if b[k] < (Fraction(3, 4) - m * m) * b[k - 1]:
+        m = lam[k][k - 1]
+        # B_k < (3/4 - mu^2) B_(k-1), times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * m * m:
             u[k], u[k - 1] = u[k - 1], u[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            bb = b[k] + m * m * b[k - 1]
-            mu[k][k - 1] = m * b[k - 1] / bb
-            b[k] = b[k - 1] * b[k] / bb
-            b[k - 1] = bb
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+            d[k] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    gu = [[sum(g[a][c] * u[j][c] for c in range(n)) for j in range(n)]
-          for a in range(n)]
-    reduced = tuple(tuple(Fraction(sum(u[i][a] * gu[a][j] for a in range(n)), den)
-                          for j in range(n)) for i in range(n))
-    return reduced, tuple(zip(*u))
+    return tuple(zip(*u)), d, lam
+
+
+def _short_vectors(d: list[int], lam: IntMatrix,
+                   bound: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(N, y) for every y != 0 with N = y^T g y <= bound, one of each pair
+    +-y, g an integral Gram with fraction-free Gram-Schmidt data (d, lam).
+
+    Fincke-Pohst (Math. Comp. 44, 1985), on integers: with
+    t_i = d[i+1] y_i + sum_(j>i) lam[j][i] y_j, the part of
+    sum_(j>=i) y_j b_j orthogonal to b_0..b_(i-1) has squared length
+    N_i / d[i], N_i = (t_i^2 + d[i] N_(i+1)) / d[i+1] exactly, and level i
+    keeps the y_i with N_i <= d[i] * bound, i.e. t_i^2 <= d[i] (d[i+1]
+    bound - N_(i+1)).  N_0 is the norm.
+    """
+    n = len(d) - 1
+    y = [0] * n
+    found = []
+
+    def level(i: int, above: int, nonzero: bool) -> None:
+        s = math.isqrt(d[i] * (d[i + 1] * bound - above))     # |t_i| <= s
+        c = sum(lam[j][i] * y[j] for j in range(i + 1, n))
+        # the first nonzero y_j from the top is positive
+        lo = -((s + c) // d[i + 1]) if nonzero else 0
+        for yi in range(lo, (s - c) // d[i + 1] + 1):
+            y[i] = yi
+            t = d[i + 1] * yi + c
+            norm = (t * t + d[i] * above) // d[i + 1]
+            if i:
+                level(i - 1, norm, nonzero or yi != 0)
+            elif nonzero or yi:
+                found.append((norm, tuple(y)))
+        y[i] = 0
+
+    level(n - 1, 0, False)
+    return found
 
 
 def shortest_vector(lat: Lattice) -> tuple[Fraction, tuple[int, ...]]:
     """Minimal nonzero squared length and a coefficient vector achieving it.
 
-    The Gram is LLL-reduced first; a box enumeration on the reduced basis
-    (exact norms, initial bound the smallest reduced diagonal entry) finds
-    every minimal vector.  Each is mapped back to the input coordinates,
-    and the lexicographically least one whose first nonzero entry is
-    positive is returned.  On a reduced basis of rank <= 4 the box has
-    bounded size, so the cost follows the lattice, not its basis.
+    `_short_vectors` on the LLL-reduced basis, bounded by its first vector,
+    finds every minimal vector.  Each is mapped back to the input
+    coordinates, and the lexicographically least one whose first nonzero
+    entry is positive is returned.  The search tree on a reduced basis of
+    rank <= 4 has bounded size, so the cost follows the lattice, not its
+    basis.
     """
-    reduced, u = _lll(lat.gram)
+    u, d, lam = _lll(lat)
     n = lat.rank
-    # integer norms: the reduced Gram over a common denominator
-    den = math.lcm(*(x.denominator for row in reduced for x in row))
-    m = [[int(x * den) for x in row] for row in reduced]
-    terms = [(i, j, m[i][j] * (1 if i == j else 2))
-             for i in range(n) for j in range(i, n)]
-    best = min(m[i][i] for i in range(n))
-    box = _enumeration_box(_inverse(reduced), Fraction(best, den))
-    # y0 >= 0 meets every +-pair, and both members map to one representative
-    ranges = [range(box[0] + 1)] + [range(-c, c + 1) for c in box[1:]]
-    found = []
-    for y in iproduct(*ranges):
-        norm = sum(c * y[i] * y[j] for i, j, c in terms)
-        if norm == 0 or norm > best:
-            continue
-        if norm < best:
-            best, found = norm, []
-        found.append(y)
+    found = _short_vectors(d, lam, d[1])
+    best = min(norm for norm, _ in found)
     cands = []
-    for y in found:
-        x = tuple(sum(u[i][j] * y[j] for j in range(n)) for i in range(n))
-        cands.append(max(x, tuple(-c for c in x)))
-    return Fraction(best, den), min(cands)
+    for norm, y in found:
+        if norm == best:
+            x = tuple(sum(u[i][j] * y[j] for j in range(n)) for i in range(n))
+            cands.append(max(x, tuple(-c for c in x)))
+    return Fraction(best, lat.scaled[0]), min(cands)
 
 
 def is_semistable(lat: Lattice) -> bool:
@@ -288,23 +300,26 @@ def is_semistable(lat: Lattice) -> bool:
     """
     if lat.rank > 3:
         raise CapabilityError("stability decided for rank <= 3")
-    return len(_hn_steps(lat.gram)[0]) == 1
+    return len(_hn_steps(lat)[0]) == 1
 
 
 # -- integer basis completion utilities
 
-def _column_reduce_to_e1(x: Sequence[int]) -> list[list[int]]:
-    """Unimodular integer V with V x = e1 (x must be primitive)."""
+def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
+    """(V, columns of U): V unimodular with V x = e1 (x must be primitive),
+    and U = V^-1, built alongside V, so U e1 = x."""
     n = len(x)
     v = [[int(i == j) for j in range(n)] for i in range(n)]
+    ucols = [[int(i == j) for j in range(n)] for i in range(n)]
     cur = list(x)
 
     def apply_rows(i, j, a, b, c, d):
-        # rows i,j <- (a*row_i + b*row_j, c*row_i + d*row_j)
-        for col in range(n):
-            ri, rj = v[i][col], v[j][col]
-            v[i][col] = a * ri + b * rj
-            v[j][col] = c * ri + d * rj
+        # rows i,j of V <- (a*row_i + b*row_j, c*row_i + d*row_j), with
+        # ad - bc = 1; U <- U [[d, -b], [-c, a]] on columns i, j
+        v[i], v[j] = ([a * p + b * q for p, q in zip(v[i], v[j])],
+                      [c * p + d * q for p, q in zip(v[i], v[j])])
+        ucols[i], ucols[j] = ([d * p - c * q for p, q in zip(ucols[i], ucols[j])],
+                              [a * q - b * p for p, q in zip(ucols[i], ucols[j])])
         cur[i], cur[j] = a * cur[i] + b * cur[j], c * cur[i] + d * cur[j]
 
     pivot = 0
@@ -319,12 +334,12 @@ def _column_reduce_to_e1(x: Sequence[int]) -> list[list[int]]:
         apply_rows(pivot, j, s, t, -b, a)
     if cur[0] == 0:
         raise InputError("zero vector cannot be completed")
+    if abs(cur[0]) != 1:
+        raise InputError("vector is not primitive")
     if cur[0] == -1:
         v[0] = [-c for c in v[0]]
-        cur[0] = 1
-    if cur[0] != 1:
-        raise InputError("vector is not primitive")
-    return v
+        ucols[0] = [-c for c in ucols[0]]
+    return v, ucols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -342,36 +357,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _primitive(x: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in x:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*x)
     if g == 0:
         raise InputError("zero vector")
     return tuple(c // g for c in x)
 
 
-def _sub_quotient_grams(gram: Matrix, x: Sequence[int]) -> tuple[Fraction, Matrix]:
+def _sub_quotient_grams(lat: Lattice, x: Sequence[int]) -> tuple[Fraction, Matrix]:
     """Split off the rank-1 sublattice Z*x: its squared covolume and the
     Gram of the quotient (Schur complement in an x-completed basis)."""
-    n = len(gram)
-    v = _column_reduce_to_e1(list(x))
-    u = _inverse(_mat(v))               # integer unimodular, U e1 = x
-    gp = _mat_mul(_transpose(u), _mat_mul(gram, u))
+    den, g, _, _ = lat.scaled
+    gp = _gram_of(g, _column_reduce_to_e1(x)[1])
     g11 = gp[0][0]
-    if n == 1:
-        return g11, ()
-    quot = tuple(tuple(gp[i][j] - gp[i][0] * gp[0][j] / g11
-                       for j in range(1, n)) for i in range(1, n))
-    return g11, quot
+    quot = tuple(tuple(Fraction(gp[i][j] * g11 - gp[i][0] * gp[0][j], g11 * den)
+                       for j in range(1, lat.rank)) for i in range(1, lat.rank))
+    return Fraction(g11, den), quot
 
 
-def _rank2_sub_gram(gram: Matrix, w: Sequence[int]) -> Matrix:
+def _rank2_sub_gram(lat: Lattice, w: Sequence[int]) -> Matrix:
     """Gram of the rank-2 sublattice {y : <y, w>_coeff = 0} of a rank-3
-    lattice, where w is a primitive dual coefficient vector."""
-    v = _column_reduce_to_e1(list(w))
-    vt = _transpose(_mat(v))
-    kernel = tuple(tuple(vt[i][j] for j in (1, 2)) for i in range(3))
-    return _mat_mul(_transpose(kernel), _mat_mul(gram, kernel))
+    lattice, where w is a primitive dual coefficient vector: rows 1 and 2
+    of V, V w = e1, span it."""
+    den, g, _, _ = lat.scaled
+    return _over(_gram_of(g, _column_reduce_to_e1(w)[0][1:]), den)
 
 
 @dataclass(frozen=True)
@@ -395,12 +403,11 @@ def _slope(rank: int, covol2: Fraction) -> float:
     return -_log_fraction(covol2) / (2 * rank)
 
 
-def _hn_steps(gram: Matrix) -> tuple[list[tuple[int, Fraction]], bool]:
+def _hn_steps(lat: Lattice) -> tuple[list[tuple[int, Fraction]], bool]:
     """(rank, squared covolume) of each semistable HN quotient, top-down,
     and whether the lattice is stable (the same minima comparisons, strict);
     the one place where lattice minima are compared with the covolume."""
-    n = len(gram)
-    lat = Lattice(gram)
+    n = lat.rank
     c2 = lat.covolume2
     if n == 1:
         return [(1, c2)], True
@@ -418,13 +425,13 @@ def _hn_steps(gram: Matrix) -> tuple[list[tuple[int, Fraction]], bool]:
         # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
         # Ties go to the larger rank (the maximal destabilizer convention).
         if sub2_cov2 <= lam2 * lam2:
-            sub_steps = _hn_steps(_rank2_sub_gram(gram, _primitive(w)))[0]
+            sub_steps = _hn_steps(Lattice(_rank2_sub_gram(lat, _primitive(w))))[0]
             if len(sub_steps) != 1:
                 raise NumericError("rank-2 destabilizer unexpectedly unstable")
             dest_cov2 = sub_steps[0][1]
             return [(2, dest_cov2), (1, c2 / dest_cov2)], False
-    sub_cov2, quot = _sub_quotient_grams(gram, _primitive(x))
-    return [(1, sub_cov2)] + _hn_steps(quot)[0], False
+    sub_cov2, quot = _sub_quotient_grams(lat, _primitive(x))
+    return [(1, sub_cov2)] + _hn_steps(Lattice(quot))[0], False
 
 
 def hn_filtration(lat: Lattice) -> HNFiltration:
@@ -436,7 +443,7 @@ def hn_filtration(lat: Lattice) -> HNFiltration:
     """
     if lat.rank > 3:
         raise CapabilityError("filtration computed for rank <= 3")
-    steps, stable = _hn_steps(lat.gram)
+    steps, stable = _hn_steps(lat)
     for (r1, c1), (r2, c2) in zip(steps, steps[1:]):
         # mu_1 > mu_2  iff  c1^r2 < c2^r1
         if not c1 ** r2 < c2 ** r1:
@@ -488,7 +495,7 @@ def reduce_rank2(lat: Lattice, tol: float = 1e-12) -> tuple[float, float, bool]:
     while True:
         if g22 < g11:
             g11, g22 = g22, g11
-        mu = _round_frac(g12 / g11)
+        mu = math.floor(g12 / g11 + Fraction(1, 2))
         if mu:
             # b2 <- b2 - mu b1
             g22 = g22 - 2 * mu * g12 + mu * mu * g11
@@ -517,12 +524,6 @@ class ThetaValue:
     radius: float
 
 
-def _lambda1_lower_bound(ginv: Matrix) -> float:
-    # lambda_1^2 >= 1/trace(G^-1), exactly computable
-    trace = sum(ginv[i][i] for i in range(len(ginv)))
-    return math.sqrt(1.0 / float(trace))
-
-
 def _tail_bound(radius: float, lam1: float, n: int) -> float:
     """sum over |v| > R of exp(-pi |v|^2), by shells of width 1 with the
     packing bound #(|v| <= T) <= (2T/lam1 + 1)^n."""
@@ -545,44 +546,41 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
 
     The radius is grown until the proven tail bound drops below eps; the
     partial sum is at least 1, so the bound also controls the error of
-    the logarithm.
+    the logarithm.  The vectors inside the radius come from `_short_vectors`
+    on the LLL-reduced basis, with exact norms.  A search box of more than
+    ENUMERATION_BUDGET points raises ResourceError before it starts.
     """
-    import numpy as np
     if eps <= 0:
         raise InputError("eps must be positive")
-    ginv = _inverse(lat.gram)
-    lam1 = _lambda1_lower_bound(ginv)
+    n = lat.rank
+    ginv = _inverse(lat)
+    # lambda_1^2 >= 1/trace(G^-1), exactly computable
+    lam1 = math.sqrt(1.0 / float(sum(ginv[i][i] for i in range(n))))
     radius = max(1.5, math.sqrt(math.log(2.0 / eps) / math.pi))
     while True:
-        bound = _tail_bound(radius, lam1, lat.rank)
+        bound = _tail_bound(radius, lam1, n)
         if bound <= eps:
             break
         radius *= 1.5
         if radius > 1e6:
             raise NumericError("theta radius blow-up")
     bound_norm = Fraction(radius ** 2).limit_denominator(10 ** 12) + 1
-    box = _enumeration_box(ginv, bound_norm)
-    # vectorized norms; the sum is a float quantity and the certification
-    # lives entirely in the tail bound at `radius`, so float norms with a
-    # tiny slack on the cut are sound (extra boundary points only help)
-    g = np.array([[float(x) for x in row] for row in lat.gram])
+    # the sum is a float quantity and the certification lives entirely in
+    # the tail bound at `radius`, so a tiny slack on the cut is sound
+    # (extra boundary points only help)
     cut = float(bound_norm) * (1 + 1e-9)
-    n = lat.rank
-    tail_axes = [np.arange(-b, b + 1, dtype=float) for b in box[1:]]
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        rest = np.stack([m.ravel() for m in mesh])          # (n-1, M)
-    else:
-        rest = np.zeros((0, 1))
-    quad_rest = (rest * (g[1:, 1:] @ rest)).sum(axis=0) if n > 1 else np.zeros(1)
-    lin_rest = (g[0, 1:] @ rest) if n > 1 else np.zeros(1)
-    terms: list[float] = []
-    for x0 in range(-box[0], box[0] + 1):
-        norms = g[0, 0] * x0 * x0 + 2 * x0 * lin_rest + quad_rest
-        chunk = norms[norms <= cut]
-        if chunk.size:
-            terms.extend(np.exp(-math.pi * chunk).tolist())
-    total = math.fsum(sorted(terms))
+    den = lat.scaled[0]
+    top = math.floor(Fraction(cut) * den)
+    _, d, lam = _lll(lat)
+    # level i admits about 2 sqrt(top / B_i) + 1 values of y_i
+    points = math.prod(2 * math.isqrt(top * d[i] // d[i + 1]) + 1 for i in range(n))
+    if points > ENUMERATION_BUDGET:
+        raise ResourceError(f"theta box of {points} points exceeds the budget "
+                            f"of {ENUMERATION_BUDGET}")
+    # exact norms m / den <= cut, each rounded once: the terms do not
+    # depend on the basis
+    total = math.fsum([1.0] + [2 * math.exp(-math.pi * (m / den))
+                               for m, _ in _short_vectors(d, lam, top)])
     return ThetaValue(math.log(total), bound, radius)
 
 

@@ -13,6 +13,8 @@ from zetalab.bundles import (
     InvariantTable,
     LineOrbit,
     StratumKey,
+    _beta_degree_zero,
+    _gamma_degree_zero,
     _module_aut_count,
     _partitions,
     _triple_count,
@@ -277,6 +279,43 @@ class TestInvariant:
     def test_table_build_and_validate(self):
         table = InvariantTable.build(E59, Convention.GALOIS_DESCENT)
         assert table.entries[("beta", 2, 0)] == F(99, 32)
+
+
+def weng_zagier_rh(r, curve, conv):
+    """The Riemann hypothesis for the rank-r zeta in degrees divisible by r,
+    gamma_0 - c_1 T + gamma_0 q^r T^2 with c_1 = gamma_0 (1 + q^r) -
+    beta_0 (q^r - 1) (Weng-Zagier, PNAS 117, 2020): c_1^2 <= 4 gamma_0^2 q^r."""
+    gamma0 = _gamma_degree_zero(r, curve, conv)
+    beta0 = _beta_degree_zero(r, curve, conv)
+    qr = curve.q ** r
+    c1 = gamma0 * (1 + qr) - beta0 * (qr - 1)
+    return c1 * c1 <= 4 * gamma0 * gamma0 * qr
+
+
+@pytest.fixture(scope="module")
+def small_curves():
+    """Every distinct (q, N_1, group) of a curve y^2 = x^3 + ax + b over F_p,
+    5 <= p <= 23."""
+    return {CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
+            for p in primes_up_to(23)[2:] for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b * b) % p}
+
+
+class TestWengZagierRH:
+    def test_curve_count(self, small_curves):
+        assert len(small_curves) == 134
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_descent_holds(self, small_curves, r):
+        assert all(weng_zagier_rh(r, c, Convention.GALOIS_DESCENT)
+                   for c in small_curves)
+
+    def test_paper_holds_at_rank2(self, small_curves):
+        assert all(weng_zagier_rh(2, c, Convention.PAPER_SPLIT) for c in small_curves)
+
+    def test_paper_fails_at_rank3(self, small_curves):
+        assert not any(weng_zagier_rh(3, c, Convention.PAPER_SPLIT)
+                       for c in small_curves)
 
 
 class TestMassRecursion:

@@ -172,6 +172,15 @@ class TestExitCodes:
         assert main(["xi", "--s", "0.5+1e9j"]) == 2
         assert time.perf_counter() - start < 0.5
 
+    def test_theta_box_budget(self, capsys):
+        # rank-4 Gram diag(1/400): about 10^9 candidate points, refused
+        # before the search starts
+        start = time.perf_counter()
+        assert main(["theta", "--gram", "1/400 0 0 0 / 0 1/400 0 0 / "
+                     "0 0 1/400 0 / 0 0 0 1/400"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == ""
+
     def test_euler_discriminant_factoring_is_bounded(self, capsys):
         # 6 * (4A^3 + 27B^2) has an 89-bit cofactor with no prime factor up
         # to the trial-division bound: refused, not trial-divided to its root

@@ -20,6 +20,7 @@ from zetalab.lattice import (
     XI_TERM_BUDGET,
     HNFiltration,
     Lattice,
+    _inverse,
     _lll,
     deg,
     dual,
@@ -71,6 +72,23 @@ def minima_semistable(lat, strict=False):
 D4 = Lattice.from_gram([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 
 
+def gauss_jordan_inverse(a):
+    """Oracle inverse: Gauss-Jordan elimination on Fractions."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
 def box_shortest_vector(lat):
     """Oracle for shortest_vector: box enumeration in the input basis.  The
     box |x_i| <= sqrt(m (G^-1)_ii) + 1, m the smallest Gram diagonal entry,
@@ -79,7 +97,7 @@ def box_shortest_vector(lat):
     the basis."""
     g = lat.gram
     n = lat.rank
-    ginv = dual(lat).gram
+    ginv = gauss_jordan_inverse(g)
     best = min(g[i][i] for i in range(n))
     best_x = tuple(1 if j == min(range(n), key=lambda i: g[i][i]) else 0
                    for j in range(n))
@@ -137,9 +155,9 @@ def shear3(k):
     return Lattice.from_basis_columns([[1, 0, 0], [k, 1, 0], [k * k + 1, k, 1]])
 
 
-def is_lll_reduced(gram):
-    """Size-reduced (|mu_ij| <= 1/2) and Lovasz with delta = 3/4, from the
-    Gram-Schmidt recursion on the Gram matrix."""
+def fraction_gram_schmidt(gram):
+    """Gram-Schmidt data (mu, B) of a Gram matrix on Fractions: G = M D M^T,
+    M unit lower triangular with entries mu, D = diag(B)."""
     n = len(gram)
     mu = [[F(0)] * n for _ in range(n)]
     b = [F(0)] * n
@@ -147,7 +165,60 @@ def is_lll_reduced(gram):
         for j in range(k):
             mu[k][j] = (gram[k][j] - sum(mu[j][i] * mu[k][i] * b[i]
                                          for i in range(j))) / b[j]
-        b[k] = gram[k][k] - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+        b[k] = F(gram[k][k]) - sum(mu[k][i] ** 2 * b[i] for i in range(k))
+    return mu, b
+
+
+def fraction_lll(gram):
+    """Oracle for _lll: LLL (delta = 3/4) on the rational Gram-Schmidt data
+    of den * G, updated on each size reduction and swap (Cohen, GTM 138,
+    Algorithm 2.6.3).  Returns (U^T G U, U), U's columns the reduced basis."""
+    n = len(gram)
+    den = math.lcm(*(F(x).denominator for row in gram for x in row))
+    g = [[int(x * den) for x in row] for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    mu, b = fraction_gram_schmidt(g)
+
+    def size_reduce(k, l):
+        if abs(mu[k][l]) > F(1, 2):
+            q = math.floor(mu[k][l] + F(1, 2))
+            u[k] = [a - q * c for a, c in zip(u[k], u[l])]
+            mu[k][l] -= q
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if b[k] < (F(3, 4) - m * m) * b[k - 1]:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            bb = b[k] + m * m * b[k - 1]
+            mu[k][k - 1] = m * b[k - 1] / bb
+            b[k] = b[k - 1] * b[k] / bb
+            b[k - 1] = bb
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    reduced = tuple(tuple(F(sum(u[i][a] * g[a][c] * u[j][c]
+                                for a in range(n) for c in range(n)), den)
+                          for j in range(n)) for i in range(n))
+    return reduced, tuple(zip(*u))
+
+
+def is_lll_reduced(gram):
+    """Size-reduced (|mu_ij| <= 1/2) and Lovasz with delta = 3/4, from the
+    Gram-Schmidt recursion on the Gram matrix."""
+    n = len(gram)
+    mu, b = fraction_gram_schmidt(gram)
     sized = all(abs(mu[k][j]) <= F(1, 2) for k in range(n) for j in range(k))
     lovasz = all(b[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
                  for k in range(1, n))
@@ -227,6 +298,9 @@ class TestLatticeConstruction:
                 continue
             assert definite, gram
             assert lat.covolume2 == minors[-1]
+            den, g, d, _ = lat.scaled
+            assert d == [1] + leading_minors(g)
+            assert d[1:] == [x * den ** k for k, x in enumerate(minors, 1)]
         assert min(kinds.values()) >= 20, kinds
 
 
@@ -266,6 +340,11 @@ class TestDual:
     def test_deg_antisymmetry(self):
         lat = Lattice.from_gram([[2, 1], [1, 3]])
         assert abs(deg(dual(lat)) + deg(lat)) < 1e-12
+
+    def test_inverse_against_gauss_jordan(self):
+        for lat in BASES + [HEX_LIFTED, D4]:
+            assert dual(lat).gram == gauss_jordan_inverse(lat.gram)
+            assert _inverse(dual(lat)) == gauss_jordan_inverse(dual(lat).gram)
 
     def test_gram_diag_swap(self):
         lat = Lattice.diagonal([F(2) ** F(1), F(1, 2)])
@@ -346,12 +425,24 @@ def _sheared_lattices():
 
 class TestLLL:
     def _check(self, lat):
-        reduced, u = _lll(lat.gram)
+        u, d, lam = _lll(lat)
+        reduced = change_basis(lat, u).gram
         assert all(isinstance(c, int) for row in u for c in row)
-        assert reduced == change_basis(lat, u).gram
+        # the integral LLL makes the rational algorithm's swaps exactly
+        assert (reduced, u) == fraction_lll(lat.gram)
         # the Gram of U's columns has determinant det(U)^2
         assert Lattice.from_basis_columns(list(zip(*u))).covolume2 == 1
         assert is_lll_reduced(reduced)
+        # d and lam are the fraction-free Gram-Schmidt data of den * U^T G U
+        den = lat.scaled[0]
+        assert d == [1] + leading_minors([[x * den for x in row] for row in reduced])
+        mu, _ = fraction_gram_schmidt(reduced)
+        n = lat.rank
+        assert all(lam[k][j] == mu[k][j] * d[j + 1] for k in range(n) for j in range(k))
+        # the adjugate inverse against Gauss-Jordan, on the input Gram and on
+        # the reduced one
+        assert _inverse(lat) == gauss_jordan_inverse(lat.gram)
+        assert _inverse(Lattice(reduced)) == gauss_jordan_inverse(reduced)
 
     def test_random_rational_grams(self):
         rng = random.Random(41)
@@ -372,21 +463,23 @@ class TestLLL:
             self._check(lat)
 
     def test_k40_shear_reduces_to_identity(self):
-        reduced, u = _lll(shear3(40).gram)
+        lat = shear3(40)
+        reduced = change_basis(lat, _lll(lat)[0]).gram
         assert reduced == tuple(tuple(F(int(i == j)) for j in range(3))
                                 for i in range(3))
 
     def test_reduced_input_is_fixed(self):
         for lat in (Lattice.standard(3), Lattice.from_gram([[2, 1], [1, 2]])):
-            reduced, u = _lll(lat.gram)
+            u = _lll(lat)[0]
+            reduced = change_basis(lat, u).gram
             assert u == tuple(tuple(int(i == j) for j in range(lat.rank))
                               for i in range(lat.rank))
             assert reduced == lat.gram
 
 
 class TestShortestVectorOracle:
-    """shortest_vector (LLL, then a box on the reduced basis, mapped back)
-    against the box search in the input basis, byte for byte."""
+    """shortest_vector (LLL, then Fincke-Pohst on the reduced basis, mapped
+    back) against the box search in the input basis, byte for byte."""
 
     def test_against_input_basis_box(self):
         # Z^2, Z^3, the hexagonal lattice and D4 have many minimal vectors,
@@ -536,6 +629,26 @@ class TestTheta:
         # only the zero vector survives as the minimum grows
         t = theta_h0(Lattice.diagonal([6]), 1e-14)
         assert 0 <= t.value < 1e-30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_change_of_basis_invariance(self, data):
+        lat = data.draw(st.sampled_from(BASES + [HEX_LIFTED, D4]))
+        moved = change_basis(lat, data.draw(unimodular(lat.rank)))
+        t0, t1 = theta_h0(lat), theta_h0(moved)
+        assert abs(t0.value - t1.value) <= t0.tail_bound + t1.tail_bound
+
+    def test_skewed_basis_pinned(self):
+        # float norms summed in this basis cancelled, and h0 came out 1.4e-2
+        # off with certified tails of 2.4e-17
+        moved = change_basis(HEX_LIKE, [[1817, -139], [27438, -2099]])
+        t0, t1 = theta_h0(HEX_LIKE), theta_h0(moved)
+        assert abs(t0.value - t1.value) <= t0.tail_bound + t1.tail_bound
+
+    def test_box_budget(self):
+        # rank 4 with lambda_1 = 1/20: about 10^9 candidate points
+        with pytest.raises(ResourceError):
+            theta_h0(Lattice.diagonal([F(1, 20)] * 4))
 
 
 class TestRiemannRoch:

@@ -7,9 +7,9 @@ above them, or the package's imports would form a cycle.
 Start-up: the CLI imports every zetalab module but no numeric library;
 numpy and mpmath are imported inside the functions that use them, and
 scipy not at all.  The curve commands over F_q (artin, nazeta, census,
-mass, allbundles, explicit-ff), the Euler products (euler) and the
-lattice stability command (lattice: exact minima and HN filtration) run
-without either.
+mass, allbundles, explicit-ff), the Euler products (euler), the
+lattice stability command (lattice: exact minima and HN filtration) and
+theta cohomology (theta) run without either.
 """
 
 import ast
@@ -112,11 +112,13 @@ CURVE_JOBS = [
 ]
 
 # HN filtrations of a rank-2 basis, a rank-3 Gram and the wide-box rank-3
-# basis: the exact path, down to the rank-2 destabilizer and the reduction
+# basis: the exact path, down to the rank-2 destabilizer and the reduction;
+# theta sums over the same short-vector search
 LATTICE_JOBS = [
     ["lattice", "--lattice", "2 1 / 1 1"],
     ["lattice", "--gram", "1 0 0 / 0 1 0 / 0 0 9"],
     ["lattice", "--lattice", "1 3 3 / -3 2 -2 / 3 1 4"],
+    ["theta", "--gram", "2 1 0 0 / 1 2 1 0 / 0 1 2 1 / 0 0 1 2"],
 ]
 
 
