@@ -197,9 +197,8 @@ def _lll(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[int], IntMatri
     its columns the reduced basis in input coordinates, and d, lam those of
     den * U^T G U.  As mu[k][j] = lam[k][j] / d[j+1] and B_k = d[k+1] / d[k],
     the rounding and the Lovasz test are the rational algorithm's."""
-    _, g, d, lam = lat.scaled
-    n = len(g)
-    d, lam = list(d), [list(row) for row in lam]
+    n = lat.rank
+    d, lam = list(lat.scaled[2]), [list(row) for row in lat.scaled[3]]
     u = [[int(i == j) for j in range(n)] for i in range(n)]   # u[k]: basis vector k
 
     def size_reduce(k: int, l: int) -> None:
