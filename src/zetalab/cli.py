@@ -4,8 +4,9 @@ Every run is fully determined by its flags: no config files, no hidden
 state, no environment defaults beyond file paths.  Output is JSON by
 default (sorted keys, fixed separators, trailing newline) so identical
 jobs produce byte-identical bytes; csv and text renderings are provided
-for the table-shaped results.  Rationals print as "num/den", reals with
-12 significant digits.
+for the table-shaped results.  The commands return raw values, and
+`encode` alone formats them: rationals print as "num/den", reals with 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class _Parser(argparse.ArgumentParser):
 # formatting
 
 def fmt_rat(x: Fraction) -> str:
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -52,12 +52,29 @@ def fmt_real(x: float) -> str:
     return f"{x:.12g}"
 
 
-def fmt_complex(z: complex) -> dict[str, str]:
-    return {"re": fmt_real(z.real), "im": fmt_real(z.imag)}
+def encode(value: Any) -> Any:
+    """The JSON form of a command result, through dicts, lists and tuples.
 
-
-def fmt_poly(p: Poly) -> list[str]:
-    return [fmt_rat(c) for c in p.coeffs]
+    Fractions and Poly coefficients print with fmt_rat, floats with
+    fmt_real, complex numbers as {"re", "im"}; bool, int and str pass
+    through unchanged.
+    """
+    match value:
+        case bool() | int() | str():
+            return value
+        case Fraction():
+            return fmt_rat(value)
+        case float():
+            return fmt_real(value)
+        case complex():
+            return {"re": fmt_real(value.real), "im": fmt_real(value.imag)}
+        case Poly():
+            return [fmt_rat(c) for c in value.coeffs]
+        case dict():
+            return {k: encode(v) for k, v in value.items()}
+        case list() | tuple():
+            return [encode(v) for v in value]
+    raise TypeError(f"cannot encode a {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +117,9 @@ def parse_matrix(spec: str) -> list[list[Fraction]]:
 
 
 def parse_lattice(args) -> lat.Lattice:
-    if getattr(args, "gram", None):
+    if args.gram:
         return lat.Lattice.from_gram(parse_matrix(args.gram))
-    if getattr(args, "lattice", None):
+    if args.lattice:
         rows = parse_matrix(args.lattice)
         columns = [list(col) for col in zip(*rows)]
         return lat.Lattice.from_basis_columns(columns)
@@ -114,11 +131,6 @@ def parse_complex(spec: str) -> complex:
         return complex(spec.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise _UsageError(f"cannot parse complex number {spec!r}") from exc
-
-
-def _convention(name: str) -> bundles.Convention:
-    return (bundles.Convention.PAPER_SPLIT if name == "paper"
-            else bundles.Convention.GALOIS_DESCENT)
 
 
 def _curve_data(args) -> bundles.CurveData:
@@ -137,7 +149,7 @@ def cmd_artin(args) -> dict:
              for n in (2, 3, 4)}
     return {
         "q": args.p,
-        "numerator": fmt_poly(zc.P),
+        "numerator": zc.P,
         "counts": [str(artin.nm(zc, m)) for m in range(1, args.mmax + 1)],
         "functional_equation_ok": artin.fe_check_zeta(zc),
         "rh_ok": artin.rh_check(zc),
@@ -147,33 +159,34 @@ def cmd_artin(args) -> dict:
 
 def cmd_nazeta(args) -> dict:
     data = _curve_data(args)
-    z = nazeta.ell_na_zeta(data, args.rank, _convention(args.convention))
+    z = nazeta.ell_na_zeta(data, args.rank, bundles.Convention(args.convention))
     report = nazeta.na_properties_check(z)
     return {
         "q": data.q,
         "n1": data.n1,
         "rank": args.rank,
         "convention": args.convention,
-        "numerator": fmt_poly(z.P),
-        "normalized_numerator": fmt_poly(z.normalized_numerator),
-        "denominator": fmt_poly(z.denominator),
+        "numerator": z.P,
+        "normalized_numerator": z.normalized_numerator,
+        "denominator": z.denominator,
         "degree_ok": report.degree_ok,
         "functional_equation_ok": report.functional_equation_ok,
         "root_pairing_exact_ok": report.root_pairing_exact_ok,
-        "root_pairing_numeric_residual": fmt_real(report.root_pairing_numeric_residual),
-        "counts": [fmt_rat(c) for c in nazeta.na_counts(z, max(args.mmax, 0))],
+        "root_pairing_numeric_residual": report.root_pairing_numeric_residual,
+        "counts": nazeta.na_counts(z, max(args.mmax, 0)),
     }
 
 
 def cmd_census(args) -> dict:
     data = _curve_data(args)
-    res = bundles.strata_census(args.rank, data, _convention(args.convention))
+    conv = bundles.Convention(args.convention)
+    res = bundles.strata_census(args.rank, data, conv)
     rows = [{
         "stratum": row.label,
-        "classes": fmt_rat(row.classes),
+        "classes": row.classes,
         "bundles_per_class": str(row.bundles_per_class),
-        "mass_per_class": fmt_rat(row.mass_per_class),
-        "gamma_per_class": fmt_rat(row.gamma_per_class),
+        "mass_per_class": row.mass_per_class,
+        "gamma_per_class": row.gamma_per_class,
     } for row in res.rows]
     return {
         "q": data.q,
@@ -182,9 +195,9 @@ def cmd_census(args) -> dict:
         "convention": args.convention,
         "slice": res.slice_note,
         "rows": rows,
-        "total_classes": fmt_rat(res.total_classes),
-        "mass": fmt_rat(res.mass),
-        "gamma": fmt_rat(res.gamma),
+        "total_classes": res.total_classes,
+        "mass": res.mass,
+        "gamma": res.gamma,
     }
 
 
@@ -200,9 +213,9 @@ def cmd_mass(args) -> dict:
             rows.append({
                 "rank": str(r),
                 "degree": str(d),
-                "beta_paper": fmt_rat(paper),
-                "beta_descent": fmt_rat(descent),
-                "beta_recursion": fmt_rat(recursion),
+                "beta_paper": paper,
+                "beta_descent": descent,
+                "beta_recursion": recursion,
                 "descent_matches_recursion": descent == recursion,
                 "paper_matches_recursion": paper == recursion,
             })
@@ -221,16 +234,16 @@ def cmd_allbundles(args) -> dict:
     report = nazeta.allbundles_rank2(data, args.order)
     pieces = [{
         "piece": piece.name,
-        "closed": [fmt_rat(c) for c in piece.closed],
-        "direct": [fmt_rat(c) for c in piece.direct],
+        "closed": piece.closed,
+        "direct": piece.direct,
         "agree": piece.agree,
     } for piece in report.positive + (report.negative,)]
     return {
         "q": report.q,
         "n1": report.n1,
         "order": args.order,
-        "degree_zero_closed": fmt_rat(report.degree_zero_closed),
-        "degree_zero_direct": fmt_rat(report.degree_zero_direct),
+        "degree_zero_closed": report.degree_zero_closed,
+        "degree_zero_direct": report.degree_zero_direct,
         "pieces": pieces,
         "all_agree": report.all_agree,
     }
@@ -240,18 +253,18 @@ def cmd_euler(args) -> dict:
     curve = nazeta.GlobalCurve(args.A, args.B)
     report = nazeta.global_na_zeta_partial(
         curve, args.rank, parse_complex(args.s), args.pmax,
-        _convention(args.convention))
+        bundles.Convention(args.convention))
     return {
         "A": args.A,
         "B": args.B,
         "rank": args.rank,
-        "s": fmt_complex(report.s),
+        "s": report.s,
         "prime_bound": report.prime_bound,
         "factors_used": report.factors_used,
-        "bad_primes": list(report.bad_primes_skipped),
-        "value": fmt_complex(report.value),
-        "log_value": fmt_complex(report.log_value),
-        "tail_bound": fmt_real(report.tail_bound),
+        "bad_primes": report.bad_primes_skipped,
+        "value": report.value,
+        "log_value": report.log_value,
+        "tail_bound": report.tail_bound,
     }
 
 
@@ -260,19 +273,15 @@ def cmd_lattice(args) -> dict:
     filtration = lat.hn_filtration(lattice)
     result: dict[str, Any] = {
         "rank": lattice.rank,
-        "covolume2": fmt_rat(lattice.covolume2),
-        "degree": fmt_real(lat.deg(lattice)),
+        "covolume2": lattice.covolume2,
+        "degree": lat.deg(lattice),
         "semistable": filtration.is_single,
-        "hn_steps": [{
-            "rank": step.rank,
-            "covol2": fmt_rat(step.covol2),
-            "slope": fmt_real(step.slope),
-        } for step in filtration.steps],
+        "hn_steps": [{"rank": step.rank, "covol2": step.covol2,
+                      "slope": step.slope} for step in filtration.steps],
     }
     if lattice.rank == 2 and lattice.covolume2 == 1:
         a, b, ok = lat.reduce_rank2(lattice)
-        result["reduction"] = {"a": fmt_real(a), "b": fmt_real(b),
-                               "in_domain": ok}
+        result["reduction"] = {"a": a, "b": b, "in_domain": ok}
     integral = all(x.denominator == 1 for row in lattice.gram for x in row)
     if integral and lattice.covolume2 == 1:
         result["unimodular"] = {"semistable": filtration.is_single,
@@ -285,12 +294,12 @@ def cmd_theta(args) -> dict:
     report = lat.rr_check(lattice, args.tol)
     return {
         "rank": lattice.rank,
-        "covolume2": fmt_rat(lattice.covolume2),
-        "h0": fmt_real(report.h0),
-        "h1": fmt_real(report.h1),
-        "degree": fmt_real(report.degree),
-        "rr_residual": fmt_real(report.residual),
-        "certified_tails": fmt_real(report.tail_total),
+        "covolume2": lattice.covolume2,
+        "h0": report.h0,
+        "h1": report.h1,
+        "degree": report.degree,
+        "rr_residual": report.residual,
+        "certified_tails": report.tail_total,
     }
 
 
@@ -299,9 +308,9 @@ def cmd_xi(args) -> dict:
     value = lat.xi_q(s, args.eps)
     mirrored = lat.xi_q(1 - s, args.eps)
     return {
-        "s": fmt_complex(s),
-        "value": fmt_complex(value),
-        "functional_equation_residual": fmt_real(abs(value - mirrored)),
+        "s": s,
+        "value": value,
+        "functional_equation_residual": abs(value - mirrored),
     }
 
 
@@ -313,7 +322,6 @@ def cmd_explicit_ff(args) -> dict:
     rng = random.Random(args.seed)
     all_ok = True
     positive = True
-    hodge_count = 0
     samples = []
     for i in range(args.count):
         support = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -323,9 +331,8 @@ def cmd_explicit_ff(args) -> dict:
         # the Hodge defect raises unless it equals ff_positivity's value
         value = explicit.ff_hodge_defect(zc, f)
         positive &= value >= 0
-        hodge_count += 1
         if i < 3:
-            samples.append({"positivity": fmt_rat(value)})
+            samples.append({"positivity": value})
     f1 = explicit.FFTestFn.delta(args.p, 1)
     pairing = explicit.ff_pairing(zc, f1, f1)
     return {
@@ -334,11 +341,11 @@ def cmd_explicit_ff(args) -> dict:
         "trials": args.count,
         "explicit_formula_all_ok": bool(all_ok),
         "positivity_all_nonnegative": bool(positive),
-        "hodge_equals_positivity_count": hodge_count,
+        "hodge_equals_positivity_count": args.count,
         "delta1_pairing": {
-            "deg1": fmt_rat(pairing.deg1),
-            "deg2": fmt_rat(pairing.deg2),
-            "diag": fmt_rat(pairing.diag),
+            "deg1": pairing.deg1,
+            "deg2": pairing.deg2,
+            "diag": pairing.diag,
         },
         "samples": samples,
     }
@@ -353,27 +360,27 @@ def cmd_explicit_nf(args) -> dict:
     return {
         "zeros_loaded": len(zeros),
         "K": args.K,
-        "mu": fmt_real(args.mu),
-        "sigma": fmt_real(args.sigma),
+        "mu": args.mu,
+        "sigma": args.sigma,
         "prime_bound": args.pmax,
         "micro_examples": {
-            "d0_d0": fmt_real(explicit.micro_pairing(model, 0, 0)),
-            "d0_d1": fmt_real(explicit.micro_pairing(model, 0, 1)),
-            "d0_dhalf": fmt_real(explicit.micro_pairing(model, 0, 0.5)),
+            "d0_d0": explicit.micro_pairing(model, 0, 0),
+            "d0_d1": explicit.micro_pairing(model, 0, 1),
+            "d0_dhalf": explicit.micro_pairing(model, 0, 0.5),
         },
         "global_pairing": {
-            "deg1_residual": fmt_real(pairing.deg1_residual),
-            "deg2_residual": fmt_real(pairing.deg2_residual),
-            "explicit_formula_residual": fmt_real(pairing.explicit_formula_residual),
-            "fixed_point_residual": fmt_real(pairing.fixed_point_residual),
+            "deg1_residual": pairing.deg1_residual,
+            "deg2_residual": pairing.deg2_residual,
+            "explicit_formula_residual": pairing.explicit_formula_residual,
+            "fixed_point_residual": pairing.fixed_point_residual,
         },
         "riemann_weil": {
-            "residual": fmt_real(rw.residual),
-            "zero_sum": fmt_real(rw.zero_sum),
-            "fhat0": fmt_real(rw.fhat0),
-            "fhat1": fmt_real(rw.fhat1),
-            "prime_sum": fmt_real(rw.prime_sum),
-            "arch_term": fmt_real(rw.arch_term),
+            "residual": rw.residual,
+            "zero_sum": rw.zero_sum,
+            "fhat0": rw.fhat0,
+            "fhat1": rw.fhat1,
+            "prime_sum": rw.prime_sum,
+            "arch_term": rw.arch_term,
         },
     }
 
@@ -424,106 +431,66 @@ RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _flag(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+def _convention_flag(default: str) -> tuple[str, dict]:
+    return _flag("--convention", choices=("paper", "descent"), default=default)
+
+
+CURVE = (_flag("--curve", required=True), _flag("--p", type=int, required=True))
+LATTICE = (_flag("--lattice", help="basis rows, '/'-separated"),
+           _flag("--gram", help="Gram rows, '/'-separated"))
+RANK = _flag("--rank", type=int, required=True)
+OUTPUT = (_flag("--format", choices=tuple(RENDERERS), default="json"),
+          _flag("--out", help="write output to a file"))
+
+# name -> (handler, help, flags before --format/--out)
+COMMANDS = {
+    "artin": (cmd_artin, "zeta datum of an elliptic curve", (
+        *CURVE, _flag("--mmax", type=int, default=8),
+        _flag("--order", type=int, default=8))),
+    "nazeta": (cmd_nazeta, "rank-r zeta function of an elliptic curve", (
+        *CURVE, RANK, _convention_flag("paper"),
+        _flag("--mmax", type=int, default=6))),
+    "census": (cmd_census, "degree-0 semistable class census", (
+        *CURVE, RANK, _convention_flag("descent"))),
+    "mass": (cmd_mass, "beta masses: conventions vs the recursion", (
+        *CURVE, _flag("--rmax", type=int, default=3))),
+    "allbundles": (cmd_allbundles, "unstable rank-2 contributions", (
+        *CURVE, _flag("--order", type=int, default=10))),
+    "euler": (cmd_euler, "partial global Euler product", (
+        _flag("--A", type=int, required=True), _flag("--B", type=int, required=True),
+        _flag("--rank", type=int, default=1), _flag("--s", required=True),
+        _flag("--pmax", type=int, default=1000), _convention_flag("paper"),
+        _flag("--threads", type=int, default=1))),
+    "lattice": (cmd_lattice, "semistability, filtration, reduction", LATTICE),
+    "theta": (cmd_theta, "theta cohomology and Riemann-Roch", (
+        *LATTICE, _flag("--tol", type=float, default=1e-9))),
+    "xi": (cmd_xi, "completed zeta of the rationals", (
+        _flag("--s", required=True), _flag("--eps", type=float, default=1e-14))),
+    "explicit-ff": (cmd_explicit_ff, "exact function-field explicit formulas", (
+        *CURVE, _flag("--count", type=int, default=100),
+        _flag("--seed", type=int, default=0), _flag("--span", type=int, default=3))),
+    "explicit-nf": (cmd_explicit_nf, "micro model and Riemann-Weil residual", (
+        _flag("--zeros", required=True), _flag("--mu", type=float, default=0.1),
+        _flag("--sigma", type=float, default=0.05),
+        _flag("--K", type=int, default=100),
+        _flag("--pmax", type=int, default=10 ** 4))),
+    "andrianov": (cmd_andrianov, "spinor-factor formal match", ()),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", default=None, help="write output to a file")
-
-    p = sub.add_parser("artin", help="zeta datum of an elliptic curve")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mmax", type=int, default=8)
-    p.add_argument("--order", type=int, default=8)
-    common(p)
-    p.set_defaults(fn=cmd_artin)
-
-    p = sub.add_parser("nazeta", help="rank-r zeta function of an elliptic curve")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--convention", choices=("paper", "descent"), default="paper")
-    p.add_argument("--mmax", type=int, default=6)
-    common(p)
-    p.set_defaults(fn=cmd_nazeta)
-
-    p = sub.add_parser("census", help="degree-0 semistable class census")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--convention", choices=("paper", "descent"), default="descent")
-    common(p)
-    p.set_defaults(fn=cmd_census)
-
-    p = sub.add_parser("mass", help="beta masses: conventions vs the recursion")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rmax", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_mass)
-
-    p = sub.add_parser("allbundles", help="unstable rank-2 contributions")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
-    common(p)
-    p.set_defaults(fn=cmd_allbundles)
-
-    p = sub.add_parser("euler", help="partial global Euler product")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--s", required=True)
-    p.add_argument("--pmax", type=int, default=1000)
-    p.add_argument("--convention", choices=("paper", "descent"), default="paper")
-    p.add_argument("--threads", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=cmd_euler)
-
-    p = sub.add_parser("lattice", help="semistability, filtration, reduction")
-    p.add_argument("--lattice", default=None, help="basis rows, '/'-separated")
-    p.add_argument("--gram", default=None, help="Gram rows, '/'-separated")
-    common(p)
-    p.set_defaults(fn=cmd_lattice)
-
-    p = sub.add_parser("theta", help="theta cohomology and Riemann-Roch")
-    p.add_argument("--lattice", default=None)
-    p.add_argument("--gram", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(fn=cmd_theta)
-
-    p = sub.add_parser("xi", help="completed zeta of the rationals")
-    p.add_argument("--s", required=True)
-    p.add_argument("--eps", type=float, default=1e-14)
-    common(p)
-    p.set_defaults(fn=cmd_xi)
-
-    p = sub.add_parser("explicit-ff", help="exact function-field explicit formulas")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--span", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_explicit_ff)
-
-    p = sub.add_parser("explicit-nf", help="micro model and Riemann-Weil residual")
-    p.add_argument("--zeros", required=True)
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--K", type=int, default=100)
-    p.add_argument("--pmax", type=int, default=10 ** 4)
-    common(p)
-    p.set_defaults(fn=cmd_explicit_nf)
-
-    p = sub.add_parser("andrianov", help="spinor-factor formal match")
-    common(p)
-    p.set_defaults(fn=cmd_andrianov)
-
+    for name, (fn, help_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, options in flags + OUTPUT:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -561,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "params": {k: (v if isinstance(v, (int, bool)) else str(v))
                    for k, v in _public_params(args).items()},
-        "result": result,
+        "result": encode(result),
     }
     rendered = RENDERERS[args.format](payload)
     if args.out:

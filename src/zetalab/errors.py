@@ -1,4 +1,4 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy and enumeration budget shared across the package.
 
 The CLI maps these onto exit codes: validation failures exit 1,
 resource/budget overruns exit 2.
@@ -15,6 +15,11 @@ class InputError(ZetalabError, ValueError):
 
 class ResourceError(ZetalabError):
     """An enumeration or truncation budget was exceeded."""
+
+
+# the most points any enumeration visits (an F_q census, a theta box, a
+# phase grid) before ResourceError
+ENUMERATION_BUDGET = 10 ** 7
 
 
 class CapabilityError(ZetalabError):

@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from zetalab.artin import ZetaCurve, nm
-from zetalab.errors import InputError, NumericError, ResourceError
+from zetalab.errors import ENUMERATION_BUDGET, InputError, NumericError, ResourceError
 from zetalab.exact import complex_fsum, rat
-from zetalab.ffield import ENUMERATION_BUDGET, primes_up_to
+from zetalab.ffield import primes_up_to
 from zetalab.lattice import xi_q
 
 if TYPE_CHECKING:
@@ -403,10 +403,8 @@ def micro_pairing(model: MicroModel, x: float, y: float) -> float:
         if x == 0:
             return 1.0
         return 1.0 if x <= 1 else 1.0 / x   # mirror of <D_0, D_(1/x)>
-    if x == 0 and y == 0:
-        return 0.0
     if x == 0:
-        return min(y, 1.0) if y > 0 else 0.0
+        return min(float(y), 1.0)
     return float(micro_pairing_mesh(model, [x], [y])[0, 0])
 
 

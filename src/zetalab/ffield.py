@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from zetalab.artin import elliptic_zeta, nm
-from zetalab.errors import CapabilityError, InputError, ResourceError
-
-ENUMERATION_BUDGET = 10 ** 7
-
+from zetalab.errors import ENUMERATION_BUDGET, CapabilityError, InputError, ResourceError
 
 # prime_factors trial-divides up to this bound (about 50 ms at most), so it
 # factors every n below 10^12 and any n whose cofactor above it is prime

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from zetalab.errors import (
+    ENUMERATION_BUDGET,
     CapabilityError,
     ConfigError,
     InputError,
@@ -34,7 +35,6 @@ from zetalab.errors import (
     ResourceError,
 )
 from zetalab.exact import rat
-from zetalab.ffield import ENUMERATION_BUDGET
 
 if TYPE_CHECKING:
     import mpmath
@@ -612,7 +612,7 @@ def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:
         raise ConfigError("tolerance below certifiable floor (1e-13)")
     eps = tol / 100
     t0 = theta_h0(lat, eps)
-    t1 = theta_h0(dual(lat), eps)
+    t1 = h1(lat, eps)
     if t0.tail_bound + t1.tail_bound >= tol:
         raise ConfigError("certified tails exceed the requested tolerance")
     degree = deg(lat)

@@ -1,13 +1,17 @@
+import argparse
 import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from zetalab.cli import main, parse_curve, parse_matrix
+from zetalab.cli import build_parser, encode, main, parse_curve, parse_matrix
+from zetalab.exact import Poly
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "zetalab" / "data" / "schema.json")
@@ -43,14 +47,42 @@ class TestParsing:
         assert code == 64
 
     def test_matrix(self):
-        from fractions import Fraction
         rows = parse_matrix("2 0 / 0 0.5")
         assert rows == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
 
     def test_matrix_fraction_entries(self):
-        from fractions import Fraction
         rows = parse_matrix("1/3 0 / 0 3")
         assert rows[0][0] == Fraction(1, 3)
+
+
+class TestEncode:
+    def test_rationals_and_reals(self):
+        assert encode(-0.0) == "0"
+        assert encode(0.1) == "0.1"
+        assert encode(Fraction(3)) == "3"
+        assert encode(Fraction(-1, 2)) == "-1/2"
+
+    def test_complex_poly_tuple(self):
+        assert encode(complex(1.5, -0.0)) == {"re": "1.5", "im": "0"}
+        assert encode(Poly([1, Fraction(-1, 3)])) == ["1", "-1/3"]
+        assert encode((2, Fraction(1, 2))) == [2, "1/2"]
+
+    def test_bool_int_str_pass_through(self):
+        assert encode(True) is True
+        assert encode(False) is False
+        assert encode(7) == 7 and type(encode(7)) is int
+        assert encode("7") == "7"
+
+    def test_nested(self):
+        value = {"a": [{"b": 0.5, "c": (True, Fraction(2, 4))}], "d": {}}
+        assert encode(value) == {"a": [{"b": "0.5", "c": [True, "1/2"]}], "d": {}}
+
+    @pytest.mark.parametrize("value", [Decimal("1.5"), None, {1, 2}])
+    def test_unknown_type_raises(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            encode(value)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            encode({"nested": [value]})
 
 
 class TestCommands:
@@ -199,6 +231,58 @@ class TestExitCodes:
     def test_xi_far_right(self, capsys):
         payload = run_json(["xi", "--s", "80"], capsys)
         assert float(payload["result"]["functional_equation_residual"]) == 0
+
+
+# each subcommand with its required flags; `lattice` and `theta` need one
+# of --lattice and --gram
+CURVE = ["--curve", "y2=x3+x+1", "--p", "5"]
+REQUIRED = {
+    "artin": CURVE,
+    "nazeta": CURVE + ["--rank", "2"],
+    "census": CURVE + ["--rank", "2"],
+    "mass": CURVE,
+    "allbundles": CURVE,
+    "euler": ["--A", "1", "--B", "1", "--s", "3"],
+    "lattice": ["--gram", "1 0 / 0 1"],
+    "theta": ["--gram", "1 0 / 0 1"],
+    "xi": ["--s", "2"],
+    "explicit-ff": CURVE,
+    "explicit-nf": ["--zeros", ZEROS],
+    "andrianov": [],
+}
+OMITTED = [(command, i) for command, flags in REQUIRED.items()
+           for i in range(0, len(flags), 2)]
+
+
+class TestParserBehaviour:
+    def test_every_subcommand_listed(self):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        assert set(action.choices) == set(REQUIRED)
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_required_flags_parse(self, command):
+        args = build_parser().parse_args([command, *REQUIRED[command]])
+        assert args.command == command and args.format == "json"
+
+    @pytest.mark.parametrize("command,i", OMITTED,
+                             ids=[f"{c}-{REQUIRED[c][i]}" for c, i in OMITTED])
+    def test_missing_required_flag(self, command, i, capsys):
+        flags = REQUIRED[command][:i] + REQUIRED[command][i + 2:]
+        assert main([command, *flags]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_unknown_format(self, command, capsys):
+        assert main([command, *REQUIRED[command], "--format", "yaml"]) == 64
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["nazeta", "census", "euler"])
+    def test_unknown_convention(self, command, capsys):
+        assert main([command, *REQUIRED[command], "--convention", "other"]) == 64
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -225,6 +225,13 @@ class TestMicroModel:
         assert micro_pairing(self.model, math.inf, math.inf) == 0
         assert micro_pairing(self.model, 0, math.inf) == 1
 
+    @pytest.mark.parametrize("x,y", [(0, 0), (0, 1), (0, math.inf),
+                                     (math.inf, math.inf)])
+    def test_boundary_cases_are_floats(self, x, y):
+        # the CLI prints a float and an int differently
+        assert type(micro_pairing(self.model, x, y)) is float
+        assert type(micro_pairing(self.model, y, x)) is float
+
     def test_fiber_relations(self):
         for x in (0.1, 0.5, 0.9, 1.0):
             assert micro_pairing(self.model, 0, x) == pytest.approx(x)

@@ -59,6 +59,12 @@ def test_import_reader_finds_known_edges():
                                       "lattice", "nazeta"}
 
 
+def test_lattice_imports_no_curve_layer():
+    # the enumeration budget lives in errors, so the lattice layer needs
+    # nothing from the curves over F_q
+    assert zetalab_imports("lattice") & {"ffield", "artin"} == set()
+
+
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
