@@ -17,7 +17,6 @@ from typing import Sequence
 from zetalab.errors import InputError
 from zetalab.exact import (
     Poly,
-    RatFunc,
     Series,
     decimate,
     fe_transform_check,
@@ -56,12 +55,8 @@ class ZetaCurve:
             if a * a > 4 * self.q:
                 raise InputError("counts violate the Hasse bound")
 
-    @property
-    def zfunc(self) -> RatFunc:
-        return RatFunc(self.P, Poly([1, -1]) * Poly([1, -self.q]))
-
     def zseries(self, order: int) -> Series:
-        return self.zfunc.series(order)
+        return Series.ratio(self.P, Poly([1, -1]) * Poly([1, -self.q]), order)
 
     def power_sums(self, m_max: int) -> list[Fraction]:
         return power_sums_from_poly(self.P, m_max)

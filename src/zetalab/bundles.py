@@ -516,7 +516,7 @@ class InvariantTable:
 # Harder-Narasimhan / Desale-Ramanan mass recursion
 
 def _zeta_value(zc: ZetaCurve, i: int) -> Fraction:
-    # Z(x) = P(x)/((1-x)(1-qx)) at x = q^-i, with no RatFunc (and so no gcd)
+    # Z(x) = P(x)/((1-x)(1-qx)) at x = q^-i, evaluated directly
     x = Fraction(1, zc.q ** i)
     return zc.P(x) / ((1 - x) * (1 - zc.q * x))
 

@@ -1,16 +1,16 @@
-"""Exact rational substrate: dense polynomials, rational functions, truncated series.
+"""Exact rational substrate: dense polynomials and truncated power series.
 
 Coefficients are `fractions.Fraction` at the interface; nothing here ever
 rounds.  A polynomial is a dense ascending coefficient tuple with the
-trailing zero coefficients stripped, a rational function keeps its
-denominator monic and coprime to the numerator, and a truncated power
-series carries its truncation order as explicit state (mixing orders takes
-the minimum).  Inside, the series product, inverse and log and the power
-sums run their recurrences on Python ints whenever every input coefficient
-is an integer (with a constant term of +-1 for the inverse), and build
-Fractions only for the output; other input runs the same recurrences on
-Fractions.  The one float helper, `complex_fsum`, rounds once per
-component.
+trailing zero coefficients stripped, and a truncated power series carries
+its truncation order as explicit state (mixing orders takes the minimum).
+A rational function num/den is never reduced, only expanded into its
+power series by `Series.ratio`.  Inside, the series product, inverse and
+log and the power sums run their recurrences on Python ints whenever every
+input coefficient is an integer (with a constant term of +-1 for the
+inverse), and build Fractions only for the output; other input runs the
+same recurrences on Fractions.  The one float helper, `complex_fsum`,
+rounds once per component.
 """
 
 from __future__ import annotations
@@ -185,80 +185,6 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
-class RatFunc:
-    """Rational function num/den, den monic and gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise InputError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p, Poly.one())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
-            raise InputError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def scale(self, c: RatLike) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
-
-    def __call__(self, x: RatLike) -> Fraction:
-        x = rat(x)
-        d = self.den(x)
-        if d == 0:
-            raise InputError(f"pole of rational function at {x}")
-        return self.num(x) / d
-
-    def series(self, order: int) -> "Series":
-        """Power-series expansion at t=0 to the given truncation order."""
-        d0 = self.den[0]
-        if d0 == 0:
-            raise InputError("rational function has a pole at t=0")
-        # a unit constant term keeps an integral pair, such as a Weil
-        # numerator over (1-t)(1-qt), on the integer recurrences
-        num, den = self.num.scale(1 / d0), self.den.scale(1 / d0)
-        return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-
 class Series:
     """Truncated power series: `order` coefficients, order is exclusive."""
 
@@ -278,6 +204,17 @@ class Series:
     @staticmethod
     def from_poly(p: Poly, order: int) -> "Series":
         return Series(p.coeffs, order)
+
+    @staticmethod
+    def ratio(num: Poly, den: Poly, order: int) -> "Series":
+        """Power-series expansion of num/den at t=0 to the given order."""
+        d0 = den[0]
+        if d0 == 0:
+            raise InputError("rational function has a pole at t=0")
+        # a unit constant term keeps an integral pair, such as a Weil
+        # numerator over (1-t)(1-qt), on the integer recurrences
+        num, den = num.scale(1 / d0), den.scale(1 / d0)
+        return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
 
     @staticmethod
     def one(order: int) -> "Series":
@@ -454,22 +391,3 @@ def fe_transform_check(p: Poly, q: RatLike, rg: int) -> bool:
         if p[2 * rg - i] != p[i] * q ** (rg - i):
             return False
     return True
-
-
-def rf_from_series(s: Series, den: Poly, num_degree_bound: int) -> RatFunc:
-    """Reconstruct the rational function num/den matching a series.
-
-    The numerator is s*den truncated; it must have degree within the bound
-    and the product's remaining coefficients must vanish through the
-    series order, otherwise the series is not of the claimed shape.
-    """
-    prod = s * Series.from_poly(den, s.order)
-    if num_degree_bound >= s.order:
-        raise InputError("series too short to certify the numerator degree")
-    for i in range(num_degree_bound + 1, prod.order):
-        if prod[i] != 0:
-            raise InputError(
-                f"series is not P/den with deg P <= {num_degree_bound}: "
-                f"residual at t^{i}")
-    num = Poly(prod.coeffs[:num_degree_bound + 1])
-    return RatFunc(num, den)

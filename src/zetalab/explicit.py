@@ -605,15 +605,6 @@ def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
 # the Riemann-Weil residual harness
 
 @dataclass(frozen=True)
-class ArchQuadSpec:
-    t_max: float | None = None
-    order: int = 16
-    base_panels: int = 48
-    rel_tol: float = 1e-11
-    max_refine: int = 6
-
-
-@dataclass(frozen=True)
 class RWReport:
     residual: float
     zero_sum: float
@@ -682,7 +673,10 @@ def _re_digamma(z: np.ndarray) -> np.ndarray:
     return (np.log(w) - 0.5 / w - series - back).real
 
 
-def _arch_term(f: NFTestFn, spec: ArchQuadSpec) -> float:
+ARCH_QUAD = QuadratureSpec(rel_tol=1e-11, base_panels=48, max_refine=6)
+
+
+def _arch_term(f: NFTestFn) -> float:
     """(1/pi) * int_0^T Re fhat(1/2 + it) Re[psi(1/4 + it/2) - log pi] dt.
 
     This is the archimedean place's contribution moved to the critical
@@ -692,10 +686,8 @@ def _arch_term(f: NFTestFn, spec: ArchQuadSpec) -> float:
     the quadrature.
     """
     import numpy as np
-    t_max = spec.t_max
-    if t_max is None:
-        # Re fhat(1/2+it) decays like exp(-sigma^2 t^2 / 2)
-        t_max = math.sqrt(2 * 38.0) / f.sigma + abs(f.mu) + 10.0
+    # Re fhat(1/2+it) decays like exp(-sigma^2 t^2 / 2)
+    t_max = math.sqrt(2 * 38.0) / f.sigma + abs(f.mu) + 10.0
 
     def integrand(t):
         s_half = 0.5 + 1j * t
@@ -704,15 +696,11 @@ def _arch_term(f: NFTestFn, spec: ArchQuadSpec) -> float:
         kernel = _re_digamma(0.25 + 0.5j * t) - math.log(math.pi)
         return np.real(fh) * kernel
 
-    quad = QuadratureSpec(rel_tol=spec.rel_tol, order=spec.order,
-                          base_panels=spec.base_panels,
-                          max_refine=spec.max_refine)
-    return _composite_quad(integrand, 0.0, t_max, quad) / math.pi
+    return _composite_quad(integrand, 0.0, t_max, ARCH_QUAD) / math.pi
 
 
 def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
-                          prime_bound: int,
-                          arch: ArchQuadSpec = ArchQuadSpec()) -> RWReport:
+                          prime_bound: int) -> RWReport:
     """Residual of the Riemann-Weil explicit formula at truncation (K, P):
 
         sum_{i<=K} 2 Re fhat(1/2 + i gamma_i)
@@ -728,7 +716,7 @@ def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
     fhat0 = f.mellin(0).real
     fhat1 = f.mellin(1).real
     prime_sum = _von_mangoldt_sum(f, prime_bound)
-    arch_term = _arch_term(f, arch)
+    arch_term = _arch_term(f)
     residual = zero_sum - (fhat0 + fhat1 - prime_sum + arch_term)
     return RWReport(residual, zero_sum, fhat0, fhat1, prime_sum, arch_term,
                     K, prime_bound)

@@ -151,12 +151,6 @@ class Lattice:
     def covolume(self) -> float:
         return math.exp(0.5 * _log_fraction(self.covolume2))
 
-    def norm2(self, coeffs: Sequence[int]) -> Fraction:
-        g = self.gram
-        n = self.rank
-        return sum(g[i][j] * coeffs[i] * coeffs[j]
-                   for i in range(n) for j in range(n))
-
 
 def deg(lat: Lattice) -> float:
     """Degree of the lattice, deg = -log covolume (exact covolume^2 input)."""

@@ -28,7 +28,6 @@ from zetalab.bundles import Convention, CurveData, invariant
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
 from zetalab.exact import (
     Poly,
-    RatFunc,
     RatLike,
     Series,
     complex_fsum,
@@ -66,15 +65,11 @@ class RankZeta:
         return one_minus_tr * one_minus_qtr
 
     @property
-    def zfunc(self) -> RatFunc:
-        return RatFunc(self.P, self.denominator)
-
-    @property
     def normalized_numerator(self) -> Poly:
         return self.P.scale(Fraction(1) / self.P[0])
 
     def zseries(self, order: int) -> Series:
-        return self.zfunc.series(order)
+        return Series.ratio(self.P, self.denominator, order)
 
 
 def na_numerator(q: int, r: int, gamma0: RatLike,
@@ -313,7 +308,7 @@ def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
         return Poly([1] + [0] * (step - 1) + [-(c ** (a // g))]) ** g
 
     den = cyc(Fraction(1)) * cyc(rat(z.q) ** z.r)
-    lhs = num_series * RatFunc(Poly.one(), den).series(order)
+    lhs = num_series * Series.ratio(Poly.one(), den, order)
     counts = na_counts(z, a * (order - 1))
     rhs = Series([0] + [counts[a * m - 1] / m for m in range(1, order)], order).exp()
     return lhs == rhs
@@ -371,29 +366,27 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     closed_eq0 = Fraction(q * n1 * n1, (q * q - 1) * (q - 1) ** 2)
     direct_eq0 = mass_unit * (Fraction(1, q - 1) - Fraction(1, q * q - 1))
 
-    tpoly = Poly.x(1)
-    one = Poly.one()
     q_minus_t = Poly([q, -1])
     one_minus_t = Poly([1, -1])
     one_minus_t2 = Poly([1, 0, -1])
     one_minus_q2t2 = Poly([1, 0, -q * q])
 
+    # each closed form is a (numerator, denominator) pair
     # (i): d_1 > d_2 > 0, h^0 = d
-    closed_i = RatFunc(
-        Poly([0, 0, 0, n1 * n1]) * Poly([q * q + q + 1, q * q]),
-        Poly([q - 1]) * one_minus_t2 * one_minus_q2t2 * q_minus_t)
+    closed_i = (Poly([0, 0, 0, n1 * n1]) * Poly([q * q + q + 1, q * q]),
+                Poly([q - 1]) * one_minus_t2 * one_minus_q2t2 * q_minus_t)
     # (ii.a): d_2 = 0, L_2 trivial, h^0 = d + 1
-    closed_iia = RatFunc(Poly([0, n1]) * Poly([q + 1, -1]),
-                         Poly([q - 1]) * q_minus_t * one_minus_t)
+    closed_iia = (Poly([0, n1]) * Poly([q + 1, -1]),
+                  Poly([q - 1]) * q_minus_t * one_minus_t)
     # (ii.b): d_2 = 0, L_2 nontrivial, h^0 = d
-    closed_iib = RatFunc(Poly([0, n1 * (n1 - 1)]),
-                         Poly([q - 1]) * q_minus_t * one_minus_t)
+    closed_iib = (Poly([0, n1 * (n1 - 1)]),
+                  Poly([q - 1]) * q_minus_t * one_minus_t)
     # (iii): d_2 < 0 < d_1, h^0 = d_1
-    closed_iii = RatFunc(Poly([0, n1 * n1]) * Poly([q * q + q - 1, -q]),
-                         Poly([(q - 1) ** 2 * (q * q - 1)]) * one_minus_t * q_minus_t)
+    closed_iii = (Poly([0, n1 * n1]) * Poly([q * q + q - 1, -q]),
+                  Poly([(q - 1) ** 2 * (q * q - 1)]) * one_minus_t * q_minus_t)
 
-    def coeffs(f: RatFunc) -> tuple[Fraction, ...]:
-        return tuple(f.series(order + 1).coeffs[1:])
+    def coeffs(f: tuple[Poly, Poly]) -> tuple[Fraction, ...]:
+        return tuple(Series.ratio(*f, order + 1).coeffs[1:])
 
     def direct_i(d: int) -> Fraction:
         total = Fraction(0)
@@ -472,9 +465,6 @@ class GlobalCurve:
     @property
     def bad_primes(self) -> tuple[int, ...]:
         return prime_factors(abs(6 * (4 * self.A ** 3 + 27 * self.B ** 2)))
-
-    def is_good(self, p: int) -> bool:
-        return p not in self.bad_primes
 
 
 # Mestre: for p > 229, E or its quadratic twist has a point whose order has

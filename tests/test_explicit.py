@@ -14,7 +14,6 @@ from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import Poly
 from zetalab.explicit import (
     FIRST_ZERO,
-    ArchQuadSpec,
     CramerReport,
     FFTestFn,
     MicroModel,
@@ -389,10 +388,6 @@ class TestQuadratureSpec:
         with pytest.raises(InputError, match="rel_tol must be positive"):
             QuadratureSpec(rel_tol=rel_tol)
 
-    def test_arch_spec_refused_when_used(self):
-        with pytest.raises(InputError):
-            _arch_term(NFTestFn(0.1, 0.05), ArchQuadSpec(rel_tol=0.0))
-
 
 class TestGlobalPairing:
     def test_relative_degrees_bypass_zeros(self):
@@ -480,7 +475,7 @@ class TestReDigamma:
 
         with mpmath.workdps(20):
             want = float(mpmath.quad(integrand, mpmath.linspace(0, t_max, 9)) / mpmath.pi)
-        assert _arch_term(f, ArchQuadSpec()) == pytest.approx(want, rel=1e-12)
+        assert _arch_term(f) == pytest.approx(want, rel=1e-12)
 
 
 class TestRiemannWeil:

@@ -105,7 +105,7 @@ def box_shortest_vector(lat):
     for x in iproduct(*(range(-b, b + 1) for b in box)):
         if all(c == 0 for c in x) or x < tuple(-c for c in x):
             continue
-        norm = lat.norm2(x)
+        norm = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
         if norm < best or (norm == best and x < best_x):
             best, best_x = norm, x
     return best, best_x

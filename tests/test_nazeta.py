@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from fq_oracle import Fq, multiples, pt_add
+from ratfunc_oracle import RatFunc, longdiv_series
 
 from zetalab import nazeta
-from zetalab.artin import elliptic_zeta, nm
+from zetalab.artin import elliptic_zeta, nm, reciprocity_check
 from zetalab.bundles import (
     Convention,
     CurveData,
@@ -17,7 +18,7 @@ from zetalab.bundles import (
     paper_split_beta2,
 )
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
-from zetalab.exact import Poly, RatFunc, Series
+from zetalab.exact import Poly, Series
 from zetalab.ffield import (
     FieldSpec,
     WeierstrassCurve,
@@ -91,7 +92,9 @@ class TestEllNaZeta:
     def test_rank1_is_artin_zeta(self):
         for curve in GALLERY:
             z = ell_na_zeta(curve, 1, Convention.PAPER_SPLIT)
-            assert z.zfunc == curve.zeta.zfunc
+            zc = curve.zeta
+            assert (RatFunc(z.P, z.denominator)
+                    == RatFunc(zc.P, Poly([1, -1]) * Poly([1, -zc.q])))
         z59 = ell_na_zeta(E59, 1, Convention.GALOIS_DESCENT)
         assert z59.P == Poly([1, 3, 5])
 
@@ -126,6 +129,44 @@ class TestEllNaZeta:
     def test_denominator_shape(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
         assert z.denominator == Poly([1, 0, -1]) * Poly([1, 0, -25])
+
+
+class TestZseries:
+    def test_rank_zeta_matches_long_division(self, curves_to_23):
+        for curve in curves_to_23:
+            for r in (1, 2, 3):
+                for conv in Convention:
+                    z = ell_na_zeta(curve, r, conv)
+                    assert list(z.zseries(12).coeffs) == longdiv_series(
+                        z.P.coeffs, z.denominator.coeffs, 12)
+
+    def test_artin_zeta_matches_long_division(self, curves_to_23):
+        for curve in curves_to_23:
+            zc = curve.zeta
+            den = Poly([1, -1]) * Poly([1, -zc.q])
+            assert list(zc.zseries(12).coeffs) == longdiv_series(
+                zc.P.coeffs, den.coeffs, 12)
+
+    def test_series_paths_need_no_gcd(self, monkeypatch):
+        # only na_properties_check (the square-free part) may reduce by a gcd
+        def refuse(self, other):
+            raise AssertionError("Poly.gcd called")
+
+        monkeypatch.setattr(Poly, "gcd", refuse)
+        for curve in GALLERY:
+            zc = curve.zeta
+            assert zc.zseries(8)[0] == 1
+            for n in (2, 3, 4):
+                assert reciprocity_check(zc, n, 8)
+            for r in (1, 2, 3):
+                for conv in Convention:
+                    z = ell_na_zeta(curve, r, conv)
+                    assert z.zseries(8)[0] == z.P[0]
+                    assert len(na_counts(z, 6)) == 6
+                    assert roots_of_unity_product_check(z, 2)
+            assert allbundles_rank2(curve, 10).all_agree
+        with pytest.raises(AssertionError, match="Poly.gcd called"):
+            na_properties_check(ell_na_zeta(E59, 2, Convention.PAPER_SPLIT))
 
 
 class TestNaNumerator:
@@ -192,7 +233,7 @@ class TestProperties:
         object.__setattr__(bad, "P", Poly(coeffs))
         object.__setattr__(bad, "convention", z.convention)
         assert na_properties_check(bad).functional_equation_ok
-        series = bad.zfunc.series(3)
+        series = bad.zseries(3)
         assert series[2] != (F(25) - 1) * invariant("beta", 2, 2, E59,
                                                     Convention.PAPER_SPLIT)
 
@@ -314,7 +355,7 @@ def mass_tables_from_zeta(q, g, p_poly):
     """alpha/beta tables for rank 1 derived from a known zeta numerator."""
     h = p_poly(1)
     beta = {0: F(h, q - 1)}
-    zser = RatFunc(p_poly, Poly([1, -1]) * Poly([1, -q])).series(g)
+    zser = longdiv_series(p_poly.coeffs, (Poly([1, -1]) * Poly([1, -q])).coeffs, g)
     alpha = {d: zser[d] + beta[0] for d in range(g)}
     return alpha, beta
 
@@ -432,7 +473,7 @@ class TestGlobalEuler:
                 continue
             for k in range(2 * p, bound + 1, p):
                 sieve[k] = False
-            if p <= 3 or not ec.is_good(p):
+            if p <= 3 or p in ec.bad_primes:
                 continue
             ap = trace_of_frobenius(p, -1, 0)
             x = complex(p) ** (-s)
