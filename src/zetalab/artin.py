@@ -23,7 +23,6 @@ from zetalab.exact import (
     poly_from_power_sums,
     power_sums_from_poly,
     rat,
-    series_exp_from_power_sums,
 )
 
 
@@ -62,39 +61,12 @@ class ZetaCurve:
         return power_sums_from_poly(self.P, m_max)
 
 
-def artin_zeta_from_counts(q: int, g: int, counts: Sequence[int]) -> ZetaCurve:
-    """Build the zeta datum from N_1..N_g (extra counts are cross-checked).
-
-    The lower numerator coefficients are forced by the counts through
-    exp(sum N_m t^m/m) * (1-t)(1-qt); the upper half is forced by
-    a(2g-i) = a(i) * q^(g-i).
-    """
-    if g < 1:
-        raise InputError("use genus >= 1 (genus 0 has an empty numerator)")
-    if len(counts) < g:
-        raise InputError(f"need at least N_1..N_{g}")
-    order = g + 1
-    zser = series_exp_from_power_sums([rat(c) for c in counts[:g]], order)
-    pser = zser * Series.from_poly(Poly([1, -1]) * Poly([1, -q]), order)
-    lower = list(pser.coeffs)
-    coeffs = lower + [lower[g - 1 - j] * rat(q) ** (j + 1) for j in range(g)]
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InputError("counts do not come from a curve (non-integral P)")
-    zc = ZetaCurve(q, g, Poly(coeffs))
-    for m, n_claimed in enumerate(counts, start=1):
-        if nm(zc, m) != n_claimed:
-            raise InputError(
-                f"over-determined counts are inconsistent: N_{m} should be "
-                f"{nm(zc, m)}, got {n_claimed}")
-    return zc
-
-
 def elliptic_zeta(q: int, n1: int) -> ZetaCurve:
     """Genus-1 shortcut: P = 1 - a t + q t^2 with a = q + 1 - N_1.
 
-    The datum's own checks refuse an N_1 outside the Hasse range, as
-    `artin_zeta_from_counts(q, 1, [n1])` does, with the same message.
+    The datum's own checks refuse an N_1 outside the Hasse range, with the
+    message the counts route (the oracle `artin_zeta_from_counts` in
+    tests/test_artin.py) gives.
     """
     return ZetaCurve(q, 1, Poly([1, n1 - q - 1, q]))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -212,32 +212,10 @@ def class_contents(gr: BundleDescriptor) -> list[BundleDescriptor]:
 # strata census
 
 @dataclass(frozen=True)
-class StratumKey:
-    """Multiplicity pattern (a0; a1,...,ak): a0 trivial pieces, then the
-    multiplicities of the distinct nontrivial pieces."""
-
-    a0: int
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.a0 < 0 or any(a < 1 for a in self.parts):
-            raise InputError("invalid stratum key")
-
-    @property
-    def rank(self) -> int:
-        return self.a0 + sum(self.parts)
-
-    def label(self) -> str:
-        inner = ",".join(str(a) for a in self.parts) if self.parts else "0"
-        return f"({self.a0};{inner})"
-
-
-@dataclass(frozen=True)
 class Stratum:
     """One census row: a stratum, how many classes it holds, and the
     per-class mass sums (all bundles of one class together)."""
 
-    key: StratumKey
     label: str
     classes: Fraction
     bundles_per_class: int
@@ -273,14 +251,13 @@ class CensusResult:
         return sum((row.gamma for row in self.rows), Fraction(0))
 
 
-def _class_row(key: StratumKey, label: str, classes, gr: BundleDescriptor,
-               q: int) -> Stratum:
+def _class_row(label: str, classes, gr: BundleDescriptor, q: int) -> Stratum:
     contents = class_contents(gr)
     auts = [aut_order(v, q) for v in contents]
     mass = sum(Fraction(1, a) for a in auts)
     gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, a)
                 for v, a in zip(contents, auts))
-    return Stratum(key, label, Fraction(classes), len(contents), mass, gamma)
+    return Stratum(label, Fraction(classes), len(contents), mass, gamma)
 
 
 _O = LineOrbit.trivial()
@@ -300,8 +277,8 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
     q, n1 = curve.q, curve.n1
     if r == 1:
         rows = (
-            _class_row(StratumKey(1), "(1;0)", 1, BundleDescriptor.of((1, _O)), q),
-            _class_row(StratumKey(0, (1,)), "(0;1)", n1 - 1,
+            _class_row("(1;0)", 1, BundleDescriptor.of((1, _O)), q),
+            _class_row("(0;1)", n1 - 1,
                        BundleDescriptor.of((1, LineOrbit.rational())), q),
         )
         return CensusResult(1, conv, "all determinants, degree 0", rows)
@@ -326,28 +303,28 @@ def _census_paper(r: int, curve: CurveData) -> CensusResult:
 
     if r == 2:
         rows = (
-            _class_row(StratumKey(2), "(2;0)", 1,
+            _class_row("(2;0)", 1,
                        BundleDescriptor.of((1, _O), (1, _O)), q),
-            _class_row(StratumKey(0, (2,)), "(0;2)", 3,
+            _class_row("(0;2)", 3,
                        BundleDescriptor.of((1, T), (1, T)), q),
-            _class_row(StratumKey(0, (1, 1)), "(0;1,1)", q + 1 - 4,
+            _class_row("(0;1,1)", q + 1 - 4,
                        BundleDescriptor.of((1, L), (1, Linv)), q),
         )
         return CensusResult(2, Convention.PAPER_SPLIT,
                             "determinant O, split counts as printed", rows)
 
     rows = (
-        _class_row(StratumKey(2, (1,)), "(2;1)", 1,
+        _class_row("(2;1)", 1,
                    BundleDescriptor.of((1, _O), (1, _O), (1, lam)), q),
-        _class_row(StratumKey(1, (2,)), "(1;2)", 4,
+        _class_row("(1;2)", 4,
                    BundleDescriptor.of((1, _O), (1, T), (1, T)), q),
-        _class_row(StratumKey(1, (1, 1)), "(1;1,1)", q - 4,
+        _class_row("(1;1,1)", q - 4,
                    BundleDescriptor.of((1, _O), (1, L), (1, Linv)), q),
-        _class_row(StratumKey(0, (3,)), "(0;3)", 9,
+        _class_row("(0;3)", 9,
                    BundleDescriptor.of((1, T), (1, T), (1, T)), q),
-        _class_row(StratumKey(0, (2, 1)), "(0;2,1)", n1 - (9 + 4 + 1),
+        _class_row("(0;2,1)", n1 - (9 + 4 + 1),
                    BundleDescriptor.of((1, L), (1, L), (1, Linv)), q),
-        _class_row(StratumKey(0, (1, 1, 1)), "(0;1,1,1)", q * q - (n1 - 4 - 1),
+        _class_row("(0;1,1,1)", q * q - (n1 - 4 - 1),
                    BundleDescriptor.of((1, L), (1, Linv), (1, lam)), q),
     )
     return CensusResult(3, Convention.PAPER_SPLIT,
@@ -381,13 +358,13 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 
     if r == 2:
         rows = (
-            _class_row(StratumKey(2), "(2;0)", 1,
+            _class_row("(2;0)", 1,
                        BundleDescriptor.of((1, _O), (1, _O)), q),
-            _class_row(StratumKey(0, (2,)), "(0;2)", eps2 - 1,
+            _class_row("(0;2)", eps2 - 1,
                        BundleDescriptor.of((1, T), (1, T)), q),
-            _class_row(StratumKey(0, (1, 1)), "(0;1,1)", Fraction(n1 - eps2, 2),
+            _class_row("(0;1,1)", Fraction(n1 - eps2, 2),
                        BundleDescriptor.of((1, L), (1, Linv)), q),
-            _class_row(StratumKey(0, ()), "(0;conj-pair)", Fraction(k2 - eps2, 2),
+            _class_row("(0;conj-pair)", Fraction(k2 - eps2, 2),
                        BundleDescriptor.of((1, C2)), q),
         )
         return CensusResult(2, Convention.GALOIS_DESCENT, "determinant O", rows)
@@ -399,26 +376,26 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
     k3 = n3 // n1
     C3 = LineOrbit.conjugate(3)
     rows = (
-        _class_row(StratumKey(3), "(3;0)", 1,
+        _class_row("(3;0)", 1,
                    BundleDescriptor.of((1, _O), (1, _O), (1, _O)), q),
-        _class_row(StratumKey(1, (2,)), "(1;2)", eps2 - 1,
+        _class_row("(1;2)", eps2 - 1,
                    BundleDescriptor.of((1, _O), (1, T), (1, T)), q),
-        _class_row(StratumKey(1, (1, 1)), "(1;1,1)", Fraction(n1 - eps2, 2),
+        _class_row("(1;1,1)", Fraction(n1 - eps2, 2),
                    BundleDescriptor.of((1, _O), (1, L), (1, Linv)), q),
-        _class_row(StratumKey(1, ()), "(1;conj-pair)", Fraction(k2 - eps2, 2),
+        _class_row("(1;conj-pair)", Fraction(k2 - eps2, 2),
                    BundleDescriptor.of((1, _O), (1, C2)), q),
-        _class_row(StratumKey(0, (3,)), "(0;3)", eps3 - 1,
+        _class_row("(0;3)", eps3 - 1,
                    BundleDescriptor.of((1, T), (1, T), (1, T)), q),
-        _class_row(StratumKey(0, (2, 1)), "(0;2,1)",
+        _class_row("(0;2,1)",
                    n1 - (eps2 + eps3 - 1),
                    BundleDescriptor.of((1, L), (1, L), (1, Linv)), q),
-        _class_row(StratumKey(0, (1, 1, 1)), "(0;1,1,1)", _triple_count(n1, eps2, eps3),
+        _class_row("(0;1,1,1)", _triple_count(n1, eps2, eps3),
                    BundleDescriptor.of((1, L), (1, Linv),
                                        (1, LineOrbit.rational(4))), q),
-        _class_row(StratumKey(0, (1,)), "(0;1,conj-pair)",
+        _class_row("(0;1,conj-pair)",
                    Fraction(n2 - n1 - (k2 - eps2), 2),
                    BundleDescriptor.of((1, L), (1, C2)), q),
-        _class_row(StratumKey(0, ()), "(0;conj-triple)",
+        _class_row("(0;conj-triple)",
                    Fraction(k3 - eps3, 3),
                    BundleDescriptor.of((1, C3)), q),
     )
@@ -482,36 +459,6 @@ def invariant(kind: str, r: int, d: int, curve: CurveData,
     return beta + gamma
 
 
-@dataclass
-class InvariantTable:
-    """Exact alpha/beta/gamma masses indexed by (kind, rank, degree)."""
-
-    curve: CurveData
-    convention: Convention
-    entries: dict[tuple[str, int, int], Fraction] = field(default_factory=dict)
-
-    @staticmethod
-    def build(curve: CurveData, conv: Convention, r_max: int = 3,
-              d_range: Sequence[int] = range(-2, 5)) -> "InvariantTable":
-        table = InvariantTable(curve, conv)
-        for r in range(1, r_max + 1):
-            for d in d_range:
-                for kind in ("alpha", "beta", "gamma"):
-                    table.entries[(kind, r, d)] = invariant(kind, r, d, curve, conv)
-        table.validate()
-        return table
-
-    def validate(self):
-        for (kind, r, d), value in self.entries.items():
-            if value < 0:
-                raise InputError(f"negative mass at {(kind, r, d)}")
-            if kind == "gamma":
-                a = self.entries.get(("alpha", r, d))
-                b = self.entries.get(("beta", r, d))
-                if a is not None and b is not None and value != a - b:
-                    raise InputError(f"gamma != alpha - beta at {(r, d)}")
-
-
 # ---------------------------------------------------------------------------
 # Harder-Narasimhan / Desale-Ramanan mass recursion
 
@@ -554,29 +501,6 @@ def _t111_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
     return b1 ** 3 * total
 
 
-def hn_correction_truncated(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
-    """Plain truncated loops over unstable HN types (the oracle for the
-    closed geometric forms).  `terms` bounds each gap/degree variable."""
-    q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
-    if r == 2:
-        m0 = d // 2 + 1
-        return sum(b1 * b1 * Fraction(1, q ** (2 * m - d))
-                   for m in range(m0, m0 + terms))
-    if r != 3:
-        raise CapabilityError("recursion implemented for rank <= 3")
-    t12 = sum(b1 * _beta2_parity(zc, b1, (d - m) % 2) * Fraction(1, q ** (3 * m - d))
-              for m in range(d // 3 + 1, d // 3 + 1 + terms))
-    t21 = sum(_beta2_parity(zc, b1, m % 2) * b1 * Fraction(1, q ** (3 * m - 2 * d))
-              for m in range((2 * d) // 3 + 1, (2 * d) // 3 + 1 + terms))
-    t111 = Fraction(0)
-    for u in range(1, terms + 1):
-        for v in range(1, terms + 1):
-            if (u - v - d) % 3 == 0:
-                t111 += b1 ** 3 * Fraction(1, q ** (2 * (u + v)))
-    return t12 + t21 + t111
-
-
 def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
     """beta_r(d) from the mass recursion: the total rank-r mass is
     (N_1/(q-1)) * prod_{i=2}^r zeta(q^-i), and the unstable strata are
@@ -594,70 +518,3 @@ def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
         return _beta2_parity(zc, b1, d % 2)
     total = b1 * _zeta_value(zc, 2) * _zeta_value(zc, 3)
     return total - _t12_t21_closed(zc, b1, d) - _t111_closed(zc, b1, d)
-
-
-def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
-    """Exact tail of the truncated HN sums beyond `terms` leading entries.
-
-    Together with hn_correction_truncated this reconstitutes the full
-    correction, so closed forms can be pinned exactly against plain loops.
-    """
-    q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
-    if r == 2:
-        m0 = d // 2 + 1 + terms
-        return b1 * b1 * Fraction(1, q ** (2 * m0 - d)) / (1 - Fraction(1, q * q))
-    if r != 3:
-        raise CapabilityError("recursion implemented for rank <= 3")
-    # t111 tail: the full sum minus the truncated box, exactly
-    box = {k: sum(Fraction(1, q ** (2 * u)) for u in range(k, terms + 1, 3))
-           for k in (1, 2, 3)}
-    t111_box = sum(box[u0] * box[(u0 - d - 1) % 3 + 1] for u0 in (1, 2, 3))
-    return (_t12_t21_closed(zc, b1, d, skip=terms) + _t111_closed(zc, b1, d)
-            - b1 ** 3 * t111_box)
-
-
-# ---------------------------------------------------------------------------
-# refined Brill-Noether stratum shapes
-
-@dataclass(frozen=True)
-class StratumShape:
-    """Regrouped key plus the product-of-spaces shape of the stratum closure
-    in the fixed-determinant slice."""
-
-    a0: int
-    regrouped: tuple[tuple[int, int], ...]   # (part value b_i, multiplicity s_i)
-    components: int                          # b_l^2 torsion choices if b_l > 1
-    bundle_factors: tuple[int, ...]          # P^m-bundles over E, exponents m
-    projective_factor: int                   # trailing P^m factor, -1 if none
-
-    def describe(self) -> str:
-        pieces = [f"P^{m}-bundle over E" for m in self.bundle_factors if m > 0]
-        pieces += ["E" for m in self.bundle_factors if m == 0]
-        if self.projective_factor > 0:
-            pieces.append(f"P^{self.projective_factor}")
-        if not pieces:
-            body = "point"
-        else:
-            body = " x ".join(pieces)
-        if self.components > 1:
-            return f"{self.components} components, each {body}"
-        return body
-
-
-def bn_stratum_shape(key: StratumKey) -> StratumShape:
-    """Shape of the stratum closure for a fixed determinant.
-
-    Regroup the nontrivial multiplicities as b_1^(s_1) > ... > b_l^(s_l).
-    The determinant constraint removes one degree of freedom: if b_l = 1 it
-    does so canonically (one piece is solved for), otherwise it leaves
-    b_l^2 torsion-translate components.
-    """
-    if not key.parts:
-        return StratumShape(key.a0, (), 1, (), -1)
-    counter = Counter(key.parts)
-    regrouped = tuple(sorted(counter.items(), key=lambda kv: -kv[0]))
-    b_last, s_last = regrouped[-1]
-    bundle_factors = tuple(s - 1 for _, s in regrouped[:-1])
-    components = 1 if b_last == 1 else b_last ** 2
-    return StratumShape(key.a0, regrouped, components, bundle_factors, s_last - 1)

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence, Union
 
 from zetalab.errors import InputError
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 

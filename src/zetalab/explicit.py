@@ -31,9 +31,8 @@ from typing import TYPE_CHECKING
 
 from zetalab.artin import ZetaCurve, nm
 from zetalab.errors import ENUMERATION_BUDGET, InputError, NumericError, ResourceError
-from zetalab.exact import complex_fsum, rat
+from zetalab.exact import rat
 from zetalab.ffield import primes_up_to
-from zetalab.lattice import xi_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,18 +103,6 @@ def _nm_extended(zc: ZetaCurve, n: int) -> Fraction:
     return Fraction(nm(zc, abs(n)))
 
 
-def pair_graphs(zc: ZetaCurve, n: int, m: int) -> Fraction:
-    """<A_n, A_m>: reduce by symmetry and translation to <A_k, A_0> = N_k."""
-    if n < m:
-        n, m = m, n
-    # now n >= m
-    if m >= 0:
-        return _qpow(zc.q, m) * _nm_extended(zc, n - m)
-    if n <= 0:
-        return _qpow(zc.q, -n) * _nm_extended(zc, n - m)
-    return _nm_extended(zc, n - m)
-
-
 def _psum(zc: ZetaCurve, cache: list[Fraction], n: int) -> Fraction:
     """sum of w_i^n over reciprocal roots, any integer n (p_0 = 2g,
     negative powers through the pairing w -> q/w)."""
@@ -156,15 +143,6 @@ def ff_pairing(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> FFPairing:
     diag = _diag_pairing(zc, f)
     cross = _diag_pairing(zc, f.convolve_with_dual(g))
     return FFPairing(deg1, deg2, diag, cross)
-
-
-def ff_cross_direct(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> Fraction:
-    """<D_f, D_g> by direct bilinear expansion over graph pairings (the
-    independent route against the convolution reduction)."""
-    cf = f.divisor_coefficients()
-    cg = g.divisor_coefficients()
-    return sum((cf[n] * cg[m] * pair_graphs(zc, n, m)
-                for n in cf for m in cg), Fraction(0))
 
 
 def ff_zero_sum(zc: ZetaCurve, f: FFTestFn) -> Fraction:
@@ -248,55 +226,6 @@ def load_zeros(path: str | Path) -> ZeroTable:
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: not a decimal: {body!r}") from exc
     return ZeroTable(tuple(ordinates))
-
-
-def first_zero_bisect(lo: float = 14.0, hi: float = 14.3,
-                      tol: float = 1e-6) -> float:
-    """Locate the first critical-line zero by bisecting the sign change of
-    the (real-valued) completed zeta on the line; the independent oracle
-    for the zero-table sanity gate."""
-    flo = xi_q(0.5 + 1j * lo).real
-    fhi = xi_q(0.5 + 1j * hi).real
-    if flo * fhi >= 0:
-        raise NumericError("no sign change in the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = xi_q(0.5 + 1j * mid).real
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def critical_strip_zero_count(t_lo: float = 12.0, t_hi: float = 15.0,
-                              samples: int = 360) -> int:
-    """Winding number of the completed zeta around a rectangle in the
-    critical strip (argument principle, desk scale).
-
-    The rectangle is [-0.5, 1.5] x [t_lo, t_hi]; the boundary is sampled
-    densely and refined wherever the phase step exceeds pi/2.
-    """
-    corners = [complex(-0.5, t_lo), complex(1.5, t_lo),
-               complex(1.5, t_hi), complex(-0.5, t_hi), complex(-0.5, t_lo)]
-    points: list[complex] = []
-    for a, b in zip(corners, corners[1:]):
-        n = max(2, int(samples * abs(b - a) / 8))
-        points.extend(a + (b - a) * k / n for k in range(n))
-    points.append(corners[0])
-    values = [xi_q(z) for z in points]
-    total = 0.0
-    i = 0
-    while i < len(values) - 1:
-        dphi = cmath.phase(values[i + 1] / values[i])
-        if abs(dphi) > math.pi / 2:
-            mid = points[i] + 0.5 * (points[i + 1] - points[i])
-            points.insert(i + 1, mid)
-            values.insert(i + 1, xi_q(mid))
-            continue
-        total += dphi
-        i += 1
-    return round(total / (2 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -720,35 +649,3 @@ def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
     residual = zero_sum - (fhat0 + fhat1 - prime_sum + arch_term)
     return RWReport(residual, zero_sum, fhat0, fhat1, prime_sum, arch_term,
                     K, prime_bound)
-
-
-# ---------------------------------------------------------------------------
-# Cramer partial sums
-
-@dataclass(frozen=True)
-class CramerReport:
-    value: complex
-    half_diff: float
-    termwise_bound: float
-
-
-def cramer_partial(z: complex, K: int, zeros: ZeroTable) -> CramerReport:
-    """V_+^K(z) = sum_{i<=K} exp(z (1/2 + i gamma_i)) for Im z > 0.
-
-    Absolute convergence in the upper half plane makes the half-sum
-    difference a usable convergence indicator; the termwise bound
-    K exp(Re z / 2 - gamma_1 Im z) is checked before returning.
-    """
-    if z.imag <= 0:
-        raise InputError("Cramer sums need Im z > 0")
-    if K < 0 or K > len(zeros):
-        raise InputError("K must lie within the zero table")
-    terms = [cmath.exp(z * (0.5 + 1j * g)) for g in zeros.ordinates[:K]]
-    value = complex_fsum(terms)
-    # |V_K - V_{K/2}|, summed over the tail terms directly so the
-    # indicator is not drowned by cancellation in the leading terms
-    tail = complex_fsum(terms[K // 2:])
-    bound = K * math.exp(z.real / 2 - zeros.ordinates[0] * z.imag) if K else 0.0
-    if abs(value) > bound + 1e-12:
-        raise NumericError("termwise bound violated")
-    return CramerReport(value, abs(tail), bound)

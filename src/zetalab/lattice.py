@@ -147,10 +147,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def covolume(self) -> float:
-        return math.exp(0.5 * _log_fraction(self.covolume2))
-
 
 def deg(lat: Lattice) -> float:
     """Degree of the lattice, deg = -log covolume (exact covolume^2 input)."""
@@ -590,10 +586,6 @@ class RRReport:
     degree: float
     residual: float
     tail_total: float
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.residual) <= max(self.tail_total * 4, 1e-12)
 
 
 def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:

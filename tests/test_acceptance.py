@@ -12,7 +12,6 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
-import pytest
 from fq_oracle import enumerated_count
 
 from zetalab.artin import elliptic_zeta, fe_check_zeta, nm, reciprocity_check, rh_check
@@ -32,7 +31,6 @@ from zetalab.explicit import (
 from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
 from zetalab.lattice import (
     Lattice,
-    deg,
     dual,
     hn_filtration,
     is_semistable,

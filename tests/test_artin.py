@@ -1,13 +1,12 @@
 import math
 import random
-from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from fq_oracle import enumerated_count
 
 from zetalab.artin import (
     ZetaCurve,
-    artin_zeta_from_counts,
     base_extend,
     elliptic_zeta,
     fe_check_zeta,
@@ -16,7 +15,7 @@ from zetalab.artin import (
     rh_check,
 )
 from zetalab.errors import InputError
-from zetalab.exact import Poly
+from zetalab.exact import Poly, Series, rat, series_exp_from_power_sums
 from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to
 
 ZC59 = elliptic_zeta(5, 9)    # y^2 = x^3 + x + 1 over F_5
@@ -25,6 +24,34 @@ ZC58 = elliptic_zeta(5, 8)    # y^2 = x^3 + 4x over F_5
 # a small gallery shared by identity sweeps
 GALLERY = [ZC59, ZC58, elliptic_zeta(7, 5), elliptic_zeta(7, 9),
            elliptic_zeta(11, 16), elliptic_zeta(13, 19)]
+
+
+def artin_zeta_from_counts(q: int, g: int, counts: Sequence[int]) -> ZetaCurve:
+    """Build the zeta datum from N_1..N_g (extra counts are cross-checked).
+
+    The lower numerator coefficients are forced by the counts through
+    exp(sum N_m t^m/m) * (1-t)(1-qt); the upper half is forced by
+    a(2g-i) = a(i) * q^(g-i).  The oracle for `elliptic_zeta`.
+    """
+    if g < 1:
+        raise InputError("use genus >= 1 (genus 0 has an empty numerator)")
+    if len(counts) < g:
+        raise InputError(f"need at least N_1..N_{g}")
+    order = g + 1
+    zser = series_exp_from_power_sums([rat(c) for c in counts[:g]], order)
+    pser = zser * Series.from_poly(Poly([1, -1]) * Poly([1, -q]), order)
+    lower = list(pser.coeffs)
+    coeffs = lower + [lower[g - 1 - j] * rat(q) ** (j + 1) for j in range(g)]
+    for c in coeffs:
+        if c.denominator != 1:
+            raise InputError("counts do not come from a curve (non-integral P)")
+    zc = ZetaCurve(q, g, Poly(coeffs))
+    for m, n_claimed in enumerate(counts, start=1):
+        if nm(zc, m) != n_claimed:
+            raise InputError(
+                f"over-determined counts are inconsistent: N_{m} should be "
+                f"{nm(zc, m)}, got {n_claimed}")
+    return zc
 
 
 class TestConstruction:

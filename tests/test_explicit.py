@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,26 +10,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetalab.artin import ZetaCurve, elliptic_zeta, nm
+from zetalab.artin import ZetaCurve, elliptic_zeta
 from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import Poly
 from zetalab.explicit import (
     FIRST_ZERO,
-    CramerReport,
     FFTestFn,
     MicroModel,
     NFTestFn,
     QuadratureSpec,
     ZeroTable,
-    cramer_partial,
-    critical_strip_zero_count,
-    ff_cross_direct,
     ff_explicit_formula_check,
     ff_hodge_defect,
     ff_pairing,
     ff_positivity,
     ff_zero_sum,
-    first_zero_bisect,
     global_pairing,
     load_zeros,
     micro_pairing,
@@ -39,10 +35,13 @@ from zetalab.explicit import (
     PSI_SHIFT,
     _arch_term,
     _cross_pairing,
+    _nm_extended,
     _panel_points,
+    _qpow,
     _re_digamma,
     _weight_arr,
 )
+from zetalab.lattice import xi_q
 
 ZEROS_PATH = Path(__file__).parent / "data" / "zeros100.txt"
 ZEROS = load_zeros(ZEROS_PATH)
@@ -56,6 +55,27 @@ def random_fftest(rng, q, span=3, scale=9):
     support = {n: F(rng.randint(-scale, scale), rng.randint(1, 4))
                for n in range(-span, span + 1)}
     return FFTestFn.of(q, support)
+
+
+def pair_graphs(zc: ZetaCurve, n: int, m: int) -> Fraction:
+    """<A_n, A_m>: reduce by symmetry and translation to <A_k, A_0> = N_k."""
+    if n < m:
+        n, m = m, n
+    # now n >= m
+    if m >= 0:
+        return _qpow(zc.q, m) * _nm_extended(zc, n - m)
+    if n <= 0:
+        return _qpow(zc.q, -n) * _nm_extended(zc, n - m)
+    return _nm_extended(zc, n - m)
+
+
+def ff_cross_direct(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> Fraction:
+    """<D_f, D_g> by direct bilinear expansion over graph pairings (the
+    independent route against the convolution reduction)."""
+    cf = f.divisor_coefficients()
+    cg = g.divisor_coefficients()
+    return sum((cf[n] * cg[m] * pair_graphs(zc, n, m)
+                for n in cf for m in cg), Fraction(0))
 
 
 class TestFFPairing:
@@ -157,6 +177,55 @@ class TestHodgeDefect:
                 f = random_fftest(rng, zc.q)
                 # ff_hodge_defect asserts equality internally; also check here
                 assert ff_hodge_defect(zc, f) == ff_positivity(zc, f)
+
+
+def first_zero_bisect(lo: float = 14.0, hi: float = 14.3,
+                      tol: float = 1e-6) -> float:
+    """Locate the first critical-line zero by bisecting the sign change of
+    the (real-valued) completed zeta on the line; the independent oracle
+    for the zero-table sanity gate."""
+    flo = xi_q(0.5 + 1j * lo).real
+    fhi = xi_q(0.5 + 1j * hi).real
+    if flo * fhi >= 0:
+        raise NumericError("no sign change in the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = xi_q(0.5 + 1j * mid).real
+        if flo * fmid <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def critical_strip_zero_count(t_lo: float = 12.0, t_hi: float = 15.0,
+                              samples: int = 360) -> int:
+    """Winding number of the completed zeta around a rectangle in the
+    critical strip (argument principle, desk scale).
+
+    The rectangle is [-0.5, 1.5] x [t_lo, t_hi]; the boundary is sampled
+    densely and refined wherever the phase step exceeds pi/2.
+    """
+    corners = [complex(-0.5, t_lo), complex(1.5, t_lo),
+               complex(1.5, t_hi), complex(-0.5, t_hi), complex(-0.5, t_lo)]
+    points: list[complex] = []
+    for a, b in zip(corners, corners[1:]):
+        n = max(2, int(samples * abs(b - a) / 8))
+        points.extend(a + (b - a) * k / n for k in range(n))
+    points.append(corners[0])
+    values = [xi_q(z) for z in points]
+    total = 0.0
+    i = 0
+    while i < len(values) - 1:
+        dphi = cmath.phase(values[i + 1] / values[i])
+        if abs(dphi) > math.pi / 2:
+            mid = points[i] + 0.5 * (points[i + 1] - points[i])
+            points.insert(i + 1, mid)
+            values.insert(i + 1, xi_q(mid))
+            continue
+        total += dphi
+        i += 1
+    return round(total / (2 * math.pi))
 
 
 class TestZeroTable:
@@ -502,21 +571,3 @@ class TestRiemannWeil:
     def test_k_validation(self):
         with pytest.raises(InputError):
             riemann_weil_residual(NFTestFn(0.1, 0.05), ZEROS, 101, 100)
-
-
-class TestCramer:
-    def test_empty_sum(self):
-        rep = cramer_partial(1j, 0, ZEROS)
-        assert rep.value == 0
-
-    def test_requires_upper_half_plane(self):
-        with pytest.raises(InputError):
-            cramer_partial(1.0 + 0j, 10, ZEROS)
-
-    def test_convergence_indicator_shrinks(self):
-        diffs = [cramer_partial(1j, K, ZEROS).half_diff for K in (20, 40, 80)]
-        assert diffs[0] > diffs[1] > diffs[2]
-
-    def test_termwise_bound_reported(self):
-        rep = cramer_partial(0.3 + 2j, 30, ZEROS)
-        assert abs(rep.value) <= rep.termwise_bound

@@ -18,7 +18,6 @@ from zetalab.errors import (
 from zetalab.lattice import (
     XI_MIN_SIGMA,
     XI_TERM_BUDGET,
-    HNFiltration,
     Lattice,
     _inverse,
     _lll,

@@ -2,7 +2,13 @@
 
 ffield imports artin (extension counts come from the zeta function), so
 artin and the exact-arithmetic core below it must not import any layer
-above them, or the package's imports would form a cycle.
+above them, or the package's imports would form a cycle.  The explicit
+formulas need nothing from the lattice layer: the xi evaluations that
+check the zero table are test oracles.
+
+Reach: every top-level name in the package is reached from a command, a
+benchmark job or the acceptance suite; code that only unit tests call
+lives in the tests.
 
 Start-up: the CLI imports every zetalab module but no numeric library;
 numpy and mpmath are imported inside the functions that use them, and
@@ -63,6 +69,10 @@ def test_lattice_imports_no_curve_layer():
     # the enumeration budget lives in errors, so the lattice layer needs
     # nothing from the curves over F_q
     assert zetalab_imports("lattice") & {"ffield", "artin"} == set()
+
+
+def test_explicit_imports_no_lattice():
+    assert "lattice" not in zetalab_imports("explicit")
 
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -139,3 +149,91 @@ def test_curve_commands_load_no_numeric_library():
                          capture_output=True, text=True).stdout
     loaded = {name.split(".")[0] for name in json.loads(out)}
     assert loaded & {"numpy", "mpmath"} == set()
+
+
+REPO = PACKAGE.parent.parent
+# what perfbench/run.py calls besides the CLI
+BENCHMARK_CALLS = {("ffield", "count_points"), ("ffield", "WeierstrassCurve"),
+                   ("ffield", "FieldSpec")}
+
+
+def top_level_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Every name a module binds at top level by def, class or assignment."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs[name.id] = node
+    return defs
+
+
+def import_bindings(tree: ast.Module) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """(name -> (module, name)) for `from zetalab.m import name`, and
+    (alias -> module) for `from zetalab import m`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        for alias in node.names:
+            if node.module == "zetalab":
+                modules[alias.asname or alias.name] = alias.name
+            elif node.module.startswith("zetalab."):
+                names[alias.asname or alias.name] = (node.module.split(".")[1], alias.name)
+    return names, modules
+
+
+def test_every_library_name_is_reached():
+    """Every top-level name in src/zetalab is reached from a command, a
+    benchmark job or the acceptance suite.
+
+    The walk starts from every top-level name of cli.py, the zetalab names
+    tests/test_acceptance.py imports, the functions perfbench/tracing.py
+    wraps by name (its TRACED table, read with ast), the ffield names
+    perfbench/run.py calls, the errors classes and the package exports.
+    It follows, inside each reached definition, every bare name that is a
+    top-level name of the same module or a `from zetalab.m import` copy,
+    and every `m.name` through a `from zetalab import m` alias.  A name walk
+    cannot see getattr or any other reference built from a string, so a
+    name reached only that way is reported as unreached.  Code that only
+    unit tests call belongs in the tests, as an oracle or not at all.
+    """
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    defs = {m: top_level_definitions(tree) for m, tree in trees.items()}
+    bindings = {m: import_bindings(tree) for m, tree in trees.items()}
+
+    roots = {(m, name) for m in ("cli", "errors", "__init__") for name in defs[m]}
+    roots |= set(import_bindings(ast.parse(
+        (REPO / "tests" / "test_acceptance.py").read_text()))[0].values())
+    tracing = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert len(traced) == 25
+    roots |= {(module, attr.split(".")[0]) for module, attr in traced}
+    roots |= BENCHMARK_CALLS
+
+    reached, todo = set(), list(roots)
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached or name not in defs[module]:
+            continue
+        reached.add((module, name))
+        names, modules = bindings[module]
+        for node in ast.walk(defs[module][name]):
+            if isinstance(node, ast.Name):
+                if node.id in defs[module]:
+                    todo.append((module, node.id))
+                elif node.id in names:
+                    todo.append(names[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                todo.append((modules[node.value.id], node.attr))
+
+    unreached = sorted(f"{m}.{name}" for m in MODULES for name in defs[m]
+                       if (m, name) not in reached)
+    assert not unreached, "reached by nothing: " + ", ".join(unreached)

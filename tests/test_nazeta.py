@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from zetalab.bundles import (
     paper_split_beta2,
 )
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
-from zetalab.exact import Poly, Series
+from zetalab.exact import Poly, Series, power_sums_from_poly, rat
 from zetalab.ffield import (
     FieldSpec,
     WeierstrassCurve,
@@ -40,8 +42,6 @@ from zetalab.nazeta import (
     na_numerator,
     na_properties_check,
     rank2_local_numerator,
-    roots_of_unity_product_check,
-    ugly_formula_coeffs,
 )
 
 E59 = CurveData.from_curve(WeierstrassCurve(FieldSpec(5), 1, 1))
@@ -334,6 +334,40 @@ class TestCounts:
             na_counts(z, -1)
 
 
+def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
+    """prod_{i<=a} Z(zeta_a^i t) = P(0)^a exp(sum_m N(ma) T^m / m), T = t^a.
+
+    Both sides are computed as exact series in T without materializing any
+    root of unity: the left via norm products (power-sum decimation of the
+    numerator, cyclotomic regrouping of the denominator), the right from
+    the counts.  Checking beyond the degrees of both sides makes the
+    series comparison an exact rational-function identity.
+    """
+    if a < 1:
+        raise InputError("a must be >= 1")
+    if order <= 0:
+        order = 4 * z.r * z.g + 5
+    ptilde = z.normalized_numerator
+    deg = ptilde.degree
+    n_psums = a * (order + deg)
+    psums = power_sums_from_poly(ptilde, n_psums)
+    # prod_i ptilde(zeta^i t) = exp(-sum_k p_{ak} T^k / k)
+    log_num = Series([0] + [-psums[a * k - 1] / k for k in range(1, order)], order)
+    num_series = log_num.exp()
+    # prod_i (1 - c (zeta^i t)^r) = (1 - c^(a/g) T^(r/g))^g, g = gcd(a, r)
+    g = math.gcd(a, z.r)
+    step = z.r // g
+
+    def cyc(c: Fraction) -> Poly:
+        return Poly([1] + [0] * (step - 1) + [-(c ** (a // g))]) ** g
+
+    den = cyc(Fraction(1)) * cyc(rat(z.q) ** z.r)
+    lhs = num_series * Series.ratio(Poly.one(), den, order)
+    counts = na_counts(z, a * (order - 1))
+    rhs = Series([0] + [counts[a * m - 1] / m for m in range(1, order)], order).exp()
+    return lhs == rhs
+
+
 class TestRootsOfUnityProduct:
     def test_trivial(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
@@ -358,6 +392,69 @@ def mass_tables_from_zeta(q, g, p_poly):
     zser = longdiv_series(p_poly.coeffs, (Poly([1, -1]) * Poly([1, -q])).coeffs, g)
     alpha = {d: zser[d] + beta[0] for d in range(g)}
     return alpha, beta
+
+
+def _extend_masses(alpha: Mapping[int, Fraction], beta: Mapping[int, Fraction],
+                   q: int, r: int, g: int):
+    """Index extensions making the piecewise formula well-defined.
+
+    beta is period-r (degree twist); alpha below degree 0 equals beta (no
+    sections); alpha above r(g-1) reflects through duality:
+    alpha(d) = q^(d - r(g-1)) * alpha(r(2g-2) - d).
+    """
+    top = r * (g - 1)
+
+    def beta_at(d: int) -> Fraction:
+        return rat(beta[d % r])
+
+    def alpha_at(d: int) -> Fraction:
+        if d < 0:
+            return beta_at(d)
+        if d <= top:
+            return rat(alpha[d])
+        return rat(q) ** (d - top) * alpha_at(r * (2 * g - 2) - d)
+
+    return alpha_at, beta_at
+
+
+def ugly_formula_coeffs(alpha: Mapping[int, Fraction], beta: Mapping[int, Fraction],
+                        q: int, r: int, g: int) -> list[Fraction]:
+    """Numerator coefficients a(0..2rg) from mass tables, genus >= 2 only.
+
+    alpha must cover 0..r(g-1) and beta 0..r-1.  The six printed cases fill
+    a(0..rg); the rest follow from a(2rg - i) = a(i) q^(rg - i).
+    """
+    if g < 2:
+        raise CapabilityError(
+            "the piecewise formula degenerates at genus 1; use ell_na_zeta")
+    for d in range(r * (g - 1) + 1):
+        if d not in alpha:
+            raise InputError(f"alpha missing degree {d}")
+    for d in range(r):
+        if d not in beta:
+            raise InputError(f"beta missing degree {d}")
+    alpha_at, beta_at = _extend_masses(alpha, beta, q, r, g)
+    qr = rat(q) ** r
+    rg = r * g
+    a = [Fraction(0)] * (2 * rg + 1)
+    for i in range(rg + 1):
+        d = i
+        if i <= r - 1:
+            a[i] = alpha_at(d) - beta_at(d)
+        elif i <= 2 * r - 1:
+            a[i] = alpha_at(d) - (qr + 1) * alpha_at(d - r) + qr * beta_at(d - r)
+        elif i < r * (g - 1):
+            a[i] = alpha_at(d) - (qr + 1) * alpha_at(d - r) + qr * alpha_at(d - 2 * r)
+        elif i == r * (g - 1):
+            a[i] = (-(qr + 1) * alpha_at(r * (g - 2)) + qr * alpha_at(r * (g - 3))
+                    + alpha_at(r * (g - 1)))
+        elif i <= rg - 1:
+            a[i] = alpha_at(d) - (qr + 1) * alpha_at(d - r) + alpha_at(d - 2 * r) * qr
+        else:  # i == rg
+            a[i] = 2 * qr * alpha_at(r * (g - 2)) - (qr + 1) * alpha_at(r * (g - 1))
+    for i in range(rg):
+        a[2 * rg - i] = a[i] * rat(q) ** (rg - i)
+    return a
 
 
 class TestUglyFormula:
