@@ -4,7 +4,10 @@ Everything is bookkeeping over the Atiyah classification: S-equivalence
 classes of degree-0 semistable bundles are indexed by the multiset of
 line-bundle pieces of the graded object, a class's contents are the
 Jordan-block regroupings of those pieces, and each bundle contributes
-1/#Aut (mass) or (q^h0 - 1)/#Aut (gamma mass).
+1/#Aut (mass) or (q^h0 - 1)/#Aut (gamma mass).  #Aut is a product over
+the distinct line-bundle orbits of the graded object, so a row's mass sums
+factor orbit by orbit and no bundle is built one at a time; the
+bundle-by-bundle route is the test oracle tests/bundle_oracle.py.
 
 Two counting conventions are first-class citizens and never silently
 merged.  `PAPER_SPLIT` reproduces the printed stratum counts, which treat
@@ -19,12 +22,12 @@ exact arithmetic.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Sequence
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError
@@ -67,59 +70,7 @@ class CurveData:
 
 
 # ---------------------------------------------------------------------------
-# bundle descriptors
-
-@dataclass(frozen=True)
-class LineOrbit:
-    """A degree-0 line-bundle piece: the trivial bundle, a rational bundle,
-    or a full Galois orbit of non-rational bundles (size = orbit length)."""
-
-    kind: Literal["trivial", "rational", "conjugate"]
-    size: int = 1
-    index: int = 0   # distinguishes different bundles sharing a kind
-
-    def __post_init__(self):
-        if self.kind == "trivial" and (self.size != 1 or self.index != 0):
-            raise InputError("the trivial bundle is unique")
-        if self.kind == "rational" and self.size != 1:
-            raise InputError("a rational bundle has orbit size 1")
-        if self.kind == "conjugate" and self.size < 2:
-            raise InputError("a conjugate orbit has size >= 2")
-
-    @staticmethod
-    def trivial() -> "LineOrbit":
-        return LineOrbit("trivial")
-
-    @staticmethod
-    def rational(index: int = 0) -> "LineOrbit":
-        return LineOrbit("rational", 1, index)
-
-    @staticmethod
-    def conjugate(size: int, index: int = 0) -> "LineOrbit":
-        return LineOrbit("conjugate", size, index)
-
-
-@dataclass(frozen=True)
-class BundleDescriptor:
-    """V = (+)_j I_{r_j} (x) L_j with every summand of degree 0."""
-
-    summands: tuple[tuple[int, LineOrbit], ...]
-
-    def __post_init__(self):
-        for r_j, orbit in self.summands:
-            if r_j < 1:
-                raise InputError("Jordan size must be >= 1")
-            if not isinstance(orbit, LineOrbit):
-                raise InputError("summand needs a LineOrbit")
-
-    @property
-    def rank(self) -> int:
-        return sum(r_j * orbit.size for r_j, orbit in self.summands)
-
-    @staticmethod
-    def of(*summands: tuple[int, LineOrbit]) -> "BundleDescriptor":
-        return BundleDescriptor(tuple(summands))
-
+# automorphisms of Jordan types
 
 def _module_aut_count(partition: Sequence[int], q: int) -> int:
     """#Aut of (+)_i I_{r_i} (x) L for a fixed line bundle L over F_q.
@@ -142,70 +93,14 @@ def _module_aut_count(partition: Sequence[int], q: int) -> int:
     return total
 
 
-def aut_order(b: BundleDescriptor, q: int) -> int:
-    """#Aut(V) over F_q; distinct line orbits contribute independent blocks.
-
-    Hom(I_r (x) L, I_s (x) M) is min(r,s)-dimensional when L = M and zero
-    otherwise, so the automorphism group is the product over distinct
-    orbits of the block group; a conjugate orbit of size e is a single
-    block over the extension field F_{q^e}.
-    """
-    if b.rank > 4:
-        raise CapabilityError("automorphism counts implemented for rank <= 4")
-    blocks: dict[LineOrbit, list[int]] = {}
-    for r_j, orbit in b.summands:
-        blocks.setdefault(orbit, []).append(r_j)
-    total = 1
-    for orbit, partition in blocks.items():
-        total *= _module_aut_count(partition, q ** orbit.size)
-    return total
-
-
-def h0_of_bundle(b: BundleDescriptor) -> int:
-    """h^0 of a degree-0 descriptor: one section per Jordan block of the
-    trivial bundle, nothing from any other piece."""
-    return sum(1 for _, orbit in b.summands if orbit.kind == "trivial")
-
-
 def _partitions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(n, n, [])
-    return out
-
-
-def class_contents(gr: BundleDescriptor) -> list[BundleDescriptor]:
-    """All bundles in the S-equivalence class with the given graded object.
-
-    The input lists the graded line-bundle pieces (all Jordan sizes 1);
-    the class contents are one descriptor per choice of partition of each
-    piece's multiplicity into Jordan blocks.
-    """
-    mult: dict[LineOrbit, int] = {}
-    for r_j, orbit in gr.summands:
-        if r_j != 1:
-            raise InputError("graded pieces must have Jordan size 1")
-        mult[orbit] = mult.get(orbit, 0) + 1
-    orbits = sorted(mult, key=lambda o: (o.kind, o.size, o.index))
-    per_orbit = [
-        [(orbit, p) for p in _partitions(mult[orbit])] for orbit in orbits
-    ]
-    out = []
-    for combo in itertools.product(*per_orbit):
-        summands = []
-        for orbit, partition in combo:
-            summands.extend((part, orbit) for part in partition)
-        out.append(BundleDescriptor(tuple(summands)))
-    return out
+    """Every partition of n, parts in decreasing order."""
+    def parts(rest: int, most: int):
+        if rest == 0:
+            yield ()
+        for k in range(min(rest, most), 0, -1):
+            yield from ((k, *tail) for tail in parts(rest - k, k))
+    return list(parts(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +146,35 @@ class CensusResult:
         return sum((row.gamma for row in self.rows), Fraction(0))
 
 
-def _class_row(label: str, classes, gr: BundleDescriptor, q: int) -> Stratum:
-    contents = class_contents(gr)
-    auts = [aut_order(v, q) for v in contents]
-    mass = sum(Fraction(1, a) for a in auts)
-    gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, a)
-                for v, a in zip(contents, auts))
-    return Stratum(label, Fraction(classes), len(contents), mass, gamma)
+def _class_row(label: str, classes, q: int, trivial: int,
+               pieces: tuple[tuple[int, int], ...] = ()) -> Stratum:
+    """One census row from the shape of its graded object: `trivial` copies
+    of O, and one pair (m, e) for every other distinct line-bundle orbit,
+    m its multiplicity and e its orbit size.
 
+    #Aut(V) is the product over the distinct orbits of the module count of
+    V's Jordan type on that orbit over F_{q^e}, so the class's sums over its
+    bundles (one per choice of Jordan type on each orbit) factor orbit by
+    orbit: the mass is the product of the orbits' sums of 1/#Aut.  Only the
+    Jordan blocks of O carry sections, one each, so the gamma mass takes
+    O's sum of (q^blocks - 1)/#Aut in place of its mass sum.
+    """
+    def jordan_types(m: int, qe: int):
+        # one orbit's Jordan types, each 1/#Aut as weight/den
+        types = _partitions(m)
+        auts = [_module_aut_count(lam, qe) for lam in types]
+        den = math.lcm(*auts)
+        return types, [den // a for a in auts], den
 
-_O = LineOrbit.trivial()
+    num = den = bundles = 1
+    for m, e in pieces:
+        types, weights, d = jordan_types(m, q ** e)
+        num, den, bundles = num * sum(weights), den * d, bundles * len(types)
+    types, weights, d = jordan_types(trivial, q)
+    gamma = sum((q ** len(lam) - 1) * w for lam, w in zip(types, weights))
+    return Stratum(label, Fraction(classes), bundles * len(types),
+                   Fraction(num * sum(weights), den * d),
+                   Fraction(num * gamma, den * d))
 
 
 def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
@@ -271,15 +185,18 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
     it is the generic determinant slice the printed counts describe, and
     under GALOIS_DESCENT the determinant = O slice.  Descent totals are
     checked against #P^(r-1)(F_q).
+
+    Each row's mass sums factor over the line-bundle orbits of its graded
+    object (`_class_row`); tests/bundle_oracle.py rebuilds every row bundle
+    by bundle.
     """
     if r not in (1, 2, 3):
         raise CapabilityError("census implemented for rank <= 3")
     q, n1 = curve.q, curve.n1
     if r == 1:
         rows = (
-            _class_row("(1;0)", 1, BundleDescriptor.of((1, _O)), q),
-            _class_row("(0;1)", n1 - 1,
-                       BundleDescriptor.of((1, LineOrbit.rational())), q),
+            _class_row("(1;0)", 1, q, 1),
+            _class_row("(0;1)", n1 - 1, q, 0, ((1, 1),)),
         )
         return CensusResult(1, conv, "all determinants, degree 0", rows)
     if conv is Convention.PAPER_SPLIT:
@@ -294,38 +211,26 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
 
 
 def _census_paper(r: int, curve: CurveData) -> CensusResult:
+    # every torsion point, root and determinant counted as rational
     q = curve.q
     n1 = curve.n1
-    L = LineOrbit.rational(1)
-    Linv = LineOrbit.rational(2)
-    T = LineOrbit.rational(3)      # a torsion point; only distinctness matters
-    lam = LineOrbit.rational(4)    # the fixed determinant, rank 3
-
     if r == 2:
         rows = (
-            _class_row("(2;0)", 1,
-                       BundleDescriptor.of((1, _O), (1, _O)), q),
-            _class_row("(0;2)", 3,
-                       BundleDescriptor.of((1, T), (1, T)), q),
-            _class_row("(0;1,1)", q + 1 - 4,
-                       BundleDescriptor.of((1, L), (1, Linv)), q),
+            _class_row("(2;0)", 1, q, 2),
+            _class_row("(0;2)", 3, q, 0, ((2, 1),)),
+            _class_row("(0;1,1)", q + 1 - 4, q, 0, ((1, 1), (1, 1))),
         )
         return CensusResult(2, Convention.PAPER_SPLIT,
                             "determinant O, split counts as printed", rows)
 
     rows = (
-        _class_row("(2;1)", 1,
-                   BundleDescriptor.of((1, _O), (1, _O), (1, lam)), q),
-        _class_row("(1;2)", 4,
-                   BundleDescriptor.of((1, _O), (1, T), (1, T)), q),
-        _class_row("(1;1,1)", q - 4,
-                   BundleDescriptor.of((1, _O), (1, L), (1, Linv)), q),
-        _class_row("(0;3)", 9,
-                   BundleDescriptor.of((1, T), (1, T), (1, T)), q),
-        _class_row("(0;2,1)", n1 - (9 + 4 + 1),
-                   BundleDescriptor.of((1, L), (1, L), (1, Linv)), q),
-        _class_row("(0;1,1,1)", q * q - (n1 - 4 - 1),
-                   BundleDescriptor.of((1, L), (1, Linv), (1, lam)), q),
+        _class_row("(2;1)", 1, q, 2, ((1, 1),)),
+        _class_row("(1;2)", 4, q, 1, ((2, 1),)),
+        _class_row("(1;1,1)", q - 4, q, 1, ((1, 1), (1, 1))),
+        _class_row("(0;3)", 9, q, 0, ((3, 1),)),
+        _class_row("(0;2,1)", n1 - (9 + 4 + 1), q, 0, ((2, 1), (1, 1))),
+        _class_row("(0;1,1,1)", q * q - (n1 - 4 - 1), q, 0,
+                   ((1, 1), (1, 1), (1, 1))),
     )
     return CensusResult(3, Convention.PAPER_SPLIT,
                         "generic determinant, split counts as printed", rows)
@@ -351,21 +256,13 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
     if n2 % n1:
         raise InputError("N_2 not divisible by N_1; inconsistent curve data")
     k2 = n2 // n1         # norm-one subgroup of Pic^0(F_{q^2})
-    L = LineOrbit.rational(1)
-    Linv = LineOrbit.rational(2)
-    T = LineOrbit.rational(3)
-    C2 = LineOrbit.conjugate(2)
 
     if r == 2:
         rows = (
-            _class_row("(2;0)", 1,
-                       BundleDescriptor.of((1, _O), (1, _O)), q),
-            _class_row("(0;2)", eps2 - 1,
-                       BundleDescriptor.of((1, T), (1, T)), q),
-            _class_row("(0;1,1)", Fraction(n1 - eps2, 2),
-                       BundleDescriptor.of((1, L), (1, Linv)), q),
-            _class_row("(0;conj-pair)", Fraction(k2 - eps2, 2),
-                       BundleDescriptor.of((1, C2)), q),
+            _class_row("(2;0)", 1, q, 2),
+            _class_row("(0;2)", eps2 - 1, q, 0, ((2, 1),)),
+            _class_row("(0;1,1)", Fraction(n1 - eps2, 2), q, 0, ((1, 1), (1, 1))),
+            _class_row("(0;conj-pair)", Fraction(k2 - eps2, 2), q, 0, ((1, 2),)),
         )
         return CensusResult(2, Convention.GALOIS_DESCENT, "determinant O", rows)
 
@@ -374,30 +271,18 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
     if n3 % n1:
         raise InputError("N_3 not divisible by N_1; inconsistent curve data")
     k3 = n3 // n1
-    C3 = LineOrbit.conjugate(3)
     rows = (
-        _class_row("(3;0)", 1,
-                   BundleDescriptor.of((1, _O), (1, _O), (1, _O)), q),
-        _class_row("(1;2)", eps2 - 1,
-                   BundleDescriptor.of((1, _O), (1, T), (1, T)), q),
-        _class_row("(1;1,1)", Fraction(n1 - eps2, 2),
-                   BundleDescriptor.of((1, _O), (1, L), (1, Linv)), q),
-        _class_row("(1;conj-pair)", Fraction(k2 - eps2, 2),
-                   BundleDescriptor.of((1, _O), (1, C2)), q),
-        _class_row("(0;3)", eps3 - 1,
-                   BundleDescriptor.of((1, T), (1, T), (1, T)), q),
-        _class_row("(0;2,1)",
-                   n1 - (eps2 + eps3 - 1),
-                   BundleDescriptor.of((1, L), (1, L), (1, Linv)), q),
-        _class_row("(0;1,1,1)", _triple_count(n1, eps2, eps3),
-                   BundleDescriptor.of((1, L), (1, Linv),
-                                       (1, LineOrbit.rational(4))), q),
-        _class_row("(0;1,conj-pair)",
-                   Fraction(n2 - n1 - (k2 - eps2), 2),
-                   BundleDescriptor.of((1, L), (1, C2)), q),
-        _class_row("(0;conj-triple)",
-                   Fraction(k3 - eps3, 3),
-                   BundleDescriptor.of((1, C3)), q),
+        _class_row("(3;0)", 1, q, 3),
+        _class_row("(1;2)", eps2 - 1, q, 1, ((2, 1),)),
+        _class_row("(1;1,1)", Fraction(n1 - eps2, 2), q, 1, ((1, 1), (1, 1))),
+        _class_row("(1;conj-pair)", Fraction(k2 - eps2, 2), q, 1, ((1, 2),)),
+        _class_row("(0;3)", eps3 - 1, q, 0, ((3, 1),)),
+        _class_row("(0;2,1)", n1 - (eps2 + eps3 - 1), q, 0, ((2, 1), (1, 1))),
+        _class_row("(0;1,1,1)", _triple_count(n1, eps2, eps3), q, 0,
+                   ((1, 1), (1, 1), (1, 1))),
+        _class_row("(0;1,conj-pair)", Fraction(n2 - n1 - (k2 - eps2), 2), q, 0,
+                   ((1, 1), (1, 2))),
+        _class_row("(0;conj-triple)", Fraction(k3 - eps3, 3), q, 0, ((1, 3),)),
     )
     return CensusResult(3, Convention.GALOIS_DESCENT, "determinant O", rows)
 
@@ -405,18 +290,10 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 # ---------------------------------------------------------------------------
 # mass invariants
 
-def paper_split_beta2(q: int, n1: int) -> Fraction:
-    """PAPER_SPLIT beta_2(0) = N_1 (q + 3)/(q^2 - 1), the mass of the
-    printed split census; it depends on (q, N_1) alone."""
-    return Fraction(n1 * (q + 3), q * q - 1)
-
-
 def _beta_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
     q, n1 = curve.q, curve.n1
     if r == 1:
         return Fraction(n1, q - 1)
-    if conv is Convention.PAPER_SPLIT and r == 2:
-        return paper_split_beta2(q, n1)
     return n1 * strata_census(r, curve, conv).mass
 
 
@@ -441,22 +318,17 @@ def invariant(kind: str, r: int, d: int, curve: CurveData,
         raise InputError("kind must be alpha, beta or gamma")
     if r not in (1, 2, 3):
         raise CapabilityError("invariants implemented for rank <= 3")
+    if kind == "alpha":
+        return (invariant("beta", r, d, curve, conv)
+                + invariant("gamma", r, d, curve, conv))
     q, n1 = curve.q, curve.n1
-    if d % r:
-        beta = Fraction(n1, q - 1)
-    else:
-        beta = _beta_degree_zero(r, curve, conv)
+    if kind == "gamma" and d <= 0:
+        # no beta needed: the census behind beta_r(0) is the costly part
+        return _gamma_degree_zero(r, curve, conv) if d == 0 else Fraction(0)
+    beta = Fraction(n1, q - 1) if d % r else _beta_degree_zero(r, curve, conv)
     if kind == "beta":
         return beta
-    if d > 0:
-        gamma = (Fraction(q) ** d - 1) * beta
-    elif d < 0:
-        gamma = Fraction(0)
-    else:
-        gamma = _gamma_degree_zero(r, curve, conv)
-    if kind == "gamma":
-        return gamma
-    return beta + gamma
+    return (Fraction(q) ** d - 1) * beta
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from zetalab.artin import elliptic_zeta, nm
-from zetalab.errors import ENUMERATION_BUDGET, CapabilityError, InputError, ResourceError
+from zetalab.errors import ENUMERATION_BUDGET, InputError, ResourceError
 
 # prime_factors trial-divides up to this bound (about 50 ms at most), so it
 # factors every n below 10^12 and any n whose cofactor above it is prime
@@ -97,19 +97,14 @@ def primes_up_to(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The prime field F_p.  Extension fields are not built: counts over
-    F_{p^n} come from the curve's zeta function (see count_points)."""
+    """The prime field F_p, the only field a curve is built over: counts
+    over F_{p^n} come from the curve's zeta function (see count_points)."""
 
     p: int
-    n: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
-        if self.n != 1:
-            raise CapabilityError(
-                "only prime fields are built; counts over F_{p^n} come from "
-                "the zeta function (count_points)")
 
 
 # ---------------------------------------------------------------------------

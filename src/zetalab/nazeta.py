@@ -115,12 +115,6 @@ class PropertiesReport:
     root_pairing_exact_ok: bool
     root_pairing_numeric_residual: float
 
-    @property
-    def all_ok(self) -> bool:
-        return (self.degree_ok and self.functional_equation_ok
-                and self.root_pairing_exact_ok
-                and self.root_pairing_numeric_residual <= 1e-9)
-
 
 # Durand-Kerner stops once every correction is below DK_TOL relative to
 # its root, then makes DK_POLISH more sweeps; from there a sweep squares the
@@ -504,7 +498,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     """Partial Euler product over good primes p <= prime_bound.
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
-    which at genus 1 reads Re(s) > 2 for every rank.  A rank-2 factor has
+    which at genus 1 reads Re(s) > 2 for every rank, after refusing a
+    non-finite s (NaN would pass every comparison).  A rank-2 factor has
     c_2 = p - 1 - a_p under GALOIS_DESCENT (beta_2(0)/beta_1(0) =
     (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under PAPER_SPLIT, so rank 1 and
     rank-2 GALOIS_DESCENT cost one `ap_fast` per factor and rank-2
@@ -512,6 +507,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     The work is pure Python and runs serially: a thread pool would only
     contend for the interpreter lock.
     """
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise InputError("s must be finite")
     if r not in (1, 2):
         raise CapabilityError("global products implemented for rank 1 and 2")
     g = 1

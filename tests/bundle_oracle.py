@@ -1,0 +1,164 @@
+"""Bundle-by-bundle census rows, for tests only.
+
+The library computes a census row from the shape of its graded object:
+#Aut(V) is a product over the distinct line-bundle orbits of V, so each
+row's mass sums factor orbit by orbit (`bundles._class_row`).  This module
+keeps the route those rows are checked against: validated descriptors of
+individual bundles, every bundle of a class built one at a time, and
+#Aut(V) and h^0(V) of each.  `ROW_GRADED` gives, for every census row
+label, the graded object the library row describes.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Literal
+
+from zetalab.bundles import Stratum, _module_aut_count, _partitions
+from zetalab.errors import CapabilityError, InputError
+
+
+@dataclass(frozen=True)
+class LineOrbit:
+    """A degree-0 line-bundle piece: the trivial bundle, a rational bundle,
+    or a full Galois orbit of non-rational bundles (size = orbit length)."""
+
+    kind: Literal["trivial", "rational", "conjugate"]
+    size: int = 1
+    index: int = 0   # distinguishes different bundles sharing a kind
+
+    def __post_init__(self):
+        if self.kind == "trivial" and (self.size != 1 or self.index != 0):
+            raise InputError("the trivial bundle is unique")
+        if self.kind == "rational" and self.size != 1:
+            raise InputError("a rational bundle has orbit size 1")
+        if self.kind == "conjugate" and self.size < 2:
+            raise InputError("a conjugate orbit has size >= 2")
+
+    @staticmethod
+    def trivial() -> "LineOrbit":
+        return LineOrbit("trivial")
+
+    @staticmethod
+    def rational(index: int = 0) -> "LineOrbit":
+        return LineOrbit("rational", 1, index)
+
+    @staticmethod
+    def conjugate(size: int, index: int = 0) -> "LineOrbit":
+        return LineOrbit("conjugate", size, index)
+
+
+@dataclass(frozen=True)
+class BundleDescriptor:
+    """V = (+)_j I_{r_j} (x) L_j with every summand of degree 0."""
+
+    summands: tuple[tuple[int, LineOrbit], ...]
+
+    def __post_init__(self):
+        for r_j, orbit in self.summands:
+            if r_j < 1:
+                raise InputError("Jordan size must be >= 1")
+            if not isinstance(orbit, LineOrbit):
+                raise InputError("summand needs a LineOrbit")
+
+    @property
+    def rank(self) -> int:
+        return sum(r_j * orbit.size for r_j, orbit in self.summands)
+
+    @staticmethod
+    def of(*summands: tuple[int, LineOrbit]) -> "BundleDescriptor":
+        return BundleDescriptor(tuple(summands))
+
+
+def aut_order(b: BundleDescriptor, q: int) -> int:
+    """#Aut(V) over F_q; distinct line orbits contribute independent blocks.
+
+    Hom(I_r (x) L, I_s (x) M) is min(r,s)-dimensional when L = M and zero
+    otherwise, so the automorphism group is the product over distinct
+    orbits of the block group; a conjugate orbit of size e is a single
+    block over the extension field F_{q^e}.
+    """
+    if b.rank > 4:
+        raise CapabilityError("automorphism counts implemented for rank <= 4")
+    blocks: dict[LineOrbit, list[int]] = {}
+    for r_j, orbit in b.summands:
+        blocks.setdefault(orbit, []).append(r_j)
+    total = 1
+    for orbit, partition in blocks.items():
+        total *= _module_aut_count(partition, q ** orbit.size)
+    return total
+
+
+def h0_of_bundle(b: BundleDescriptor) -> int:
+    """h^0 of a degree-0 descriptor: one section per Jordan block of the
+    trivial bundle, nothing from any other piece."""
+    return sum(1 for _, orbit in b.summands if orbit.kind == "trivial")
+
+
+def class_contents(gr: BundleDescriptor) -> list[BundleDescriptor]:
+    """All bundles in the S-equivalence class with the given graded object.
+
+    The input lists the graded line-bundle pieces (all Jordan sizes 1);
+    the class contents are one descriptor per choice of partition of each
+    piece's multiplicity into Jordan blocks.
+    """
+    mult: dict[LineOrbit, int] = {}
+    for r_j, orbit in gr.summands:
+        if r_j != 1:
+            raise InputError("graded pieces must have Jordan size 1")
+        mult[orbit] = mult.get(orbit, 0) + 1
+    orbits = sorted(mult, key=lambda o: (o.kind, o.size, o.index))
+    per_orbit = [
+        [(orbit, p) for p in _partitions(mult[orbit])] for orbit in orbits
+    ]
+    out = []
+    for combo in itertools.product(*per_orbit):
+        summands = []
+        for orbit, partition in combo:
+            summands.extend((part, orbit) for part in partition)
+        out.append(BundleDescriptor(tuple(summands)))
+    return out
+
+
+def oracle_row(label: str, classes, gr: BundleDescriptor, q: int) -> Stratum:
+    """A census row summed bundle by bundle over the class contents."""
+    contents = class_contents(gr)
+    auts = [aut_order(v, q) for v in contents]
+    mass = sum(Fraction(1, a) for a in auts)
+    gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, a)
+                for v, a in zip(contents, auts))
+    return Stratum(label, Fraction(classes), len(contents), mass, gamma)
+
+
+_O = LineOrbit.trivial()
+_L = LineOrbit.rational(1)
+_LINV = LineOrbit.rational(2)
+_T = LineOrbit.rational(3)       # a torsion point; only distinctness matters
+_LAM = LineOrbit.rational(4)     # a third distinct rational piece
+_C2 = LineOrbit.conjugate(2)
+_C3 = LineOrbit.conjugate(3)
+
+# the graded object of every census row label, both conventions
+ROW_GRADED = {
+    label: BundleDescriptor(tuple((1, orbit) for orbit in pieces))
+    for label, pieces in {
+        "(1;0)": (_O,),
+        "(0;1)": (LineOrbit.rational(),),
+        "(2;0)": (_O, _O),
+        "(0;2)": (_T, _T),
+        "(0;1,1)": (_L, _LINV),
+        "(0;conj-pair)": (_C2,),
+        "(2;1)": (_O, _O, _LAM),
+        "(3;0)": (_O, _O, _O),
+        "(1;2)": (_O, _T, _T),
+        "(1;1,1)": (_O, _L, _LINV),
+        "(1;conj-pair)": (_O, _C2),
+        "(0;3)": (_T, _T, _T),
+        "(0;2,1)": (_L, _L, _LINV),
+        "(0;1,1,1)": (_L, _LINV, _LAM),
+        "(0;1,conj-pair)": (_L, _C2),
+        "(0;conj-triple)": (_C3,),
+    }.items()
+}

@@ -4,15 +4,22 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from bundle_oracle import (
+    ROW_GRADED,
+    BundleDescriptor,
+    LineOrbit,
+    aut_order,
+    class_contents,
+    h0_of_bundle,
+    oracle_row,
+)
 from fq_oracle import norm_kernel_size
 from ratfunc_oracle import RatFunc
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.bundles import (
-    BundleDescriptor,
     Convention,
     CurveData,
-    LineOrbit,
     _beta2_parity,
     _beta_degree_zero,
     _gamma_degree_zero,
@@ -22,9 +29,6 @@ from zetalab.bundles import (
     _t111_closed,
     _triple_count,
     _zeta_value,
-    aut_order,
-    class_contents,
-    h0_of_bundle,
     invariant,
     mass_recursion_beta,
     strata_census,
@@ -157,6 +161,16 @@ def pair_loop_triple_count(gs):
     return ordered // 6
 
 
+@pytest.fixture(scope="module")
+def census_curves():
+    """Every distinct (q, N_1, group) of the gallery and of the curves
+    y^2 = x^3 + ax + b, 0 <= a, b <= 3, over the primes 5 <= p < 200."""
+    grid = {CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
+            for p in primes_up_to(199)[2:] for a in range(4) for b in range(4)
+            if (4 * a ** 3 + 27 * b * b) % p}
+    return grid | set(GALLERY)
+
+
 class TestCensus:
     def test_rank1(self):
         res = strata_census(1, E59, Convention.PAPER_SPLIT)
@@ -208,6 +222,28 @@ class TestCensus:
         for gs in groups:
             closed = _triple_count(gs.order, torsion_count(gs, 2), torsion_count(gs, 3))
             assert closed == pair_loop_triple_count(gs)
+
+    def test_paper_rank2_mass_closed_form(self):
+        # the printed split census sums to N_1 (q + 3)/(q^2 - 1)
+        for curve in GALLERY:
+            q, n1 = curve.q, curve.n1
+            mass = strata_census(2, curve, Convention.PAPER_SPLIT).mass
+            assert n1 * mass == F(n1 * (q + 3), q * q - 1)
+
+    def test_rows_match_bundle_by_bundle_oracle(self, census_curves):
+        # every field of every row, against the sums over the class's
+        # bundles built one at a time
+        rows = 0
+        for curve in census_curves:
+            for conv in Convention:
+                for r in (1, 2, 3):
+                    for row in strata_census(r, curve, conv).rows:
+                        want = oracle_row(row.label, row.classes,
+                                          ROW_GRADED[row.label], curve.q)
+                        assert row == want, (curve, conv, r)
+                        rows += 1
+        # paper 2 + 3 + 6 rows, descent 2 + 4 + 9
+        assert rows == 26 * len(census_curves)
 
     def test_gamma_only_from_sections(self):
         for curve in GALLERY[:3]:

@@ -196,6 +196,12 @@ class TestExitCodes:
         assert main(["artin", "--curve", "y2=x3+x+1",
                      "--p", str(2 * 1000003 * 1000033)]) == 1
 
+    @pytest.mark.parametrize("s", ["nan", "3+nanj"])
+    def test_euler_non_finite_s_is_validation_error(self, capsys, s):
+        # NaN fails every comparison, so it must not reach the Re(s) check
+        assert main(["euler", "--A", "1", "--B", "1", "--s", s]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1
 

@@ -41,6 +41,9 @@ CASES = [
                                   "--rank", "3", "--convention", "descent"]),
     ("census_r2_descent_z10xz10", ["census", "--curve", "y2=x3+x", "--p", "101",
                                    "--rank", "2", "--convention", "descent"]),
+    ("census_r3_paper", ["census", "--curve", "y2=x3+1", "--p", "109",
+                         "--rank", "3", "--convention", "paper"]),
+    ("census_r1", ["census", *CURVE, "--rank", "1"]),
     ("mass", ["mass", "--curve", "y2=x3+4x", "--p", "5"]),
     ("allbundles", ["allbundles", *CURVE, "--order", "6"]),
     ("euler_r2_paper", ["euler", "--A", "-1", "--B", "0", "--rank", "2",

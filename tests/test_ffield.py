@@ -11,7 +11,7 @@ from fq_oracle import (
 )
 
 from zetalab.artin import elliptic_zeta, nm
-from zetalab.errors import CapabilityError, InputError, ResourceError
+from zetalab.errors import InputError, ResourceError
 from zetalab.ffield import (
     ENUMERATION_BUDGET,
     MILLER_RABIN_BOUND,
@@ -118,10 +118,6 @@ class TestCountPoints:
     def test_trace_of_frobenius_matches_count(self):
         assert trace_of_frobenius(5, 1, 1) == 5 + 1 - 9
         assert trace_of_frobenius(5, 4, 0) == -2
-
-    def test_curves_only_over_prime_fields(self):
-        with pytest.raises(CapabilityError):
-            WeierstrassCurve(FieldSpec(5, 2), 1, 1)
 
     def test_small_characteristic_rejected(self):
         with pytest.raises(InputError):
