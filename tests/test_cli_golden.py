@@ -64,6 +64,11 @@ CASES = [
                                "1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1"]),
     ("theta_rank4", ["theta", "--gram", "2 1 0 0 / 1 2 1 0 / 0 1 2 1 / 0 0 1 2"]),
     ("xi", ["xi", "--s", "0.3+2j"]),
+    # high on the critical line, left of the strip (extra working digits)
+    # and right of it
+    ("xi_half_t50", ["xi", "--s", "0.5+50j"]),
+    ("xi_left", ["xi", "--s=-7.5+20j"]),
+    ("xi_right", ["xi", "--s", "4.5+0.25j"]),
     ("explicit_ff", ["explicit-ff", *CURVE, "--count", "10", "--seed", "1"]),
     ("explicit_nf", ["explicit-nf", "--zeros", "tests/data/zeros100.txt",
                      "--K", "50", "--pmax", "2000"]),
