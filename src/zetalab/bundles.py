@@ -307,20 +307,17 @@ def _gamma_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
 
 def invariant(kind: str, r: int, d: int, curve: CurveData,
               conv: Convention) -> Fraction:
-    """alpha/beta/gamma mass of rank r, degree d (all determinants).
+    """beta or gamma mass of rank r, degree d (all determinants); alpha = beta + gamma.
 
     beta is periodic in d with period r (twist by a rational degree-1
     bundle); for d not divisible by r every semistable class is stable
     with automorphisms F_q^*, for positive degree h^0 = d, and for
     negative degree h^0 = 0.
     """
-    if kind not in ("alpha", "beta", "gamma"):
-        raise InputError("kind must be alpha, beta or gamma")
+    if kind not in ("beta", "gamma"):
+        raise InputError("kind must be beta or gamma")
     if r not in (1, 2, 3):
         raise CapabilityError("invariants implemented for rank <= 3")
-    if kind == "alpha":
-        return (invariant("beta", r, d, curve, conv)
-                + invariant("gamma", r, d, curve, conv))
     q, n1 = curve.q, curve.n1
     if kind == "gamma" and d <= 0:
         # no beta needed: the census behind beta_r(0) is the costly part

@@ -42,6 +42,16 @@ def complex_fsum(values: Sequence[complex]) -> complex:
                    math.fsum(v.imag for v in values))
 
 
+def bernoulli_even(m: int) -> tuple[Fraction, ...]:
+    """B_0, B_2, ..., B_2m exactly, from sum_{i<=k} C(2k+1, 2i) B_2i = k + 1/2
+    for k >= 1: sum_j C(n+1, j) B_j = 0 at n = 2k, B_1 = -1/2, odd B_j>1 = 0."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        rest = sum(math.comb(2 * k + 1, 2 * i) * b[i] for i in range(k))
+        b.append((Fraction(2 * k + 1, 2) - rest) / (2 * k + 1))
+    return tuple(b)
+
+
 def _ints(coeffs: Sequence[Fraction]) -> list[int] | None:
     """The coefficients as ints, or None if any is not an integer."""
     if all(c.denominator == 1 for c in coeffs):

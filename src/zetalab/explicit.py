@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from zetalab.artin import ZetaCurve, nm
 from zetalab.errors import ENUMERATION_BUDGET, InputError, NumericError, ResourceError
-from zetalab.exact import rat
+from zetalab.exact import bernoulli_even, rat
 from zetalab.ffield import primes_up_to
 
 if TYPE_CHECKING:
@@ -244,8 +244,8 @@ class NFTestFn:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InputError("sigma must be positive")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise InputError("mu must be finite and sigma positive and finite")
 
     def __call__(self, x: float) -> float:
         if x <= 0:
@@ -572,9 +572,7 @@ PSI_TERMS = 8
 @functools.cache
 def _stirling_coefficients() -> tuple[float, ...]:
     """B_2k/(2k) for k = 1..PSI_TERMS."""
-    import mpmath
-    return tuple(float(Fraction(*mpmath.bernfrac(2 * k)) / (2 * k))
-                 for k in range(1, PSI_TERMS + 1))
+    return tuple(float(b / (2 * k)) for k, b in enumerate(bernoulli_even(PSI_TERMS)) if k)
 
 
 def _re_digamma(z: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ than the basis it is given (Fincke and Pohst, Math. Comp. 44, 1985).
 The analytic layer on top -- theta sums with certified tail bounds, the
 Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
 factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
-bound -- is the only place floating point appears.  mpmath is imported
-inside the functions that use it, so loading the module (and the CLI)
-does not load it.
+bound -- is the only place floating point appears.  In xi, mpmath computes
+only the gamma factor and p^(-s) for primes p; `_zeta_em` sums zeta on
+integers scaled by 2^P.  mpmath is imported inside the functions that use
+it, so loading the module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from zetalab.errors import (
     NumericError,
     ResourceError,
 )
-from zetalab.exact import rat
+from zetalab.exact import bernoulli_even, rat
 
 if TYPE_CHECKING:
     import mpmath
@@ -539,8 +540,8 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     on the LLL-reduced basis, with exact norms.  A search box of more than
     ENUMERATION_BUDGET points raises ResourceError before it starts.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
     n = lat.rank
     ginv = _inverse(lat)
     # lambda_1^2 >= 1/trace(G^-1), exactly computable
@@ -594,6 +595,8 @@ def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:
     The theta tails are requested well below tol; if that cannot be
     certified the configuration is refused rather than silently loosened.
     """
+    if not math.isfinite(tol):
+        raise InputError("tol must be finite")
     if tol < 1e-13:
         raise ConfigError("tolerance below certifiable floor (1e-13)")
     eps = tol / 100
@@ -627,46 +630,77 @@ XI_MAX_ORDER = 40
 # t = 200 on and for sigma <= -70 at every height.  The cap also bounds the
 # extra working digits at -XI_MIN_SIGMA log10(XI_TERM_BUDGET).
 XI_MIN_SIGMA = -20
-# Dirichlet terms at most; about half a second of XI_DPS-digit powers
+# Dirichlet terms at most; at XI_DPS digits about 0.05 s, 1,229 of them primes
 XI_TERM_BUDGET = 10 ** 4
 
 
 @functools.cache
 def _em_coefficients() -> tuple[Fraction, ...]:
     """B_2k/(2k)! for k = 0..XI_MAX_ORDER, exactly."""
-    import mpmath
-    return tuple(Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k)
-                 for k in range(XI_MAX_ORDER + 1))
+    return tuple(b / math.factorial(2 * k) for k, b in enumerate(bernoulli_even(XI_MAX_ORDER)))
 
 
-def _zeta_em(s: mpmath.mpc, n: int, eps: float) -> mpmath.mpc:
+def _zeta_em(s: complex, n: int, eps: float) -> mpmath.mpc:
     """zeta(s) by Euler-Maclaurin summation at N = n (Edwards, Riemann's
     Zeta Function, section 6.4):
 
         zeta(s) = sum_{k<N} k^(-s) + N^(1-s)/(s-1) + N^(-s)/2 + sum_j T_j + R,
-        T_j = B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1),
+        T_j = c_j R_j,  c_j = B_2j/(2j)!,  R_j = (s)_(2j-1) N^(-s-2j+1),
 
     stopping before the first T_j whose remainder bound
     |s+2j-1|/(sigma+2j-1) |T_j| is at most eps |partial sum|.
+
+    mpmath gives only p^(-s), p <= N prime, by its fixed-point log, exp and
+    cos/sin; integers x, y stand for (x + iy) 2^-P everywhere else.  A
+    smallest-prime-factor sieve makes each other k^(-s) a product of two
+    earlier ones.  As s = (a + ib)/2^e exactly, R_(j+1) = R_j (s+2j-1)(s+2j)
+    / N^2 and T_j = c_j R_j are exact products and one floor division each,
+    kept to P significant bits by power-of-2 shifts, so a small T_j never
+    floors to 0; the stopping rule compares squared moduli exactly.  A
+    floor is off by under a unit, mpmath's p^(-s) by (|s| log p + 2) units
+    times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that, T_j by
+    (2j + 1) 2^(2-P) relative: the sum is within about W 2^-P max(1, N^-sigma),
+    W = 4 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2).  P = max(mp.prec,
+    -log2 eps) + log2 W puts that below the rounding of mp.prec-bit mp sums.
     """
     import mpmath
-    sigma = float(s.real)
-    total = mpmath.fsum(mpmath.power(k, -s) for k in range(1, n))
-    n_s = mpmath.power(n, -s)
-    total += n * n_s / (s - 1) + n_s / 2
-    rising = s                              # (s)_(2j-1)
-    n_pow = n_s / n                         # N^(-s-2j+1)
-    inv_n2 = mpmath.mpf(1) / (n * n)
-    for j, c in enumerate(_em_coefficients()[1:], start=1):
-        term = mpmath.mpf(c.numerator) / c.denominator * rising * n_pow
-        edge = sigma + 2 * j - 1            # the bound needs sigma > -(2j-1)
-        if edge > 0 and abs(s + 2 * j - 1) / edge * abs(term) <= eps * abs(total):
-            return total
-        total += term
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        n_pow *= inv_n2
-    raise NumericError(f"Euler-Maclaurin remainder above eps after "
-                       f"{XI_MAX_ORDER} Bernoulli terms")
+    from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, log_int_fixed
+    (a, da), (b, db) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
+    one = max(da, db)                       # s = (a + ib)/one, one = 2^e
+    a, b = a * (one // da), b * (one // db)
+    w = 4 * (n * n.bit_length() + XI_MAX_ORDER ** 2) * (int(abs(s) * math.log(n)) + 2)
+    p = max(mpmath.mp.prec, math.ceil(-math.log2(eps))) + w.bit_length()
+    spf = list(range(n + 1))                # smallest prime factor; small i write last
+    for i in range(math.isqrt(n), 1, -1):
+        spf[i * i::i] = [i] * ((n - i * i) // i + 1)
+    terms = [(0, 0), (1 << p, 0)]           # k^(-s) for k = 0..N
+    for k in range(2, n + 1):
+        if spf[k] == k:                     # e^(-sigma log k) e^(-i t log k)
+            lk = log_int_fixed(k, p)
+            (cos, sin), mod = cos_sin_fixed(b * lk // one, p), exp_fixed(-a * lk // one, p)
+            terms.append(((mod * cos) >> p, (-mod * sin) >> p))
+        else:
+            (x1, y1), (x2, y2) = terms[spf[k]], terms[k // spf[k]]
+            terms.append(((x1 * x2 - y1 * y2) >> p, (x1 * y2 + y1 * x2) >> p))
+    nx, ny = terms.pop()
+    c, m2 = a - one, (a - one) ** 2 + b * b   # N^(1-s)/(s-1) = N^(-s) N one conj(s-1)/m2
+    x = sum(t[0] for t in terms) + n * one * (nx * c + ny * b) // m2 + (nx >> 1)
+    y = sum(t[1] for t in terms) + n * one * (ny * c - nx * b) // m2 + (ny >> 1)
+    e_num, e_den = eps.as_integer_ratio()
+    def rounded(ux, uy, d, q):              # (ux + i uy)/d at 2^-q, to P significant bits
+        shift = max(0, p + d.bit_length() - max(abs(ux), abs(uy)).bit_length())
+        return (ux << shift) // d, (uy << shift) // d, q + shift
+    rx, ry, q = rounded(a * nx - b * ny, a * ny + b * nx, one * n, p)   # R_1
+    for j, cj in enumerate(_em_coefficients()[1:], start=1):
+        tx, ty, qt = rounded(rx * cj.numerator, ry * cj.numerator, cj.denominator, q)
+        edge = a + (2 * j - 1) * one        # (sigma + 2j - 1) one, > 0 for the bound
+        if edge > 0 and ((edge * edge + b * b) * (tx * tx + ty * ty) * e_den * e_den
+                         <= (e_num * edge) ** 2 * (x * x + y * y) << 2 * (qt - p)):
+            return mpmath.mpc(mpmath.mpf((x, -p)), mpmath.mpf((y, -p)))
+        x, y = x + (tx >> (qt - p)), y + (ty >> (qt - p))
+        gx, gy = edge * (edge + one) - b * b, b * (2 * edge + one)   # (s+2j-1)(s+2j) one^2
+        rx, ry, q = rounded(rx * gx - ry * gy, rx * gy + ry * gx, (one * n) ** 2, q)
+    raise NumericError(f"remainder above eps after {XI_MAX_ORDER} Bernoulli terms")
 
 
 def xi_q(s: complex, eps: float = 1e-14) -> complex:
@@ -675,18 +709,19 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     The gamma factor is exp(-(s/2) log pi + loggamma(s/2)), so the
     e^(-pi |t|/4) size of xi high on the critical line comes from a product
     and nothing cancels.  zeta(s) is the Euler-Maclaurin sum of `_zeta_em`
-    with N = ceil(|t|/pi) + XI_EXTRA_TERMS Dirichlet terms at XI_DPS
-    digits, truncated where its proven remainder is below eps times the
-    partial sum.  Left of sigma = 0 the terms k^(-s) grow like k^|sigma|
-    and cancel down to zeta(s), so the working precision gains that many
-    digits.  xi(s) and xi(1-s) sum different series, which makes the
-    functional equation a check; only left of XI_MIN_SIGMA and at the
-    trivial zeros s = -2, -4, ..., where Gamma(s/2) has its poles, is
-    xi(1-s) returned instead.
+    with N = ceil(|t|/pi) + XI_EXTRA_TERMS Dirichlet terms, its p^(-s) from
+    mpmath and the rest on integers, both at XI_DPS digits or more, cut
+    where its proven remainder is below eps times the partial sum.  Left of
+    sigma = 0 the terms k^(-s) grow like k^|sigma| and cancel down to
+    zeta(s), so the working precision gains that many digits.  xi(s) and
+    xi(1-s) sum different series, which makes the functional equation a
+    check; only left of XI_MIN_SIGMA and at the trivial zeros s = -2, -4,
+    ..., where Gamma(s/2) has its poles, is xi(1-s) returned instead.
 
-    Refused: s not finite or near the poles 0, 1 (InputError), N above XI_TERM_BUDGET
-    (ResourceError), a value outside the normal double range or a
-    remainder the Bernoulli table cannot bring below eps (NumericError).
+    Refused: s not finite or near the poles 0, 1, eps not positive and
+    finite (InputError), N above XI_TERM_BUDGET (ResourceError), a value
+    outside the normal double range or a remainder the Bernoulli table
+    cannot bring below eps (NumericError).
     """
     import mpmath
     s = complex(s)
@@ -694,8 +729,8 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
         raise InputError("s must be finite")
     if abs(s) < 1e-6 or abs(s - 1) < 1e-6:
         raise InputError("evaluation too close to the poles s = 0, 1")
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
     trivial = round(s.real / 2)
     if s.real < XI_MIN_SIGMA or (trivial < 0 and abs(s - 2 * trivial) < 1e-6):
         # far left, or where Gamma(s/2) has a pole at a trivial zero of zeta
@@ -709,7 +744,7 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
         ms = mpmath.mpc(s)
         gamma_factor = mpmath.exp(-ms / 2 * mpmath.log(mpmath.pi)
                                   + mpmath.loggamma(ms / 2))
-        value = complex(gamma_factor * _zeta_em(ms, n, eps))
+        value = complex(gamma_factor * _zeta_em(s, n, eps))
     if not sys.float_info.min <= abs(value) < math.inf:
         raise NumericError(f"|xi({s})| is outside the normal double range")
     return value

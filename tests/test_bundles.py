@@ -309,14 +309,21 @@ class TestInvariant:
                         invariant("beta", r - 1, 0, curve, conv)
 
     def test_alpha_beta_gamma_relation(self):
+        # alpha = sum q^h0 / #Aut = beta + gamma, with h0 = d for d > 0
+        # and h0 = 0 for d < 0
         for conv in Convention:
             for r in (1, 2, 3):
                 for d in range(-2, 5):
-                    a = invariant("alpha", r, d, E59, conv)
                     b = invariant("beta", r, d, E59, conv)
                     g = invariant("gamma", r, d, E59, conv)
-                    assert g == a - b
+                    a = b + g
+                    if d:
+                        assert a == (F(E59.q) ** d if d > 0 else 1) * b
                     assert a >= 0 and b >= 0 and g >= 0
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(InputError, match="beta or gamma"):
+            invariant("alpha", 2, 0, E59, Convention.PAPER_SPLIT)
 
 
 def weng_zagier_rh(r, curve, conv):

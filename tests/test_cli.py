@@ -202,6 +202,23 @@ class TestExitCodes:
         assert main(["euler", "--A", "1", "--B", "1", "--s", s]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["xi", "--s", "2", "--eps", "inf"],
+        ["xi", "--s", "2", "--eps", "nan"],
+        ["theta", "--gram", "1 0 / 0 1", "--tol", "inf"],
+        ["theta", "--gram", "1 0 / 0 1", "--tol", "nan"],
+        ["explicit-nf", "--zeros", ZEROS, "--mu", "nan"],
+        ["explicit-nf", "--zeros", ZEROS, "--sigma", "inf"],
+        ["explicit-nf", "--zeros", ZEROS, "--sigma", "nan"],
+    ], ids=["xi-eps-inf", "xi-eps-nan", "theta-tol-inf", "theta-tol-nan",
+            "nf-mu-nan", "nf-sigma-inf", "nf-sigma-nan"])
+    def test_non_finite_tolerance_is_validation_error(self, capsys, argv):
+        # inf makes the remainder or tail test vacuous, and NaN fails every
+        # comparison; both are refused as input, before any work
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1
 

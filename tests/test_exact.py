@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from zetalab.errors import InputError
 from zetalab.exact import (
     Poly,
     Series,
+    bernoulli_even,
     decimate,
     fe_transform_check,
     poly_from_power_sums,
@@ -406,3 +408,7 @@ class TestRoundTripInvariant:
         a = series_exp_from_power_sums([9, 27, 108], 4)
         b = series_exp_from_power_sums([9, 27, 108], 4)
         assert a == b and a.coeffs == b.coeffs
+
+
+def test_bernoulli_even_matches_mpmath():
+    assert bernoulli_even(40) == tuple(Fraction(*mpmath.bernfrac(2 * k)) for k in range(41))

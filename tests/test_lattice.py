@@ -16,11 +16,16 @@ from zetalab.errors import (
     ResourceError,
 )
 from zetalab.lattice import (
+    XI_DPS,
+    XI_EXTRA_TERMS,
+    XI_MAX_ORDER,
     XI_MIN_SIGMA,
     XI_TERM_BUDGET,
     Lattice,
+    _em_coefficients,
     _inverse,
     _lll,
+    _zeta_em,
     deg,
     dual,
     hn_filtration,
@@ -649,6 +654,12 @@ class TestTheta:
         with pytest.raises(ResourceError):
             theta_h0(Lattice.diagonal([F(1, 20)] * 4))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-12, math.inf, math.nan])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # inf hit a math domain error; NaN grew the radius to its blow-up
+        with pytest.raises(InputError):
+            theta_h0(Lattice.standard(2), eps)
+
 
 class TestRiemannRoch:
     def test_worked_t4(self):
@@ -715,6 +726,65 @@ def xi_reference(s, dps=60):
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+def zeta_em_oracle(s: mpmath.mpc, n: int, eps: float) -> mpmath.mpc:
+    """Oracle for _zeta_em: the same Euler-Maclaurin sum and stopping rule
+    in mpmath arithmetic, one mpmath.power per Dirichlet term."""
+    sigma = float(s.real)
+    total = mpmath.fsum(mpmath.power(k, -s) for k in range(1, n))
+    n_s = mpmath.power(n, -s)
+    total += n * n_s / (s - 1) + n_s / 2
+    rising = s                              # (s)_(2j-1)
+    n_pow = n_s / n                         # N^(-s-2j+1)
+    inv_n2 = mpmath.mpf(1) / (n * n)
+    for j, c in enumerate(_em_coefficients()[1:], start=1):
+        term = mpmath.mpf(c.numerator) / c.denominator * rising * n_pow
+        edge = sigma + 2 * j - 1            # the bound needs sigma > -(2j-1)
+        if edge > 0 and abs(s + 2 * j - 1) / edge * abs(term) <= eps * abs(total):
+            return total
+        total += term
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        n_pow *= inv_n2
+    raise NumericError(f"Euler-Maclaurin remainder above eps after "
+                       f"{XI_MAX_ORDER} Bernoulli terms")
+
+
+def zeta_em_both(s: complex, eps: float):
+    """(integer route, oracle) at xi_q's N and working precision, each a
+    value or the NumericError it raised."""
+    n = math.ceil(abs(s.imag) / math.pi) + XI_EXTRA_TERMS
+    out = []
+    with mpmath.workdps(XI_DPS + max(0, math.ceil(-s.real * math.log10(n)))):
+        for route in (lambda: _zeta_em(s, n, eps),
+                      lambda: zeta_em_oracle(mpmath.mpc(s), n, eps)):
+            try:
+                out.append(route())
+            except NumericError as exc:
+                out.append(exc)
+    return out
+
+
+ZETA_GRID = [complex(sigma, t) for sigma in (-19.5, -7.5, -0.5, 0.1, 0.5, 0.9, 1.5, 4.5, 10)
+             for t in (0, 0.25, 14.134725, 30, 59, 150, 880)]
+
+
+class TestZetaEM:
+    def test_integer_route_matches_mpmath_route(self):
+        for s in ZETA_GRID:
+            new, old = zeta_em_both(s, 1e-14)
+            assert abs(new - old) <= 1e-20 * abs(old), s
+
+    @pytest.mark.parametrize("eps", [1e-30, 1e-60])
+    def test_routes_agree_at_tight_eps(self, eps):
+        for s in ZETA_GRID:
+            if s.imag > 30:
+                continue
+            new, old = zeta_em_both(s, eps)
+            if isinstance(old, NumericError):
+                assert isinstance(new, NumericError), s
+            else:
+                assert abs(new - old) <= 1e-20 * abs(old), s
 
 
 class TestXiQ:

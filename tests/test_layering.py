@@ -15,7 +15,8 @@ numpy and mpmath are imported inside the functions that use them, and
 scipy not at all.  The curve commands over F_q (artin, nazeta, census,
 mass, allbundles, explicit-ff), the Euler products (euler), the
 lattice stability command (lattice: exact minima and HN filtration) and
-theta cohomology (theta) run without either.
+theta cohomology (theta) run without either, and the number-field
+explicit formula (explicit-nf) loads numpy but not mpmath.
 """
 
 import ast
@@ -138,17 +139,30 @@ LATTICE_JOBS = [
 ]
 
 
-def test_curve_commands_load_no_numeric_library():
+def packages_loaded_by(argvs: list[list[str]]) -> set[str]:
+    """Top-level packages in sys.modules after a fresh interpreter runs
+    every argv through the CLI, each exiting 0."""
     code = ("import contextlib, io, json, sys, zetalab.cli\n"
-            f"for argv in {CURVE_JOBS + LATTICE_JOBS!r}:\n"
+            f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert zetalab.cli.main(argv) == 0, argv\n"
             "print(json.dumps(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = {name.split(".")[0] for name in json.loads(out)}
-    assert loaded & {"numpy", "mpmath"} == set()
+    return {name.split(".")[0] for name in json.loads(out)}
+
+
+def test_curve_commands_load_no_numeric_library():
+    assert packages_loaded_by(CURVE_JOBS + LATTICE_JOBS) & {"numpy", "mpmath"} == set()
+
+
+def test_explicit_nf_loads_no_mpmath():
+    # the Stirling coefficients of the digamma come from exact.bernoulli_even
+    zeros = str(REPO / "tests" / "data" / "zeros100.txt")
+    loaded = packages_loaded_by([["explicit-nf", "--zeros", zeros, "--K", "10",
+                                  "--pmax", "100"]])
+    assert "numpy" in loaded and "mpmath" not in loaded
 
 
 REPO = PACKAGE.parent.parent
