@@ -541,7 +541,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     ENUMERATION_BUDGET points raises ResourceError before it starts.
     """
     if not 0 < eps < math.inf:
-        raise InputError("eps must be positive and finite")
+        raise InputError("tolerance must be positive and finite")
     n = lat.rank
     ginv = _inverse(lat)
     # lambda_1^2 >= 1/trace(G^-1), exactly computable
@@ -592,11 +592,9 @@ class RRReport:
 def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:
     """Riemann-Roch over Q: h^0(L) - h^0(L*) = deg(L), within tol.
 
-    The theta tails are requested well below tol; if that cannot be
-    certified the configuration is refused rather than silently loosened.
+    The theta tails are requested at tol/100 (theta_h0 refuses it unless
+    finite); a tol they cannot certify is refused, not silently loosened.
     """
-    if not math.isfinite(tol):
-        raise InputError("tol must be finite")
     if tol < 1e-13:
         raise ConfigError("tolerance below certifiable floor (1e-13)")
     eps = tol / 100
@@ -653,22 +651,24 @@ def _zeta_em(s: complex, n: int, eps: float) -> mpmath.mpc:
     mpmath gives only p^(-s), p <= N prime, by its fixed-point log, exp and
     cos/sin; integers x, y stand for (x + iy) 2^-P everywhere else.  A
     smallest-prime-factor sieve makes each other k^(-s) a product of two
-    earlier ones.  As s = (a + ib)/2^e exactly, R_(j+1) = R_j (s+2j-1)(s+2j)
-    / N^2 and T_j = c_j R_j are exact products and one floor division each,
-    kept to P significant bits by power-of-2 shifts, so a small T_j never
-    floors to 0; the stopping rule compares squared moduli exactly.  A
-    floor is off by under a unit, mpmath's p^(-s) by (|s| log p + 2) units
-    times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that, T_j by
+    earlier ones.  With s = (a + ib)/2^e exactly, R_(j+1) = R_j (s+2j-1)
+    (s+2j)/N^2 and T_j = c_j R_j are exact products and one floor division
+    each, kept to P significant bits by power-of-2 shifts, so a small T_j
+    never floors to 0; the stopping rule compares squared moduli exactly.
+    Floors are off by under a unit, mpmath's p^(-s) by (|s| log p + 2) units
+    times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that and T_j by
     (2j + 1) 2^(2-P) relative: the sum is within about W 2^-P max(1, N^-sigma),
-    W = 4 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2).  P = max(mp.prec,
-    -log2 eps) + log2 W puts that below the rounding of mp.prec-bit mp sums.
+    W = 4 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2) max(1, 1/|t|).  P =
+    max(mp.prec, -log2 eps) + log2 W puts that below mp.prec-bit rounding,
+    also for Im zeta ~ t zeta'(sigma) at small t.
     """
     import mpmath
     from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, log_int_fixed
     (a, da), (b, db) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
     one = max(da, db)                       # s = (a + ib)/one, one = 2^e
     a, b = a * (one // da), b * (one // db)
-    w = 4 * (n * n.bit_length() + XI_MAX_ORDER ** 2) * (int(abs(s) * math.log(n)) + 2)
+    w = (4 * (n * n.bit_length() + XI_MAX_ORDER ** 2) * (int(abs(s) * math.log(n)) + 2)
+         << max(0, -math.frexp(s.imag)[1]))
     p = max(mpmath.mp.prec, math.ceil(-math.log2(eps))) + w.bit_length()
     spf = list(range(n + 1))                # smallest prime factor; small i write last
     for i in range(math.isqrt(n), 1, -1):

@@ -775,16 +775,35 @@ class TestZetaEM:
             new, old = zeta_em_both(s, 1e-14)
             assert abs(new - old) <= 1e-20 * abs(old), s
 
+    @staticmethod
+    def assert_routes_agree(s, eps):
+        # both values within 1e-20, or both routes out of Bernoulli terms
+        new, old = zeta_em_both(s, eps)
+        if isinstance(old, NumericError):
+            assert isinstance(new, NumericError), (s, eps)
+        else:
+            assert abs(new - old) <= 1e-20 * abs(old), (s, eps)
+
     @pytest.mark.parametrize("eps", [1e-30, 1e-60])
     def test_routes_agree_at_tight_eps(self, eps):
         for s in ZETA_GRID:
-            if s.imag > 30:
-                continue
-            new, old = zeta_em_both(s, eps)
-            if isinstance(old, NumericError):
-                assert isinstance(new, NumericError), s
-            else:
-                assert abs(new - old) <= 1e-20 * abs(old), s
+            if s.imag <= 30:
+                self.assert_routes_agree(s, eps)
+
+    @pytest.mark.parametrize("s", [-1.99999, -2.000002, -3.999998])
+    def test_small_terms_near_a_trivial_zero(self, s):
+        # zeta(s) ~ 1e-7, and from T_2 or T_3 on every term carries the
+        # small factor s + 2 or s + 4: on one fixed 2^-P grid the T_j floored
+        # to 0 above eps |zeta| and ended the loop where the oracle raises
+        for eps in (1e-14, 1e-34):
+            self.assert_routes_agree(complex(s), eps)
+
+    @pytest.mark.parametrize("s", [50, 30 + 30j])
+    def test_tiny_eps_far_right(self, s):
+        # |N^(-s)| = N^-sigma ~ 1e-54 falls below 2^-mp.prec, so P carries
+        # -log2 eps bits: with mp.prec alone N^(-s) and every T_j floored
+        # to 0 and the loop ended where the oracle raises
+        self.assert_routes_agree(complex(s), 1e-80)
 
 
 class TestXiQ:
@@ -858,6 +877,15 @@ class TestXiQ:
         # the Bernoulli table cannot certify the series far left of the
         # strip; xi(1-s) is summed there instead
         assert rel_err(xi_q(s), xi_reference(s)) < 1e-12
+
+    @pytest.mark.parametrize("s", [3 + 1e-200j, 2 + 1e-9j, 0.3 + 1e-12j, 1.5 + 1e-100j])
+    def test_small_imaginary_part_keeps_its_digits(self, s):
+        # Im xi(sigma + it) = t xi'(sigma) + O(t^3); floors on a grid of
+        # 2^-P with no bits for 1/t left only about 1e-35 of it
+        with mpmath.workdps(30):
+            slope = mpmath.diff(lambda x: mpmath.pi ** (-x / 2) * mpmath.gamma(x / 2)
+                                * mpmath.zeta(x), s.real)
+        assert rel_err(xi_q(s).imag, s.imag * float(slope)) < 1e-10
 
     def test_term_budget(self):
         with pytest.raises(ResourceError):
