@@ -693,6 +693,12 @@ class TestRiemannRoch:
         with pytest.raises(ConfigError):
             rr_check(Lattice.standard(2), 1e-15)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_input_error(self, tol):
+        # NaN passes the floor check, and inf made theta_h0 take log(0)
+        with pytest.raises(InputError):
+            rr_check(Lattice.standard(2), tol)
+
 
 XI_HALF = -3.97696622550651   # pi^(-1/4) Gamma(1/4) zeta(1/2), mpmath 30 dps
 
