@@ -655,10 +655,10 @@ def _zeta_em(s: complex, n: int, eps: float) -> mpmath.mpc:
     (s+2j)/N^2 and T_j = c_j R_j are exact products and one floor division
     each, kept to P significant bits by power-of-2 shifts, so a small T_j
     never floors to 0; the stopping rule compares squared moduli exactly.
-    Floors are off by under a unit, mpmath's p^(-s) by (|s| log p + 2) units
-    times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that and T_j by
-    (2j + 1) 2^(2-P) relative: the sum is within about W 2^-P max(1, N^-sigma),
-    W = 4 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2) max(1, 1/|t|).  P =
+    Floors are off by under a unit, mpmath's p^(-s) by 2 (|s| log p + 2)
+    units times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that and T_j
+    by (2j + 1) 2^(2-P) relative: the sum is within about W 2^-P max(1, N^-sigma),
+    W = 8 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2) max(1, 1/|t|).  P =
     max(mp.prec, -log2 eps) + log2 W puts that below mp.prec-bit rounding,
     also for Im zeta ~ t zeta'(sigma) at small t.
     """
@@ -667,7 +667,7 @@ def _zeta_em(s: complex, n: int, eps: float) -> mpmath.mpc:
     (a, da), (b, db) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
     one = max(da, db)                       # s = (a + ib)/one, one = 2^e
     a, b = a * (one // da), b * (one // db)
-    w = (4 * (n * n.bit_length() + XI_MAX_ORDER ** 2) * (int(abs(s) * math.log(n)) + 2)
+    w = (8 * (n * n.bit_length() + XI_MAX_ORDER ** 2) * (int(abs(s) * math.log(n)) + 2)
          << max(0, -math.frexp(s.imag)[1]))
     p = max(mpmath.mp.prec, math.ceil(-math.log2(eps))) + w.bit_length()
     spf = list(range(n + 1))                # smallest prime factor; small i write last
