@@ -655,8 +655,8 @@ def _zeta_em(s: complex, n: int, eps: float) -> mpmath.mpc:
     (s+2j)/N^2 and T_j = c_j R_j are exact products and one floor division
     each, kept to P significant bits by power-of-2 shifts, so a small T_j
     never floors to 0; the stopping rule compares squared moduli exactly.
-    Floors are off by under a unit, mpmath's p^(-s) by 2 (|s| log p + 2)
-    units times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that and T_j
+    Floors are off by under a unit, mpmath's p^(-s) by about 2 (|s| log p +
+    2) units times max(1, p^-sigma), a k^(-s) by 4 Omega(k) times that, T_j
     by (2j + 1) 2^(2-P) relative: the sum is within about W 2^-P max(1, N^-sigma),
     W = 8 (N log2 N + XI_MAX_ORDER^2)(|s| log N + 2) max(1, 1/|t|).  P =
     max(mp.prec, -log2 eps) + log2 W puts that below mp.prec-bit rounding,
