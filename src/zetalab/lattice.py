@@ -709,11 +709,11 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     The gamma factor is exp(-(s/2) log pi + loggamma(s/2)), so the
     e^(-pi |t|/4) size of xi high on the critical line comes from a product
     and nothing cancels.  zeta(s) is the Euler-Maclaurin sum of `_zeta_em`
-    with N = ceil(|t|/pi) + XI_EXTRA_TERMS Dirichlet terms, its p^(-s) from
-    mpmath and the rest on integers, both at XI_DPS digits or more, cut
-    where its proven remainder is below eps times the partial sum.  Left of
-    sigma = 0 the terms k^(-s) grow like k^|sigma| and cancel down to
-    zeta(s), so the working precision gains that many digits.  xi(s) and
+    with N = ceil(|t|/pi) + XI_EXTRA_TERMS Dirichlet terms, cut where its
+    proven remainder is below eps |partial sum|: mpmath gives its p^(-s),
+    integers at P >= XI_DPS digits the rest (P and its error: `_zeta_em`).
+    Left of sigma = 0 the terms k^(-s) grow like k^|sigma| and cancel down
+    to zeta(s), so the working precision gains that many digits.  xi(s) and
     xi(1-s) sum different series, which makes the functional equation a
     check; only left of XI_MIN_SIGMA and at the trivial zeros s = -2, -4,
     ..., where Gamma(s/2) has its poles, is xi(1-s) returned instead.
