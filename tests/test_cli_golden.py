@@ -54,6 +54,11 @@ CASES = [
                           "--pmax", "300", "--threads", "2"]),
     ("lattice_r2_reduction", ["lattice", "--lattice", "2 1 / 1 1"]),
     ("lattice_r2_unstable", ["lattice", "--lattice", "0.5 0 / 0 2"]),
+    # the basis [[A0, 0], [A0/2, 1/A0]] of the hexagonal point, A0 a
+    # rational just off the corner a = sqrt(2/sqrt(3)) of the domain
+    ("lattice_r2_hexagonal", ["lattice", "--lattice",
+                              "2149139863647/2000000000000 2149139863647/4000000000000"
+                              " / 0 2000000000000/2149139863647"]),
     ("lattice_z3_skewed", ["lattice", "--lattice", "1 0 0 / 2 1 0 / 5 2 1"]),
     ("lattice_rank2_destabilizer", ["lattice", "--gram", "1 0 0 / 0 1 0 / 0 0 9"]),
     ("lattice_rank1_first", ["lattice", "--lattice", "1/4 0 0 / 0 1 0 / 0 0 4"]),
