@@ -334,7 +334,7 @@ def cmd_explicit_ff(args) -> dict:
         if i < 3:
             samples.append({"positivity": value})
     f1 = explicit.FFTestFn.delta(args.p, 1)
-    pairing = explicit.ff_pairing(zc, f1, f1)
+    pairing = explicit.ff_pairing(zc, f1)
     return {
         "q": args.p,
         "n1": n1,
@@ -355,7 +355,7 @@ def cmd_explicit_nf(args) -> dict:
     zeros = explicit.load_zeros(args.zeros)
     f = explicit.NFTestFn(args.mu, args.sigma)
     model = explicit.MicroModel(args.K, zeros)
-    pairing = explicit.global_pairing(model, f, f)
+    pairing = explicit.global_pairing(model, f)
     rw = explicit.riemann_weil_residual(f, zeros, args.K, args.pmax)
     return {
         "zeros_loaded": len(zeros),
@@ -526,8 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     payload = {
         "command": args.command,
-        "params": {k: (v if isinstance(v, (int, bool)) else str(v))
-                   for k, v in _public_params(args).items()},
+        "params": encode(_public_params(args)),
         "result": encode(result),
     }
     rendered = RENDERERS[args.format](payload)

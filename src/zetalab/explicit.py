@@ -120,7 +120,6 @@ class FFPairing:
     deg1: Fraction
     deg2: Fraction
     diag: Fraction
-    cross: Fraction
 
 
 def _diag_pairing(zc: ZetaCurve, f: FFTestFn) -> Fraction:
@@ -128,21 +127,20 @@ def _diag_pairing(zc: ZetaCurve, f: FFTestFn) -> Fraction:
                 for n, c in f.divisor_coefficients().items()), Fraction(0))
 
 
-def ff_pairing(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> FFPairing:
-    """The four basic pairings of the graph divisors of f and g.
+def ff_pairing(zc: ZetaCurve, f: FFTestFn) -> FFPairing:
+    """The basic self-pairings of the graph divisor of f.
 
-    deg1/deg2 are the fiber degrees (they equal fhat(1) and fhat(0)),
-    diag pairs f against the diagonal, and cross pairs the two divisors
-    through the convolution reduction.  All values are exact rationals.
+    deg1/deg2 are the fiber degrees (they equal fhat(1) and fhat(0)) and
+    diag pairs f against the diagonal.  All values are exact rationals.
+    The pairing <D_f, D_g> of two divisors is the diagonal pairing of
+    f * g^* (`convolve_with_dual`), the route `ff_hodge_defect` takes.
     """
-    if f.q != zc.q or g.q != zc.q:
+    if f.q != zc.q:
         raise InputError("test functions must share the curve's q")
     coeffs = f.divisor_coefficients()
     deg1 = sum((c * _qpow(zc.q, max(n, 0)) for n, c in coeffs.items()), Fraction(0))
     deg2 = sum((c * _qpow(zc.q, max(-n, 0)) for n, c in coeffs.items()), Fraction(0))
-    diag = _diag_pairing(zc, f)
-    cross = _diag_pairing(zc, f.convolve_with_dual(g))
-    return FFPairing(deg1, deg2, diag, cross)
+    return FFPairing(deg1, deg2, _diag_pairing(zc, f))
 
 
 def ff_zero_sum(zc: ZetaCurve, f: FFTestFn) -> Fraction:
@@ -343,7 +341,7 @@ def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.
     The two fixed-point rules reduce each pair to the base pairing against
     D_1 at the ratio min/max in [0, 1]; the mirror map covers both above 1.
     This is the route for single cells and for the D_1 integrand (one
-    column, O(K M)); for the cross pairing of two global divisors it is
+    column, O(K M)); for the self-pairing of a global divisor it is
     the test oracle of `_cross_pairing`, which never builds the mesh.
     """
     import numpy as np
@@ -357,16 +355,20 @@ def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # global divisors and quadrature
 
+# Gauss-Legendre nodes per panel, and the half-width of a Gaussian-in-log
+# test function's integration range in units of its sigma
+QUAD_ORDER = 16
+HALFWIDTH_SIGMAS = 10.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Deterministic panel schedule: refine until successive composite
     Gauss-Legendre evaluations agree to rel_tol (or max_refine is hit)."""
 
     rel_tol: float = 1e-9
-    order: int = 16
     base_panels: int = 8
     max_refine: int = 7
-    halfwidth_sigmas: float = 10.0
 
     def __post_init__(self):
         # at rel_tol <= 0 only two bit-identical estimates would stop the
@@ -400,7 +402,7 @@ def _refine_until_stable(estimate, panels: int, spec: QuadratureSpec,
 
 def _composite_quad(fn, lo: float, hi: float, spec: QuadratureSpec) -> float:
     import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
 
     def estimate(panels: int) -> float:
         pts, half = _panel_points(lo, hi, panels, nodes)
@@ -415,7 +417,7 @@ class GlobalPairingReport:
     deg1: float                 # <D_f, D_0>, should be fhat(1)
     deg2: float                 # <D_f, D_infinity>, should be fhat(0)
     d1_pairing: float           # <D_f, D_1>
-    cross: float                # <D_f, D_g>
+    cross: float                # <D_f, D_f>
     deg1_residual: float
     deg2_residual: float
     explicit_formula_residual: float
@@ -428,12 +430,11 @@ def _weight_arr(f: NFTestFn, u: np.ndarray) -> np.ndarray:
     return f.at_log(u) * np.exp(np.maximum(u, 0.0))
 
 
-def _cross_pairing(model: MicroModel, uf: np.ndarray, wf: np.ndarray,
-                   ug: np.ndarray, wg: np.ndarray) -> float:
-    """sum_ij wf_i <D_x_i, D_y_j> wg_j with x = exp(uf), y = exp(ug).
+def _cross_pairing(model: MicroModel, u: np.ndarray, w: np.ndarray) -> float:
+    """sum_ij w_i <D_x_i, D_x_j> w_j with x = exp(u).
 
-    Write a = log x, b = log y and S = sum_k cos gamma_k (a - b).  On each
-    sign block the pairing is separable:
+    Write a = log x_i, b = log x_j and S = sum_k cos gamma_k (a - b).  On
+    each sign block the pairing is separable:
 
         a, b <= 0:    e^a + e^b - 2 e^((a+b)/2) S
         a, b > 0:     e^-a + e^-b - 2 e^(-(a+b)/2) S
@@ -441,43 +442,36 @@ def _cross_pairing(model: MicroModel, uf: np.ndarray, wf: np.ndarray,
 
     In terms of e^-|u| the S term is the same product on every block, and
     S splits by cos(x - y) = cos x cos y + sin x sin y, so the double sum
-    costs O(K (M + N)) and no M x N array is built.
+    costs O(K M) and no M x M array is built.
     """
     import numpy as np
-
-    def moments(u, w):
-        decay = np.exp(-np.abs(u))
-        # per sign block (u <= 0, u > 0): sum of w and of w e^-|u|
-        blocks = np.array([[w[b].sum(), (w * decay)[b].sum()]
-                           for b in (u <= 0, u > 0)])
-        half = w * np.sqrt(decay)
-        phase = _phase_grid(model.gammas, u)
-        return blocks, np.cos(phase) @ half, np.sin(phase) @ half
-
-    mf, cf, sf = moments(uf, wf)
-    mg, cg, sg = moments(ug, wg)
-    same = sum(mf[s, 1] * mg[s, 0] + mf[s, 0] * mg[s, 1] for s in (0, 1))
-    mixed = sum(mf[s, 0] * mg[1 - s, 0] + mf[s, 1] * mg[1 - s, 1] for s in (0, 1))
-    return float(same + mixed - 2 * (cf @ cg + sf @ sg))
+    decay = np.exp(-np.abs(u))
+    # per sign block (u <= 0, u > 0): sum of w and of w e^-|u|
+    (a0, b0), (a1, b1) = [(w[b].sum(), (w * decay)[b].sum()) for b in (u <= 0, u > 0)]
+    half = w * np.sqrt(decay)
+    phase = _phase_grid(model.gammas, u)
+    c, s = np.cos(phase) @ half, np.sin(phase) @ half
+    return float(2 * (a0 * b0 + a1 * b1) + 2 * (a0 * a1 + b0 * b1) - 2 * (c @ c + s @ s))
 
 
 def _zero_sum_truncated(model: MicroModel, f: NFTestFn) -> float:
     return float(sum(2 * f.mellin(0.5 + 1j * g).real for g in model.gammas))
 
 
-def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
+def global_pairing(model: MicroModel, f: NFTestFn,
                    spec: QuadratureSpec = QuadratureSpec()) -> GlobalPairingReport:
-    """Pair the global divisors of f and g through micro quadratures.
+    """Pair the global divisor of f with D_0, D_infinity, D_1 and itself
+    through micro quadratures.
 
     The relative-degree entries bypass the zeros entirely; the D_1
     pairing carries the truncated zero sum and is compared against the
-    closed-form right side at the same K; the cross pairing is a double
-    quadrature compared against the convolution route (fixed-point
-    identity).
+    closed-form right side at the same K; the self-pairing is a double
+    quadrature on one log-axis compared against the convolution route
+    (fixed-point identity).
     """
     import numpy as np
-    lo_f = f.mu - spec.halfwidth_sigmas * f.sigma
-    hi_f = f.mu + spec.halfwidth_sigmas * f.sigma
+    lo_f = f.mu - HALFWIDTH_SIGMAS * f.sigma
+    hi_f = f.mu + HALFWIDTH_SIGMAS * f.sigma
 
     def integrand_deg1(u):
         return _weight_arr(f, u) * np.where(
@@ -498,25 +492,18 @@ def global_pairing(model: MicroModel, f: NFTestFn, g: NFTestFn,
     fhat1 = f.mellin(1).real
     ef2_rhs = fhat0 + fhat1 - _zero_sum_truncated(model, f)
 
-    # cross pairing: double quadrature over the two log-axes
-    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+    # self-pairing: double quadrature over f's log-axis
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
 
     def cross_estimate(panels: int) -> float:
-        def axis(h):
-            pts, half = _panel_points(h.mu - spec.halfwidth_sigmas * h.sigma,
-                                      h.mu + spec.halfwidth_sigmas * h.sigma,
-                                      panels, nodes)
-            return pts, _weight_arr(h, pts) * np.tile(weights, panels) * half
-
-        uf, wf = axis(f)
-        ug, wg = axis(g)
-        return _cross_pairing(model, uf, wf, ug, wg)
+        u, half = _panel_points(lo_f, hi_f, panels, nodes)
+        return _cross_pairing(model, u, _weight_arr(f, u) * np.tile(weights, panels) * half)
 
     cross = _refine_until_stable(cross_estimate, spec.base_panels * 2, spec,
                                  "cross quadrature")
 
-    # fixed-point right side: <D_h, D_1> with h = f * g^*
-    h = f.convolve_with_dual(g)
+    # fixed-point right side: <D_h, D_1> with h = f * f^*
+    h = f.convolve_with_dual(f)
     hhat0 = h.mellin(0).real
     hhat1 = h.mellin(1).real
     fp_rhs = hhat0 + hhat1 - _zero_sum_truncated(model, h)

@@ -288,9 +288,7 @@ def is_semistable(lat: Lattice) -> bool:
     This is the statement that the Harder-Narasimhan filtration has a
     single step; the minima comparison itself lives in `_hn_steps`.
     """
-    if lat.rank > 3:
-        raise CapabilityError("stability decided for rank <= 3")
-    return len(_hn_steps(lat)[0]) == 1
+    return hn_filtration(lat).is_single
 
 
 # -- integer basis completion utilities
@@ -459,8 +457,6 @@ def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
                 raise InputError("unimodular check needs an integral Gram")
     if lat.covolume2 != 1:
         raise InputError("unimodular check needs covolume 1")
-    if lat.rank > 3:
-        raise CapabilityError("stability decided for rank <= 3")
     filtration = hn_filtration(lat)
     return filtration.is_single, filtration.stable
 
@@ -468,7 +464,7 @@ def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # rank-2 reduction to the fundamental domain
 
-def reduce_rank2(lat: Lattice, tol: float = 1e-12) -> tuple[float, float, bool]:
+def reduce_rank2(lat: Lattice) -> tuple[float, float, bool]:
     """Gauss-reduce a covolume-1 rank-2 lattice to (a, b, in_domain).
 
     The representative is the lower-triangular basis [[a, 0], [b, 1/a]]
@@ -476,30 +472,32 @@ def reduce_rank2(lat: Lattice, tol: float = 1e-12) -> tuple[float, float, bool]:
     product.  in_domain reports membership of the moduli fundamental
     domain 1 <= a <= sqrt(2/sqrt(3)), sqrt(a^2 - a^-2) <= b <= a -
     sqrt(a^2 - a^-2); unstable lattices (a < 1) are not in the domain.
+    The reduction runs on the integral Gram den * G, and with g11, g12
+    its reduced entries the domain is the four integer inequalities
+    g11 >= den, 3 g11^2 <= 4 den^2, g12^2 >= g11^2 - den^2 and
+    2 g11 g12 <= den^2 + g12^2, so only a and b are floats.
     """
     if lat.rank != 2:
         raise InputError("reduction needs rank 2")
     if lat.covolume2 != 1:
         raise InputError("reduction needs covolume exactly 1")
-    g11, g12, g22 = lat.gram[0][0], lat.gram[0][1], lat.gram[1][1]
+    den, ((g11, g12), (_, g22)), _, _ = lat.scaled
     while True:
         if g22 < g11:
             g11, g22 = g22, g11
-        mu = math.floor(g12 / g11 + Fraction(1, 2))
+        mu = (2 * g12 + g11) // (2 * g11)     # floor(g12 / g11 + 1/2)
         if mu:
             # b2 <- b2 - mu b1
             g22 = g22 - 2 * mu * g12 + mu * mu * g11
             g12 = g12 - mu * g11
-        if g22 >= g11 and abs(g12 / g11) <= Fraction(1, 2):
+        if g22 >= g11 and 2 * abs(g12) <= g11:
             break
-    if g12 < 0:
-        g12 = -g12
-    a = math.sqrt(float(g11))
-    b = float(g12) / a
-    lower = math.sqrt(max(float(g11) - 1 / float(g11), 0.0))
-    in_domain = (1 - tol <= a <= math.sqrt(2 / math.sqrt(3)) + tol
-                 and lower - tol <= b <= a - lower + tol)
-    return a, b, in_domain
+    g12 = abs(g12)
+    a = math.sqrt(g11 / den)
+    in_domain = (g11 >= den and 3 * g11 * g11 <= 4 * den * den
+                 and g12 * g12 >= g11 * g11 - den * den
+                 and 2 * g11 * g12 <= den * den + g12 * g12)
+    return a, g12 / den / a, in_domain
 
 
 # ---------------------------------------------------------------------------

@@ -541,22 +541,17 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
 # ---------------------------------------------------------------------------
 # the spinor-factor formal match
 
-def andrianov_formal_match(lam_p: Poly | None = None,
-                           lam_p2: Poly | None = None) -> bool:
+def andrianov_formal_match() -> bool:
     """Symbolic identity (in p and t) between the weight-2 spinor local
     factor at lambda(p) = 1 - p, lambda(p^2) = p^2 - 4p + 4 and the rank-2
     numerator 1 + (p-1)t + (2p-4)t^2 + (p^2-p)t^3 + p^2 t^4.
 
-    The t-coefficients are exact polynomials in p.  Callers may substitute
-    other lambda polynomials to probe the match (the default substitution
-    returns True; anything else is compared honestly).
+    The t-coefficients are exact polynomials in p.
     """
     p = Poly.x(1)   # the indeterminate p
     one = Poly.one()
-    if lam_p is None:
-        lam_p = one - p
-    if lam_p2 is None:
-        lam_p2 = p * p - p.scale(4) + one.scale(4)
+    lam_p = one - p
+    lam_p2 = p * p - p.scale(4) + one.scale(4)
     k = 2
     p_pow = {0: one, 1: p, 2: p * p}
     spinor = [

@@ -134,6 +134,16 @@ class TestCommands:
         assert len(result["hn_steps"]) == 2
         assert result["hn_steps"][0]["covol2"] == "1/4"
 
+    def test_lattice_just_below_unit_minimum_is_outside_the_domain(self, capsys):
+        # lambda_1^2 = 1 - 10^-13: within any float tolerance of the edge
+        # a = 1 of the domain, yet unstable, and the domain is decided exactly
+        payload = run_json(["lattice", "--gram",
+                            "9999999999999/10000000000000 0 / 0 10000000000000/9999999999999"],
+                           capsys)
+        result = payload["result"]
+        assert result["semistable"] is False
+        assert result["reduction"]["in_domain"] is False
+
     def test_lattice_gram_unimodular(self, capsys):
         payload = run_json(["lattice", "--gram", "2 1 / 1 1"], capsys)
         assert payload["result"]["unimodular"]["semistable"] is True
@@ -160,6 +170,12 @@ class TestCommands:
                             "--pmax", "2000"], capsys)
         rw = payload["result"]["riemann_weil"]
         assert abs(float(rw["residual"])) < 1e-3
+
+    def test_params_echo_through_encode(self, capsys):
+        # a float flag is echoed by the rule that prints it in the result
+        payload = run_json(["explicit-nf", "--zeros", ZEROS, "--K", "25",
+                            "--pmax", "100", "--mu", "0.1234567890123"], capsys)
+        assert payload["params"]["mu"] == payload["result"]["mu"] == "0.123456789012"
 
     def test_andrianov(self, capsys):
         payload = run_json(["andrianov"], capsys)

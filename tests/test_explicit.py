@@ -15,6 +15,8 @@ from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import Poly
 from zetalab.explicit import (
     FIRST_ZERO,
+    HALFWIDTH_SIGMAS,
+    QUAD_ORDER,
     FFTestFn,
     MicroModel,
     NFTestFn,
@@ -35,6 +37,7 @@ from zetalab.explicit import (
     PSI_SHIFT,
     _arch_term,
     _cross_pairing,
+    _diag_pairing,
     _nm_extended,
     _panel_points,
     _qpow,
@@ -81,31 +84,33 @@ def ff_cross_direct(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> Fraction:
 class TestFFPairing:
     def test_delta_at_one(self):
         f = FFTestFn.delta(5, 1)
-        p = ff_pairing(ZC59, f, f)
+        p = ff_pairing(ZC59, f)
         assert p.deg1 == 5
         assert p.deg2 == 1
         assert p.diag == 9
 
     def test_zero_function(self):
         f = FFTestFn.of(5, {})
-        p = ff_pairing(ZC59, f, f)
-        assert (p.deg1, p.deg2, p.diag, p.cross) == (0, 0, 0, 0)
+        p = ff_pairing(ZC59, f)
+        assert (p.deg1, p.deg2, p.diag) == (0, 0, 0)
 
     def test_degrees_equal_mellin_values(self):
         rng = random.Random(3)
         for _ in range(20):
             f = random_fftest(rng, 5)
-            p = ff_pairing(ZC59, f, f)
+            p = ff_pairing(ZC59, f)
             assert p.deg1 == f.mellin_hat(1)
             assert p.deg2 == f.mellin_hat(0)
 
+    # <D_f, D_g> is the diagonal pairing of f * g^*, as in ff_hodge_defect
     def test_cross_two_routes_agree_exactly(self):
         rng = random.Random(7)
         for zc in (ZC59, ZC711, GENUS2):
             for _ in range(15):
                 f = random_fftest(rng, zc.q)
                 g = random_fftest(rng, zc.q)
-                assert ff_pairing(zc, f, g).cross == ff_cross_direct(zc, f, g)
+                cross = _diag_pairing(zc, f.convolve_with_dual(g))
+                assert cross == ff_cross_direct(zc, f, g)
 
     def test_cross_bilinearity(self):
         rng = random.Random(11)
@@ -116,14 +121,14 @@ class TestFFPairing:
             a, b = F(rng.randint(-4, 4)), F(rng.randint(-4, 4))
             combo = FFTestFn.of(5, {n: a * f1.value(n) + b * f2.value(n)
                                     for n in range(-3, 4)})
-            lhs = ff_pairing(ZC59, combo, g).cross
-            rhs = (a * ff_pairing(ZC59, f1, g).cross
-                   + b * ff_pairing(ZC59, f2, g).cross)
+            lhs = _diag_pairing(ZC59, combo.convolve_with_dual(g))
+            rhs = (a * _diag_pairing(ZC59, f1.convolve_with_dual(g))
+                   + b * _diag_pairing(ZC59, f2.convolve_with_dual(g)))
             assert lhs == rhs
 
     def test_mismatched_q_rejected(self):
         with pytest.raises(InputError):
-            ff_pairing(ZC59, FFTestFn.delta(7, 1), FFTestFn.delta(7, 1))
+            ff_pairing(ZC59, FFTestFn.delta(7, 1))
 
 
 class TestFFExplicitFormula:
@@ -350,12 +355,12 @@ class TestMicroModel:
             MicroModel(101, ZEROS)
 
 
-def quad_axis(h, panels, spec=QuadratureSpec()):
-    """Log-axis nodes and weights of h's divisor, laid out as the cross
-    pairing in `global_pairing` lays them out."""
-    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
-    u, half = _panel_points(h.mu - spec.halfwidth_sigmas * h.sigma,
-                            h.mu + spec.halfwidth_sigmas * h.sigma, panels, nodes)
+def quad_axis(h, panels):
+    """Log-axis nodes and weights of h's divisor, laid out as the
+    self-pairing in `global_pairing` lays them out."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    u, half = _panel_points(h.mu - HALFWIDTH_SIGMAS * h.sigma,
+                            h.mu + HALFWIDTH_SIGMAS * h.sigma, panels, nodes)
     return u, _weight_arr(h, u) * np.tile(weights, panels) * half
 
 
@@ -380,22 +385,26 @@ class TestSeparableCrossPairing:
         "skewed": lambda: quad_axis(SKEWED, 3),
         "pinned": lambda: pinned_axis(STRADDLE, 4),
     }
+    # a pair of distinct axes stands for their joint axis, the divisor of
+    # the sum of the two test functions: its self-pairing holds their
+    # cross pairings, on two separated clusters of nodes
     PAIRS = [
         ("below", "below"), ("above", "above"), ("straddle", "straddle"),
-        ("pinned", "pinned"), ("below", "above"), ("above", "below"),
-        ("straddle", "skewed"), ("skewed", "above"), ("pinned", "below"),
-        ("above", "pinned"),
+        ("skewed", "skewed"), ("pinned", "pinned"), ("below", "above"),
+        ("above", "below"), ("straddle", "skewed"), ("skewed", "above"),
+        ("pinned", "below"), ("above", "pinned"),
     ]
 
     @pytest.mark.parametrize("K", [1, 25, 100])
     @pytest.mark.parametrize("f_axis,g_axis", PAIRS)
     def test_matches_mesh_oracle(self, K, f_axis, g_axis):
         model = MicroModel(K, ZEROS)
-        uf, wf = self.AXES[f_axis]()
-        ug, wg = self.AXES[g_axis]()
-        want = float(wf @ micro_pairing_mesh(model, np.exp(uf), np.exp(ug)) @ wg)
-        got = _cross_pairing(model, uf, wf, ug, wg)
-        assert got == pytest.approx(want, rel=1e-12)
+        u, w = self.AXES[f_axis]()
+        if g_axis != f_axis:
+            ug, wg = self.AXES[g_axis]()
+            u, w = np.append(u, ug), np.append(w, wg)
+        want = float(w @ micro_pairing_mesh(model, np.exp(u), np.exp(u)) @ w)
+        assert _cross_pairing(model, u, w) == pytest.approx(want, rel=1e-12)
 
     def test_pinned_node_sits_on_the_boundary(self):
         u, _ = pinned_axis(STRADDLE, 4)
@@ -403,8 +412,8 @@ class TestSeparableCrossPairing:
         assert np.any(u < 0) and np.any(u > 0)
 
     def test_unstable_refinement_stays_small(self):
-        # rel_tol = 1e-300 lets the cross pairing refine up to 2,048
-        # panels, 32,768 nodes per axis, where the M x N x K mesh would have
+        # rel_tol = 1e-300 lets the self-pairing refine up to 2,048
+        # panels, 32,768 nodes, where the M x M x K mesh would have
         # been 32768 x 32768 x 100.  Near |cross| = 0.013 only two equal
         # floats agree that closely, and whether two successive doublings
         # agree to the last bit is down to rounding, so both outcomes are
@@ -415,19 +424,19 @@ class TestSeparableCrossPairing:
         tracemalloc.start()
         try:
             try:
-                report = global_pairing(model, f, f, QuadratureSpec(rel_tol=1e-300))
+                report = global_pairing(model, f, QuadratureSpec(rel_tol=1e-300))
             except NumericError as exc:
                 assert str(exc) == "cross quadrature failed to stabilize"
             else:
                 assert report.fixed_point_residual < 1e-12
             u, w = quad_axis(f, 2048)
             assert len(u) == 32768
-            finest = _cross_pairing(model, u, w, u, w)
+            finest = _cross_pairing(model, u, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 150e6
-        coarse = _cross_pairing(model, *quad_axis(f, 16), *quad_axis(f, 16))
+        coarse = _cross_pairing(model, *quad_axis(f, 16))
         assert finest == pytest.approx(coarse, rel=1e-12)
 
     def test_phase_grid_refused_before_allocation(self):
@@ -440,13 +449,13 @@ class TestSeparableCrossPairing:
             with pytest.raises(ResourceError):
                 model.base_arr(np.exp(-np.abs(u)))
             with pytest.raises(ResourceError):
-                _cross_pairing(model, u, w, u, w)
+                _cross_pairing(model, u, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one refused grid alone would be 81 MB
         assert peak < 8e6
-        assert _cross_pairing(MicroModel(100, table), u, w, u, w) != 0
+        assert _cross_pairing(MicroModel(100, table), u, w) != 0
 
 
 class TestQuadratureSpec:
@@ -461,8 +470,8 @@ class TestQuadratureSpec:
 class TestGlobalPairing:
     def test_relative_degrees_bypass_zeros(self):
         f = NFTestFn(0.0, 0.1)
-        small = global_pairing(MicroModel(5, ZEROS), f, f)
-        large = global_pairing(MicroModel(50, ZEROS), f, f)
+        small = global_pairing(MicroModel(5, ZEROS), f)
+        large = global_pairing(MicroModel(50, ZEROS), f)
         assert small.deg1_residual < 1e-6
         assert small.deg2_residual < 1e-6
         assert abs(small.deg1 - large.deg1) < 1e-12
@@ -472,15 +481,15 @@ class TestGlobalPairing:
 
     def test_explicit_formula_2(self):
         f = NFTestFn(0.05, 0.12)
-        report = global_pairing(MicroModel(30, ZEROS), f, f)
+        report = global_pairing(MicroModel(30, ZEROS), f)
         assert report.explicit_formula_residual < 1e-8
 
     def test_fixed_point_identity_refines(self):
         f = NFTestFn(0.0, 0.1)
-        medium = global_pairing(MicroModel(20, ZEROS), f, f,
+        medium = global_pairing(MicroModel(20, ZEROS), f,
                                 QuadratureSpec(rel_tol=1e-5, base_panels=8,
                                                max_refine=5))
-        fine = global_pairing(MicroModel(20, ZEROS), f, f,
+        fine = global_pairing(MicroModel(20, ZEROS), f,
                               QuadratureSpec(rel_tol=1e-10, base_panels=8,
                                              max_refine=7))
         assert fine.fixed_point_residual <= medium.fixed_point_residual + 1e-12
@@ -489,13 +498,13 @@ class TestGlobalPairing:
     def test_nonconvergent_budget_is_an_error(self):
         f = NFTestFn(0.0, 0.1)
         with pytest.raises(NumericError):
-            global_pairing(MicroModel(20, ZEROS), f, f,
+            global_pairing(MicroModel(20, ZEROS), f,
                            QuadratureSpec(rel_tol=1e-12, base_panels=2,
                                           max_refine=0))
 
     def test_zero_function(self):
         f = NFTestFn(0.0, 0.1, amplitude=0.0)
-        report = global_pairing(MicroModel(10, ZEROS), f, f)
+        report = global_pairing(MicroModel(10, ZEROS), f)
         assert report.deg1 == report.deg2 == report.d1_pairing == report.cross == 0.0
 
     def test_convolution_closed_form(self):

@@ -596,6 +596,50 @@ class TestReduceRank2:
         with pytest.raises(InputError):
             reduce_rank2(Lattice.diagonal([2, 2]))
 
+    def test_just_below_unit_minimum_is_outside(self):
+        # a = 1 - 5e-14 sits within any float tolerance of the edge a = 1
+        x = F(9999999999999, 10 ** 13)
+        lat = Lattice.from_gram([[x, 0], [0, 1 / x]])
+        a, b, ok = reduce_rank2(lat)
+        assert a < 1 and b == 0.0
+        assert not ok
+        assert not hn_filtration(lat).is_single
+
+    def test_domain_is_the_semistable_locus(self):
+        # covolume-1 Grams [[g11, g12], [g12, (1 + g12^2) / g11]] on and
+        # within 1e-12 of the domain's edges -- a = 1, the arc |b2| = |b1|
+        # (g22 = g11, rational points at t in [1, sqrt 3]), the line
+        # b = a/2 and the corner -- each in a random basis.  On a rank-2,
+        # covolume-1 lattice the domain is exactly a >= 1, i.e. semistable.
+        rng = random.Random(20)
+        shifts = [F(k, 10 ** 13) for k in (-10, -1, 0, 1, 10)]
+
+        def near_edges():
+            yield F(1), F(0)
+            yield HEX_LIKE.gram[0][0], HEX_LIKE.gram[0][1]
+            for _ in range(25):
+                d, e = rng.choice(shifts), rng.choice(shifts)
+                yield 1 + d, F(rng.randint(-500, 500), 1000) + e
+                t = 1 + F(rng.randint(0, 732), 1000)
+                yield (t * t + 1) / (2 * t) + d, (t * t - 1) / (2 * t) + e
+                g11 = 1 + F(rng.randint(0, 150), 1000) + d
+                yield g11, g11 / 2 + e
+                yield A0 * A0 + d, A0 * A0 / 2 + e
+
+        for g11, g12 in near_edges():
+            g = [[g11, g12], [g12, (1 + g12 * g12) / g11]]
+            u = [[1, 0], [0, 1]]
+            for _ in range(rng.randint(0, 4)):
+                # u <- u [[0, 1], [1, k]]
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                u = [[row[1], row[0] + k * row[1]] for row in u]
+            lat = Lattice.from_gram([[sum(u[r][i] * g[r][c] * u[c][j]
+                                          for r in range(2) for c in range(2))
+                                      for j in range(2)] for i in range(2)])
+            assert lat.covolume2 == 1
+            _, _, ok = reduce_rank2(lat)
+            assert ok == hn_filtration(lat).is_single, lat.gram
+
 
 # frozen oracles (direct mpmath theta summation at 30 digits)
 H0_L4 = 6.97466038941767e-6

@@ -796,9 +796,6 @@ class TestAndrianov:
     def test_formal_match(self):
         assert andrianov_formal_match()
 
-    def test_zero_lambda_fails(self):
-        assert not andrianov_formal_match(lam_p=Poly([0]))
-
     def test_numeric_spot_check(self):
         rng = random.Random(17)
         p = 7
