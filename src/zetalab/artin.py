@@ -50,7 +50,7 @@ class ZetaCurve:
         if not fe_transform_check(self.P, self.q, self.g):
             raise InputError("numerator violates the functional equation")
         if self.g == 1:
-            a = self.q + 1 - (self.q + 1 + int(self.P[1]))
+            a = -int(self.P[1])
             if a * a > 4 * self.q:
                 raise InputError("counts violate the Hasse bound")
 

@@ -56,8 +56,8 @@ class FFTestFn:
         return FFTestFn(q, items)
 
     @staticmethod
-    def delta(q: int, n: int, value=1) -> "FFTestFn":
-        return FFTestFn.of(q, {n: value})
+    def delta(q: int, n: int) -> "FFTestFn":
+        return FFTestFn.of(q, {n: 1})
 
     def value(self, n: int) -> Fraction:
         for m, v in self.support:
@@ -316,8 +316,10 @@ def _phase_grid(gammas: np.ndarray, u: np.ndarray) -> np.ndarray:
 def micro_pairing(model: MicroModel, x: float, y: float) -> float:
     """<D_x, D_y> for x, y in [0, infinity], by the axiom reduction.
 
-    Symmetry orders the pair and the mirror map handles infinity; a
-    positive finite pair is one cell of `micro_pairing_mesh`.
+    Symmetry orders the pair x <= y and the mirror map handles infinity.
+    A positive finite pair reduces by the two fixed-point rules to the
+    base pairing at the ratio x / y in (0, 1]: with base = <D_(x/y), D_1>
+    it is y base if y <= 1, base / x if x >= 1, and base otherwise.
     """
     for v in (x, y):
         if v < 0:
@@ -332,24 +334,12 @@ def micro_pairing(model: MicroModel, x: float, y: float) -> float:
         return 1.0 if x <= 1 else 1.0 / x   # mirror of <D_0, D_(1/x)>
     if x == 0:
         return min(float(y), 1.0)
-    return float(micro_pairing_mesh(model, [x], [y])[0, 0])
-
-
-def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized <D_x, D_y> over a positive-finite mesh (outer grid).
-
-    The two fixed-point rules reduce each pair to the base pairing against
-    D_1 at the ratio min/max in [0, 1]; the mirror map covers both above 1.
-    This is the route for single cells and for the D_1 integrand (one
-    column, O(K M)); for the self-pairing of a global divisor it is
-    the test oracle of `_cross_pairing`, which never builds the mesh.
-    """
-    import numpy as np
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    lo = np.minimum(gx, gy)
-    hi = np.maximum(gx, gy)
-    base = model.base_arr((lo / hi).ravel()).reshape(lo.shape)
-    return np.where(hi <= 1, hi * base, np.where(lo >= 1, base / lo, base))
+    base = float(model.base_arr([x / y])[0])
+    if y <= 1:
+        return y * base
+    if x >= 1:
+        return base / x
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,9 @@ def global_pairing(model: MicroModel, f: NFTestFn,
             np.exp(u) <= 1, 1.0, np.exp(-u))
 
     def integrand_d1(u):
-        return _weight_arr(f, u) * micro_pairing_mesh(model, np.exp(u), [1.0])[:, 0]
+        # <D_x, D_1> is the base pairing at min(x, 1/x) on both sides of 1
+        x = np.exp(u)
+        return _weight_arr(f, u) * model.base_arr(np.minimum(x, 1 / x))
 
     deg1 = _composite_quad(integrand_deg1, lo_f, hi_f, spec)
     deg2 = _composite_quad(integrand_deg2, lo_f, hi_f, spec)

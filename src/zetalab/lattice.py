@@ -295,7 +295,8 @@ def is_semistable(lat: Lattice) -> bool:
 
 def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
     """(V, columns of U): V unimodular with V x = e1 (x must be primitive),
-    and U = V^-1, built alongside V, so U e1 = x."""
+    and U = V^-1, built alongside V, so U e1 = x.  Each step takes the
+    Bezout pair s a + t b = 1 of the coprime a, b from `pow(a, -1, |b|)`."""
     n = len(x)
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     ucols = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -317,8 +318,10 @@ def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
         if cur[pivot] == 0:
             apply_rows(pivot, j, 0, 1, -1, 0)
             continue
-        g, s, t = _xgcd(cur[pivot], cur[j])
+        g = math.gcd(cur[pivot], cur[j])
         a, b = cur[pivot] // g, cur[j] // g
+        s = pow(a, -1, abs(b))
+        t = (1 - s * a) // b
         apply_rows(pivot, j, s, t, -b, a)
     if cur[0] == 0:
         raise InputError("zero vector cannot be completed")
@@ -328,20 +331,6 @@ def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
         v[0] = [-c for c in v[0]]
         ucols[0] = [-c for c in ucols[0]]
     return v, ucols
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _primitive(x: Sequence[int]) -> tuple[int, ...]:
@@ -472,10 +461,13 @@ def reduce_rank2(lat: Lattice) -> tuple[float, float, bool]:
     product.  in_domain reports membership of the moduli fundamental
     domain 1 <= a <= sqrt(2/sqrt(3)), sqrt(a^2 - a^-2) <= b <= a -
     sqrt(a^2 - a^-2); unstable lattices (a < 1) are not in the domain.
-    The reduction runs on the integral Gram den * G, and with g11, g12
-    its reduced entries the domain is the four integer inequalities
-    g11 >= den, 3 g11^2 <= 4 den^2, g12^2 >= g11^2 - den^2 and
-    2 g11 g12 <= den^2 + g12^2, so only a and b are floats.
+    The reduction runs on the integral Gram den * G; its reduced entries
+    satisfy g22 >= g11, 2|g12| <= g11 and g11 g22 - g12^2 = den^2, and
+    then three of the domain's four inequalities always hold:
+      3 g11^2 <= 4 den^2 is Hermite's bound,
+      g12^2 >= g11^2 - den^2 follows from g22 >= g11,
+      2 g11 g12 <= den^2 + g12^2 as den^2 + g12^2 >= g11^2 >= 2 g11 |g12|.
+    So in_domain is the integer test g11 >= den, and only a and b are floats.
     """
     if lat.rank != 2:
         raise InputError("reduction needs rank 2")
@@ -492,12 +484,8 @@ def reduce_rank2(lat: Lattice) -> tuple[float, float, bool]:
             g12 = g12 - mu * g11
         if g22 >= g11 and 2 * abs(g12) <= g11:
             break
-    g12 = abs(g12)
     a = math.sqrt(g11 / den)
-    in_domain = (g11 >= den and 3 * g11 * g11 <= 4 * den * den
-                 and g12 * g12 >= g11 * g11 - den * den
-                 and 2 * g11 * g12 <= den * den + g12 * g12)
-    return a, g12 / den / a, in_domain
+    return a, abs(g12) / den / a, g11 >= den
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +497,6 @@ class ThetaValue:
 
     value: float
     tail_bound: float
-    radius: float
 
 
 def _tail_bound(radius: float, lam1: float, n: int) -> float:
@@ -569,7 +556,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     # depend on the basis
     total = math.fsum([1.0] + [2 * math.exp(-math.pi * (m / den))
                                for m, _ in _short_vectors(d, lam, top)])
-    return ThetaValue(math.log(total), bound, radius)
+    return ThetaValue(math.log(total), bound)
 
 
 def h1(lat: Lattice, eps: float = 1e-12) -> ThetaValue:

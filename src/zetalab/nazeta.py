@@ -287,10 +287,7 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     def direct_i(d: int) -> Fraction:
         total = Fraction(0)
         for d1 in range(d // 2 + 1, d):
-            d2 = d - d1
-            if d2 <= 0 or d1 <= d2:
-                continue
-            total += mass_unit * (q ** d - 1) * Fraction(1, q ** (d1 - d2))
+            total += mass_unit * (q ** d - 1) * Fraction(1, q ** (2 * d1 - d))
         return total
 
     def direct_iia(d: int) -> Fraction:
@@ -498,12 +495,12 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     """Partial Euler product over good primes p <= prime_bound.
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
-    which at genus 1 reads Re(s) > 2 for every rank, after refusing a
-    non-finite s (NaN would pass every comparison).  A rank-2 factor has
-    c_2 = p - 1 - a_p under GALOIS_DESCENT (beta_2(0)/beta_1(0) =
-    (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under PAPER_SPLIT, so rank 1 and
-    rank-2 GALOIS_DESCENT cost one `ap_fast` per factor and rank-2
-    PAPER_SPLIT costs none.  The logs are summed in ascending-prime order.
+    which at genus 1 reads Re(s) > 2 for every rank and is tested as that,
+    after refusing a non-finite s (NaN would pass every comparison).  A
+    rank-2 factor has c_2 = p - 1 - a_p under GALOIS_DESCENT
+    (beta_2(0)/beta_1(0) = (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under
+    PAPER_SPLIT, so rank 1 and rank-2 GALOIS_DESCENT cost one `ap_fast` per
+    factor and rank-2 PAPER_SPLIT costs none.  The logs are summed in ascending-prime order.
     The work is pure Python and runs serially: a thread pool would only
     contend for the interpreter lock.
     """
@@ -511,10 +508,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
         raise InputError("s must be finite")
     if r not in (1, 2):
         raise CapabilityError("global products implemented for rank 1 and 2")
-    g = 1
-    region = 1 + g + (r * r - r) * (g - 1)
-    if s.real <= region:
-        raise InputError(f"Re(s) must exceed {region} (printed region)")
+    if s.real <= 2:
+        raise InputError("Re(s) must exceed 2 (printed region)")
     if prime_bound > 10 ** 5:
         raise ResourceError("prime bound capped at 10^5")
 
@@ -532,8 +527,7 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
             local = sum(float(c) * x ** i for i, c in enumerate(coeffs))
         logs.append(-cmath.log(local))
     total = complex_fsum(logs)
-    sigma = s.real
-    tail = 8.0 * prime_bound ** (2 - sigma) / (sigma - 2) if sigma > 2 else math.inf
+    tail = 8.0 * prime_bound ** (2 - s.real) / (s.real - 2)
     return EulerReport(cmath.exp(total), total, s, prime_bound, len(primes),
                        bad_primes, tail)
 

@@ -30,12 +30,12 @@ from zetalab.explicit import (
     global_pairing,
     load_zeros,
     micro_pairing,
-    micro_pairing_mesh,
     riemann_weil_residual,
 )
 from zetalab.explicit import (
     PSI_SHIFT,
     _arch_term,
+    _composite_quad,
     _cross_pairing,
     _diag_pairing,
     _nm_extended,
@@ -275,17 +275,19 @@ class TestZeroTable:
         assert critical_strip_zero_count(12.0, 15.0) == 1
 
 
-def scalar_micro_pairing(model, x, y):
-    """Oracle for micro_pairing at positive finite x, y: the fixed-point
-    rules applied one scalar at a time to the base pairing at min/max."""
-    if x > y:
-        x, y = y, x
-    base = float(model.base_arr(np.asarray([x / y]))[0])
-    if y <= 1:
-        return y * base
-    if x >= 1:
-        return base / x
-    return base
+def micro_pairing_mesh(model: MicroModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vectorized <D_x, D_y> over a positive-finite mesh (outer grid).
+
+    The two fixed-point rules reduce each pair to the base pairing against
+    D_1 at the ratio min/max in [0, 1]; the mirror map covers both above 1.
+    This is the oracle of `micro_pairing` on single cells, of the D_1
+    integrand of `global_pairing` (one column) and of `_cross_pairing`.
+    """
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    lo = np.minimum(gx, gy)
+    hi = np.maximum(gx, gy)
+    base = model.base_arr((lo / hi).ravel()).reshape(lo.shape)
+    return np.where(hi <= 1, hi * base, np.where(lo >= 1, base / lo, base))
 
 
 class TestMicroModel:
@@ -343,8 +345,8 @@ class TestMicroModel:
             model = MicroModel(K, ZEROS)
             for x in grid:
                 for y in grid:
-                    got = micro_pairing(model, x, y)
-                    assert got.hex() == scalar_micro_pairing(model, x, y).hex()
+                    want = float(micro_pairing_mesh(model, [x], [y])[0, 0])
+                    assert micro_pairing(model, x, y).hex() == want.hex()
 
     def test_truncated_diagonal_self_intersection(self):
         # the K-truncated <D_1, D_1> is 2 - 2K; reported, not interpreted
@@ -501,6 +503,19 @@ class TestGlobalPairing:
             global_pairing(MicroModel(20, ZEROS), f,
                            QuadratureSpec(rel_tol=1e-12, base_panels=2,
                                           max_refine=0))
+
+    @pytest.mark.parametrize("K", [1, 25, 100])
+    @pytest.mark.parametrize("mu,sigma", [(0.1, 0.05), (0.0, 0.1)])
+    def test_d1_pairing_matches_mesh_column_bitwise(self, K, mu, sigma):
+        model = MicroModel(K, ZEROS)
+        f = NFTestFn(mu, sigma)
+
+        def column(u):
+            return _weight_arr(f, u) * micro_pairing_mesh(model, np.exp(u), [1.0])[:, 0]
+
+        want = _composite_quad(column, mu - HALFWIDTH_SIGMAS * sigma,
+                               mu + HALFWIDTH_SIGMAS * sigma, QuadratureSpec())
+        assert global_pairing(model, f).d1_pairing.hex() == want.hex()
 
     def test_zero_function(self):
         f = NFTestFn(0.0, 0.1, amplitude=0.0)

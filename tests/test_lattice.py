@@ -610,7 +610,9 @@ class TestReduceRank2:
         # within 1e-12 of the domain's edges -- a = 1, the arc |b2| = |b1|
         # (g22 = g11, rational points at t in [1, sqrt 3]), the line
         # b = a/2 and the corner -- each in a random basis.  On a rank-2,
-        # covolume-1 lattice the domain is exactly a >= 1, i.e. semistable.
+        # covolume-1 lattice the domain is exactly a >= 1, i.e. semistable,
+        # and the reduced (a, b) of an in-domain lattice meets the other
+        # printed inequalities, which the reduction alone guarantees.
         rng = random.Random(20)
         shifts = [F(k, 10 ** 13) for k in (-10, -1, 0, 1, 10)]
 
@@ -637,8 +639,12 @@ class TestReduceRank2:
                                           for r in range(2) for c in range(2))
                                       for j in range(2)] for i in range(2)])
             assert lat.covolume2 == 1
-            _, _, ok = reduce_rank2(lat)
+            a, b, ok = reduce_rank2(lat)
             assert ok == hn_filtration(lat).is_single, lat.gram
+            if ok:
+                arc = math.sqrt(a * a - a ** -2)
+                assert a <= (4 / 3) ** 0.25 + 1e-9, lat.gram
+                assert arc - 1e-9 <= b <= a - arc + 1e-9, lat.gram
 
 
 # frozen oracles (direct mpmath theta summation at 30 digits)

@@ -543,6 +543,12 @@ class TestGlobalEuler:
             global_na_zeta_partial(ec, 1, 1.5 + 0j, 100, Convention.PAPER_SPLIT)
         with pytest.raises(InputError):
             global_na_zeta_partial(ec, 2, 2.0 + 0j, 100, Convention.PAPER_SPLIT)
+        # the printed region 1 + g + (r^2 - r)(g - 1) is 2 at genus 1
+        with pytest.raises(InputError, match="exceed 2"):
+            global_na_zeta_partial(ec, 1, 2.0 + 0j, 100, Convention.PAPER_SPLIT)
+        report = global_na_zeta_partial(ec, 1, complex(2 + 2 ** -40), 100,
+                                        Convention.PAPER_SPLIT)
+        assert math.isfinite(report.tail_bound)
 
     def test_bad_primes(self):
         ec = GlobalCurve(-1, 0)   # disc = -4*6 ... bad primes divide 6*4
