@@ -41,8 +41,7 @@ class ZetaCurve:
             raise InputError("genus must be >= 0")
         if self.P[0] != 1:
             raise InputError("numerator must have constant term 1")
-        if self.P.degree != (2 * self.g if self.g else -1) and not (
-                self.g == 0 and self.P == Poly.one()):
+        if self.P.degree != 2 * self.g:
             raise InputError(f"numerator degree must be 2g = {2 * self.g}")
         for c in self.P.coeffs:
             if c.denominator != 1:
@@ -86,10 +85,6 @@ def base_extend(zc: ZetaCurve, n: int) -> ZetaCurve:
     """The zeta datum over F_{q^n}: reciprocal roots taken to the n-th power."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if n == 1:
-        return zc
-    if zc.g == 0:
-        return ZetaCurve(zc.q ** n, 0, Poly.one())
     psums = zc.power_sums(2 * zc.g * n)
     extended = [psums[n * k - 1] for k in range(1, 2 * zc.g + 1)]
     return ZetaCurve(zc.q ** n, zc.g, poly_from_power_sums(extended, 2 * zc.g))
@@ -145,8 +140,6 @@ def rh_check(zc: ZetaCurve) -> bool:
     above 4q, which is a root count of h(y) h(-y) = k(y^2) above the
     rational point 4q.
     """
-    if zc.g == 0:
-        return True
     if zc.g == 1:
         a = -int(zc.P[1])
         return a * a <= 4 * zc.q

@@ -41,22 +41,19 @@ class Convention(Enum):
 
 @dataclass(frozen=True)
 class CurveData:
-    """Elliptic curve context for bundle counting: (q, N_1, group structure)."""
+    """Elliptic curve context for bundle counting: q and the group of
+    rational points, of order N_1 (its Hasse bound: `elliptic_zeta`)."""
 
     q: int
-    n1: int
     group: GroupStructure
-
-    def __post_init__(self):
-        if self.group.order != self.n1:
-            raise InputError("group order must equal N_1")
-        if (self.q + 1 - self.n1) ** 2 > 4 * self.q:
-            raise InputError("N_1 violates the Hasse bound")
 
     @staticmethod
     def from_curve(curve: WeierstrassCurve) -> "CurveData":
-        group = group_structure(curve)
-        return CurveData(curve.p, group.order, group)
+        return CurveData(curve.p, group_structure(curve))
+
+    @property
+    def n1(self) -> int:
+        return self.group.order
 
     @property
     def zeta(self) -> ZetaCurve:
@@ -128,8 +125,6 @@ class Stratum:
 
 @dataclass(frozen=True)
 class CensusResult:
-    rank: int
-    convention: Convention
     slice_note: str
     rows: tuple[Stratum, ...]
 
@@ -198,7 +193,7 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
             _class_row("(1;0)", 1, q, 1),
             _class_row("(0;1)", n1 - 1, q, 0, ((1, 1),)),
         )
-        return CensusResult(1, conv, "all determinants, degree 0", rows)
+        return CensusResult("all determinants, degree 0", rows)
     if conv is Convention.PAPER_SPLIT:
         census = _census_paper(r, curve)
     else:
@@ -220,8 +215,7 @@ def _census_paper(r: int, curve: CurveData) -> CensusResult:
             _class_row("(0;2)", 3, q, 0, ((2, 1),)),
             _class_row("(0;1,1)", q + 1 - 4, q, 0, ((1, 1), (1, 1))),
         )
-        return CensusResult(2, Convention.PAPER_SPLIT,
-                            "determinant O, split counts as printed", rows)
+        return CensusResult("determinant O, split counts as printed", rows)
 
     rows = (
         _class_row("(2;1)", 1, q, 2, ((1, 1),)),
@@ -232,8 +226,7 @@ def _census_paper(r: int, curve: CurveData) -> CensusResult:
         _class_row("(0;1,1,1)", q * q - (n1 - 4 - 1), q, 0,
                    ((1, 1), (1, 1), (1, 1))),
     )
-    return CensusResult(3, Convention.PAPER_SPLIT,
-                        "generic determinant, split counts as printed", rows)
+    return CensusResult("generic determinant, split counts as printed", rows)
 
 
 def _triple_count(n: int, eps2: int, eps3: int) -> int:
@@ -264,7 +257,7 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
             _class_row("(0;1,1)", Fraction(n1 - eps2, 2), q, 0, ((1, 1), (1, 1))),
             _class_row("(0;conj-pair)", Fraction(k2 - eps2, 2), q, 0, ((1, 2),)),
         )
-        return CensusResult(2, Convention.GALOIS_DESCENT, "determinant O", rows)
+        return CensusResult("determinant O", rows)
 
     eps3 = curve.torsion(3)
     n3 = curve.point_count(3)
@@ -284,7 +277,7 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
                    ((1, 1), (1, 2))),
         _class_row("(0;conj-triple)", Fraction(k3 - eps3, 3), q, 0, ((1, 3),)),
     )
-    return CensusResult(3, Convention.GALOIS_DESCENT, "determinant O", rows)
+    return CensusResult("determinant O", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +335,14 @@ def _beta2_parity(zc: ZetaCurve, b1: Fraction, parity: int) -> Fraction:
     return b1 * _zeta_value(zc, 2) - b1 * b1 * s
 
 
-def _t12_t21_closed(zc: ZetaCurve, b1: Fraction, d: int, skip: int = 0) -> Fraction:
+def _t12_t21_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
     # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term B1 * beta2(d-m) / q^(3m-d),
     # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) * B1 / q^(3m-2d);
-    # each summed from its (skip+1)-th term on, two parities per q^-6 block
+    # each summed over every m, two parities per q^-6 block
     q = zc.q
     beta2 = (_beta2_parity(zc, b1, 0), _beta2_parity(zc, b1, 1))
-    m12 = d // 3 + 1 + skip
-    m21 = (2 * d) // 3 + 1 + skip
+    m12 = d // 3 + 1
+    m21 = (2 * d) // 3 + 1
     total = Fraction(0)
     for e0, d2 in ((3 * m12 - d, d - m12), (3 * m21 - 2 * d, m21)):
         first, second = beta2[d2 % 2], beta2[1 - d2 % 2]

@@ -110,7 +110,10 @@ def parse_matrix(spec: str) -> list[list[Fraction]]:
         entries = row.split()
         if not entries:
             raise _UsageError("empty matrix row")
-        rows.append([Fraction(e) for e in entries])
+        try:
+            rows.append([Fraction(e) for e in entries])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"cannot parse matrix row {row!r}") from exc
     if any(len(r) != len(rows) for r in rows):
         raise _UsageError("matrix must be square")
     return rows

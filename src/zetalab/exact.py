@@ -185,7 +185,7 @@ class Poly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -332,8 +332,6 @@ def decimate(s: Series, n: int) -> Series:
     """Keep every n-th coefficient: result[k] = s[n*k]; order = floor(order/n)."""
     if n < 1:
         raise InputError("decimation step must be >= 1")
-    if n == 1:
-        return s
     out = [s.coeffs[i] for i in range(0, s.order, n)]
     return Series(out, len(out))
 

@@ -59,12 +59,6 @@ class FFTestFn:
     def delta(q: int, n: int) -> "FFTestFn":
         return FFTestFn.of(q, {n: 1})
 
-    def value(self, n: int) -> Fraction:
-        for m, v in self.support:
-            if m == n:
-                return v
-        return Fraction(0)
-
     def mellin_hat(self, k: int) -> Fraction:
         """fhat(k) = sum f(q^n) q^(nk) for integer k (0 and 1 are the degrees)."""
         total = Fraction(0)
@@ -130,17 +124,15 @@ def _diag_pairing(zc: ZetaCurve, f: FFTestFn) -> Fraction:
 def ff_pairing(zc: ZetaCurve, f: FFTestFn) -> FFPairing:
     """The basic self-pairings of the graph divisor of f.
 
-    deg1/deg2 are the fiber degrees (they equal fhat(1) and fhat(0)) and
-    diag pairs f against the diagonal.  All values are exact rationals.
-    The pairing <D_f, D_g> of two divisors is the diagonal pairing of
-    f * g^* (`convolve_with_dual`), the route `ff_hodge_defect` takes.
+    deg1/deg2 are the fiber degrees sum c_n q^max(n,0) and sum c_n
+    q^max(-n,0) over the divisor coefficients c_n, that is fhat(1) and
+    fhat(0); diag pairs f against the diagonal.  All values are exact.  The
+    pairing <D_f, D_g> of two divisors is the diagonal pairing of f * g^*
+    (`convolve_with_dual`), the route `ff_hodge_defect` takes.
     """
     if f.q != zc.q:
         raise InputError("test functions must share the curve's q")
-    coeffs = f.divisor_coefficients()
-    deg1 = sum((c * _qpow(zc.q, max(n, 0)) for n, c in coeffs.items()), Fraction(0))
-    deg2 = sum((c * _qpow(zc.q, max(-n, 0)) for n, c in coeffs.items()), Fraction(0))
-    return FFPairing(deg1, deg2, _diag_pairing(zc, f))
+    return FFPairing(f.mellin_hat(1), f.mellin_hat(0), _diag_pairing(zc, f))
 
 
 def ff_zero_sum(zc: ZetaCurve, f: FFTestFn) -> Fraction:
@@ -213,16 +205,20 @@ class ZeroTable:
 def load_zeros(path: str | Path) -> ZeroTable:
     """Read a plain-text table: one decimal ordinate per line, ascending,
     '#'-comments allowed.  Parse errors carry line numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
     ordinates = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            try:
-                ordinates.append(float(body))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: not a decimal: {body!r}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.strip()
+        if not body or body.startswith("#"):
+            continue
+        try:
+            ordinates.append(float(body))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: not a decimal: {body!r}") from exc
     return ZeroTable(tuple(ordinates))
 
 
@@ -295,10 +291,8 @@ class MicroModel:
         u = np.asarray(u, dtype=float)
         out = 1.0 + u
         pos = u > 0
-        if np.any(pos):
-            logu = np.log(u[pos])
-            s = 2 * np.sqrt(u[pos]) * np.cos(_phase_grid(self.gammas, logu)).sum(axis=0)
-            out[pos] -= s
+        logu = np.log(u[pos])
+        out[pos] -= 2 * np.sqrt(u[pos]) * np.cos(_phase_grid(self.gammas, logu)).sum(axis=0)
         return out
 
 
@@ -316,10 +310,11 @@ def _phase_grid(gammas: np.ndarray, u: np.ndarray) -> np.ndarray:
 def micro_pairing(model: MicroModel, x: float, y: float) -> float:
     """<D_x, D_y> for x, y in [0, infinity], by the axiom reduction.
 
-    Symmetry orders the pair x <= y and the mirror map handles infinity.
-    A positive finite pair reduces by the two fixed-point rules to the
-    base pairing at the ratio x / y in (0, 1]: with base = <D_(x/y), D_1>
-    it is y base if y <= 1, base / x if x >= 1, and base otherwise.
+    Symmetry orders the pair x <= y.  Unless x = 0, the two fixed-point
+    rules reduce it to the base pairing at the ratio x / y in [0, 1]:
+    with base = <D_(x/y), D_1> it is y base if y <= 1, base / x if x >= 1,
+    and base otherwise.  This covers y = infinity: the ratio is 0 and
+    base = 1, the mirror image of <D_0, D_(1/x)>.
     """
     for v in (x, y):
         if v < 0:
@@ -328,10 +323,6 @@ def micro_pairing(model: MicroModel, x: float, y: float) -> float:
         x, y = y, x
     if x == math.inf:                      # both infinite
         return 0.0
-    if y == math.inf:
-        if x == 0:
-            return 1.0
-        return 1.0 if x <= 1 else 1.0 / x   # mirror of <D_0, D_(1/x)>
     if x == 0:
         return min(float(y), 1.0)
     base = float(model.base_arr([x / y])[0])
@@ -520,8 +511,6 @@ class RWReport:
     fhat1: float
     prime_sum: float
     arch_term: float
-    K: int
-    prime_bound: int
 
 
 def _von_mangoldt_sum(f: NFTestFn, prime_bound: int) -> float:
@@ -615,8 +604,6 @@ def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
     The K-truncated zero sum converges to the bracket as K and the prime
     bound grow; the residual is the quantitative gap.
     """
-    if not 1 <= K <= len(zeros):
-        raise InputError("K must lie within the zero table")
     model = MicroModel(K, zeros)
     zero_sum = _zero_sum_truncated(model, f)
     fhat0 = f.mellin(0).real
@@ -624,5 +611,4 @@ def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
     prime_sum = _von_mangoldt_sum(f, prime_bound)
     arch_term = _arch_term(f)
     residual = zero_sum - (fhat0 + fhat1 - prime_sum + arch_term)
-    return RWReport(residual, zero_sum, fhat0, fhat1, prime_sum, arch_term,
-                    K, prime_bound)
+    return RWReport(residual, zero_sum, fhat0, fhat1, prime_sum, arch_term)

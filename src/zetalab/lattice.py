@@ -559,12 +559,6 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     return ThetaValue(math.log(total), bound)
 
 
-def h1(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
-    """h^1(L) = h^0 of the dual lattice (the dualizing object of Q is
-    trivial)."""
-    return theta_h0(dual(lat), eps)
-
-
 @dataclass(frozen=True)
 class RRReport:
     h0: float
@@ -577,14 +571,15 @@ class RRReport:
 def rr_check(lat: Lattice, tol: float = 1e-9) -> RRReport:
     """Riemann-Roch over Q: h^0(L) - h^0(L*) = deg(L), within tol.
 
-    The theta tails are requested at tol/100 (theta_h0 refuses it unless
-    finite); a tol they cannot certify is refused, not silently loosened.
+    h^1(L) is h^0 of the dual lattice L*, as the dualizing object of Q is
+    trivial.  The theta tails are requested at tol/100 (theta_h0 refuses it
+    unless finite); a tol they cannot certify is refused, not loosened.
     """
     if tol < 1e-13:
         raise ConfigError("tolerance below certifiable floor (1e-13)")
     eps = tol / 100
     t0 = theta_h0(lat, eps)
-    t1 = h1(lat, eps)
+    t1 = theta_h0(dual(lat), eps)
     if t0.tail_bound + t1.tail_bound >= tol:
         raise ConfigError("certified tails exceed the requested tolerance")
     degree = deg(lat)

@@ -42,21 +42,20 @@ from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobeni
 
 @dataclass(frozen=True)
 class RankZeta:
-    """A rank-r zeta function Z = P/((1-t^r)(1-q^r t^r)) with metadata."""
+    """A rank-r zeta function Z = P/((1-t^r)(1-q^r t^r)) of an elliptic
+    curve over F_q; the numerator P has degree 2r."""
 
     r: int
     q: int
-    g: int
     P: Poly
-    convention: Convention
 
     def __post_init__(self):
         if self.P[0] == 0:
             raise InputError("numerator constant term gamma(0) must be nonzero")
-        if self.P.degree != 2 * self.r * self.g:
+        if self.P.degree != 2 * self.r:
             raise InputError(
-                f"numerator degree {self.P.degree} != 2rg = {2 * self.r * self.g}")
-        if not fe_transform_check(self.P, self.q, self.r * self.g):
+                f"numerator degree {self.P.degree} != 2r = {2 * self.r}")
+        if not fe_transform_check(self.P, self.q, self.r):
             raise InputError("numerator violates the functional equation")
 
     @property
@@ -102,7 +101,7 @@ def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
         raise CapabilityError("rank must be 1, 2 or 3")
     gamma0 = invariant("gamma", r, 0, curve, conv)
     betas = [invariant("beta", r, j, curve, conv) for j in range(r)]
-    return RankZeta(r, curve.q, 1, Poly(na_numerator(curve.q, r, gamma0, betas)), conv)
+    return RankZeta(r, curve.q, Poly(na_numerator(curve.q, r, gamma0, betas)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +160,14 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
 
 
 def na_properties_check(z: RankZeta) -> PropertiesReport:
-    """Degree 2rg, functional equation, and the root pairing w * w' = q.
+    """Degree 2r, functional equation, and the root pairing w * w' = q.
 
     The pairing is certified exactly through the palindromic identity on
     the normalized numerator (equivalent to the functional equation) and
     spot-checked numerically by matching the root multiset against q over
     its reflection.
     """
-    rg = z.r * z.g
+    rg = z.r
     degree_ok = z.P.degree == 2 * rg
     fe_ok = fe_transform_check(z.P, z.q, rg)
     ptilde = z.normalized_numerator
@@ -230,7 +229,6 @@ class SeriesComparison:
 class AllBundlesReport:
     q: int
     n1: int
-    order: int
     degree_zero_closed: Fraction
     degree_zero_direct: Fraction
     positive: tuple[SeriesComparison, ...]
@@ -296,15 +294,20 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     def direct_iib(d: int) -> Fraction:
         return Fraction(n1 * (n1 - 1)) * Fraction(q ** d - 1, (q - 1) ** 2 * q ** d)
 
-    def direct_iii(d: int) -> Fraction:
-        # d_1 ranges over (d, infinity); geometric tail closed exactly
+    def split_tail(lo: int, d: int) -> Fraction:
+        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1) / q^(2 d_1 - d): `order`
+        # terms, then the geometric rest closed exactly
         total = Fraction(0)
-        for d1 in range(d + 1, d + order + 1):
-            total += mass_unit * (q ** d1 - 1) * Fraction(1, q ** (2 * d1 - d))
-        tail_from = d + order + 1
+        for d1 in range(lo, lo + order):
+            total += (q ** d1 - 1) * Fraction(1, q ** (2 * d1 - d))
+        tail_from = lo + order
         geo = (Fraction(1, q ** (tail_from - d)) / (1 - Fraction(1, q))
                - Fraction(1, q ** (2 * tail_from - d)) / (1 - Fraction(1, q * q)))
-        return total + mass_unit * geo
+        return mass_unit * (total + geo)
+
+    def direct_iii(d: int) -> Fraction:
+        # d_1 ranges over (d, infinity)
+        return split_tail(d + 1, d)
 
     positive = tuple(
         SeriesComparison(name, coeffs(closed),
@@ -324,20 +327,15 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
         return neg_unit * Fraction(1, q ** (-d))
 
     def direct_neg(d: int) -> Fraction:
-        total = Fraction(n1) * Fraction(q - 1, (q - 1) ** 2 * q ** (-d))
-        for d1 in range(1, order + 1):
-            total += mass_unit * (q ** d1 - 1) * Fraction(1, q ** (2 * d1 - d))
-        tail_from = order + 1
-        geo = (Fraction(1, q ** (tail_from - d)) / (1 - Fraction(1, q))
-               - Fraction(1, q ** (2 * tail_from - d)) / (1 - Fraction(1, q * q)))
-        return total + mass_unit * geo
+        return (Fraction(n1) * Fraction(q - 1, (q - 1) ** 2 * q ** (-d))
+                + split_tail(1, d))
 
     negative = SeriesComparison(
         "negative degree",
         tuple(closed_neg(-k) for k in range(1, order + 1)),
         tuple(direct_neg(-k) for k in range(1, order + 1)))
 
-    return AllBundlesReport(q, n1, order, closed_eq0, direct_eq0,
+    return AllBundlesReport(q, n1, closed_eq0, direct_eq0,
                             positive, negative)
 
 

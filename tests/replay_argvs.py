@@ -6,6 +6,12 @@ commits: record at the first, compare at the second.
     PYTHONPATH=src python tests/replay_argvs.py --record before.json
     PYTHONPATH=src python tests/replay_argvs.py --compare before.json
 
+`--unreached` runs the same argvs under a line tracer instead and prints
+every statement in a `src/zetalab` function body that none of them
+executes, `raise` statements and docstrings left out:
+
+    PYTHONPATH=src python tests/replay_argvs.py --unreached
+
 The argvs are the golden cases of `test_cli_golden.py` and every distinct
 job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
@@ -17,6 +23,7 @@ written for it.  Pytest does not collect this file (no `test_` prefix).
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -25,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "zetalab"
 SEEDS = {"ff_curves": (1, 2, 3), "euler": (1, 2, 3), "q_lattice": (1, 2, 3),
          "xi_high": (1,)}
 
@@ -61,14 +69,119 @@ def run(library: bool, argv: tuple[str, ...]) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def traced_lines() -> tuple[dict[str, set[int]], int]:
+    """Build and run every argv under sys.settrace: the lines of
+    src/zetalab that fired a line event, by file name, and the argv count.
+
+    The trace starts before the argvs are built, so code that runs when
+    the package is imported counts as reached.  A frame stops being traced
+    once every line of its code object has been seen, so hot loops cost
+    little after their first pass.
+    """
+    prefix = str(PACKAGE) + os.sep
+    seen: dict[str, set[int]] = {}
+    remaining: dict = {}                      # code object -> lines not yet seen
+
+    def local(frame, event, arg):
+        if event == "line":
+            code = frame.f_code
+            seen[code.co_filename].add(frame.f_lineno)
+            left = remaining[code]
+            left.discard(frame.f_lineno)
+            if not left:
+                return None
+        return local
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(prefix):
+            return None
+        if code not in remaining:
+            remaining[code] = {line for *_, line in code.co_lines()
+                               if line is not None} - {code.co_firstlineno}
+            seen.setdefault(code.co_filename, set())
+        return local if remaining[code] else None
+
+    sys.settrace(on_call)
+    try:
+        specs = argvs()
+        for spec in specs.values():
+            run(*spec)
+    finally:
+        sys.settrace(None)
+    return seen, len(specs)
+
+
+def _code_lines(code) -> set[int]:
+    """Every line that has bytecode in `code` or a code object nested in it."""
+    lines = {line for *_, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def _body_statements(func: ast.AST):
+    """The statements of a function body, nested blocks included and nested
+    function or class bodies left to their own walk, with the lines that
+    belong to each statement itself (a compound statement: its header)."""
+    body = func.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]                        # the docstring
+    stack = list(body)
+    while stack:
+        stmt = stack.pop()
+        blocks = []
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            blocks = [getattr(stmt, name, []) for name in ("body", "orelse", "finalbody")]
+            blocks += [h.body for h in getattr(stmt, "handlers", [])]
+            blocks += [c.body for c in getattr(stmt, "cases", [])]
+        children = [s for block in blocks for s in block]
+        stack.extend(children)
+        end = min((c.lineno for c in children), default=stmt.end_lineno + 1) - 1
+        yield stmt, set(range(stmt.lineno, max(end, stmt.lineno) + 1))
+
+
+def unreached(seen: dict[str, set[int]]) -> list[str]:
+    """`file:line: [function] source` of every function-body statement
+    with no line in `seen`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        executable = _code_lines(compile(source, str(path), "exec"))
+        hit = seen.get(str(path), set())
+        tree = ast.parse(source)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for stmt, own in _body_statements(func):
+                if (isinstance(stmt, ast.Raise) or not own & executable
+                        or own & hit):
+                    continue
+                found.append((path.name, stmt.lineno, func.name,
+                              lines[stmt.lineno - 1].strip()))
+    return [f"src/zetalab/{name}:{line}: [{func}] {text}"
+            for name, line, func, text in sorted(found)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", metavar="FILE", type=Path)
     mode.add_argument("--compare", metavar="FILE", type=Path)
+    mode.add_argument("--unreached", action="store_true",
+                      help="list function-body statements no argv executes")
     args = parser.parse_args()
-    target = (args.record or args.compare).resolve()
     os.chdir(ROOT)
+    if args.unreached:
+        seen, count = traced_lines()
+        report = unreached(seen)
+        print("\n".join(report))
+        print(f"{len(report)} statements unreached by {count} argvs")
+        return 0
+    target = (args.record or args.compare).resolve()
     results = {key: run(*spec) for key, spec in argvs().items()}
     if args.record:
         target.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n",

@@ -25,7 +25,6 @@ from zetalab.bundles import (
     _gamma_degree_zero,
     _module_aut_count,
     _partitions,
-    _t12_t21_closed,
     _t111_closed,
     _triple_count,
     _zeta_value,
@@ -399,12 +398,24 @@ def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
         return b1 * b1 * Fraction(1, q ** (2 * m0 - d)) / (1 - Fraction(1, q * q))
     if r != 3:
         raise CapabilityError("recursion implemented for rank <= 3")
+    # t12 and t21 tails from entry terms + 1 on: the beta_2 parity
+    # alternates with m, so each is two geometric series in q^-6
+    beta2 = (_beta2_parity(zc, b1, 0), _beta2_parity(zc, b1, 1))
+
+    def two_parity_tail(e0: int, parity0: int) -> Fraction:
+        # sum_{j >= 0} beta2[(parity0 + j) % 2] / q^(e0 + 3j)
+        return sum(beta2[(parity0 + j) % 2] * Fraction(1, q ** (e0 + 3 * j))
+                   for j in (0, 1)) / (1 - Fraction(1, q ** 6))
+
+    m12 = d // 3 + 1 + terms
+    m21 = (2 * d) // 3 + 1 + terms
+    t12 = b1 * two_parity_tail(3 * m12 - d, (d - m12) % 2)
+    t21 = b1 * two_parity_tail(3 * m21 - 2 * d, m21 % 2)
     # t111 tail: the full sum minus the truncated box, exactly
     box = {k: sum(Fraction(1, q ** (2 * u)) for u in range(k, terms + 1, 3))
            for k in (1, 2, 3)}
     t111_box = sum(box[u0] * box[(u0 - d - 1) % 3 + 1] for u0 in (1, 2, 3))
-    return (_t12_t21_closed(zc, b1, d, skip=terms) + _t111_closed(zc, b1, d)
-            - b1 ** 3 * t111_box)
+    return t12 + t21 + _t111_closed(zc, b1, d) - b1 ** 3 * t111_box
 
 
 class TestMassRecursion:

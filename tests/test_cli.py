@@ -235,6 +235,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["lattice", "--gram", "1/0 0 / 0 1"], 64),
+        (["lattice", "--gram", "nan 0 / 0 1"], 64),
+        (["lattice", "--gram", "abc 0 / 0 1"], 64),
+        (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "missing.txt")], 1),
+        (["explicit-nf", "--zeros", str(Path(ZEROS).parent)], 1),
+    ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
+            "zeros-missing", "zeros-directory"])
+    def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1
 

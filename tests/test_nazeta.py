@@ -213,9 +213,7 @@ class TestProperties:
         coeffs[2] += 1
         object.__setattr__(bad, "r", z.r)
         object.__setattr__(bad, "q", z.q)
-        object.__setattr__(bad, "g", z.g)
         object.__setattr__(bad, "P", Poly(coeffs))
-        object.__setattr__(bad, "convention", z.convention)
         report = na_properties_check(bad)
         assert not report.functional_equation_ok
         assert not report.root_pairing_exact_ok
@@ -230,9 +228,7 @@ class TestProperties:
         coeffs[2] += 1
         object.__setattr__(bad, "r", z.r)
         object.__setattr__(bad, "q", z.q)
-        object.__setattr__(bad, "g", z.g)
         object.__setattr__(bad, "P", Poly(coeffs))
-        object.__setattr__(bad, "convention", z.convention)
         assert na_properties_check(bad).functional_equation_ok
         series = bad.zseries(3)
         assert series[2] != (F(25) - 1) * invariant("beta", 2, 2, E59,
@@ -347,7 +343,7 @@ def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
     if a < 1:
         raise InputError("a must be >= 1")
     if order <= 0:
-        order = 4 * z.r * z.g + 5
+        order = 4 * z.r + 5
     ptilde = z.normalized_numerator
     deg = ptilde.degree
     n_psums = a * (order + deg)
