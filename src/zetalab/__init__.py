@@ -1,8 +1,8 @@
 """zetalab: exact-arithmetic zeta functions, bundle masses, lattices, explicit formulas.
 
 The package is organized around an exact rational substrate (`exact`),
-point counting over prime fields (`ffield`), zeta functions of curves
-(`artin`, `nazeta`), mass invariants of semistable bundles on elliptic
+point counting over prime fields (`ffield`), zeta functions of elliptic
+curves (`artin`, `nazeta`), mass invariants of semistable bundles on elliptic
 curves (`bundles`), lattice semistability and theta cohomology over the
 rationals (`lattice`), and explicit-formula / intersection-model checks
 (`explicit`).  Everything identity-shaped is computed in exact rational

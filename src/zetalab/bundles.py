@@ -368,8 +368,6 @@ def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
     (N_1/(q-1)) * prod_{i=2}^r zeta(q^-i), and the unstable strata are
     subtracted as exactly-summed geometric series.
     """
-    if zc.g != 1:
-        raise InputError("mass recursion requires an elliptic zeta datum")
     if r not in (1, 2, 3):
         raise CapabilityError("recursion implemented for rank <= 3")
     q = zc.q

@@ -133,18 +133,6 @@ class Poly:
         c = rat(c)
         return Poly([c * ci for ci in self.coeffs])
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise InputError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x: RatLike) -> Fraction:
         x = rat(x)
         acc = Fraction(0)
@@ -245,22 +233,8 @@ class Series:
             raise InputError("cannot extend a truncated series")
         return Series(self.coeffs[:order], order)
 
-    def _common(self, other: "Series") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n)], n)
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n)], n)
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], self.order)
-
     def __mul__(self, other: "Series") -> "Series":
-        n = self._common(other)
+        n = min(self.order, other.order)
         a, b = _ints(self.coeffs[:n]), _ints(other.coeffs[:n])
         if a is None or b is None:
             a, b = self.coeffs, other.coeffs
@@ -336,23 +310,6 @@ def decimate(s: Series, n: int) -> Series:
     return Series(out, len(out))
 
 
-def series_exp_from_power_sums(counts: Sequence[RatLike], order: int) -> Series:
-    """exp(sum_{m=1}^{order-1} counts[m-1] * t^m / m), truncated to `order`.
-
-    This is the generating identity turning point counts into a zeta
-    series; the constant term is always 1.
-    """
-    if order < 1:
-        raise InputError("order must be >= 1")
-    if len(counts) < order - 1:
-        raise InputError(
-            f"need at least {order - 1} power sums, got {len(counts)}")
-    lg = [Fraction(0)] * order
-    for m in range(1, order):
-        lg[m] = rat(counts[m - 1]) / m
-    return Series(lg, order).exp()
-
-
 def power_sums_from_poly(p: Poly, m_max: int) -> list[Fraction]:
     """Power sums of the reciprocal roots of p, for m = 1..m_max.
 
@@ -373,16 +330,6 @@ def power_sums_from_poly(p: Poly, m_max: int) -> list[Fraction]:
             acc -= a[j] * ps[m - j]
         ps[m] = acc
     return [Fraction(v) for v in ps[1:]]
-
-
-def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:
-    """Inverse of power_sums_from_poly: the unique p with p(0)=1, deg <= degree.
-
-    Needs power sums for m = 1..degree.
-    """
-    if len(psums) < degree:
-        raise InputError(f"need {degree} power sums, got {len(psums)}")
-    return Poly(series_exp_from_power_sums([-c for c in psums[:degree]], degree + 1).coeffs)
 
 
 def fe_transform_check(p: Poly, q: RatLike, rg: int) -> bool:

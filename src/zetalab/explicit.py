@@ -91,17 +91,17 @@ def _qpow(q: int, k: int) -> Fraction:
 
 def _nm_extended(zc: ZetaCurve, n: int) -> Fraction:
     """Point counts extended to n = 0 by the self-intersection of the
-    diagonal, N_0 = 2 - 2g."""
+    diagonal, N_0 = 2 - 2g = 0 on an elliptic curve."""
     if n == 0:
-        return Fraction(2 - 2 * zc.g)
+        return Fraction(0)
     return Fraction(nm(zc, abs(n)))
 
 
 def _psum(zc: ZetaCurve, cache: list[Fraction], n: int) -> Fraction:
-    """sum of w_i^n over reciprocal roots, any integer n (p_0 = 2g,
+    """sum of w_i^n over the two reciprocal roots, any integer n (p_0 = 2,
     negative powers through the pairing w -> q/w)."""
     if n == 0:
-        return Fraction(2 * zc.g)
+        return Fraction(2)
     k = abs(n)
     while len(cache) < k:
         cache.extend(zc.power_sums(2 * len(cache) + 4)[len(cache):])
@@ -210,6 +210,8 @@ def load_zeros(path: str | Path) -> ZeroTable:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
     ordinates = []
     for lineno, line in enumerate(lines, start=1):
         body = line.strip()

@@ -1,16 +1,46 @@
-"""Rational functions over Q, kept as test oracles.
+"""Rational functions and power-sum expansions over Q, kept as test oracles.
 
 The library expands every zeta function straight into a power series
 (`Series.ratio`).  `RatFunc` reduces num/den by a Euclid gcd and keeps the
 denominator monic, so tests can compare rational functions, evaluate them
 and sum them independently of that expansion; `longdiv_series` expands
-num/den by explicit long division.
+num/den by explicit long division.  `series_exp_from_power_sums` builds a
+zeta series from point counts, and `poly_from_power_sums` inverts
+`exact.power_sums_from_poly`, both through `Series.exp`.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from zetalab.errors import InputError
 from zetalab.exact import Poly, RatLike, Series, rat
+
+
+def series_exp_from_power_sums(counts: Sequence[RatLike], order: int) -> Series:
+    """exp(sum_{m=1}^{order-1} counts[m-1] * t^m / m), truncated to `order`.
+
+    This is the generating identity turning point counts into a zeta
+    series; the constant term is always 1.
+    """
+    if order < 1:
+        raise InputError("order must be >= 1")
+    if len(counts) < order - 1:
+        raise InputError(
+            f"need at least {order - 1} power sums, got {len(counts)}")
+    lg = [Fraction(0)] * order
+    for m in range(1, order):
+        lg[m] = rat(counts[m - 1]) / m
+    return Series(lg, order).exp()
+
+
+def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:
+    """Inverse of power_sums_from_poly: the unique p with p(0)=1, deg <= degree.
+
+    Needs power sums for m = 1..degree.
+    """
+    if len(psums) < degree:
+        raise InputError(f"need {degree} power sums, got {len(psums)}")
+    return Poly(series_exp_from_power_sums([-c for c in psums[:degree]], degree + 1).coeffs)
 
 
 def longdiv_series(num, den, order):

@@ -4,6 +4,7 @@ from typing import Sequence
 
 import pytest
 from fq_oracle import enumerated_count
+from ratfunc_oracle import poly_from_power_sums, series_exp_from_power_sums
 
 from zetalab.artin import (
     ZetaCurve,
@@ -15,7 +16,7 @@ from zetalab.artin import (
     rh_check,
 )
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, rat, series_exp_from_power_sums
+from zetalab.exact import Poly, Series, rat
 from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to
 
 ZC59 = elliptic_zeta(5, 9)    # y^2 = x^3 + x + 1 over F_5
@@ -26,32 +27,32 @@ GALLERY = [ZC59, ZC58, elliptic_zeta(7, 5), elliptic_zeta(7, 9),
            elliptic_zeta(11, 16), elliptic_zeta(13, 19)]
 
 
-def artin_zeta_from_counts(q: int, g: int, counts: Sequence[int]) -> ZetaCurve:
-    """Build the zeta datum from N_1..N_g (extra counts are cross-checked).
+def artin_zeta_from_counts(q: int, counts: Sequence[int]) -> ZetaCurve:
+    """Build the zeta datum from N_1 (extra counts are cross-checked).
 
-    The lower numerator coefficients are forced by the counts through
-    exp(sum N_m t^m/m) * (1-t)(1-qt); the upper half is forced by
-    a(2g-i) = a(i) * q^(g-i).  The oracle for `elliptic_zeta`.
+    The numerator's t coefficient -a is forced by the counts through
+    exp(sum N_m t^m/m) * (1-t)(1-qt); its t^2 coefficient q by the
+    functional equation.  The oracle for `elliptic_zeta`.
     """
-    if g < 1:
-        raise InputError("use genus >= 1 (genus 0 has an empty numerator)")
-    if len(counts) < g:
-        raise InputError(f"need at least N_1..N_{g}")
-    order = g + 1
-    zser = series_exp_from_power_sums([rat(c) for c in counts[:g]], order)
-    pser = zser * Series.from_poly(Poly([1, -1]) * Poly([1, -q]), order)
-    lower = list(pser.coeffs)
-    coeffs = lower + [lower[g - 1 - j] * rat(q) ** (j + 1) for j in range(g)]
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InputError("counts do not come from a curve (non-integral P)")
-    zc = ZetaCurve(q, g, Poly(coeffs))
+    if not counts:
+        raise InputError("need at least N_1")
+    zser = series_exp_from_power_sums([rat(counts[0])], 2)
+    pser = zser * Series.from_poly(Poly([1, -1]) * Poly([1, -q]), 2)
+    zc = ZetaCurve(q, -int(pser[1]))
     for m, n_claimed in enumerate(counts, start=1):
         if nm(zc, m) != n_claimed:
             raise InputError(
                 f"over-determined counts are inconsistent: N_{m} should be "
                 f"{nm(zc, m)}, got {n_claimed}")
     return zc
+
+
+def base_extend_by_power_sums(zc: ZetaCurve, n: int) -> tuple[int, Poly]:
+    """(q^n, numerator) over F_{q^n}: the power sums of the n-th powers of
+    the reciprocal roots, turned back into a polynomial.  The oracle for
+    `base_extend`, which reads N_n off the base curve instead."""
+    psums = zc.power_sums(2 * n)
+    return zc.q ** n, poly_from_power_sums([psums[n - 1], psums[2 * n - 1]], 2)
 
 
 class TestConstruction:
@@ -73,17 +74,9 @@ class TestConstruction:
             elliptic_zeta(5, 11)  # a = -5, 25 > 20
 
     def test_overdetermined_counts_crosscheck(self):
-        assert artin_zeta_from_counts(5, 1, [9, 27, 108]).P == Poly([1, 3, 5])
+        assert artin_zeta_from_counts(5, [9, 27, 108]).P == Poly([1, 3, 5])
         with pytest.raises(InputError):
-            artin_zeta_from_counts(5, 1, [9, 26])
-
-    def test_genus2_from_counts(self):
-        # P = (1+3t+5t^2)^2 corresponds to counts N_m doubled shifts; build
-        # the counts from the square and round-trip them.
-        p = Poly([1, 3, 5]) * Poly([1, 3, 5])
-        zc = ZetaCurve(5, 2, p)
-        counts = [nm(zc, m) for m in (1, 2)]
-        assert artin_zeta_from_counts(5, 2, counts).P == p
+            artin_zeta_from_counts(5, [9, 26])
 
     def test_t_coefficient_convention(self):
         # coefficient of t equals N_1 - (q+1)
@@ -97,10 +90,6 @@ class TestNm:
         assert nm(ZC59, 1) == 9
         assert nm(ZC59, 2) == 27
         assert nm(ZC59, 3) == 108
-
-    def test_genus0(self):
-        zc = ZetaCurve(7, 0, Poly.one())
-        assert [nm(zc, m) for m in (1, 2, 3)] == [8, 50, 344]
 
     def test_matches_enumeration(self):
         curve = WeierstrassCurve(FieldSpec(5), 1, 1)
@@ -118,16 +107,20 @@ class TestBaseExtend:
         assert ext.P == Poly([1, 1, 25])
         assert nm(ext, 1) == nm(ZC59, 2) == 27
 
-    def test_genus0(self):
-        zc = ZetaCurve(3, 0, Poly.one())
-        assert base_extend(zc, 3) == ZetaCurve(27, 0, Poly.one())
-
     def test_tower_property(self):
         for zc in GALLERY[:3]:
             for k in (2, 3):
                 ext = base_extend(zc, k)
                 for m in range(1, 7):
                     assert nm(ext, m) == nm(zc, k * m)
+
+    def test_equals_power_sum_route(self):
+        for q in range(2, 50):
+            for n1 in _hasse_range(q):
+                zc = elliptic_zeta(q, n1)
+                for n in range(1, 7):
+                    ext = base_extend(zc, n)
+                    assert (ext.q, ext.P) == base_extend_by_power_sums(zc, n), (q, n1, n)
 
 
 class TestReciprocity:
@@ -144,57 +137,36 @@ class TestReciprocity:
                 assert reciprocity_check(zc, n, 6)
 
 
+def check_fabricated(q, a, holds):
+    """rh_check on a datum built past the constructor, and the constructor's
+    Hasse guard on the same (q, a): both must give `holds`."""
+    zc = ZetaCurve.__new__(ZetaCurve)
+    object.__setattr__(zc, "q", q)
+    object.__setattr__(zc, "a", a)
+    assert rh_check(zc) is holds
+    if holds:
+        assert ZetaCurve(q, a) == zc
+    else:
+        with pytest.raises(InputError, match="Hasse"):
+            ZetaCurve(q, a)
+
+
 class TestRH:
     def test_exact_genus1(self):
         assert rh_check(ZC59)
         assert rh_check(ZC58)
 
-    def test_fabricated_violation(self):
-        # bypass the constructor's Hasse guard to probe the check itself
-        zc = ZetaCurve.__new__(ZetaCurve)
-        object.__setattr__(zc, "q", 5)
-        object.__setattr__(zc, "g", 1)
-        object.__setattr__(zc, "P", Poly([1, 5, 5]))
-        assert not rh_check(zc)
-
-    def test_numeric_genus2(self):
-        p = Poly([1, 3, 5]) * Poly([1, 3, 5])
-        assert rh_check(ZetaCurve(5, 2, p))
-
-    def test_genus2_large_q(self):
-        # np.roots with an absolute 1e-9 tolerance on |w|^2 returned False
-        q = 1000003
-        p = Poly([1, -1000, q]) * Poly([1, 500, q])
-        assert rh_check(ZetaCurve(q, 2, p))
-
-    def test_products_of_elliptic_factors(self):
-        # RH holds for a product of 1 - a t + q t^2 iff every a^2 <= 4q;
-        # a is drawn from a range a little wider than the Hasse range
-        rng = random.Random(12)
-        for q in (4, 5, 9, 49, 1000003):
-            w = math.isqrt(4 * q)
-            for _ in range(20):
-                traces = [rng.randint(-w - 2, w + 2) for _ in range(rng.choice((2, 3)))]
-                p = Poly.one()
-                for a in traces:
-                    p = p * Poly([1, -a, q])
-                zc = ZetaCurve(q, len(traces), p)
-                assert rh_check(zc) == all(a * a <= 4 * q for a in traces), (q, traces)
-
-    @pytest.mark.parametrize("q,coeffs,holds", [
-        (4, [1, 0, -8, 0, 16], True),            # h = y^2 - 16: roots at +-2 sqrt(q)
-        (1000003, [1, 0, -2000006, 0, 1000003 ** 2], True),   # h = y^2 - 4q
-        (5, [1, 0, 11, 0, 25], False),           # h = y^2 + 1: y not real
-    ])
-    def test_genus2_edges(self, q, coeffs, holds):
-        assert rh_check(ZetaCurve(q, 2, Poly(coeffs))) is holds
+    @pytest.mark.parametrize("q,a", [
+        (q, a) for q in (4, 5, 9, 49)
+        for a in range(-math.isqrt(4 * q) - 2, math.isqrt(4 * q) + 3)])
+    def test_fabricated_violation(self, q, a):
+        # the reciprocal roots of 1 - a t + q t^2 have |w|^2 = q iff |a| <= 2 sqrt(q)
+        check_fabricated(q, a, abs(a) <= math.isqrt(4 * q))
 
     @pytest.mark.parametrize("a,holds", [(2000, True), (2001, False)])
     def test_root_beside_an_irrational_end(self, a, holds):
-        # h = (y^2 - 4q)(y - a), and 2 sqrt(q) = 2000.003 for q = 1000003
-        q = 1000003
-        p = Poly([1, 0, -2 * q, 0, q * q]) * Poly([1, -a, q])
-        assert rh_check(ZetaCurve(q, 3, p)) is holds
+        # 2 sqrt(q) = 2000.003 for q = 1000003
+        check_fabricated(1000003, a, holds)
 
     def test_rh_implies_nonnegative_counts(self):
         for zc in GALLERY:
@@ -215,7 +187,7 @@ class TestEllipticZetaDirect:
     def test_equals_counts_route_on_hasse_range(self):
         for q in primes_up_to(50):
             for n1 in _hasse_range(q):
-                assert elliptic_zeta(q, n1) == artin_zeta_from_counts(q, 1, [n1])
+                assert elliptic_zeta(q, n1) == artin_zeta_from_counts(q, [n1])
 
     def test_outside_hasse_range_same_error(self):
         for q in primes_up_to(50):
@@ -224,7 +196,7 @@ class TestEllipticZetaDirect:
                 with pytest.raises(InputError) as direct:
                     elliptic_zeta(q, n1)
                 with pytest.raises(InputError) as counts:
-                    artin_zeta_from_counts(q, 1, [n1])
+                    artin_zeta_from_counts(q, [n1])
                 assert str(direct.value) == str(counts.value)
 
 
@@ -232,9 +204,6 @@ class TestFunctionalEquation:
     def test_gallery(self):
         for zc in GALLERY:
             assert fe_check_zeta(zc)
-
-    def test_genus2(self):
-        assert fe_check_zeta(ZetaCurve(5, 2, Poly([1, 3, 5]) * Poly([1, 3, 5])))
 
 
 class TestRandomizedCountsRoundtrip:

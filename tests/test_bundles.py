@@ -468,8 +468,3 @@ class TestMassRecursion:
                 zc = elliptic_zeta(q, n1)
                 for i in (2, 3):
                     assert _zeta_value(zc, i) == zfunc(zc)(F(1, q ** i))
-
-    def test_requires_elliptic(self):
-        genus2 = ZetaCurve(5, 2, Poly([1, 3, 5]) * Poly([1, 3, 5]))
-        with pytest.raises(InputError):
-            mass_recursion_beta(2, 0, genus2)

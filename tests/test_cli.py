@@ -241,8 +241,9 @@ class TestExitCodes:
         (["lattice", "--gram", "abc 0 / 0 1"], 64),
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "missing.txt")], 1),
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent)], 1),
+        (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "zeros_not_utf8.txt")], 1),
     ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
-            "zeros-missing", "zeros-directory"])
+            "zeros-missing", "zeros-directory", "zeros-not-utf8"])
     def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         captured = capsys.readouterr()

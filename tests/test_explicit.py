@@ -12,7 +12,6 @@ import pytest
 
 from zetalab.artin import ZetaCurve, elliptic_zeta
 from zetalab.errors import InputError, NumericError, ResourceError
-from zetalab.exact import Poly
 from zetalab.explicit import (
     FIRST_ZERO,
     HALFWIDTH_SIGMAS,
@@ -51,7 +50,6 @@ ZEROS = load_zeros(ZEROS_PATH)
 
 ZC59 = elliptic_zeta(5, 9)
 ZC711 = elliptic_zeta(7, 11)
-GENUS2 = ZetaCurve(5, 2, Poly([1, 3, 5]) * Poly([1, 3, 5]))
 
 
 def random_fftest(rng, q, span=3, scale=9):
@@ -107,7 +105,7 @@ class TestFFPairing:
     # <D_f, D_g> is the diagonal pairing of f * g^*, as in ff_hodge_defect
     def test_cross_two_routes_agree_exactly(self):
         rng = random.Random(7)
-        for zc in (ZC59, ZC711, GENUS2):
+        for zc in (ZC59, ZC711):
             for _ in range(15):
                 f = random_fftest(rng, zc.q)
                 g = random_fftest(rng, zc.q)
@@ -150,23 +148,17 @@ class TestFFExplicitFormula:
             for _ in range(100):
                 assert ff_explicit_formula_check(zc, random_fftest(rng, zc.q))
 
-    def test_genus2(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            assert ff_explicit_formula_check(GENUS2, random_fftest(rng, 5))
-
 
 class TestFFPositivity:
     def test_constant_test_function(self):
         assert ff_positivity(ZC59, FFTestFn.delta(5, 0)) == 2  # 2g
-        assert ff_positivity(GENUS2, FFTestFn.delta(5, 0)) == 4
 
     def test_delta_one(self):
         assert ff_positivity(ZC59, FFTestFn.delta(5, 1)) == 2 * 1 * 5  # 2gq
 
     def test_random_nonnegative(self):
         rng = random.Random(19)
-        for zc in (ZC59, ZC711, GENUS2):
+        for zc in (ZC59, ZC711):
             for _ in range(40):
                 assert ff_positivity(zc, random_fftest(rng, zc.q)) >= 0
 
