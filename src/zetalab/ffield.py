@@ -258,27 +258,21 @@ def _enumerate_points(p: int, a: int, b: int):
 def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     """(n1, n2) with E(F_p) = Z/n1 x Z/n2, derived from N = #E(F_p).
 
-    Every point must satisfy N * P = O.  The exponent n2 starts at N; for
-    each prime l | N it is divided by l while (n2 / l) * P = O for every
-    point, and then n1 = N / n2.
+    N counts the enumerated points, so Lagrange gives N * P = O.  The
+    exponent n2 starts at N; for each prime l | N it is divided by l while
+    (n2 / l) * P = O for every point, and then n1 = N / n2.
     """
     p, a = curve.p, curve.a
     if p * p > ENUMERATION_BUDGET:
         raise ResourceError("group census exceeds the enumeration budget")
     points = _enumerate_points(p, a, curve.b)
     n = len(points)
-
-    def kills_all(k: int) -> bool:
-        return all(ec_mul(p, a, P, k) is None for P in points)
-
-    if not kills_all(n):
-        raise InputError("point order exceeds group order; inconsistent curve")
     n2 = n
     for ell in prime_factors(n):
-        while n2 % ell == 0 and kills_all(n2 // ell):
+        while n2 % ell == 0 and all(ec_mul(p, a, P, n2 // ell) is None for P in points):
             n2 //= ell
-    n1, rem = divmod(n, n2)
-    if rem or n2 % n1:
+    n1 = n // n2
+    if n2 % n1:
         raise InputError("point census inconsistent with Z/n1 x Z/n2")
     if (p - 1) % n1:
         raise InputError("Weil pairing constraint n1 | q-1 violated")

@@ -282,31 +282,28 @@ def shortest_vector(lat: Lattice) -> tuple[Fraction, tuple[int, ...]]:
 
 
 def is_semistable(lat: Lattice) -> bool:
-    """Semistability: every proper sublattice has covol' ^ (2 rank) >=
-    covol ^ (2 rank'), decided exactly on squared covolumes.
+    """Semistability: every proper sublattice M has covol(M)^(2 rank) >=
+    covol^(2 rank M), decided exactly on squared covolumes.
 
-    This is the statement that the Harder-Narasimhan filtration has a
-    single step; the minima comparison itself lives in `_hn_steps`.
+    That is, the Harder-Narasimhan filtration has a single step; the
+    minima comparisons that decide it live in `_hn_steps`.
     """
     return hn_filtration(lat).is_single
 
 
 # -- integer basis completion utilities
 
-def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
-    """(V, columns of U): V unimodular with V x = e1 (x must be primitive),
-    and U = V^-1, built alongside V, so U e1 = x.  Each step takes the
-    Bezout pair s a + t b = 1 of the coprime a, b from `pow(a, -1, |b|)`."""
+def _column_reduce_to_e1(x: Sequence[int]) -> IntMatrix:
+    """Columns of a unimodular U with U e1 = x (x must be primitive), the
+    inverse of row operations V with V x = e1.  Each step takes the Bezout
+    pair s a + t b = 1 of the coprime a, b from `pow(a, -1, |b|)`."""
     n = len(x)
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
     ucols = [[int(i == j) for j in range(n)] for i in range(n)]
     cur = list(x)
 
     def apply_rows(i, j, a, b, c, d):
-        # rows i,j of V <- (a*row_i + b*row_j, c*row_i + d*row_j), with
-        # ad - bc = 1; U <- U [[d, -b], [-c, a]] on columns i, j
-        v[i], v[j] = ([a * p + b * q for p, q in zip(v[i], v[j])],
-                      [c * p + d * q for p, q in zip(v[i], v[j])])
+        # V <- [[a, b], [c, d]] V on rows i, j, with ad - bc = 1, so
+        # U <- U [[d, -b], [-c, a]] on columns i, j
         ucols[i], ucols[j] = ([d * p - c * q for p, q in zip(ucols[i], ucols[j])],
                               [a * q - b * p for p, q in zip(ucols[i], ucols[j])])
         cur[i], cur[j] = a * cur[i] + b * cur[j], c * cur[i] + d * cur[j]
@@ -328,35 +325,19 @@ def _column_reduce_to_e1(x: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
     if abs(cur[0]) != 1:
         raise InputError("vector is not primitive")
     if cur[0] == -1:
-        v[0] = [-c for c in v[0]]
         ucols[0] = [-c for c in ucols[0]]
-    return v, ucols
-
-
-def _primitive(x: Sequence[int]) -> tuple[int, ...]:
-    g = math.gcd(*x)
-    if g == 0:
-        raise InputError("zero vector")
-    return tuple(c // g for c in x)
+    return ucols
 
 
 def _sub_quotient_grams(lat: Lattice, x: Sequence[int]) -> tuple[Fraction, Matrix]:
-    """Split off the rank-1 sublattice Z*x: its squared covolume and the
-    Gram of the quotient (Schur complement in an x-completed basis)."""
+    """Split off Z*x (x primitive): its squared covolume and the Gram of
+    the quotient (Schur complement in an x-completed basis)."""
     den, g, _, _ = lat.scaled
-    gp = _gram_of(g, _column_reduce_to_e1(x)[1])
+    gp = _gram_of(g, _column_reduce_to_e1(x))
     g11 = gp[0][0]
     quot = tuple(tuple(Fraction(gp[i][j] * g11 - gp[i][0] * gp[0][j], g11 * den)
                        for j in range(1, lat.rank)) for i in range(1, lat.rank))
     return Fraction(g11, den), quot
-
-
-def _rank2_sub_gram(lat: Lattice, w: Sequence[int]) -> Matrix:
-    """Gram of the rank-2 sublattice {y : <y, w>_coeff = 0} of a rank-3
-    lattice, where w is a primitive dual coefficient vector: rows 1 and 2
-    of V, V w = e1, span it."""
-    den, g, _, _ = lat.scaled
-    return _over(_gram_of(g, _column_reduce_to_e1(w)[0][1:]), den)
 
 
 @dataclass(frozen=True)
@@ -383,7 +364,14 @@ def _slope(rank: int, covol2: Fraction) -> float:
 def _hn_steps(lat: Lattice) -> tuple[list[tuple[int, Fraction]], bool]:
     """(rank, squared covolume) of each semistable HN quotient, top-down,
     and whether the lattice is stable (the same minima comparisons, strict);
-    the one place where lattice minima are compared with the covolume."""
+    the one place where lattice minima are compared with the covolume.
+
+    At rank 3, M = {y in L : <y, w> = 0} for a primitive w in L* has
+    covol(M)^2 = c2 |w|^2, least at c2 lambda_1(L*)^2.  That M is the
+    first step when it destabilizes: its nonzero vectors have |y|^2 >= lam2
+    and the branch runs only if covol(M)^2 <= lam2^2, so M is semistable.
+    Shortest vectors are primitive, so x completes to a basis as it is.
+    """
     n = lat.rank
     c2 = lat.covolume2
     if n == 1:
@@ -393,8 +381,7 @@ def _hn_steps(lat: Lattice) -> tuple[list[tuple[int, Fraction]], bool]:
         if lam2 ** 2 >= c2:
             return [(2, c2)], lam2 ** 2 > c2
     else:
-        # minimal rank-2 squared covolume: covol^2 * lambda_1(L*)^2
-        dlam2, w = shortest_vector(dual(lat))
+        dlam2, _ = shortest_vector(dual(lat))
         sub2_cov2 = c2 * dlam2
         if lam2 ** 3 >= c2 and sub2_cov2 ** 3 >= c2 ** 2:
             return [(3, c2)], lam2 ** 3 > c2 and sub2_cov2 ** 3 > c2 ** 2
@@ -402,12 +389,8 @@ def _hn_steps(lat: Lattice) -> tuple[list[tuple[int, Fraction]], bool]:
         # mu_1 > mu_2  iff  (rank-2 covol^2) > (rank-1 covol^2)^2, exactly.
         # Ties go to the larger rank (the maximal destabilizer convention).
         if sub2_cov2 <= lam2 * lam2:
-            sub_steps = _hn_steps(Lattice(_rank2_sub_gram(lat, _primitive(w))))[0]
-            if len(sub_steps) != 1:
-                raise NumericError("rank-2 destabilizer unexpectedly unstable")
-            dest_cov2 = sub_steps[0][1]
-            return [(2, dest_cov2), (1, c2 / dest_cov2)], False
-    sub_cov2, quot = _sub_quotient_grams(lat, _primitive(x))
+            return [(2, sub2_cov2), (1, c2 / sub2_cov2)], False
+    sub_cov2, quot = _sub_quotient_grams(lat, x)
     return [(1, sub_cov2)] + _hn_steps(Lattice(quot))[0], False
 
 
@@ -531,7 +514,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     ginv = _inverse(lat)
     # lambda_1^2 >= 1/trace(G^-1), exactly computable
     lam1 = math.sqrt(1.0 / float(sum(ginv[i][i] for i in range(n))))
-    radius = max(1.5, math.sqrt(math.log(2.0 / eps) / math.pi))
+    radius = max(1.5, math.sqrt(max(0.0, math.log(2.0 / eps)) / math.pi))
     while True:
         bound = _tail_bound(radius, lam1, n)
         if bound <= eps:

@@ -508,6 +508,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
         raise CapabilityError("global products implemented for rank 1 and 2")
     if s.real <= 2:
         raise InputError("Re(s) must exceed 2 (printed region)")
+    if prime_bound < 1:
+        raise InputError("prime bound must be >= 1")
     if prime_bound > 10 ** 5:
         raise ResourceError("prime bound capped at 10^5")
 

@@ -152,6 +152,11 @@ class TestCommands:
         payload = run_json(["theta", "--lattice", "2 0 / 0 0.5"], capsys)
         assert abs(float(payload["result"]["rr_residual"])) < 1e-9
 
+    def test_theta_large_tolerance(self, capsys):
+        # tol / 100 > 2 puts log(2 / eps) below 0: the radius starts at 1.5
+        payload = run_json(["theta", "--gram", "1", "--tol", "1000"], capsys)
+        assert float(payload["result"]["certified_tails"]) <= 1000
+
     def test_xi(self, capsys):
         payload = run_json(["xi", "--s", "0.3+2j"], capsys)
         assert float(payload["result"]["functional_equation_residual"]) < 1e-10
@@ -242,8 +247,11 @@ class TestExitCodes:
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "missing.txt")], 1),
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent)], 1),
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "zeros_not_utf8.txt")], 1),
+        (["euler", "--A", "1", "--B", "1", "--s", "3", "--pmax", "0"], 1),
+        (["euler", "--A", "1", "--B", "1", "--s", "3", "--pmax", "-5"], 1),
     ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
-            "zeros-missing", "zeros-directory", "zeros-not-utf8"])
+            "zeros-missing", "zeros-directory", "zeros-not-utf8",
+            "euler-pmax-zero", "euler-pmax-negative"])
     def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from fq_oracle import (
     smallest_irreducible,
 )
 
+from zetalab import ffield
 from zetalab.artin import elliptic_zeta, nm
 from zetalab.errors import InputError, ResourceError
 from zetalab.ffield import (
@@ -146,6 +147,22 @@ class TestGroupStructure:
             gs = group_structure(curve)
             assert (curve.p - 1) % gs.n1 == 0
             assert gs.n2 % gs.n1 == 0
+
+    @pytest.mark.parametrize("curve", [E_A1B1, WeierstrassCurve(FieldSpec(101), 1, 1)],
+                             ids=["p5", "p101"])
+    def test_lagrange_is_not_rechecked(self, monkeypatch, curve):
+        # N counts the points, so N * P = O needs no pass over them: on a
+        # cyclic group each strip test stops at its first surviving point
+        calls = []
+
+        def counting_ec_mul(*args):
+            calls.append(args)
+            return ec_mul(*args)
+
+        monkeypatch.setattr(ffield, "ec_mul", counting_ec_mul)
+        gs = group_structure(curve)
+        assert gs.n1 == 1
+        assert len(calls) < gs.order
 
 
 def _is_prime(n):

@@ -22,6 +22,7 @@ from zetalab.lattice import (
     XI_MIN_SIGMA,
     XI_TERM_BUDGET,
     Lattice,
+    _column_reduce_to_e1,
     _em_coefficients,
     _inverse,
     _lll,
@@ -505,7 +506,40 @@ class TestShortestVectorOracle:
             assert repr(shortest_vector(lat)) == repr(box_shortest_vector(lat))
 
 
+def rank2_destabilizer_oracle(lat):
+    """Oracle for the rank-2 first HN step of a rank-3 lattice: the Gram of
+    {y in L : <y, w> = 0}, w a shortest dual coefficient vector, spanned by
+    rows 1 and 2 of V = U^-1 for the completion U of w (V w = e1)."""
+    _, w = shortest_vector(dual(lat))
+    ucols = _column_reduce_to_e1(w)
+    v = gauss_jordan_inverse([[col[i] for col in ucols] for i in range(3)])
+    g = lat.gram
+    return Lattice.from_gram([[sum(r[i] * g[i][j] * c[j] for i in range(3) for j in range(3))
+                               for c in v[1:]] for r in v[1:]])
+
+
 class TestHNFiltration:
+    @pytest.mark.parametrize("gram", [
+        [[1, 0, 0], [0, 1, 0], [0, 0, k]] for k in (2, 3, F(7, 2), 9, 100)
+    ] + [[[2, 1, 0], [1, 2, 0], [0, 0, 5]]],
+        ids=["diag-2", "diag-3", "diag-7/2", "diag-9", "diag-100", "hex-5"])
+    def test_rank2_destabilizer_against_sub_gram(self, gram):
+        # the first step's covol^2 is c2 |w|^2; the sublattice spanned from
+        # the completion of w has that covolume and is semistable
+        rng = random.Random(41)
+        for _ in range(4):
+            u = [[int(r == c) for c in range(3)] for r in range(3)]
+            rng.shuffle(u)
+            for _ in range(4):
+                i, j = rng.sample(range(3), 2)
+                transvection(u, i, j, rng.randint(-6, 6))
+            lat = change_basis(Lattice.from_gram(gram), u)
+            first = hn_filtration(lat).steps[0]
+            sub = rank2_destabilizer_oracle(lat)
+            assert first.rank == 2
+            assert first.covol2 == sub.covolume2 == fraction_det(sub.gram)
+            assert minima_semistable(sub)
+
     def test_two_step_example(self):
         f = hn_filtration(Lattice.diagonal([F(1, 2), 2]))
         assert len(f.steps) == 2
