@@ -76,13 +76,12 @@ def _module_aut_count(partition: Sequence[int], q: int) -> int:
     over a discrete valuation ring with residue field F_q:
     q^s * prod_k prod_{i=1}^{m_k} (1 - q^-i), s = sum_{i,j} min(r_i, r_j),
     where m_k is the multiplicity of the part k.  As an integer it is
-    q^(s - sum_k m_k(m_k+1)/2) * prod_k prod_{i=1}^{m_k} (q^i - 1).
+    q^(s - sum_k m_k(m_k+1)/2) * prod_k prod_{i=1}^{m_k} (q^i - 1); the
+    exponent is >= 0 as s >= sum_k m_k^2 >= sum_k m_k(m_k+1)/2.
     """
     mults = Counter(partition).values()
     exponent = (sum(min(a, b) for a in partition for b in partition)
                 - sum(m * (m + 1) // 2 for m in mults))
-    if exponent < 0:
-        raise InputError("non-integral automorphism count")
     total = q ** exponent
     for mult in mults:
         for i in range(1, mult + 1):
@@ -178,8 +177,9 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
     Rank 1 reports the full degree-0 picture (N_1 line-bundle classes).
     For rank 2 the slice is determinant = O; for rank 3 under PAPER_SPLIT
     it is the generic determinant slice the printed counts describe, and
-    under GALOIS_DESCENT the determinant = O slice.  Descent totals are
-    checked against #P^(r-1)(F_q).
+    under GALOIS_DESCENT the determinant = O slice.  Every total is
+    #P^(r-1)(F_q) as a polynomial identity in q, N_1 and the torsion
+    counts, once k2 = N_2/N_1 = q+1+a and k3 = N_3/N_1 are put in.
 
     Each row's mass sums factor over the line-bundle orbits of its graded
     object (`_class_row`); tests/bundle_oracle.py rebuilds every row bundle
@@ -195,14 +195,8 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
         )
         return CensusResult("all determinants, degree 0", rows)
     if conv is Convention.PAPER_SPLIT:
-        census = _census_paper(r, curve)
-    else:
-        census = _census_descent(r, curve)
-    expected = Fraction((q ** r - 1) // (q - 1))
-    if census.total_classes != expected:
-        raise InputError(
-            f"census total {census.total_classes} != #P^{r - 1}(F_q) = {expected}")
-    return census
+        return _census_paper(r, curve)
+    return _census_descent(r, curve)
 
 
 def _census_paper(r: int, curve: CurveData) -> CensusResult:
@@ -235,20 +229,20 @@ def _triple_count(n: int, eps2: int, eps3: int) -> int:
 
     Of the (n-1)(n-2) ordered pairs (a, b) of distinct nonzero elements,
     c = -a-b is zero for the n - eps2 pairs b = -a, and repeats a (or b)
-    for the n - eps2 - eps3 + 1 elements outside E[2] and E[3].
+    for the n - eps2 - eps3 + 1 elements outside E[2] and E[3].  What is
+    left counts each triple 6 times, so the division is exact.
     """
     ordered = (n - 1) * (n - 2) - (n - eps2) - 2 * (n - eps2 - eps3 + 1)
-    assert ordered % 6 == 0
     return ordered // 6
 
 
 def _census_descent(r: int, curve: CurveData) -> CensusResult:
     q, n1 = curve.q, curve.n1
     eps2 = curve.torsion(2)
+    # k_m = N_m / N_1 = |1 + alpha + ... + alpha^(m-1)|^2, an integer: the
+    # order of the norm-one subgroup of Pic^0(F_{q^m})
     n2 = curve.point_count(2)
-    if n2 % n1:
-        raise InputError("N_2 not divisible by N_1; inconsistent curve data")
-    k2 = n2 // n1         # norm-one subgroup of Pic^0(F_{q^2})
+    k2 = n2 // n1
 
     if r == 2:
         rows = (
@@ -261,8 +255,6 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 
     eps3 = curve.torsion(3)
     n3 = curve.point_count(3)
-    if n3 % n1:
-        raise InputError("N_3 not divisible by N_1; inconsistent curve data")
     k3 = n3 // n1
     rows = (
         _class_row("(3;0)", 1, q, 3),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from zetalab import artin, bundles, explicit, lattice as lat, nazeta
-from zetalab.errors import ResourceError, ZetalabError
+from zetalab.errors import InputError, ResourceError, ZetalabError
 from zetalab.exact import Poly
 from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
 
@@ -176,7 +176,7 @@ def cmd_nazeta(args) -> dict:
         "functional_equation_ok": report.functional_equation_ok,
         "root_pairing_exact_ok": report.root_pairing_exact_ok,
         "root_pairing_numeric_residual": report.root_pairing_numeric_residual,
-        "counts": nazeta.na_counts(z, max(args.mmax, 0)),
+        "counts": nazeta.na_counts(z, args.mmax),
     }
 
 
@@ -319,6 +319,8 @@ def cmd_xi(args) -> dict:
 
 def cmd_explicit_ff(args) -> dict:
     import random
+    if args.count < 0 or args.span < 0:
+        raise InputError("--count and --span must be >= 0")
     curve = parse_curve(args.curve, args.p)
     n1 = count_points(curve, 1)
     zc = artin.elliptic_zeta(args.p, n1)
@@ -331,7 +333,6 @@ def cmd_explicit_ff(args) -> dict:
                    for n in range(-args.span, args.span + 1)}
         f = explicit.FFTestFn.of(args.p, support)
         all_ok &= explicit.ff_explicit_formula_check(zc, f)
-        # the Hodge defect raises unless it equals ff_positivity's value
         value = explicit.ff_hodge_defect(zc, f)
         positive &= value >= 0
         if i < 3:

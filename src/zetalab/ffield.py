@@ -260,7 +260,9 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
 
     N counts the enumerated points, so Lagrange gives N * P = O.  The
     exponent n2 starts at N; for each prime l | N it is divided by l while
-    (n2 / l) * P = O for every point, and then n1 = N / n2.
+    (n2 / l) * P = O for every point.  So n2 is the group exponent, and
+    N / n2 is the n1 of the structure theorem: n1 | n2, and n1 | p - 1 by
+    the Weil pairing.
     """
     p, a = curve.p, curve.a
     if p * p > ENUMERATION_BUDGET:
@@ -271,12 +273,7 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     for ell in prime_factors(n):
         while n2 % ell == 0 and all(ec_mul(p, a, P, n2 // ell) is None for P in points):
             n2 //= ell
-    n1 = n // n2
-    if n2 % n1:
-        raise InputError("point census inconsistent with Z/n1 x Z/n2")
-    if (p - 1) % n1:
-        raise InputError("Weil pairing constraint n1 | q-1 violated")
-    return GroupStructure(n1, n2)
+    return GroupStructure(n // n2, n2)
 
 
 def torsion_count(gs: GroupStructure, m: int) -> int:

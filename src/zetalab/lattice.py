@@ -294,9 +294,10 @@ def is_semistable(lat: Lattice) -> bool:
 # -- integer basis completion utilities
 
 def _column_reduce_to_e1(x: Sequence[int]) -> IntMatrix:
-    """Columns of a unimodular U with U e1 = x (x must be primitive), the
-    inverse of row operations V with V x = e1.  Each step takes the Bezout
-    pair s a + t b = 1 of the coprime a, b from `pow(a, -1, |b|)`."""
+    """Columns of a unimodular U with U e1 = +-x (x must be primitive), the
+    inverse of row operations V with V x = +-e1.  Each step takes the Bezout
+    pair s a + t b = 1 of the coprime a, b from `pow(a, -1, |b|)`.  The sign
+    is left as it falls: callers use only the line Z x."""
     n = len(x)
     ucols = [[int(i == j) for j in range(n)] for i in range(n)]
     cur = list(x)
@@ -324,8 +325,6 @@ def _column_reduce_to_e1(x: Sequence[int]) -> IntMatrix:
         raise InputError("zero vector cannot be completed")
     if abs(cur[0]) != 1:
         raise InputError("vector is not primitive")
-    if cur[0] == -1:
-        ucols[0] = [-c for c in ucols[0]]
     return ucols
 
 
@@ -398,39 +397,15 @@ def hn_filtration(lat: Lattice) -> HNFiltration:
     """The canonical filtration: successive maximal-slope sublattices.
 
     Steps list the semistable quotients top-down (first step is the
-    maximal destabilizing sublattice).  Slopes strictly decrease, which is
-    asserted exactly on squared covolumes before returning.
+    maximal destabilizing sublattice).  Slopes strictly decrease, since
+    each first step is the maximal destabilizer, and the squared covolumes
+    multiply to the lattice's, since each split in `_hn_steps` is a
+    sublattice of covolume^2 s and a quotient of covolume^2 c2 / s.
     """
     if lat.rank > 3:
         raise CapabilityError("filtration computed for rank <= 3")
     steps, stable = _hn_steps(lat)
-    for (r1, c1), (r2, c2) in zip(steps, steps[1:]):
-        # mu_1 > mu_2  iff  c1^r2 < c2^r1
-        if not c1 ** r2 < c2 ** r1:
-            raise NumericError("filtration slopes fail to decrease strictly")
-    total = Fraction(1)
-    for _, c in steps:
-        total *= c
-    if total != lat.covolume2:
-        raise NumericError("filtration does not reconstruct the covolume")
     return HNFiltration(tuple(HNStep(r, c, _slope(r, c)) for r, c in steps), stable)
-
-
-def unimodular_semistable_check(lat: Lattice) -> tuple[bool, bool]:
-    """(semistable, stable) for an integral lattice of covolume 1.
-
-    Unimodular lattices are always semistable; stability fails exactly
-    when a proper unimodular sublattice exists, i.e. a norm-1 vector
-    (rank-1) or, at rank 3, a norm-1 dual vector (rank-2 sublattice).
-    """
-    for row in lat.gram:
-        for x in row:
-            if x.denominator != 1:
-                raise InputError("unimodular check needs an integral Gram")
-    if lat.covolume2 != 1:
-        raise InputError("unimodular check needs covolume 1")
-    filtration = hn_filtration(lat)
-    return filtration.is_single, filtration.stable
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ commits: record at the first, compare at the second.
 
 `--unreached` runs the same argvs under a line tracer instead and prints
 every statement in a `src/zetalab` function body that none of them
-executes, `raise` statements and docstrings left out:
+executes, docstrings left out.  `raise` statements come in a second list
+with their own count, since most guard input no argv is meant to reach:
 
     PYTHONPATH=src python tests/replay_argvs.py --unreached
 
@@ -143,10 +144,10 @@ def _body_statements(func: ast.AST):
         yield stmt, set(range(stmt.lineno, max(end, stmt.lineno) + 1))
 
 
-def unreached(seen: dict[str, set[int]]) -> list[str]:
+def unreached(seen: dict[str, set[int]]) -> tuple[list[str], list[str]]:
     """`file:line: [function] source` of every function-body statement
-    with no line in `seen`."""
-    found = []
+    with no line in `seen`: all but the `raise` statements, then those."""
+    found = {True: [], False: []}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
@@ -157,13 +158,13 @@ def unreached(seen: dict[str, set[int]]) -> list[str]:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for stmt, own in _body_statements(func):
-                if (isinstance(stmt, ast.Raise) or not own & executable
-                        or own & hit):
+                if not own & executable or own & hit:
                     continue
-                found.append((path.name, stmt.lineno, func.name,
-                              lines[stmt.lineno - 1].strip()))
-    return [f"src/zetalab/{name}:{line}: [{func}] {text}"
-            for name, line, func, text in sorted(found)]
+                found[isinstance(stmt, ast.Raise)].append(
+                    (path.name, stmt.lineno, func.name, lines[stmt.lineno - 1].strip()))
+    rows = {kind: [f"src/zetalab/{name}:{line}: [{func}] {text}"
+                   for name, line, func, text in sorted(found[kind])] for kind in found}
+    return rows[False], rows[True]
 
 
 def main() -> int:
@@ -177,9 +178,11 @@ def main() -> int:
     os.chdir(ROOT)
     if args.unreached:
         seen, count = traced_lines()
-        report = unreached(seen)
-        print("\n".join(report))
-        print(f"{len(report)} statements unreached by {count} argvs")
+        statements, raises = unreached(seen)
+        print("\n".join(statements))
+        print(f"{len(statements)} statements unreached by {count} argvs")
+        print("\n".join(raises))
+        print(f"{len(raises)} raise statements unreached by {count} argvs")
         return 0
     target = (args.record or args.compare).resolve()
     results = {key: run(*spec) for key, spec in argvs().items()}

@@ -13,17 +13,17 @@ from pathlib import Path
 
 import mpmath
 from fq_oracle import enumerated_count
+from test_explicit import hodge_defect_oracle
 
 from zetalab.artin import elliptic_zeta, fe_check_zeta, nm, reciprocity_check, rh_check
 from zetalab.bundles import Convention, CurveData, invariant, mass_recursion_beta
 from zetalab.cli import main as cli_main
 from zetalab.errors import InputError
-from zetalab.exact import Poly
+from zetalab.exact import Poly, Series
 from zetalab.explicit import (
     FFTestFn,
     NFTestFn,
     ff_explicit_formula_check,
-    ff_hodge_defect,
     ff_positivity,
     load_zeros,
     riemann_weil_residual,
@@ -37,7 +37,6 @@ from zetalab.lattice import (
     reduce_rank2,
     rr_check,
     theta_h0,
-    unimodular_semistable_check,
     xi_q,
 )
 from zetalab.nazeta import (
@@ -118,7 +117,9 @@ def test_criterion_03_properties():
                     assert report.functional_equation_ok
                     assert report.root_pairing_exact_ok
                     assert report.root_pairing_numeric_residual <= 1e-9
-                    na_counts(z, 6)   # verifies against the log derivative
+                    # N(m) = m [log(Z / P(0))]_m
+                    logz = Series.ratio(z.normalized_numerator, z.denominator, 7).log()
+                    assert na_counts(z, 6) == [m * logz[m] for m in range(1, 7)]
     _report(3, t, "degree/FE/root-pairing and counts for every generated zeta")
 
 
@@ -205,8 +206,11 @@ def test_criterion_08_lattice_stability():
             [[1, 0, 0], [0, 2, 1], [0, 1, 1]],
         ]
         for gram in library:
-            semi, _ = unimodular_semistable_check(Lattice.from_gram(gram))
-            assert semi
+            # unimodular lattices are semistable; below rank 8 they are
+            # Z^n, stable only at n = 1
+            filt = hn_filtration(Lattice.from_gram(gram))
+            assert filt.is_single
+            assert filt.stable == (len(gram) == 1)
         a0 = F(2149139863647, 2 * 10 ** 12)
         hexagonal = Lattice.from_basis_columns([[a0, 0], [a0 / 2, 1 / a0]])
         a, b, in_domain = reduce_rank2(hexagonal)
@@ -228,7 +232,7 @@ def test_criterion_09_function_field_explicit():
                 assert ff_explicit_formula_check(zc, f)
                 value = ff_positivity(zc, f)
                 assert value >= 0
-                assert ff_hodge_defect(zc, f) == value
+                assert hodge_defect_oracle(zc, f) == value
     _report(9, t, "explicit formula, positivity, Hodge defect: 2 x 100 random")
 
 

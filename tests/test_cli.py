@@ -249,9 +249,14 @@ class TestExitCodes:
         (["explicit-nf", "--zeros", str(Path(ZEROS).parent / "zeros_not_utf8.txt")], 1),
         (["euler", "--A", "1", "--B", "1", "--s", "3", "--pmax", "0"], 1),
         (["euler", "--A", "1", "--B", "1", "--s", "3", "--pmax", "-5"], 1),
+        (["explicit-ff", "--curve", "y2=x3+x+1", "--p", "59", "--count", "-3"], 1),
+        (["explicit-ff", "--curve", "y2=x3+x+1", "--p", "59", "--span", "-2"], 1),
+        (["nazeta", "--curve", "y2=x3+x+1", "--p", "5", "--rank", "2",
+          "--mmax", "-4"], 1),
     ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
             "zeros-missing", "zeros-directory", "zeros-not-utf8",
-            "euler-pmax-zero", "euler-pmax-negative"])
+            "euler-pmax-zero", "euler-pmax-negative", "explicit-ff-count-negative",
+            "explicit-ff-span-negative", "nazeta-mmax-negative"])
     def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         captured = capsys.readouterr()

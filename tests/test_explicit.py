@@ -79,6 +79,25 @@ def ff_cross_direct(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> Fraction:
                 for n in cf for m in cg), Fraction(0))
 
 
+def convolve_with_dual(f: FFTestFn, g: FFTestFn) -> FFTestFn:
+    """Oracle for the convolution f * g^*, g^*(q^n) = g(q^-n) q^-n, whose
+    Mellin transform is fhat(s) ghat(1-s)."""
+    out: dict[int, Fraction] = {}
+    for n, fv in f.support:
+        for m, gv in g.support:
+            # g^* is supported at -m with value g(q^m) q^m, so the
+            # convolution picks up f(q^n) g(q^m) q^m at exponent n - m
+            out[n - m] = out.get(n - m, Fraction(0)) + fv * gv * _qpow(f.q, m)
+    return FFTestFn.of(f.q, out)
+
+
+def hodge_defect_oracle(zc: ZetaCurve, f: FFTestFn) -> Fraction:
+    """2 fhat(0) fhat(1) - <D_f, D_f>, the self-pairing taken as the
+    diagonal pairing of f * f^*."""
+    return (2 * f.mellin_hat(0) * f.mellin_hat(1)
+            - _diag_pairing(zc, convolve_with_dual(f, f)))
+
+
 class TestFFPairing:
     def test_delta_at_one(self):
         f = FFTestFn.delta(5, 1)
@@ -102,14 +121,14 @@ class TestFFPairing:
             assert p.deg1 == sum(c * F(5) ** max(n, 0) for n, c in coeffs.items())
             assert p.deg2 == sum(c * F(5) ** max(-n, 0) for n, c in coeffs.items())
 
-    # <D_f, D_g> is the diagonal pairing of f * g^*, as in ff_hodge_defect
+    # <D_f, D_g> is the diagonal pairing of f * g^*, as in hodge_defect_oracle
     def test_cross_two_routes_agree_exactly(self):
         rng = random.Random(7)
         for zc in (ZC59, ZC711):
             for _ in range(15):
                 f = random_fftest(rng, zc.q)
                 g = random_fftest(rng, zc.q)
-                cross = _diag_pairing(zc, f.convolve_with_dual(g))
+                cross = _diag_pairing(zc, convolve_with_dual(f, g))
                 assert cross == ff_cross_direct(zc, f, g)
 
     def test_cross_bilinearity(self):
@@ -122,9 +141,9 @@ class TestFFPairing:
             v1, v2 = dict(f1.support), dict(f2.support)
             combo = FFTestFn.of(5, {n: a * v1.get(n, 0) + b * v2.get(n, 0)
                                     for n in range(-3, 4)})
-            lhs = _diag_pairing(ZC59, combo.convolve_with_dual(g))
-            rhs = (a * _diag_pairing(ZC59, f1.convolve_with_dual(g))
-                   + b * _diag_pairing(ZC59, f2.convolve_with_dual(g)))
+            lhs = _diag_pairing(ZC59, convolve_with_dual(combo, g))
+            rhs = (a * _diag_pairing(ZC59, convolve_with_dual(f1, g))
+                   + b * _diag_pairing(ZC59, convolve_with_dual(f2, g)))
             assert lhs == rhs
 
     def test_mismatched_q_rejected(self):
@@ -171,12 +190,14 @@ class TestHodgeDefect:
         assert ff_hodge_defect(ZC59, FFTestFn.delta(5, 1)) == 10
 
     def test_equals_positivity_exactly(self):
+        # ff_hodge_defect is ff_positivity's value; the convolution route
+        # of the self-pairing must reach it on every input
         rng = random.Random(23)
-        for zc in (ZC59, ZC711):
-            for _ in range(50):
-                f = random_fftest(rng, zc.q)
-                # ff_hodge_defect asserts equality internally; also check here
-                assert ff_hodge_defect(zc, f) == ff_positivity(zc, f)
+        for zc in (ZC59, ZC711, elliptic_zeta(11, 8), elliptic_zeta(13, 20)):
+            for span in (1, 3, 5):
+                for _ in range(25):
+                    f = random_fftest(rng, zc.q, span)
+                    assert hodge_defect_oracle(zc, f) == ff_hodge_defect(zc, f)
 
 
 def first_zero_bisect(lo: float = 14.0, hi: float = 14.3,

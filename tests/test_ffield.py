@@ -143,10 +143,15 @@ class TestGroupStructure:
                 assert gs == GroupStructure(1, n)
 
     def test_weil_constraint(self):
-        for curve in (E_A1B1, E_A4B0):
-            gs = group_structure(curve)
-            assert (curve.p - 1) % gs.n1 == 0
-            assert gs.n2 % gs.n1 == 0
+        # every curve over 5 <= p <= 50: n2 is the exponent, so N / n2 is
+        # the n1 of Z/n1 x Z/n2, which the Weil pairing puts in F_p^*
+        for p in primes_up_to(50)[2:]:
+            for a in range(p):
+                for b in range(p):
+                    if (4 * a ** 3 + 27 * b * b) % p:
+                        gs = group_structure(WeierstrassCurve(FieldSpec(p), a, b))
+                        assert (p - 1) % gs.n1 == 0
+                        assert gs.n2 % gs.n1 == 0
 
     @pytest.mark.parametrize("curve", [E_A1B1, WeierstrassCurve(FieldSpec(101), 1, 1)],
                              ids=["p5", "p101"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import lattice
 from zetalab.errors import (
     CapabilityError,
     ConfigError,
@@ -23,6 +24,7 @@ from zetalab.lattice import (
     XI_TERM_BUDGET,
     Lattice,
     _column_reduce_to_e1,
+    _sub_quotient_grams,
     _em_coefficients,
     _inverse,
     _lll,
@@ -35,7 +37,6 @@ from zetalab.lattice import (
     rr_check,
     shortest_vector,
     theta_h0,
-    unimodular_semistable_check,
     xi_q,
 )
 
@@ -540,6 +541,24 @@ class TestHNFiltration:
             assert first.covol2 == sub.covolume2 == fraction_det(sub.gram)
             assert minima_semistable(sub)
 
+    def test_split_ignores_the_sign_of_the_completion(self, monkeypatch):
+        # U e1 = +-x, the sign left as it falls; negating U's first column
+        # negates the Gram's first row and column off the corner, and the
+        # Schur complement takes their products, so the split is the same
+        lat = Lattice.from_gram([[3, 1, F(1, 2)], [1, 5, 2], [F(1, 2), 2, 7]])
+        vectors = [(1, 0, 0), (0, 0, 1), (2, -3, 5), (0, 4, -7), (6, 10, 15)]
+        vectors += [tuple(-c for c in x) for x in vectors]
+        splits = [_sub_quotient_grams(lat, x) for x in vectors]
+        for x in vectors:
+            assert tuple(_column_reduce_to_e1(x)[0]) in (x, tuple(-c for c in x))
+
+        def flipped(x):
+            ucols = _column_reduce_to_e1(x)
+            return [[-c for c in ucols[0]]] + ucols[1:]
+
+        monkeypatch.setattr(lattice, "_column_reduce_to_e1", flipped)
+        assert [_sub_quotient_grams(lat, x) for x in vectors] == splits
+
     def test_two_step_example(self):
         f = hn_filtration(Lattice.diagonal([F(1, 2), 2]))
         assert len(f.steps) == 2
@@ -549,8 +568,10 @@ class TestHNFiltration:
         assert abs(f.steps[1].slope + math.log(2)) < 1e-12
 
     def test_covolume_reconstruction(self):
+        # 200 random bases reach every HN type of rank 2 and 3
         rng = random.Random(23)
-        for _ in range(25):
+        types = set()
+        for _ in range(200):
             n = rng.choice([2, 3])
             cols = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
                     for _ in range(n)]
@@ -563,8 +584,11 @@ class TestHNFiltration:
             for step in f.steps:
                 total *= step.covol2
             assert total == lat.covolume2
-            slopes = [s.slope for s in f.steps]
-            assert slopes == sorted(slopes, reverse=True)
+            # mu_1 > mu_2  iff  c1^r2 < c2^r1, exactly on squared covolumes
+            for s1, s2 in zip(f.steps, f.steps[1:]):
+                assert s1.covol2 ** s2.rank < s2.covol2 ** s1.rank
+            types.add(tuple(s.rank for s in f.steps))
+        assert types == {(2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)}
 
     def test_rank3_maximal_destabilizer_is_rank2(self):
         lat = Lattice.diagonal([1, 1, 9])
@@ -579,11 +603,16 @@ class TestHNFiltration:
         assert f.steps[0].covol2 == F(1, 16)
 
 
+def semistable_and_stable(lat):
+    filtration = hn_filtration(lat)
+    return filtration.is_single, filtration.stable
+
+
 class TestUnimodular:
     def test_standard_lattices(self):
-        assert unimodular_semistable_check(Lattice.standard(1)) == (True, True)
-        assert unimodular_semistable_check(Lattice.standard(2)) == (True, False)
-        assert unimodular_semistable_check(Lattice.standard(3)) == (True, False)
+        assert semistable_and_stable(Lattice.standard(1)) == (True, True)
+        assert semistable_and_stable(Lattice.standard(2)) == (True, False)
+        assert semistable_and_stable(Lattice.standard(3)) == (True, False)
 
     def test_integral_gram_library(self):
         library = [
@@ -597,12 +626,8 @@ class TestUnimodular:
             lat = Lattice.from_gram(gram)
             if lat.covolume2 != 1:
                 continue
-            semi, _ = unimodular_semistable_check(lat)
+            semi, _ = semistable_and_stable(lat)
             assert semi
-
-    def test_rejects_nonintegral(self):
-        with pytest.raises(InputError):
-            unimodular_semistable_check(Lattice.diagonal([F(1, 2), 2]))
 
 
 class TestReduceRank2:
