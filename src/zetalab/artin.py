@@ -13,10 +13,9 @@ extracted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, decimate, fe_transform_check, power_sums_from_poly
+from zetalab.exact import Poly, Series, decimate, fe_transform_check
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,13 @@ class ZetaCurve:
     def zseries(self, order: int) -> Series:
         return Series.ratio(self.P, Poly([1, -1]) * Poly([1, -self.q]), order)
 
-    def power_sums(self, m_max: int) -> list[Fraction]:
-        return power_sums_from_poly(self.P, m_max)
+    def power_sums(self, m_max: int) -> list[int]:
+        """p_1, ..., p_m_max of the two reciprocal roots: with p_0 = 2 and
+        p_1 = a, Newton's identity for P is p_m = a p_(m-1) - q p_(m-2)."""
+        ps = [2, self.a]
+        while len(ps) <= m_max:
+            ps.append(self.a * ps[-1] - self.q * ps[-2])
+        return ps[1:m_max + 1]
 
 
 def elliptic_zeta(q: int, n1: int) -> ZetaCurve:
@@ -57,7 +61,7 @@ def nm(zc: ZetaCurve, m: int) -> int:
     """N_m = q^m + 1 - (sum of m-th powers of reciprocal roots)."""
     if m < 1:
         raise InputError("m must be >= 1")
-    return zc.q ** m + 1 - int(zc.power_sums(m)[m - 1])
+    return zc.q ** m + 1 - zc.power_sums(m)[m - 1]
 
 
 def base_extend(zc: ZetaCurve, n: int) -> ZetaCurve:

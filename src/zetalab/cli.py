@@ -145,6 +145,8 @@ def _curve_data(args) -> bundles.CurveData:
 # commands
 
 def cmd_artin(args) -> dict:
+    if args.mmax < 0:
+        raise InputError("--mmax must be >= 0")
     curve = parse_curve(args.curve, args.p)
     n1 = count_points(curve, 1)
     zc = artin.elliptic_zeta(args.p, n1)
@@ -205,6 +207,8 @@ def cmd_census(args) -> dict:
 
 
 def cmd_mass(args) -> dict:
+    if args.rmax < 0:
+        raise InputError("--rmax must be >= 0")
     data = _curve_data(args)
     zc = data.zeta
     rows = []
@@ -356,6 +360,8 @@ def cmd_explicit_ff(args) -> dict:
 
 
 def cmd_explicit_nf(args) -> dict:
+    if args.pmax < 0:
+        raise InputError("--pmax must be >= 0")
     zeros = explicit.load_zeros(args.zeros)
     f = explicit.NFTestFn(args.mu, args.sigma)
     model = explicit.MicroModel(args.K, zeros)

@@ -9,8 +9,11 @@ power series by `Series.ratio`.  Inside, the series product, inverse and
 log and the power sums run their recurrences on Python ints whenever every
 input coefficient is an integer (with a constant term of +-1 for the
 inverse), and build Fractions only for the output; other input runs the
-same recurrences on Fractions.  The one float helper, `complex_fsum`,
-rounds once per component.
+same recurrences on Fractions.  `Series.ratio` brings every pair to the
+integer path: it clears denominators and substitutes t -> d0 t, d0 the
+denominator's constant term, which makes that constant term 1, and divides
+coefficient k of the integer expansion by d0^(k+1) at the end.  The one
+float helper, `complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations
@@ -205,13 +208,21 @@ class Series:
     @staticmethod
     def ratio(num: Poly, den: Poly, order: int) -> "Series":
         """Power-series expansion of num/den at t=0 to the given order."""
-        d0 = den[0]
-        if d0 == 0:
+        if den[0] == 0:
             raise InputError("rational function has a pole at t=0")
-        # a unit constant term keeps an integral pair, such as a Weil
-        # numerator over (1-t)(1-qt), on the integer recurrences
-        num, den = num.scale(1 / d0), den.scale(1 / d0)
-        return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
+        # clear denominators, then substitute t -> d0 t: with N, D integral
+        # and d0 = D(0), N(d0 t) and D(d0 t)/d0 are integral, the latter
+        # with constant term 1, and their quotient is d0 (num/den)(d0 t).
+        # So the integer recurrences give coefficient k times d0^(k+1).
+        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        n, d = ([c.numerator * (scale // c.denominator) for c in p.coeffs[:order]]
+                for p in (num, den))
+        d0 = d[0]
+        n = [c * d0 ** k for k, c in enumerate(n)]
+        d = [1] + [c * d0 ** (k - 1) for k, c in enumerate(d) if k]
+        expanded = Series(n, order) * Series(d, order).inverse()
+        return Series([Fraction(c.numerator, d0 ** (k + 1))
+                       for k, c in enumerate(expanded.coeffs)], order)
 
     @staticmethod
     def one(order: int) -> "Series":

@@ -5,7 +5,13 @@ divisors over a curve's square: finitely supported test functions on the
 powers of q, their Laurent-polynomial Mellin transforms, and pairings
 whose values are rational numbers.  The explicit formula is checked in
 exact arithmetic; positivity and the Hodge-index defect are one exact
-value, since the defect equals the zero sum term by term.
+value, since the defect equals the zero sum term by term.  Each value is
+an integer numerator over a known denominator: with L the lcm of the
+test function's denominators and q^-K its most negative power of q, the
+linear values (Mellin transforms, zero sum, diagonal pairing) are over
+L q^K and the quadratic positivity over L^2 q^K.  The power sums of the
+reciprocal roots are `ZetaCurve.power_sums`, and one Fraction is built
+per value.
 
 The number-field side is the axiomatic micro-intersection model: symbols
 D_x for x in [0, infinity] whose pairings reduce to the base value
@@ -29,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from zetalab.artin import ZetaCurve, nm
+from zetalab.artin import ZetaCurve
 from zetalab.errors import ENUMERATION_BUDGET, InputError, NumericError, ResourceError
 from zetalab.exact import bernoulli_even, rat
 from zetalab.ffield import primes_up_to
@@ -59,40 +65,39 @@ class FFTestFn:
     def delta(q: int, n: int) -> "FFTestFn":
         return FFTestFn.of(q, {n: 1})
 
-    def mellin_hat(self, k: int) -> Fraction:
-        """fhat(k) = sum f(q^n) q^(nk) for integer k (0 and 1 are the degrees)."""
-        total = Fraction(0)
-        for n, v in self.support:
-            total += v * _qpow(self.q, n * k)
-        return total
 
-    def divisor_coefficients(self) -> dict[int, Fraction]:
-        """Coefficients c_n of the graph divisor: c_n = f(q^n) q^min(n, 0)."""
-        return {n: v * _qpow(self.q, min(n, 0)) for n, v in self.support}
+def _integral(f: FFTestFn) -> tuple[int, int, list[tuple[int, int]]]:
+    """(L, K, [(n, L f(q^n))]): L is the lcm of the values' denominators
+    and K = max(0, -min n), so L f(q^n) q^(n+K) is an integer for every n."""
+    den = math.lcm(*(v.denominator for _, v in f.support))
+    k = max(0, -min((n for n, _ in f.support), default=0))
+    return den, k, sorted((n, v.numerator * (den // v.denominator)) for n, v in f.support)
 
 
-def _qpow(q: int, k: int) -> Fraction:
-    return Fraction(q) ** k
+def _scaled_sides(zc: ZetaCurve, f: FFTestFn) -> tuple[int, int, int, int, int]:
+    """S = L q^K (see `_integral`) and the integers S fhat(0), S fhat(1),
+    S sum_rho fhat(rho) and S <D_f, Diag>.
 
-
-def _nm_extended(zc: ZetaCurve, n: int) -> Fraction:
-    """Point counts extended to n = 0 by the self-intersection of the
-    diagonal, N_0 = 2 - 2g = 0 on an elliptic curve."""
-    if n == 0:
-        return Fraction(0)
-    return Fraction(nm(zc, abs(n)))
-
-
-def _psum(zc: ZetaCurve, cache: list[Fraction], n: int) -> Fraction:
-    """sum of w_i^n over the two reciprocal roots, any integer n (p_0 = 2,
-    negative powers through the pairing w -> q/w)."""
-    if n == 0:
-        return Fraction(2)
-    k = abs(n)
-    while len(cache) < k:
-        cache.extend(zc.power_sums(2 * len(cache) + 4)[len(cache):])
-    p_k = cache[k - 1]
-    return p_k if n > 0 else p_k / _qpow(zc.q, k)
+    With c_n = f(q^n) q^min(n, 0) the divisor coefficients, the zero sum
+    sum_i sum_n f(q^n) w_i^n over the reciprocal roots w_i is
+    sum c_n p_|n| (a negative power of a reciprocal root is w^-k =
+    (q/w)^k / q^k), and the diagonal pairing is sum c_n N_|n|, where
+    N_0 = 2 - 2g = 0 is the diagonal's self-intersection.
+    """
+    if f.q != zc.q:
+        raise InputError("test functions must share the curve's q")
+    den, k, values = _integral(f)
+    q = zc.q
+    ps = [2] + zc.power_sums(max((abs(n) for n, _ in values), default=0))
+    fhat0 = fhat1 = zeros = diag = 0
+    for n, v in values:
+        c = v * q ** (k + min(n, 0))
+        fhat0 += v * q ** k
+        fhat1 += v * q ** (k + n)
+        zeros += c * ps[abs(n)]
+        if n:
+            diag += c * (q ** abs(n) + 1 - ps[abs(n)])
+    return den * q ** k, fhat0, fhat1, zeros, diag
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,6 @@ class FFPairing:
     deg1: Fraction
     deg2: Fraction
     diag: Fraction
-
-
-def _diag_pairing(zc: ZetaCurve, f: FFTestFn) -> Fraction:
-    return sum((c * _nm_extended(zc, abs(n))
-                for n, c in f.divisor_coefficients().items()), Fraction(0))
 
 
 def ff_pairing(zc: ZetaCurve, f: FFTestFn) -> FFPairing:
@@ -116,38 +116,43 @@ def ff_pairing(zc: ZetaCurve, f: FFTestFn) -> FFPairing:
     pairing <D_f, D_g> of two divisors is the diagonal pairing of the
     convolution f * g^*, g^*(q^n) = g(q^-n) q^-n (tests/test_explicit.py).
     """
-    if f.q != zc.q:
-        raise InputError("test functions must share the curve's q")
-    return FFPairing(f.mellin_hat(1), f.mellin_hat(0), _diag_pairing(zc, f))
-
-
-def ff_zero_sum(zc: ZetaCurve, f: FFTestFn) -> Fraction:
-    """sum over zeta zeros of fhat(rho) = sum_i sum_n f(q^n) w_i^n, exact
-    through power sums in the reciprocal-root convention."""
-    cache: list[Fraction] = []
-    return sum((v * _psum(zc, cache, n) for n, v in f.support), Fraction(0))
+    scale, fhat0, fhat1, _, diag = _scaled_sides(zc, f)
+    return FFPairing(Fraction(fhat1, scale), Fraction(fhat0, scale), Fraction(diag, scale))
 
 
 def ff_explicit_formula_check(zc: ZetaCurve, f: FFTestFn) -> bool:
-    """fhat(0) + fhat(1) - sum_rho fhat(rho) == <D_f, Diag>, exactly."""
-    lhs = f.mellin_hat(0) + f.mellin_hat(1) - ff_zero_sum(zc, f)
-    return lhs == _diag_pairing(zc, f)
+    """fhat(0) + fhat(1) - sum_rho fhat(rho) == <D_f, Diag>, exactly.
+
+    Both sides are compared as integer numerators over the common
+    denominator L q^K of `_scaled_sides`.
+    """
+    _, fhat0, fhat1, zeros, diag = _scaled_sides(zc, f)
+    return fhat0 + fhat1 - zeros == diag
 
 
 def ff_positivity(zc: ZetaCurve, f: FFTestFn) -> Fraction:
     """sum_rho fhat(rho) fhat(1-rho), an exact nonnegative rational.
 
-    A negative value would certify that the input is not genuine curve
-    data (it would violate the Riemann hypothesis for the curve).
+    It is sum_i sum_(n,m) f(q^n) f(q^m) q^m w_i^(n-m) over the reciprocal
+    roots w_i.  `ZetaCurve` enforces the Hasse bound, which puts every
+    zero on Re s = 1/2: |w_i|^2 = q, so q^m w_i^-m is conj(w_i)^m and the
+    value is sum_i |sum_n f(q^n) w_i^n|^2, never negative.
+
+    The term of (n, m) is f(q^n) f(q^m) q^min(n,m) p_|n-m|, so with L and
+    K from `_integral` the sum is an integer numerator over L^2 q^K; the
+    pairs n < m are summed once and doubled.
     """
-    cache: list[Fraction] = []
-    total = Fraction(0)
-    for n, fv in f.support:
-        for m, gv in f.support:
-            total += fv * gv * _qpow(zc.q, m) * _psum(zc, cache, n - m)
-    if total < 0:
-        raise InputError("positivity failed: not a valid zeta datum")
-    return total
+    den, k, values = _integral(f)
+    q = zc.q
+    span = values[-1][0] - values[0][0] if values else 0
+    ps = [2] + zc.power_sums(span)
+    total = 0
+    for i, (n, v) in enumerate(values):
+        cross = 0
+        for m, u in values[i + 1:]:
+            cross += u * ps[m - n]
+        total += v * q ** (k + n) * (v + cross)
+    return Fraction(2 * total, den * den * q ** k)
 
 
 def ff_hodge_defect(zc: ZetaCurve, f: FFTestFn) -> Fraction:

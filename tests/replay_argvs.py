@@ -13,12 +13,14 @@ with their own count, since most guard input no argv is meant to reach:
 
     PYTHONPATH=src python tests/replay_argvs.py --unreached
 
-The argvs are the golden cases of `test_cli_golden.py` and every distinct
+The argvs are the golden cases of `test_cli_golden.py`, every distinct
 job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
-included.  Each is run in process from the repository root, and its exit
-code and stdout are kept.  `perfbench/` is only read: no bytecode is
-written for it.  Pytest does not collect this file (no `test_` prefix).
+included, and EDGE_ARGVS: the exact kernels' edge orders and spans, which
+neither of the other lists reaches.  Each is run in process from the
+repository root, and its exit code and stdout are kept.  `perfbench/` is
+only read: no bytecode is written for it.  Pytest does not collect this
+file (no `test_` prefix).
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zetalab"
 SEEDS = {"ff_curves": (1, 2, 3), "euler": (1, 2, 3), "q_lattice": (1, 2, 3),
          "xi_high": (1,)}
+_EDGE_CURVE = ("--curve", "y2=x3+x+1", "--p", "59")
+EDGE_ARGVS = (
+    *(("allbundles", *_EDGE_CURVE, "--order", order) for order in ("0", "1", "40")),
+    ("explicit-ff", *_EDGE_CURVE, "--count", "0"),
+    *(("explicit-ff", *_EDGE_CURVE, "--span", span) for span in ("0", "6")),
+    ("artin", *_EDGE_CURVE, "--order", "1"),
+)
 
 
 def argvs() -> dict[str, tuple[bool, tuple[str, ...]]]:
@@ -46,8 +55,8 @@ def argvs() -> dict[str, tuple[bool, tuple[str, ...]]]:
     import jobs
 
     found = {}
-    for _, argv in CASES:
-        found[json.dumps(argv)] = (False, tuple(argv))
+    for argv in [argv for _, argv in CASES] + list(EDGE_ARGVS):
+        found[json.dumps(list(argv))] = (False, tuple(argv))
     for workload, seeds in SEEDS.items():
         for seed in seeds:
             for job in jobs.build(workload, seed):

@@ -16,7 +16,7 @@ from zetalab.artin import (
     rh_check,
 )
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, rat
+from zetalab.exact import Poly, Series, power_sums_from_poly, rat
 from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to
 
 ZC59 = elliptic_zeta(5, 9)    # y^2 = x^3 + x + 1 over F_5
@@ -95,6 +95,15 @@ class TestNm:
         curve = WeierstrassCurve(FieldSpec(5), 1, 1)
         for m in (1, 2, 3):
             assert nm(ZC59, m) == enumerated_count(curve, m)
+
+    def test_power_sums_match_newton(self):
+        # the two-term recurrence against Newton's identity on P
+        for q in primes_up_to(50):
+            bound = math.isqrt(4 * q)
+            for a in range(-bound, bound + 1):
+                zc = ZetaCurve(q, a)
+                for m_max in (0, 1, 2, 13):
+                    assert zc.power_sums(m_max) == power_sums_from_poly(zc.P, m_max)
 
 
 class TestBaseExtend:

@@ -253,10 +253,14 @@ class TestExitCodes:
         (["explicit-ff", "--curve", "y2=x3+x+1", "--p", "59", "--span", "-2"], 1),
         (["nazeta", "--curve", "y2=x3+x+1", "--p", "5", "--rank", "2",
           "--mmax", "-4"], 1),
+        (["artin", "--curve", "y2=x3+x+1", "--p", "5", "--mmax", "-1"], 1),
+        (["mass", "--curve", "y2=x3+x+1", "--p", "5", "--rmax", "-2"], 1),
+        (["explicit-nf", "--zeros", ZEROS, "--pmax", "-7"], 1),
     ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
             "zeros-missing", "zeros-directory", "zeros-not-utf8",
             "euler-pmax-zero", "euler-pmax-negative", "explicit-ff-count-negative",
-            "explicit-ff-span-negative", "nazeta-mmax-negative"])
+            "explicit-ff-span-negative", "nazeta-mmax-negative", "artin-mmax-negative",
+            "mass-rmax-negative", "explicit-nf-pmax-negative"])
     def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         captured = capsys.readouterr()

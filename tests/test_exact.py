@@ -53,6 +53,15 @@ def fraction_log(a):
     return lg
 
 
+def fraction_ratio(num, den, order):
+    """Series.ratio's route before it cleared denominators: num/d0 times
+    the inverse of den/d0, whose constant term is 1, on Fractions."""
+    def scaled(p):
+        cs = [c / den[0] for c in p.coeffs[:order]]
+        return cs + [Fraction(0)] * (order - len(cs))
+    return fraction_mul(scaled(num), fraction_inverse(scaled(den)))
+
+
 def log_power_sums(p, m_max):
     """Power sums as -m * [log p]_m, in Fractions: O(m_max^2)."""
     lg = fraction_log(list(Series.from_poly(p, m_max + 1).coeffs))
@@ -176,6 +185,21 @@ class TestSeriesRatio:
             d0 = rng.choice([2, -3, 5, 7, -12])
             den = Poly([d0] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))])
             self.check(num, den)
+
+    def test_matches_fraction_route(self):
+        # the t -> d0 t substitution and the d0^(k+1) division against the
+        # scale-by-1/d0 route, for d0 = +-1, non-unit, negative and rational,
+        # with num's degree below and above the order
+        rng = random.Random(31)
+        for order in range(1, 41):
+            for d0 in (1, -1, 2, -3, 12, Fraction(3, 4), Fraction(-5, 6)):
+                for bound in (1, 4):
+                    num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, bound))
+                                for _ in range(rng.choice([order // 2, order + 3]) + 1)])
+                    den = Poly([d0] + [Fraction(rng.randint(-9, 9), rng.randint(1, bound))
+                                       for _ in range(rng.randint(0, 5))])
+                    got = Series.ratio(num, den, order)
+                    assert list(got.coeffs) == fraction_ratio(num, den, order)
 
     def test_pole_at_zero_refused(self):
         with pytest.raises(InputError, match="pole at t=0"):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import tracemalloc
@@ -12,10 +13,12 @@ import pytest
 
 from zetalab.artin import ZetaCurve, elliptic_zeta
 from zetalab.errors import InputError, NumericError, ResourceError
+from zetalab.exact import power_sums_from_poly
 from zetalab.explicit import (
     FIRST_ZERO,
     HALFWIDTH_SIGMAS,
     QUAD_ORDER,
+    FFPairing,
     FFTestFn,
     MicroModel,
     NFTestFn,
@@ -25,7 +28,6 @@ from zetalab.explicit import (
     ff_hodge_defect,
     ff_pairing,
     ff_positivity,
-    ff_zero_sum,
     global_pairing,
     load_zeros,
     micro_pairing,
@@ -36,13 +38,12 @@ from zetalab.explicit import (
     _arch_term,
     _composite_quad,
     _cross_pairing,
-    _diag_pairing,
-    _nm_extended,
     _panel_points,
-    _qpow,
     _re_digamma,
+    _scaled_sides,
     _weight_arr,
 )
+from zetalab.ffield import primes_up_to
 from zetalab.lattice import xi_q
 
 ZEROS_PATH = Path(__file__).parent / "data" / "zeros100.txt"
@@ -50,6 +51,67 @@ ZEROS = load_zeros(ZEROS_PATH)
 
 ZC59 = elliptic_zeta(5, 9)
 ZC711 = elliptic_zeta(7, 11)
+
+
+# The Fraction routes of the function-field side, kept as exact oracles for
+# the library's integer numerators: each value term by term, with every
+# power of q a Fraction.
+
+def _qpow(q: int, k: int) -> Fraction:
+    return Fraction(q) ** k
+
+
+def mellin_hat(f: FFTestFn, k: int) -> Fraction:
+    """fhat(k) = sum f(q^n) q^(nk) for integer k (0 and 1 are the degrees)."""
+    return sum((v * _qpow(f.q, n * k) for n, v in f.support), Fraction(0))
+
+
+def divisor_coefficients(f: FFTestFn) -> dict[int, Fraction]:
+    """Coefficients c_n of the graph divisor: c_n = f(q^n) q^min(n, 0)."""
+    return {n: v * _qpow(f.q, min(n, 0)) for n, v in f.support}
+
+
+def _nm_extended(zc: ZetaCurve, n: int) -> Fraction:
+    """Point counts N_|n| = q^|n| + 1 - p_|n|, extended to n = 0 by the
+    self-intersection of the diagonal, N_0 = 2 - 2g = 0 on an elliptic curve."""
+    if n == 0:
+        return Fraction(0)
+    return zc.q ** abs(n) + 1 - _psum(zc, abs(n))
+
+
+@functools.cache
+def _psum(zc: ZetaCurve, n: int) -> Fraction:
+    """sum of w_i^n over the two reciprocal roots, any integer n (p_0 = 2,
+    negative powers through the pairing w -> q/w), by Newton's identity
+    on the numerator."""
+    if n == 0:
+        return Fraction(2)
+    p_k = power_sums_from_poly(zc.P, abs(n))[-1]
+    return p_k if n > 0 else p_k / _qpow(zc.q, -n)
+
+
+def _diag_pairing(zc: ZetaCurve, f: FFTestFn) -> Fraction:
+    return sum((c * _nm_extended(zc, abs(n))
+                for n, c in divisor_coefficients(f).items()), Fraction(0))
+
+
+def zero_sum_oracle(zc: ZetaCurve, f: FFTestFn) -> Fraction:
+    """sum over zeta zeros of fhat(rho) = sum_i sum_n f(q^n) w_i^n."""
+    return sum((v * _psum(zc, n) for n, v in f.support), Fraction(0))
+
+
+def positivity_oracle(zc: ZetaCurve, f: FFTestFn) -> Fraction:
+    """sum over (n, m) of f(q^n) f(q^m) q^m p_(n-m), every pair summed."""
+    return sum((fv * gv * _qpow(zc.q, m) * _psum(zc, n - m)
+                for n, fv in f.support for m, gv in f.support), Fraction(0))
+
+
+def every_small_curve():
+    """Every zeta datum ZetaCurve(p, a), 5 <= p <= 50 prime and a^2 <= 4p."""
+    for p in primes_up_to(50):
+        if p >= 5:
+            bound = math.isqrt(4 * p)
+            yield from (ZetaCurve(p, a) for a in range(-bound, bound + 1))
 
 
 def random_fftest(rng, q, span=3, scale=9):
@@ -73,8 +135,8 @@ def pair_graphs(zc: ZetaCurve, n: int, m: int) -> Fraction:
 def ff_cross_direct(zc: ZetaCurve, f: FFTestFn, g: FFTestFn) -> Fraction:
     """<D_f, D_g> by direct bilinear expansion over graph pairings (the
     independent route against the convolution reduction)."""
-    cf = f.divisor_coefficients()
-    cg = g.divisor_coefficients()
+    cf = divisor_coefficients(f)
+    cg = divisor_coefficients(g)
     return sum((cf[n] * cg[m] * pair_graphs(zc, n, m)
                 for n in cf for m in cg), Fraction(0))
 
@@ -94,7 +156,7 @@ def convolve_with_dual(f: FFTestFn, g: FFTestFn) -> FFTestFn:
 def hodge_defect_oracle(zc: ZetaCurve, f: FFTestFn) -> Fraction:
     """2 fhat(0) fhat(1) - <D_f, D_f>, the self-pairing taken as the
     diagonal pairing of f * f^*."""
-    return (2 * f.mellin_hat(0) * f.mellin_hat(1)
+    return (2 * mellin_hat(f, 0) * mellin_hat(f, 1)
             - _diag_pairing(zc, convolve_with_dual(f, f)))
 
 
@@ -117,7 +179,7 @@ class TestFFPairing:
             f = random_fftest(rng, 5)
             p = ff_pairing(ZC59, f)
             # the fiber degrees summed over the graph divisor's coefficients
-            coeffs = f.divisor_coefficients()
+            coeffs = divisor_coefficients(f)
             assert p.deg1 == sum(c * F(5) ** max(n, 0) for n, c in coeffs.items())
             assert p.deg2 == sum(c * F(5) ** max(-n, 0) for n, c in coeffs.items())
 
@@ -156,7 +218,7 @@ class TestFFExplicitFormula:
         f = FFTestFn.delta(5, 1)
         assert ff_explicit_formula_check(ZC59, f)
         # the identity contracted: N_1 = q + 1 - sum of reciprocal roots
-        assert f.mellin_hat(0) + f.mellin_hat(1) - ff_zero_sum(ZC59, f) == 9
+        assert mellin_hat(f, 0) + mellin_hat(f, 1) - zero_sum_oracle(ZC59, f) == 9
 
     def test_zero_function(self):
         assert ff_explicit_formula_check(ZC59, FFTestFn.of(5, {}))
@@ -180,6 +242,40 @@ class TestFFPositivity:
         for zc in (ZC59, ZC711):
             for _ in range(40):
                 assert ff_positivity(zc, random_fftest(rng, zc.q)) >= 0
+
+    def test_nonnegative_on_every_small_curve(self):
+        # the Hasse bound puts every zero on Re s = 1/2, so the value is a
+        # sum of squares |fhat(rho)|^2 on every datum ZetaCurve accepts
+        rng = random.Random(41)
+        for zc in every_small_curve():
+            for span in range(7):
+                for _ in range(3):
+                    assert ff_positivity(zc, random_fftest(rng, zc.q, span)) >= 0
+
+
+class TestIntegerKernels:
+    """The integer numerators against the Fraction routes, exactly."""
+
+    def test_every_small_curve(self):
+        rng = random.Random(37)
+        for zc in every_small_curve():
+            tests = [FFTestFn.of(zc.q, {})]
+            for span in range(7):
+                # the support [lo, lo + span] lies left of 0, across it or
+                # right of it, so K runs from 0 past the span
+                lo = rng.randint(-span - 3, 3)
+                tests.append(FFTestFn.of(zc.q, {n: F(rng.randint(-9, 9), rng.randint(1, 4))
+                                                for n in range(lo, lo + span + 1)}))
+            for f in tests:
+                assert ff_positivity(zc, f) == positivity_oracle(zc, f)
+                scale, _, _, zeros, _ = _scaled_sides(zc, f)
+                assert Fraction(zeros, scale) == zero_sum_oracle(zc, f)
+                pairing = ff_pairing(zc, f)
+                assert pairing == FFPairing(mellin_hat(f, 1), mellin_hat(f, 0),
+                                            _diag_pairing(zc, f))
+                assert ff_explicit_formula_check(zc, f)
+                assert (mellin_hat(f, 0) + mellin_hat(f, 1) - zero_sum_oracle(zc, f)
+                        == _diag_pairing(zc, f))
 
 
 class TestHodgeDefect:
