@@ -4,10 +4,11 @@ A `ZetaCurve` is the zeta datum of an elliptic curve over F_q: the base
 size q and the trace of Frobenius a, with Z(t) = P(t)/((1-t)(1-qt)) and
 P(t) = 1 - a t + q t^2.  So the numerator always has integer
 coefficients, degree 2 and the functional equation; the one condition
-left is Hasse's a^2 <= 4q, which is also the Riemann hypothesis.  Point
-counts, base extension and the roots-of-unity reciprocity law run through
-exact power sums of the numerator's reciprocal roots; no root is ever
-extracted.
+left is Hasse's a^2 <= 4q, which is also the Riemann hypothesis, and the
+constructor alone decides it: no built datum needs either identity
+re-checked.  Point counts, base extension and the roots-of-unity
+reciprocity law run through exact power sums of the numerator's
+reciprocal roots; no root is ever extracted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, decimate, fe_transform_check
+from zetalab.exact import Poly, Series, decimate
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,3 @@ def rh_check(zc: ZetaCurve) -> bool:
     same test.
     """
     return zc.a * zc.a <= 4 * zc.q
-
-
-def fe_check_zeta(zc: ZetaCurve) -> bool:
-    """Functional-equation check in the zeta normalization (N(K) = 1)."""
-    return fe_transform_check(zc.P, zc.q, 1)

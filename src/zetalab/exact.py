@@ -4,16 +4,18 @@ Coefficients are `fractions.Fraction` at the interface; nothing here ever
 rounds.  A polynomial is a dense ascending coefficient tuple with the
 trailing zero coefficients stripped, and a truncated power series carries
 its truncation order as explicit state (mixing orders takes the minimum).
-A rational function num/den is never reduced, only expanded into its
-power series by `Series.ratio`.  Inside, the series product, inverse and
-log and the power sums run their recurrences on Python ints whenever every
-input coefficient is an integer (with a constant term of +-1 for the
-inverse), and build Fractions only for the output; other input runs the
-same recurrences on Fractions.  `Series.ratio` brings every pair to the
-integer path: it clears denominators and substitutes t -> d0 t, d0 the
-denominator's constant term, which makes that constant term 1, and divides
-coefficient k of the integer expansion by d0^(k+1) at the end.  The one
-float helper, `complex_fsum`, rounds once per component.
+`Poly` is a ring with evaluation and has no division: a rational function
+num/den is never reduced, only expanded into its power series by
+`Series.ratio`, and nothing takes a polynomial gcd.  Inside, the series
+product, inverse and log and the power sums run their recurrences on
+Python ints whenever every input coefficient is an integer (with a
+constant term of +-1 for the inverse), and build Fractions only for the
+output; other input runs the same recurrences on Fractions.
+`Series.ratio` brings every pair to the integer path: it clears
+denominators and substitutes t -> d0 t, d0 the denominator's constant
+term, which makes that constant term 1, and divides coefficient k of the
+integer expansion by d0^(k+1) at the end.  The one float helper,
+`complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class Poly:
         """Degree; the zero polynomial reports -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -142,44 +141,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise InputError("polynomial division by zero")
-        num = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        if len(num) <= d:
-            return Poly(), self
-        quot = [Fraction(0)] * (len(num) - d)
-        for i in range(len(num) - d - 1, -1, -1):
-            c = num[i + d] / lead
-            quot[i] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    num[i + j] -= c * oc
-        return Poly(quot), Poly(num[:d])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"

@@ -1,12 +1,14 @@
 """Rational functions and power-sum expansions over Q, kept as test oracles.
 
 The library expands every zeta function straight into a power series
-(`Series.ratio`).  `RatFunc` reduces num/den by a Euclid gcd and keeps the
-denominator monic, so tests can compare rational functions, evaluate them
-and sum them independently of that expansion; `longdiv_series` expands
-num/den by explicit long division.  `series_exp_from_power_sums` builds a
-zeta series from point counts, and `poly_from_power_sums` inverts
-`exact.power_sums_from_poly`, both through `Series.exp`.
+(`Series.ratio`), and its `Poly` has no division.  `poly_divmod` and
+`poly_gcd` are Euclid's algorithm over Q.  `RatFunc` reduces num/den by
+that gcd and keeps the denominator monic, so tests can compare rational
+functions, evaluate them and sum them independently of that expansion;
+`longdiv_series` expands num/den by explicit long division.
+`series_exp_from_power_sums` builds a zeta series from point counts, and
+`poly_from_power_sums` inverts `exact.power_sums_from_poly`, both through
+`Series.exp`.
 """
 
 from fractions import Fraction
@@ -43,6 +45,38 @@ def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:
     return Poly(series_exp_from_power_sums([-c for c in psums[:degree]], degree + 1).coeffs)
 
 
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b != 0: a = q b + r, deg r < deg b."""
+    if not b.coeffs:
+        raise InputError("polynomial division by zero")
+    num = list(a.coeffs)
+    d = b.degree
+    lead = b.coeffs[-1]
+    if len(num) <= d:
+        return Poly(), a
+    quot = [Fraction(0)] * (len(num) - d)
+    for i in range(len(num) - d - 1, -1, -1):
+        c = num[i + d] / lead
+        quot[i] = c
+        if c:
+            for j, bc in enumerate(b.coeffs):
+                num[i + j] -= c * bc
+    return Poly(quot), Poly(num[:d])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b (the zero polynomial if both are zero)."""
+    while b.coeffs:
+        a, b = b, poly_divmod(a, b)[1]
+    if not a.coeffs:
+        return a
+    return a.scale(1 / a.coeffs[-1])
+
+
+def poly_derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
 def longdiv_series(num, den, order):
     """Independent oracle: power series of num/den by explicit long division."""
     out = []
@@ -63,12 +97,12 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
+        if not den.coeffs:
             raise InputError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num = poly_divmod(num, g)[0]
+            den = poly_divmod(den, g)[0]
         lead = den.coeffs[-1]
         if lead != 1:
             num = num.scale(1 / lead)
@@ -103,7 +137,7 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
+        if not other.num.coeffs:
             raise InputError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 

@@ -16,8 +16,9 @@ with their own count, since most guard input no argv is meant to reach:
 The argvs are the golden cases of `test_cli_golden.py`, every distinct
 job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
-included, and EDGE_ARGVS: the exact kernels' edge orders and spans, which
-neither of the other lists reaches.  Each is run in process from the
+included, and EDGE_ARGVS: the exact kernels' edge orders and spans, and
+`nazeta` at the largest prime the group census accepts, which neither of
+the other lists reaches.  Each is run in process from the
 repository root, and its exit code and stdout are kept.  `perfbench/` is
 only read: no bytecode is written for it.  Pytest does not collect this
 file (no `test_` prefix).
@@ -44,6 +45,9 @@ EDGE_ARGVS = (
     ("explicit-ff", *_EDGE_CURVE, "--count", "0"),
     *(("explicit-ff", *_EDGE_CURVE, "--span", span) for span in ("0", "6")),
     ("artin", *_EDGE_CURVE, "--order", "1"),
+    # 3137 is the largest prime the group census accepts
+    *(("nazeta", "--curve", "y2=x3+x+1", "--p", "3137", "--rank", rank,
+       "--convention", conv) for rank in ("2", "3") for conv in ("paper", "descent")),
 )
 
 

@@ -14,12 +14,13 @@ from pathlib import Path
 import mpmath
 from fq_oracle import enumerated_count
 from test_explicit import hodge_defect_oracle
+from test_nazeta import reflection_holds
 
-from zetalab.artin import elliptic_zeta, fe_check_zeta, nm, reciprocity_check, rh_check
+from zetalab.artin import elliptic_zeta, nm, reciprocity_check, rh_check
 from zetalab.bundles import Convention, CurveData, invariant, mass_recursion_beta
 from zetalab.cli import main as cli_main
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series
+from zetalab.exact import Poly, Series, fe_transform_check
 from zetalab.explicit import (
     FFTestFn,
     NFTestFn,
@@ -44,7 +45,7 @@ from zetalab.nazeta import (
     andrianov_formal_match,
     ell_na_zeta,
     na_counts,
-    na_properties_check,
+    root_pairing_residual,
 )
 
 ZEROS_PATH = Path(__file__).parent / "data" / "zeros100.txt"
@@ -86,7 +87,7 @@ def test_criterion_01_artin_suite():
         assert zc.P == Poly([1, 3, 5])
         assert [nm(zc, m) for m in (1, 2, 3)] == [9, 27, 108]
         assert enumerated_count(curve, 2) == 27      # F_25 enumeration
-        assert fe_check_zeta(zc) and rh_check(zc)
+        assert fe_transform_check(zc.P, zc.q, 1) and rh_check(zc)
         for n in (2, 3, 4):
             assert reciprocity_check(zc, n, 8)
     _report(1, t, "Artin suite on y^2=x^3+x+1 over F_5")
@@ -112,11 +113,10 @@ def test_criterion_03_properties():
             for conv in Convention:
                 for r in (1, 2, 3):
                     z = ell_na_zeta(data, r, conv)
-                    report = na_properties_check(z)
-                    assert report.degree_ok                  # degree 2rg
-                    assert report.functional_equation_ok
-                    assert report.root_pairing_exact_ok
-                    assert report.root_pairing_numeric_residual <= 1e-9
+                    assert z.P.degree == 2 * r               # degree 2rg
+                    assert fe_transform_check(z.P, z.q, r)
+                    assert reflection_holds(z)
+                    assert root_pairing_residual(z) <= 1e-9
                     # N(m) = m [log(Z / P(0))]_m
                     logz = Series.ratio(z.normalized_numerator, z.denominator, 7).log()
                     assert na_counts(z, 6) == [m * logz[m] for m in range(1, 7)]

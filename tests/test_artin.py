@@ -10,13 +10,12 @@ from zetalab.artin import (
     ZetaCurve,
     base_extend,
     elliptic_zeta,
-    fe_check_zeta,
     nm,
     reciprocity_check,
     rh_check,
 )
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, power_sums_from_poly, rat
+from zetalab.exact import Poly, Series, fe_transform_check, power_sums_from_poly, rat
 from zetalab.ffield import FieldSpec, WeierstrassCurve, primes_up_to
 
 ZC59 = elliptic_zeta(5, 9)    # y^2 = x^3 + x + 1 over F_5
@@ -212,7 +211,14 @@ class TestEllipticZetaDirect:
 class TestFunctionalEquation:
     def test_gallery(self):
         for zc in GALLERY:
-            assert fe_check_zeta(zc)
+            assert fe_transform_check(zc.P, zc.q, 1)
+
+    def test_every_datum(self):
+        # what lets `artin` print functional_equation_ok as a constant:
+        # 1 - at + qt^2 has it for every (q, a), the Hasse range or not
+        for q in range(2, 60):
+            for a in range(-2 * q, 2 * q + 1):
+                assert fe_transform_check(Poly([1, -a, q]), q, 1)
 
 
 class TestRandomizedCountsRoundtrip:

@@ -292,6 +292,17 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("count, span", [("1", "1581"), ("3", "913")])
+    def test_explicit_ff_work_budget(self, capsys, count, span):
+        # count * (2 span + 1)^2 just over ENUMERATION_BUDGET: refused
+        # before the curve is read, not run for seconds to hours
+        start = time.perf_counter()
+        assert main(["explicit-ff", "--curve", "y2=x3+x+1", "--p", "59",
+                     "--count", count, "--span", span]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "resource error" in captured.err
+
     def test_xi_far_left_is_bounded(self, capsys):
         # a large negative sigma must not raise the working precision
         start = time.perf_counter()
