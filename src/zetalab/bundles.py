@@ -16,8 +16,8 @@ all needed torsion points and roots as rational and all classes as split.
 come from the group structure, non-rational pieces enter as Galois orbits
 with extension-field unit groups as automorphisms.  The descent census is
 cross-checked against the Harder-Narasimhan / Desale-Ramanan mass
-recursion, which closes the unstable-strata sums as geometric series in
-exact arithmetic.
+recursion: it closes the unstable-strata sums as geometric series of
+integer numerators over one denominator (on Fractions: bundle_oracle.py).
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return list(parts(n, n))
 
 
+# the Jordan types of m <= 3 equal pieces, all a census row of rank <= 3 has
+_JORDAN_TYPES = tuple(_partitions(m) for m in range(4))
+
+
 # ---------------------------------------------------------------------------
 # strata census
 
@@ -155,7 +159,7 @@ def _class_row(label: str, classes, q: int, trivial: int,
     """
     def jordan_types(m: int, qe: int):
         # one orbit's Jordan types, each 1/#Aut as weight/den
-        types = _partitions(m)
+        types = _JORDAN_TYPES[m]
         auts = [_module_aut_count(lam, qe) for lam in types]
         den = math.lcm(*auts)
         return types, [den // a for a in auts], den
@@ -316,57 +320,46 @@ def invariant(kind: str, r: int, d: int, curve: CurveData,
 # ---------------------------------------------------------------------------
 # Harder-Narasimhan / Desale-Ramanan mass recursion
 
-def _zeta_value(zc: ZetaCurve, i: int) -> Fraction:
-    # Z(x) = P(x)/((1-x)(1-qx)) at x = q^-i, evaluated directly
-    x = Fraction(1, zc.q ** i)
-    return zc.P(x) / ((1 - x) * (1 - zc.q * x))
-
-
-def _beta2_parity(zc: ZetaCurve, b1: Fraction, parity: int) -> Fraction:
-    s = Fraction(zc.q, zc.q ** 2 - 1) if parity else Fraction(1, zc.q ** 2 - 1)
-    return b1 * _zeta_value(zc, 2) - b1 * b1 * s
-
-
-def _t12_t21_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
-    # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term B1 * beta2(d-m) / q^(3m-d),
-    # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) * B1 / q^(3m-2d);
-    # each summed over every m, two parities per q^-6 block
-    q = zc.q
-    beta2 = (_beta2_parity(zc, b1, 0), _beta2_parity(zc, b1, 1))
-    m12 = d // 3 + 1
-    m21 = (2 * d) // 3 + 1
-    total = Fraction(0)
-    for e0, d2 in ((3 * m12 - d, d - m12), (3 * m21 - 2 * d, m21)):
-        first, second = beta2[d2 % 2], beta2[1 - d2 % 2]
-        total += Fraction(1, q ** e0) * (first + second * Fraction(1, q ** 3))
-    return b1 * total / (1 - Fraction(1, q ** 6))
-
-
-def _t111_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
-    # sum over d1 > d2 > d3, sum d: gaps u = d1-d2 >= 1, v = d2-d3 >= 1 with
-    # u - v = d (mod 3); weight q^(-2(u+v))
-    q = zc.q
-    ratio = Fraction(1, q ** 6)
-    total = Fraction(0)
-    for u0 in (1, 2, 3):
-        v0 = ((u0 - d - 1) % 3) + 1
-        total += (Fraction(1, q ** (2 * u0)) / (1 - ratio)) * \
-                 (Fraction(1, q ** (2 * v0)) / (1 - ratio))
-    return b1 ** 3 * total
+def _zeta_value(zc: ZetaCurve, i: int) -> int:
+    """The numerator of Z(q^-i) over q (q^i - 1)(q^(i-1) - 1): P(x)/((1-x)
+    (1-qx)) at x = q^-i, times q^2i over q^2i, is q^2i - a q^i + q over it."""
+    qi = zc.q ** i
+    return qi * qi - zc.a * qi + zc.q
 
 
 def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
     """beta_r(d) from the mass recursion: the total rank-r mass is
     (N_1/(q-1)) * prod_{i=2}^r zeta(q^-i), and the unstable strata are
     subtracted as exactly-summed geometric series.
+
+    Each Z(q^-i) is evaluated once, and every term is an integer numerator
+    over one denominator, q (q-1)^2 (q^2-1) at rank 2 and q^2 (q-1)^3
+    (q^6-1)^2 at rank 3; the value returned is the one Fraction.
     """
     if r not in (1, 2, 3):
         raise CapabilityError("recursion implemented for rank <= 3")
-    q = zc.q
-    b1 = Fraction(nm(zc, 1), q - 1)
+    q, n1 = zc.q, nm(zc, 1)
     if r == 1:
-        return b1
+        return Fraction(n1, q - 1)
+    # beta_2 of even and odd degree: b1 Z(q^-2) - b1^2/(q^2-1), the square
+    # times q in odd degree, with b1 = n1/(q-1)
+    z2 = _zeta_value(zc, 2)
+    beta2 = n1 * (z2 - q * n1), n1 * (z2 - q * q * n1)
     if r == 2:
-        return _beta2_parity(zc, b1, d % 2)
-    total = b1 * _zeta_value(zc, 2) * _zeta_value(zc, 3)
-    return total - _t12_t21_closed(zc, b1, d) - _t111_closed(zc, b1, d)
+        return Fraction(beta2[d % 2], q * (q - 1) ** 2 * (q * q - 1))
+    # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term b1 beta2(d-m)/q^(3m-d),
+    # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) b1/q^(3m-2d);
+    # from the first m, where e0 = 3m - d (or 3m - 2d) is 1, 2 or 3, the sum
+    # is q^(3-e0) (q^3 first + second)/(q^6 - 1).  Type (1, 1, 1): gaps u, v
+    # >= 1 with u - v = d (mod 3), weight b1^3 q^(-2(u+v)), sum q^(12-2u0-2v0)
+    # /(q^6 - 1)^2 from the first gaps u0, v0 in 1..3.
+    m12, m21 = d // 3 + 1, (2 * d) // 3 + 1
+    t12 = sum(q ** (3 - e0) * (q ** 3 * beta2[d2 % 2] + beta2[1 - d2 % 2])
+              for e0, d2 in ((3 * m12 - d, d - m12), (3 * m21 - 2 * d, m21)))
+    t111 = sum(q ** (12 - 2 * u0 - 2 * ((u0 - d - 1) % 3 + 1)) for u0 in (1, 2, 3))
+    # b1 Z(q^-2) Z(q^-3) is over q^2 (q-1)^2 (q^2-1)^2 (q^3-1), b1 t12 over q
+    # (q-1)^3 (q^2-1)(q^6-1), b1^3 t111 over (q-1)^3 (q^6-1)^2; q^6 - 1 = (q^2-1) c3 c6
+    c3, c6 = q * q + q + 1, q * q - q + 1
+    num = (n1 * z2 * _zeta_value(zc, 3) * c3 * c6 * c6
+           - n1 * q * c3 * c6 * t12 - q * q * n1 ** 3 * t111)
+    return Fraction(num, q * q * (q - 1) ** 3 * (q ** 6 - 1) ** 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -25,6 +26,10 @@ from zetalab.exact import Poly
 from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
 
 USAGE_EXIT = 64
+STR_DIGITS = 4300        # Python's default limit on an int's str digits
+# reciprocity_check's work grows about as order^3.5: at order 100 it takes
+# 0.2 s at p = 59 and 1.1 s at p = 999983, at order 250 4 s and 22 s
+ARTIN_ORDER_CAP = 100
 
 
 class _UsageError(Exception):
@@ -136,6 +141,14 @@ def parse_complex(spec: str) -> complex:
         raise _UsageError(f"cannot parse complex number {spec!r}") from exc
 
 
+def _check_printable(log10_bound: float, flag: str) -> None:
+    """Refuse a job whose printed numbers may reach 10^STR_DIGITS, before
+    its work: str() would end the run in a ValueError."""
+    if log10_bound >= STR_DIGITS:
+        raise ResourceError(f"{flag} too large: printed numbers could pass "
+                            f"{STR_DIGITS} digits")
+
+
 def _curve_data(args) -> bundles.CurveData:
     curve = parse_curve(args.curve, args.p)
     return bundles.CurveData.from_curve(curve)
@@ -147,7 +160,10 @@ def _curve_data(args) -> bundles.CurveData:
 def cmd_artin(args) -> dict:
     if args.mmax < 0:
         raise InputError("--mmax must be >= 0")
+    if args.order > ARTIN_ORDER_CAP:
+        raise ResourceError(f"--order capped at {ARTIN_ORDER_CAP}")
     curve = parse_curve(args.curve, args.p)
+    _check_printable(args.mmax * math.log10(args.p) + math.log10(4), "--mmax")  # N_m <= 4 q^m
     n1 = count_points(curve, 1)
     zc = artin.elliptic_zeta(args.p, n1)
     recip = {str(n): artin.reciprocity_check(zc, n, args.order)
@@ -167,6 +183,7 @@ def cmd_artin(args) -> dict:
 def cmd_nazeta(args) -> dict:
     data = _curve_data(args)
     z = nazeta.ell_na_zeta(data, args.rank, bundles.Convention(args.convention))
+    _check_printable(nazeta.na_counts_log10_bound(z, args.mmax), "--mmax")
     return {
         "q": data.q,
         "n1": data.n1,
@@ -244,7 +261,8 @@ def cmd_allbundles(args) -> dict:
     report = nazeta.allbundles_rank2(data, args.order)
     pieces = [{
         "piece": piece.name,
-        "closed": piece.closed,
+        # a closed coefficient is an int where integral; it prints as a rational
+        "closed": [Fraction(c) for c in piece.closed],
         "direct": piece.direct,
         "agree": piece.agree,
     } for piece in report.positive + (report.negative,)]
@@ -333,6 +351,10 @@ def cmd_explicit_ff(args) -> dict:
         raise ResourceError("--count * (2 --span + 1)^2 capped at "
                             f"{ENUMERATION_BUDGET}")
     curve = parse_curve(args.curve, args.p)
+    # a positivity value is 2 S / (L^2 q^K) with L <= 12, K <= span and
+    # |S| <= 2 (9 L)^2 (2 span + 1)^2 q^(2 span), as |p_j| <= 2 q^(j/2)
+    _check_printable(2 * args.span * math.log10(args.p)
+                     + math.log10(4 * 108 ** 2 * (2 * args.span + 1) ** 2), "--span")
     n1 = count_points(curve, 1)
     zc = artin.elliptic_zeta(args.p, n1)
     rng = random.Random(args.seed)

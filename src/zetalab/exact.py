@@ -1,21 +1,20 @@
 """Exact rational substrate: dense polynomials and truncated power series.
 
-Coefficients are `fractions.Fraction` at the interface; nothing here ever
-rounds.  A polynomial is a dense ascending coefficient tuple with the
-trailing zero coefficients stripped, and a truncated power series carries
-its truncation order as explicit state (mixing orders takes the minimum).
-`Poly` is a ring with evaluation and has no division: a rational function
-num/den is never reduced, only expanded into its power series by
-`Series.ratio`, and nothing takes a polynomial gcd.  Inside, the series
-product, inverse and log and the power sums run their recurrences on
-Python ints whenever every input coefficient is an integer (with a
-constant term of +-1 for the inverse), and build Fractions only for the
-output; other input runs the same recurrences on Fractions.
-`Series.ratio` brings every pair to the integer path: it clears
-denominators and substitutes t -> d0 t, d0 the denominator's constant
-term, which makes that constant term 1, and divides coefficient k of the
-integer expansion by d0^(k+1) at the end.  The one float helper,
-`complex_fsum`, rounds once per component.
+A coefficient is an `int` when it is integral and a `fractions.Fraction`
+otherwise, a form the constructors keep; nothing here ever rounds.  A
+polynomial is a dense ascending coefficient tuple with the trailing zeros
+stripped, and a truncated power series carries its truncation order as
+explicit state (mixing orders takes the minimum).  `Poly` is a ring with
+no evaluation and no division: a rational function num/den is never
+reduced, only expanded into its power series by `Series.ratio`.  The
+series product, inverse and log and the power sums run one recurrence for
+both kinds of coefficient, so integral input stays on Python ints.
+`Series.ratio` and `power_sums_from_poly` bring rational input to
+integers: the first clears denominators and substitutes t -> d0 t, d0 the
+denominator's constant term, and divides coefficient k of the integer
+expansion by d0^(k+1) at the end; the second scales the reciprocal roots
+by the common denominator D and divides the m-th power sum by D^m.  The
+one float helper, `complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations
@@ -57,27 +56,23 @@ def bernoulli_even(m: int) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
-def _ints(coeffs: Sequence[Fraction]) -> list[int] | None:
-    """The coefficients as ints, or None if any is not an integer."""
-    if all(c.denominator == 1 for c in coeffs):
-        return [c.numerator for c in coeffs]
-    return None
-
-
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _exact(coeffs: Iterable[RatLike]) -> list[RatLike]:
+    """The coefficients with every integral Fraction made an int."""
+    return [c if type(c) is int or c.denominator != 1 else c.numerator
+            for c in coeffs]
 
 
 class Poly:
-    """Dense univariate polynomial over Q, ascending coefficients."""
+    """Dense univariate polynomial over Q, ascending coefficients, each an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        self.coeffs: tuple[Fraction, ...] = _strip([rat(c) for c in coeffs])
+        cs = _exact(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[RatLike, ...] = tuple(cs)
 
     @staticmethod
     def one() -> "Poly":
@@ -92,10 +87,10 @@ class Poly:
         """Degree; the zero polynomial reports -1."""
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> RatLike:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -124,7 +119,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
@@ -132,33 +127,26 @@ class Poly:
         return Poly(out)
 
     def scale(self, c: RatLike) -> "Poly":
-        c = rat(c)
         return Poly([c * ci for ci in self.coeffs])
-
-    def __call__(self, x: RatLike) -> Fraction:
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 class Series:
-    """Truncated power series: `order` coefficients, order is exclusive."""
+    """Truncated power series: `order` coefficients, order is exclusive;
+    each coefficient an int when integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable[RatLike], order: int | None = None):
-        cs = [rat(c) for c in coeffs]
+        cs = _exact(coeffs)
         if order is None:
             order = len(cs)
         if order < 1:
             raise InputError("series order must be >= 1")
         if len(cs) < order:
-            cs = cs + [Fraction(0)] * (order - len(cs))
+            cs += [0] * (order - len(cs))
         self.coeffs = tuple(cs[:order])
         self.order = order
 
@@ -179,17 +167,15 @@ class Series:
         n, d = ([c.numerator * (scale // c.denominator) for c in p.coeffs[:order]]
                 for p in (num, den))
         d0 = d[0]
+        if d0 in (1, -1):                 # the inverse is already integral
+            return Series(n, order) * Series(d, order).inverse()
         n = [c * d0 ** k for k, c in enumerate(n)]
         d = [1] + [c * d0 ** (k - 1) for k, c in enumerate(d) if k]
         expanded = Series(n, order) * Series(d, order).inverse()
-        return Series([Fraction(c.numerator, d0 ** (k + 1))
+        return Series([Fraction(c, d0 ** (k + 1))
                        for k, c in enumerate(expanded.coeffs)], order)
 
-    @staticmethod
-    def one(order: int) -> "Series":
-        return Series([1], order)
-
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> RatLike:
         return self.coeffs[i]
 
     def __eq__(self, other: object) -> bool:
@@ -207,9 +193,7 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        a, b = _ints(self.coeffs[:n]), _ints(other.coeffs[:n])
-        if a is None or b is None:
-            a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, other.coeffs
         out = [0] * n
         for i in range(n):
             ci = a[i]
@@ -219,19 +203,16 @@ class Series:
         return Series(out, n)
 
     def scale(self, c: RatLike) -> "Series":
-        c = rat(c)
         return Series([c * ci for ci in self.coeffs], self.order)
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; requires a unit constant term."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; requires a unit constant term.  It is
+        integral when the series is and the constant term is +-1."""
+        a = self.coeffs
+        if a[0] == 0:
             raise InputError("series inverse needs nonzero constant term")
         n = self.order
-        a = _ints(self.coeffs)
-        if a is not None and a[0] in (1, -1):
-            c = a[0]                      # 1/a_0 = a_0: the inverse is integral
-        else:
-            a, c = self.coeffs, 1 / self.coeffs[0]
+        c = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])   # 1/a_0
         inv = [c] + [0] * (n - 1)
         for k in range(1, n):
             acc = 0
@@ -242,10 +223,10 @@ class Series:
 
     def log(self) -> "Series":
         """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
+        a = self.coeffs
+        if a[0] != 1:
             raise InputError("series log needs constant term 1")
         n = self.order
-        a = _ints(self.coeffs) or self.coeffs
         # M_k = k*L_k solves k*S_k = sum_{j=1..k} M_j*S_{k-j}; it is an
         # integer when S is integral
         ms = [0] * n
@@ -261,13 +242,12 @@ class Series:
         if self.coeffs[0] != 0:
             raise InputError("series exp needs zero constant term")
         n = self.order
-        ex = [Fraction(0)] * n
-        ex[0] = Fraction(1)
+        ex = [1] + [0] * (n - 1)
         for k in range(1, n):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, k + 1):
                 acc += j * self.coeffs[j] * ex[k - j]
-            ex[k] = acc / k
+            ex[k] = Fraction(acc, k)
         return Series(ex, n)
 
     def __repr__(self) -> str:
@@ -282,35 +262,38 @@ def decimate(s: Series, n: int) -> Series:
     return Series(out, len(out))
 
 
-def power_sums_from_poly(p: Poly, m_max: int) -> list[Fraction]:
+def power_sums_from_poly(p: Poly, m_max: int) -> list[RatLike]:
     """Power sums of the reciprocal roots of p, for m = 1..m_max.
 
     p must be normalized with p(0) = 1, i.e. p(t) = prod_i (1 - w_i t);
     returns [sum_i w_i^m for m in 1..m_max] without any root extraction.
-    Newton's identity p_m = -m*a_m - sum_{j=1}^{min(m-1, d)} a_j*p_(m-j),
-    with a_m = 0 beyond the degree d, costs O(m_max * d) operations, on
-    ints when p is integral.
+    With D the lcm of the coefficients' denominators, the D w_i are the
+    reciprocal roots of p(t/D), whose coefficients b_j = D^j a_j are
+    integers; Newton's identity P_m = -m*b_m - sum_{j=1}^{min(m-1, d)}
+    b_j*P_(m-j), with b_m = 0 beyond the degree d, gives their power sums
+    P_m = D^m p_m in O(m_max * d) integer operations.
     """
     if p[0] != 1:
         raise InputError("power sums require p(0) = 1")
-    a = _ints(p.coeffs) or p.coeffs
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    b = [c.numerator * (den // c.denominator) * den ** (j - 1) if j else 1
+         for j, c in enumerate(p.coeffs)]
     d = p.degree
     ps = [0] * (m_max + 1)
     for m in range(1, m_max + 1):
-        acc = -m * a[m] if m <= d else 0
+        acc = -m * b[m] if m <= d else 0
         for j in range(1, min(m - 1, d) + 1):
-            acc -= a[j] * ps[m - j]
+            acc -= b[j] * ps[m - j]
         ps[m] = acc
-    return [Fraction(v) for v in ps[1:]]
+    return _exact(Fraction(v, den ** m) for m, v in enumerate(ps) if m)
 
 
-def fe_transform_check(p: Poly, q: RatLike, rg: int) -> bool:
+def fe_transform_check(p: Poly, q: int, rg: int) -> bool:
     """True iff p(t) = q^rg * t^(2rg) * p(1/(qt)) as an exact identity.
 
     Coefficientwise this is a(2rg-i) = a(i) * q^(rg-i) for 0 <= i <= rg,
     with coefficients beyond deg p read as zero.
     """
-    q = rat(q)
     if p.degree > 2 * rg:
         raise InputError("degree exceeds 2*rg")
     for i in range(rg + 1):

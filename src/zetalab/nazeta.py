@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +37,6 @@ from zetalab.exact import (
     complex_fsum,
     fe_transform_check,
     power_sums_from_poly,
-    rat,
 )
 from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobenius
 
@@ -45,11 +44,13 @@ from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobeni
 @dataclass(frozen=True)
 class RankZeta:
     """A rank-r zeta function Z = P/((1-t^r)(1-q^r t^r)) of an elliptic
-    curve over F_q; the numerator P has degree 2r."""
+    curve over F_q; the numerator P has degree 2r, and P/P(0) is built once
+    with the datum."""
 
     r: int
     q: int
     P: Poly
+    normalized_numerator: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P[0] == 0:
@@ -59,6 +60,8 @@ class RankZeta:
                 f"numerator degree {self.P.degree} != 2r = {2 * self.r}")
         if not fe_transform_check(self.P, self.q, self.r):
             raise InputError("numerator violates the functional equation")
+        object.__setattr__(self, "normalized_numerator",
+                           self.P.scale(Fraction(1) / self.P[0]))
 
     @property
     def denominator(self) -> Poly:
@@ -66,10 +69,6 @@ class RankZeta:
         one_minus_tr = Poly([1] + [0] * (r - 1) + [-1])
         one_minus_qtr = Poly([1] + [0] * (r - 1) + [-(q ** r)])
         return one_minus_tr * one_minus_qtr
-
-    @property
-    def normalized_numerator(self) -> Poly:
-        return self.P.scale(Fraction(1) / self.P[0])
 
 
 def na_numerator(q: int, r: int, gamma0: RatLike,
@@ -191,9 +190,20 @@ def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
     if m_max < 0:
         raise InputError("m_max must be >= 0")
     psums = power_sums_from_poly(z.normalized_numerator, m_max)
-    q = rat(z.q)
-    return [(z.r * (1 + q ** m) - p_m) if m % z.r == 0 else -p_m
+    return [Fraction((z.r * (1 + z.q ** m) if m % z.r == 0 else 0) - p_m)
             for m, p_m in enumerate(psums, start=1)]
+
+
+def na_counts_log10_bound(z: RankZeta, m_max: int) -> float:
+    """log10 of a bound on the numerator and denominator of every N(m),
+    m <= m_max: with D the lcm of P/P(0)'s denominators, N(m) D^m is an
+    integer, and Fujiwara's bound R = 2 max_j |a_j|^(1/j) on the reciprocal
+    roots gives |N(m)| D^m <= 4r (max(q, R) D)^m (one more digit covers the
+    float roots)."""
+    a = z.normalized_numerator.coeffs
+    den = math.lcm(*(c.denominator for c in a))
+    root = 2 * max(float(abs(c)) ** (1 / j) for j, c in enumerate(a) if j)
+    return m_max * math.log10(max(z.q, root) * den) + math.log10(4 * z.r) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +214,7 @@ class SeriesComparison:
     """Coefficients of one decomposition piece, closed form vs direct sums."""
 
     name: str
-    closed: tuple[Fraction, ...]
+    closed: tuple[RatLike, ...]
     direct: tuple[Fraction, ...]
 
     @property
@@ -234,18 +244,22 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     Every unstable rank-2 bundle splits as L_1 + L_2 with d_1 > d_2 and
     #Aut = (q-1)^2 q^(d_1-d_2).  The degree-0, positive-degree (four
     cases by h^0) and negative-degree contributions are evaluated both
-    from the printed closed forms and by direct enumeration over split
-    pairs, with the infinite inner sums closed exactly as geometric
-    series, so agreement is exact coefficient by coefficient.
+    from the printed closed forms, expanded by `Series.ratio`, and by
+    direct enumeration over split pairs, with the infinite inner sums
+    closed exactly as geometric series, so agreement is exact coefficient
+    by coefficient.  Each direct value is one Fraction of an integer
+    numerator, over q^(2T-d) (q-1)^2 (q^2-1) for a sum enumerated up to T.
     """
     if order > 40:
         raise ResourceError("order capped at 40")
     q, n1 = curve.q, curve.n1
-    mass_unit = Fraction(n1 * n1, (q - 1) ** 2)
+    # mass_unit n1^2/(q-1)^2, over the (q^2-1) a closed geometric tail needs
+    den_unit = (q - 1) ** 2 * (q * q - 1)
 
-    # degree zero: sum_{d >= 1} (q^d - 1)/q^(2d), closed and re-derived
+    # degree zero: mass_unit sum_{d >= 1} (q^d - 1)/q^(2d), closed and
+    # re-derived as mass_unit (1/(q-1) - 1/(q^2-1))
     closed_eq0 = Fraction(q * n1 * n1, (q * q - 1) * (q - 1) ** 2)
-    direct_eq0 = mass_unit * (Fraction(1, q - 1) - Fraction(1, q * q - 1))
+    direct_eq0 = Fraction(n1 * n1 * ((q * q - 1) - (q - 1)), (q - 1) * den_unit)
 
     q_minus_t = Poly([q, -1])
     one_minus_t = Poly([1, -1])
@@ -266,35 +280,29 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     closed_iii = (Poly([0, n1 * n1]) * Poly([q * q + q - 1, -q]),
                   Poly([(q - 1) ** 2 * (q * q - 1)]) * one_minus_t * q_minus_t)
 
-    def coeffs(f: tuple[Poly, Poly]) -> tuple[Fraction, ...]:
-        return tuple(Series.ratio(*f, order + 1).coeffs[1:])
+    def coeffs(f: tuple[Poly, Poly]) -> tuple[RatLike, ...]:
+        return Series.ratio(*f, order + 1).coeffs[1:]
 
     def direct_i(d: int) -> Fraction:
-        total = Fraction(0)
-        for d1 in range(d // 2 + 1, d):
-            total += mass_unit * (q ** d - 1) * Fraction(1, q ** (2 * d1 - d))
-        return total
+        # sum_{d/2 < d_1 < d} mass_unit (q^d - 1)/q^(2 d_1 - d), over (q-1)^2 q^d
+        total = sum(q ** (2 * (d - d1)) for d1 in range(d // 2 + 1, d))
+        return Fraction(n1 * n1 * (q ** d - 1) * total, (q - 1) ** 2 * q ** d)
 
     def direct_iia(d: int) -> Fraction:
-        return Fraction(n1) * Fraction(q ** (d + 1) - 1, (q - 1) ** 2 * q ** d)
+        return Fraction(n1 * (q ** (d + 1) - 1), (q - 1) ** 2 * q ** d)
 
     def direct_iib(d: int) -> Fraction:
-        return Fraction(n1 * (n1 - 1)) * Fraction(q ** d - 1, (q - 1) ** 2 * q ** d)
+        return Fraction(n1 * (n1 - 1) * (q ** d - 1), (q - 1) ** 2 * q ** d)
 
-    def split_tail(lo: int, d: int) -> Fraction:
-        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1) / q^(2 d_1 - d): `order`
-        # terms, then the geometric rest closed exactly
-        total = Fraction(0)
-        for d1 in range(lo, lo + order):
-            total += (q ** d1 - 1) * Fraction(1, q ** (2 * d1 - d))
-        tail_from = lo + order
-        geo = (Fraction(1, q ** (tail_from - d)) / (1 - Fraction(1, q))
-               - Fraction(1, q ** (2 * tail_from - d)) / (1 - Fraction(1, q * q)))
-        return mass_unit * (total + geo)
-
-    def direct_iii(d: int) -> Fraction:
-        # d_1 ranges over (d, infinity)
-        return split_tail(d + 1, d)
+    def split_tail(lo: int, d: int, extra: int = 0) -> Fraction:
+        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1)/q^(2 d_1 - d), plus `extra`,
+        # over den_unit q^(2T-d), T = lo + order: `order` terms, then the
+        # geometric rest q^(T+1)/(q-1) - q^2/(q^2-1) closed exactly
+        top = lo + order
+        total = sum((q ** d1 - 1) * q ** (2 * (top - d1)) for d1 in range(lo, top))
+        rest = q ** (top + 1) * (q + 1) - q * q
+        return Fraction(extra + n1 * n1 * ((q * q - 1) * total + rest),
+                        den_unit * q ** (2 * top - d))
 
     positive = tuple(
         SeriesComparison(name, coeffs(closed),
@@ -303,24 +311,18 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
             ("split d1>d2>0", closed_i, direct_i),
             ("d2=0 trivial", closed_iia, direct_iia),
             ("d2=0 nontrivial", closed_iib, direct_iib),
-            ("d2<0<d1", closed_iii, direct_iii),
+            ("d2<0<d1", closed_iii, lambda d: split_tail(d + 1, d)),
         ))
 
-    # negative degree: coefficient of t^d, d = -1..-order
-    neg_unit = (Fraction(n1 * n1 * q, (q - 1) ** 2 * (q * q - 1))
-                + Fraction(n1, q - 1))
-
-    def closed_neg(d: int) -> Fraction:
-        return neg_unit * Fraction(1, q ** (-d))
-
-    def direct_neg(d: int) -> Fraction:
-        return (Fraction(n1) * Fraction(q - 1, (q - 1) ** 2 * q ** (-d))
-                + split_tail(1, d))
-
+    # negative degree: coefficient of t^d, d = -1..-order; the closed form
+    # is (n1^2 q/((q-1)^2 (q^2-1)) + n1/(q-1)) / q^-d, the direct sum
+    # n1 (q-1)/((q-1)^2 q^-d) plus the split pairs with d_1 >= 1
+    neg_unit = n1 * n1 * q + n1 * (q - 1) * (q * q - 1)
+    neg_split = n1 * (q - 1) * (q * q - 1) * q ** (2 * order + 2)
     negative = SeriesComparison(
         "negative degree",
-        tuple(closed_neg(-k) for k in range(1, order + 1)),
-        tuple(direct_neg(-k) for k in range(1, order + 1)))
+        tuple(Fraction(neg_unit, den_unit * q ** k) for k in range(1, order + 1)),
+        tuple(split_tail(1, -k, neg_split) for k in range(1, order + 1)))
 
     return AllBundlesReport(q, n1, closed_eq0, direct_eq0,
                             positive, negative)

@@ -7,6 +7,12 @@ keeps the route those rows are checked against: validated descriptors of
 individual bundles, every bundle of a class built one at a time, and
 #Aut(V) and h^0(V) of each.  `ROW_GRADED` gives, for every census row
 label, the graded object the library row describes.
+
+It also keeps the Harder-Narasimhan mass recursion summed term by term
+on Fractions, the oracle for the library's integer numerators over one
+denominator (`bundles.mass_recursion_beta`): Z(q^-i) evaluated from
+P(x)/((1-x)(1-qx)) at x = q^-i, and each stratum's geometric series
+closed on Fractions.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
+from ratfunc_oracle import poly_eval
+
+from zetalab.artin import ZetaCurve, nm
 from zetalab.bundles import Stratum, _module_aut_count, _partitions
 from zetalab.errors import CapabilityError, InputError
 
@@ -162,3 +171,59 @@ ROW_GRADED = {
         "(0;conj-triple)": (_C3,),
     }.items()
 }
+
+
+# ---------------------------------------------------------------------------
+# the mass recursion on Fractions
+
+def zeta_value(zc: ZetaCurve, i: int) -> Fraction:
+    # Z(x) = P(x)/((1-x)(1-qx)) at x = q^-i, evaluated directly
+    x = Fraction(1, zc.q ** i)
+    return poly_eval(zc.P, x) / ((1 - x) * (1 - zc.q * x))
+
+
+def beta2_parity(zc: ZetaCurve, b1: Fraction, parity: int) -> Fraction:
+    s = Fraction(zc.q, zc.q ** 2 - 1) if parity else Fraction(1, zc.q ** 2 - 1)
+    return b1 * zeta_value(zc, 2) - b1 * b1 * s
+
+
+def t12_t21_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
+    # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term B1 * beta2(d-m) / q^(3m-d),
+    # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) * B1 / q^(3m-2d);
+    # each summed over every m, two parities per q^-6 block
+    q = zc.q
+    beta2 = (beta2_parity(zc, b1, 0), beta2_parity(zc, b1, 1))
+    m12 = d // 3 + 1
+    m21 = (2 * d) // 3 + 1
+    total = Fraction(0)
+    for e0, d2 in ((3 * m12 - d, d - m12), (3 * m21 - 2 * d, m21)):
+        first, second = beta2[d2 % 2], beta2[1 - d2 % 2]
+        total += Fraction(1, q ** e0) * (first + second * Fraction(1, q ** 3))
+    return b1 * total / (1 - Fraction(1, q ** 6))
+
+
+def t111_closed(zc: ZetaCurve, b1: Fraction, d: int) -> Fraction:
+    # sum over d1 > d2 > d3, sum d: gaps u = d1-d2 >= 1, v = d2-d3 >= 1 with
+    # u - v = d (mod 3); weight q^(-2(u+v))
+    q = zc.q
+    ratio = Fraction(1, q ** 6)
+    total = Fraction(0)
+    for u0 in (1, 2, 3):
+        v0 = ((u0 - d - 1) % 3) + 1
+        total += (Fraction(1, q ** (2 * u0)) / (1 - ratio)) * \
+                 (Fraction(1, q ** (2 * v0)) / (1 - ratio))
+    return b1 ** 3 * total
+
+
+def fraction_mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
+    """beta_r(d) from the mass recursion, every term a Fraction."""
+    if r not in (1, 2, 3):
+        raise CapabilityError("recursion implemented for rank <= 3")
+    q = zc.q
+    b1 = Fraction(nm(zc, 1), q - 1)
+    if r == 1:
+        return b1
+    if r == 2:
+        return beta2_parity(zc, b1, d % 2)
+    total = b1 * zeta_value(zc, 2) * zeta_value(zc, 3)
+    return total - t12_t21_closed(zc, b1, d) - t111_closed(zc, b1, d)

@@ -1,7 +1,8 @@
 """Rational functions and power-sum expansions over Q, kept as test oracles.
 
 The library expands every zeta function straight into a power series
-(`Series.ratio`), and its `Poly` has no division.  `poly_divmod` and
+(`Series.ratio`), and its `Poly` has no evaluation and no division
+(`poly_eval` is Horner's rule here).  `poly_divmod` and
 `poly_gcd` are Euclid's algorithm over Q.  `RatFunc` reduces num/den by
 that gcd and keeps the denominator monic, so tests can compare rational
 functions, evaluate them and sum them independently of that expansion;
@@ -56,7 +57,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         return Poly(), a
     quot = [Fraction(0)] * (len(num) - d)
     for i in range(len(num) - d - 1, -1, -1):
-        c = num[i + d] / lead
+        c = Fraction(num[i + d]) / lead
         quot[i] = c
         if c:
             for j, bc in enumerate(b.coeffs):
@@ -70,7 +71,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, poly_divmod(a, b)[1]
     if not a.coeffs:
         return a
-    return a.scale(1 / a.coeffs[-1])
+    return a.scale(Fraction(1) / a.coeffs[-1])
+
+
+def poly_eval(p: Poly, x: RatLike) -> RatLike:
+    """p(x) by Horner's rule (the library's `Poly` has no evaluation)."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -105,8 +114,8 @@ class RatFunc:
             den = poly_divmod(den, g)[0]
         lead = den.coeffs[-1]
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num = num.scale(Fraction(1) / lead)
+            den = den.scale(Fraction(1) / lead)
         self.num = num
         self.den = den
 
@@ -146,10 +155,10 @@ class RatFunc:
 
     def __call__(self, x: RatLike) -> Fraction:
         x = rat(x)
-        d = self.den(x)
+        d = poly_eval(self.den, x)
         if d == 0:
             raise InputError(f"pole of rational function at {x}")
-        return self.num(x) / d
+        return poly_eval(self.num, x) / d
 
     def series(self, order: int) -> Series:
         """Power-series expansion at t=0 to the given truncation order."""
@@ -158,7 +167,7 @@ class RatFunc:
             raise InputError("rational function has a pole at t=0")
         # a unit constant term keeps an integral pair, such as a Weil
         # numerator over (1-t)(1-qt), on the integer recurrences
-        num, den = self.num.scale(1 / d0), self.den.scale(1 / d0)
+        num, den = self.num.scale(Fraction(1) / d0), self.den.scale(Fraction(1) / d0)
         return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
 
     def __repr__(self) -> str:

@@ -9,9 +9,13 @@ from bundle_oracle import (
     BundleDescriptor,
     LineOrbit,
     aut_order,
+    beta2_parity,
     class_contents,
+    fraction_mass_recursion_beta,
     h0_of_bundle,
     oracle_row,
+    t111_closed,
+    zeta_value,
 )
 from fq_oracle import norm_kernel_size
 from ratfunc_oracle import RatFunc
@@ -20,12 +24,10 @@ from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.bundles import (
     Convention,
     CurveData,
-    _beta2_parity,
     _beta_degree_zero,
     _gamma_degree_zero,
     _module_aut_count,
     _partitions,
-    _t111_closed,
     _triple_count,
     _zeta_value,
     invariant,
@@ -154,16 +156,6 @@ def pair_loop_triple_count(gs):
                 ordered += 1
     assert ordered % 6 == 0
     return ordered // 6
-
-
-@pytest.fixture(scope="module")
-def census_curves():
-    """Every distinct (q, N_1, group) of the gallery and of the curves
-    y^2 = x^3 + ax + b, 0 <= a, b <= 3, over the primes 5 <= p < 200."""
-    grid = {CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
-            for p in primes_up_to(199)[2:] for a in range(4) for b in range(4)
-            if (4 * a ** 3 + 27 * b * b) % p}
-    return grid | set(GALLERY)
 
 
 class TestCensus:
@@ -376,9 +368,9 @@ def hn_correction_truncated(r: int, d: int, zc: ZetaCurve, terms: int) -> Fracti
                    for m in range(m0, m0 + terms))
     if r != 3:
         raise CapabilityError("recursion implemented for rank <= 3")
-    t12 = sum(b1 * _beta2_parity(zc, b1, (d - m) % 2) * Fraction(1, q ** (3 * m - d))
+    t12 = sum(b1 * beta2_parity(zc, b1, (d - m) % 2) * Fraction(1, q ** (3 * m - d))
               for m in range(d // 3 + 1, d // 3 + 1 + terms))
-    t21 = sum(_beta2_parity(zc, b1, m % 2) * b1 * Fraction(1, q ** (3 * m - 2 * d))
+    t21 = sum(beta2_parity(zc, b1, m % 2) * b1 * Fraction(1, q ** (3 * m - 2 * d))
               for m in range((2 * d) // 3 + 1, (2 * d) // 3 + 1 + terms))
     t111 = Fraction(0)
     for u in range(1, terms + 1):
@@ -403,7 +395,7 @@ def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
         raise CapabilityError("recursion implemented for rank <= 3")
     # t12 and t21 tails from entry terms + 1 on: the beta_2 parity
     # alternates with m, so each is two geometric series in q^-6
-    beta2 = (_beta2_parity(zc, b1, 0), _beta2_parity(zc, b1, 1))
+    beta2 = (beta2_parity(zc, b1, 0), beta2_parity(zc, b1, 1))
 
     def two_parity_tail(e0: int, parity0: int) -> Fraction:
         # sum_{j >= 0} beta2[(parity0 + j) % 2] / q^(e0 + 3j)
@@ -418,7 +410,7 @@ def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
     box = {k: sum(Fraction(1, q ** (2 * u)) for u in range(k, terms + 1, 3))
            for k in (1, 2, 3)}
     t111_box = sum(box[u0] * box[(u0 - d - 1) % 3 + 1] for u0 in (1, 2, 3))
-    return t12 + t21 + _t111_closed(zc, b1, d) - b1 ** 3 * t111_box
+    return t12 + t21 + t111_closed(zc, b1, d) - b1 ** 3 * t111_box
 
 
 class TestMassRecursion:
@@ -464,10 +456,24 @@ class TestMassRecursion:
             assert 0 <= full - trunc < F(1, 5 ** 40)
 
     def test_zeta_value_equals_ratfunc_evaluation(self):
-        # the direct P(x)/((1-x)(1-qx)) against the reduced RatFunc, exactly
+        # the integer numerator and denominator of Z(q^-i), and the direct
+        # P(x)/((1-x)(1-qx)), against the reduced RatFunc, exactly
         for q in primes_up_to(50):
             w = isqrt(4 * q)
             for n1 in range(q + 1 - w, q + 2 + w):
                 zc = elliptic_zeta(q, n1)
                 for i in (2, 3):
-                    assert _zeta_value(zc, i) == zfunc(zc)(F(1, q ** i))
+                    den = q * (q ** i - 1) * (q ** (i - 1) - 1)
+                    assert F(_zeta_value(zc, i), den) == zfunc(zc)(F(1, q ** i))
+                    assert zeta_value(zc, i) == zfunc(zc)(F(1, q ** i))
+
+    def test_integer_kernel_equals_fraction_route(self, census_curves):
+        # the integer numerators over one denominator against the recursion
+        # summed term by term on Fractions (tests/bundle_oracle.py)
+        for curve in census_curves:
+            zc = curve.zeta
+            for r in (1, 2, 3):
+                for d in range(-6, 7):
+                    got = mass_recursion_beta(r, d, zc)
+                    assert type(got) is F
+                    assert got == fraction_mass_recursion_beta(r, d, zc)

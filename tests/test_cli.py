@@ -303,6 +303,40 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "resource error" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["artin", "--curve", "y2=x3+x+1", "--p", "59", "--mmax", "3000"],
+        ["nazeta", "--curve", "y2=x3+x+1", "--p", "59", "--rank", "2",
+         "--mmax", "3000"],
+        ["explicit-ff", "--curve", "y2=x3+x+1", "--p", "59", "--count", "1",
+         "--span", "1220"],
+    ], ids=["artin-mmax", "nazeta-mmax", "explicit-ff-span"])
+    def test_numbers_past_str_digit_limit_refused(self, capsys, argv):
+        # each job would print a number of more than 4,300 digits, which
+        # str() refuses with a ValueError: refused before the work instead
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "4300 digits" in captured.err
+
+    def test_explicit_ff_span_at_digit_edge(self, capsys):
+        # at q = 3137 the bound admits span 613, whose sample's numerator
+        # still prints, and refuses 614
+        argv = ["explicit-ff", "--curve", "y2=x3+x+1", "--p", "3137", "--count", "1"]
+        assert main(argv + ["--span", "614"]) == 2
+        capsys.readouterr()
+        assert main(argv + ["--span", "613"]) == 0
+        sample = json.loads(capsys.readouterr().out)["result"]["samples"][0]
+        assert 4200 < len(sample["positivity"].split("/")[0]) <= 4300
+
+    def test_artin_order_cap(self, capsys):
+        # reciprocity_check's work grows about as order^3.5; the cap is 100
+        start = time.perf_counter()
+        assert main(["artin", "--curve", "y2=x3+x+1", "--p", "59", "--order", "101"]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--order capped at 100" in captured.err
+
     def test_xi_far_left_is_bounded(self, capsys):
         # a large negative sigma must not raise the working precision
         start = time.perf_counter()

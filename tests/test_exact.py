@@ -10,6 +10,7 @@ from ratfunc_oracle import (
     RatFunc,
     longdiv_series,
     poly_divmod,
+    poly_eval,
     poly_from_power_sums,
     poly_gcd,
     series_exp_from_power_sums,
@@ -64,7 +65,7 @@ def fraction_ratio(num, den, order):
     """Series.ratio's route before it cleared denominators: num/d0 times
     the inverse of den/d0, whose constant term is 1, on Fractions."""
     def scaled(p):
-        cs = [c / den[0] for c in p.coeffs[:order]]
+        cs = [Fraction(c) / den[0] for c in p.coeffs[:order]]
         return cs + [Fraction(0)] * (order - len(cs))
     return fraction_mul(scaled(num), fraction_inverse(scaled(den)))
 
@@ -105,7 +106,7 @@ class TestPolyPlumbing:
 
     def test_eval(self):
         p = Poly([1, 3, 5])
-        assert p(Fraction(1, 5)) == Fraction(1) + Fraction(3, 5) + Fraction(5, 25)
+        assert poly_eval(p, Fraction(1, 5)) == Fraction(1) + Fraction(3, 5) + Fraction(5, 25)
 
 
 class TestRatFuncPlumbing:
@@ -150,7 +151,7 @@ class TestSeriesPlumbing:
                                       for _ in range(7)]
             s = Series(coeffs, 8)
             assert s.log().exp() == s
-            assert (s * s.inverse()) == Series.one(8)
+            assert (s * s.inverse()) == Series([1], 8)
 
     def test_exp_needs_zero_constant(self):
         with pytest.raises(InputError):
@@ -291,7 +292,7 @@ class TestIntegerPaths:
     def test_mul_integral(self, a, b):
         got = Series(a) * Series(b)
         assert list(got.coeffs) == fraction_mul(a, b)
-        assert all(type(c) is Fraction for c in got.coeffs)
+        assert all(type(c) is int for c in got.coeffs)
 
     @settings(max_examples=150, deadline=None)
     @given(coefficient_lists(rationals), coefficient_lists(integers))
@@ -340,7 +341,7 @@ class TestIntegerPaths:
         p = Poly([1] + tail)
         got = power_sums_from_poly(p, m_max)
         assert got == log_power_sums(p, m_max)
-        assert all(type(c) is Fraction for c in got)
+        assert all(type(c) is int for c in got)
 
     @settings(max_examples=200, deadline=None)
     @given(coefficient_lists(rationals, 0, 8), st.integers(0, 16))
@@ -356,6 +357,62 @@ class TestIntegerPaths:
         s = Series.ratio(f.num, f.den, 12)
         assert list(s.coeffs) == longdiv_series(f.num.coeffs, f.den.coeffs, 12)
         assert all(c.denominator == 1 for c in s.coeffs)
+
+
+def fraction_poly(coeffs):
+    """A coefficient list on Fractions with its trailing zeros stripped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TestIntInputsMatchFractionRoute:
+    """On int coefficients every result is the all-Fraction route's value,
+    with each integral coefficient kept as an int (the constructors' form);
+    the series product, inverse and log are checked the same way in
+    TestIntegerPaths."""
+
+    @staticmethod
+    def assert_exact_form(coeffs):
+        assert all(type(c) is int if c.denominator == 1 else type(c) is Fraction
+                   for c in coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists(integers, 0, 8), integers.filter(bool),
+           coefficient_lists(integers, 0, 6), st.integers(1, 16))
+    def test_ratio(self, num, d0, den_tail, order):
+        num, den = Poly(num), Poly([d0] + den_tail)
+        got = Series.ratio(num, den, order)
+        assert list(got.coeffs) == fraction_ratio(num, den, order)
+        self.assert_exact_form(got.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists(integers, 0, 8), coefficient_lists(integers, 0, 8), integers)
+    def test_poly_arithmetic(self, a, b, c):
+        fa, fb = fraction_poly(a), fraction_poly(b)
+        n = max(len(fa), len(fb))
+        fa0, fb0 = fa + [Fraction(0)] * (n - len(fa)), fb + [Fraction(0)] * (n - len(fb))
+        product = [Fraction(0)] * (len(fa) + len(fb) - 1) if fa and fb else []
+        for i, x in enumerate(fa):
+            for j, y in enumerate(fb):
+                product[i + j] += x * y
+        for got, want in ((Poly(a) + Poly(b), [x + y for x, y in zip(fa0, fb0)]),
+                          (Poly(a) - Poly(b), [x - y for x, y in zip(fa0, fb0)]),
+                          (-Poly(a), [-x for x in fa]),
+                          (Poly(a) * Poly(b), product),
+                          (Poly(a).scale(c), [Fraction(c) * x for x in fa])):
+            assert list(got.coeffs) == fraction_poly(want)
+            assert all(type(x) is int for x in got.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_lists(rationals, 0, 8), st.integers(1, 12))
+    def test_integral_fractions_become_ints(self, coeffs, order):
+        poly, series = Poly(coeffs), Series(coeffs, order)
+        assert list(poly.coeffs) == fraction_poly(coeffs)
+        assert list(series.coeffs) == (coeffs + [0] * order)[:order]
+        self.assert_exact_form(poly.coeffs)
+        self.assert_exact_form(series.coeffs)
 
 
 class TestFETransformCheck:

@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 import pytest
 from fq_oracle import Fq, multiples, pt_add
-from ratfunc_oracle import RatFunc, longdiv_series, poly_derivative, poly_gcd
+from ratfunc_oracle import RatFunc, longdiv_series, poly_derivative, poly_eval, poly_gcd
 
 from zetalab import nazeta
 from zetalab.artin import elliptic_zeta, nm
@@ -347,7 +347,7 @@ def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
     n_psums = a * (order + deg)
     psums = power_sums_from_poly(ptilde, n_psums)
     # prod_i ptilde(zeta^i t) = exp(-sum_k p_{ak} T^k / k)
-    log_num = Series([0] + [-psums[a * k - 1] / k for k in range(1, order)], order)
+    log_num = Series([0] + [Fraction(-psums[a * k - 1], k) for k in range(1, order)], order)
     num_series = log_num.exp()
     # prod_i (1 - c (zeta^i t)^r) = (1 - c^(a/g) T^(r/g))^g, g = gcd(a, r)
     g = math.gcd(a, z.r)
@@ -364,6 +364,20 @@ def roots_of_unity_product_check(z: RankZeta, a: int, order: int = 0) -> bool:
     counts = na_counts(z, a * (order - 1))
     rhs = Series([0] + [counts[a * m - 1] / m for m in range(1, order)], order).exp()
     return lhs == rhs
+
+
+class TestCountsDigitBound:
+    def test_bound_holds(self, curves_to_23):
+        # every N(m)'s numerator and denominator stays below the bound the
+        # CLI refuses --mmax by
+        for curve in curves_to_23:
+            for r in (1, 2, 3):
+                for conv in Convention:
+                    z = ell_na_zeta(curve, r, conv)
+                    for m, count in enumerate(na_counts(z, 40), start=1):
+                        bound = nazeta.na_counts_log10_bound(z, m)
+                        assert math.log10(abs(count.numerator) or 1) < bound
+                        assert math.log10(count.denominator) < bound
 
 
 class TestRootsOfUnityProduct:
@@ -385,7 +399,7 @@ class TestRootsOfUnityProduct:
 
 def mass_tables_from_zeta(q, g, p_poly):
     """alpha/beta tables for rank 1 derived from a known zeta numerator."""
-    h = p_poly(1)
+    h = poly_eval(p_poly, 1)
     beta = {0: F(h, q - 1)}
     zser = longdiv_series(p_poly.coeffs, (Poly([1, -1]) * Poly([1, -q])).coeffs, g)
     alpha = {d: zser[d] + beta[0] for d in range(g)}
@@ -509,7 +523,74 @@ class TestUglyFormula:
             ugly_formula_coeffs({0: F(1)}, {0: F(1)}, 5, 1, 1)
 
 
+def fraction_allbundles_direct(curve, order):
+    """The direct sums of `allbundles_rank2` and its negative-degree closed
+    form summed term by term on Fractions, the oracle for the library's
+    integer numerators: (degree zero, the four positive pieces, the
+    negative degrees, the negative closed form)."""
+    q, n1 = curve.q, curve.n1
+    mass_unit = Fraction(n1 * n1, (q - 1) ** 2)
+    direct_eq0 = mass_unit * (Fraction(1, q - 1) - Fraction(1, q * q - 1))
+
+    def direct_i(d):
+        total = Fraction(0)
+        for d1 in range(d // 2 + 1, d):
+            total += mass_unit * (q ** d - 1) * Fraction(1, q ** (2 * d1 - d))
+        return total
+
+    def direct_iia(d):
+        return Fraction(n1) * Fraction(q ** (d + 1) - 1, (q - 1) ** 2 * q ** d)
+
+    def direct_iib(d):
+        return Fraction(n1 * (n1 - 1)) * Fraction(q ** d - 1, (q - 1) ** 2 * q ** d)
+
+    def split_tail(lo, d):
+        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1) / q^(2 d_1 - d): `order`
+        # terms, then the geometric rest closed exactly
+        total = Fraction(0)
+        for d1 in range(lo, lo + order):
+            total += (q ** d1 - 1) * Fraction(1, q ** (2 * d1 - d))
+        tail_from = lo + order
+        geo = (Fraction(1, q ** (tail_from - d)) / (1 - Fraction(1, q))
+               - Fraction(1, q ** (2 * tail_from - d)) / (1 - Fraction(1, q * q)))
+        return mass_unit * (total + geo)
+
+    def direct_iii(d):
+        return split_tail(d + 1, d)
+
+    def direct_neg(d):
+        return (Fraction(n1) * Fraction(q - 1, (q - 1) ** 2 * q ** (-d))
+                + split_tail(1, d))
+
+    neg_unit = (Fraction(n1 * n1 * q, (q - 1) ** 2 * (q * q - 1))
+                + Fraction(n1, q - 1))
+    degrees = range(1, order + 1)
+    positive = tuple(tuple(direct(d) for d in degrees)
+                     for direct in (direct_i, direct_iia, direct_iib, direct_iii))
+    return (direct_eq0, positive, tuple(direct_neg(-k) for k in degrees),
+            tuple(neg_unit * Fraction(1, q ** k) for k in degrees))
+
+
 class TestAllBundles:
+    def test_integer_kernel_equals_fraction_route(self, census_curves):
+        # the report depends on (q, N_1) alone; at order 40 the Fraction
+        # route takes about 45 ms a curve, so that order runs on every
+        # fourth pair, from the smallest q to the largest
+        pairs = {(c.q, c.n1): c for c in census_curves}
+        for i, (_, curve) in enumerate(sorted(pairs.items())):
+            for order in (0, 1, 10, 40) if i % 4 == 0 else (0, 1, 10):
+                report = allbundles_rank2(curve, order)
+                eq0, positive, negative, negative_closed = \
+                    fraction_allbundles_direct(curve, order)
+                assert report.degree_zero_direct == eq0
+                assert tuple(piece.direct for piece in report.positive) == positive
+                assert report.negative.direct == negative
+                assert report.negative.closed == negative_closed
+                assert report.all_agree
+                directs = [report.degree_zero_direct, *report.negative.direct,
+                           *(v for piece in report.positive for v in piece.direct)]
+                assert all(type(v) is F for v in directs)
+
     def test_degree_zero_instantiation(self):
         report = allbundles_rank2(E59, 10)
         assert report.degree_zero_closed == F(135, 128)
@@ -802,5 +883,5 @@ class TestAndrianov:
             t = F(rng.randint(-20, 20), rng.randint(1, 9))
             spinor = (1 - lam_p * t + (lam_p ** 2 - lam_p2 - 1) * t ** 2
                       - lam_p * p * t ** 3 + p * p * t ** 4)
-            rank2 = paper_rank2_numerator(p)(t)
+            rank2 = poly_eval(paper_rank2_numerator(p), t)
             assert spinor == rank2
