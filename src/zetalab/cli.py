@@ -26,7 +26,6 @@ from zetalab.exact import Poly
 from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
 
 USAGE_EXIT = 64
-STR_DIGITS = 4300        # Python's default limit on an int's str digits
 # reciprocity_check's work grows about as order^3.5: at order 100 it takes
 # 0.2 s at p = 59 and 1.1 s at p = 999983, at order 250 4 s and 22 s
 ARTIN_ORDER_CAP = 100
@@ -142,11 +141,12 @@ def parse_complex(spec: str) -> complex:
 
 
 def _check_printable(log10_bound: float, flag: str) -> None:
-    """Refuse a job whose printed numbers may reach 10^STR_DIGITS, before
-    its work: str() would end the run in a ValueError."""
-    if log10_bound >= STR_DIGITS:
+    """Refuse, before its work, a job whose printed numbers may reach the
+    interpreter's str-digit limit for ints (0: none): str() would raise."""
+    limit = sys.get_int_max_str_digits()
+    if limit and log10_bound >= limit:
         raise ResourceError(f"{flag} too large: printed numbers could pass "
-                            f"{STR_DIGITS} digits")
+                            f"{limit} digits")
 
 
 def _curve_data(args) -> bundles.CurveData:
@@ -183,7 +183,8 @@ def cmd_artin(args) -> dict:
 def cmd_nazeta(args) -> dict:
     data = _curve_data(args)
     z = nazeta.ell_na_zeta(data, args.rank, bundles.Convention(args.convention))
-    _check_printable(nazeta.na_counts_log10_bound(z, args.mmax), "--mmax")
+    omegas = nazeta.reciprocal_roots(z)
+    _check_printable(nazeta.na_counts_log10_bound(z, args.mmax, omegas), "--mmax")
     return {
         "q": data.q,
         "n1": data.n1,
@@ -197,7 +198,7 @@ def cmd_nazeta(args) -> dict:
         "degree_ok": True,
         "functional_equation_ok": True,
         "root_pairing_exact_ok": True,
-        "root_pairing_numeric_residual": nazeta.root_pairing_residual(z),
+        "root_pairing_numeric_residual": nazeta.root_pairing_residual(z.q, omegas),
         "counts": nazeta.na_counts(z, args.mmax),
     }
 

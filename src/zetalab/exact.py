@@ -167,8 +167,6 @@ class Series:
         n, d = ([c.numerator * (scale // c.denominator) for c in p.coeffs[:order]]
                 for p in (num, den))
         d0 = d[0]
-        if d0 in (1, -1):                 # the inverse is already integral
-            return Series(n, order) * Series(d, order).inverse()
         n = [c * d0 ** k for k, c in enumerate(n)]
         d = [1] + [c * d0 ** (k - 1) for k, c in enumerate(d) if k]
         expanded = Series(n, order) * Series(d, order).inverse()

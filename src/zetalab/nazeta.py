@@ -15,9 +15,8 @@ products over good primes, whose rank-2 factors are integer polynomials in
 p and a_p with a_p computed only where a factor uses it, and the formal
 match with a genus-two spinor factor under a specific substitution.
 `RankZeta` alone decides the degree and the functional equation; the
-one float value, `root_pairing_residual`, finds the roots of the
-normalized numerator by Durand-Kerner iteration, so the module imports no
-numeric library.
+only floats, `reciprocal_roots`, come from Durand-Kerner iteration on the
+normalized numerator, so the module imports no numeric library.
 """
 
 from __future__ import annotations
@@ -159,19 +158,20 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
     raise NumericError(f"Durand-Kerner did not converge in {DK_MAX_SWEEPS} sweeps")
 
 
-def root_pairing_residual(z: RankZeta) -> float:
-    """Float spot-check of the root pairing w * w' = q: the largest gap
-    between q/w and the nearest reciprocal root w' not yet matched.
+def reciprocal_roots(z: RankZeta) -> list[complex]:
+    """Float reciprocal roots w of P/P(0) = prod (1 - w t), by Durand-Kerner."""
+    return [1 / r_ for r_ in
+            _durand_kerner([float(c) for c in z.normalized_numerator.coeffs])]
 
-    The pairing holds exactly, as the functional equation that `RankZeta`
-    enforces; the roots come from Durand-Kerner on P/P(0) itself.
-    """
-    roots = _durand_kerner([float(c) for c in z.normalized_numerator.coeffs])
-    omegas = [1 / r_ for r_ in roots]
+
+def root_pairing_residual(q: int, omegas: Sequence[complex]) -> float:
+    """Float spot-check of the root pairing w * w' = q on the reciprocal
+    roots `omegas`: the largest gap between q/w and the nearest w' not yet
+    matched.  It holds exactly, as `RankZeta`'s functional equation."""
     residual = 0.0
-    targets = omegas.copy()
+    targets = list(omegas)
     for w in omegas:
-        want = z.q / w
+        want = q / w
         best = min(targets, key=lambda t: abs(t - want))
         residual = max(residual, abs(best - want))
         targets.remove(best)
@@ -194,16 +194,15 @@ def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
             for m, p_m in enumerate(psums, start=1)]
 
 
-def na_counts_log10_bound(z: RankZeta, m_max: int) -> float:
+def na_counts_log10_bound(z: RankZeta, m_max: int, omegas: Sequence[complex]) -> float:
     """log10 of a bound on the numerator and denominator of every N(m),
-    m <= m_max: with D the lcm of P/P(0)'s denominators, N(m) D^m is an
-    integer, and Fujiwara's bound R = 2 max_j |a_j|^(1/j) on the reciprocal
-    roots gives |N(m)| D^m <= 4r (max(q, R) D)^m (one more digit covers the
-    float roots)."""
+    m <= m_max: with D the lcm of P/P(0)'s denominators, each D w is an
+    algebraic integer, so N(m) D^m is an integer, and |N(m)| <= 4r max(q, R)^m
+    for R = max |w| over `omegas`, widened by 1e-6 for the float roots."""
     a = z.normalized_numerator.coeffs
     den = math.lcm(*(c.denominator for c in a))
-    root = 2 * max(float(abs(c)) ** (1 / j) for j, c in enumerate(a) if j)
-    return m_max * math.log10(max(z.q, root) * den) + math.log10(4 * z.r) + 1
+    root = max(map(abs, omegas)) * (1 + 1e-6)
+    return m_max * math.log10(max(z.q, root) * den) + math.log10(4 * z.r)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +293,14 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     def direct_iib(d: int) -> Fraction:
         return Fraction(n1 * (n1 - 1) * (q ** d - 1), (q - 1) ** 2 * q ** d)
 
-    def split_tail(lo: int, d: int, extra: int = 0) -> Fraction:
-        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1)/q^(2 d_1 - d), plus `extra`,
+    def split_tail(lo: int, d: int) -> Fraction:
+        # sum_{d_1 >= lo} mass_unit (q^d_1 - 1)/q^(2 d_1 - d), one integer
         # over den_unit q^(2T-d), T = lo + order: `order` terms, then the
         # geometric rest q^(T+1)/(q-1) - q^2/(q^2-1) closed exactly
         top = lo + order
         total = sum((q ** d1 - 1) * q ** (2 * (top - d1)) for d1 in range(lo, top))
         rest = q ** (top + 1) * (q + 1) - q * q
-        return Fraction(extra + n1 * n1 * ((q * q - 1) * total + rest),
+        return Fraction(n1 * n1 * ((q * q - 1) * total + rest),
                         den_unit * q ** (2 * top - d))
 
     positive = tuple(
@@ -318,11 +317,11 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     # is (n1^2 q/((q-1)^2 (q^2-1)) + n1/(q-1)) / q^-d, the direct sum
     # n1 (q-1)/((q-1)^2 q^-d) plus the split pairs with d_1 >= 1
     neg_unit = n1 * n1 * q + n1 * (q - 1) * (q * q - 1)
-    neg_split = n1 * (q - 1) * (q * q - 1) * q ** (2 * order + 2)
     negative = SeriesComparison(
         "negative degree",
         tuple(Fraction(neg_unit, den_unit * q ** k) for k in range(1, order + 1)),
-        tuple(split_tail(1, -k, neg_split) for k in range(1, order + 1)))
+        tuple(Fraction(n1, (q - 1) * q ** k) + split_tail(1, -k)
+              for k in range(1, order + 1)))
 
     return AllBundlesReport(q, n1, closed_eq0, direct_eq0,
                             positive, negative)

@@ -329,6 +329,36 @@ class TestExitCodes:
         sample = json.loads(capsys.readouterr().out)["result"]["samples"][0]
         assert 4200 < len(sample["positivity"].split("/")[0]) <= 4300
 
+    def test_nazeta_mmax_at_digit_edge(self, capsys):
+        # P/P(0) = 1 + 58t + 114t^2 + 3422t^3 + 3481t^4 has its roots
+        # inside |w| <= q, so the bound is m log10 59 + log10 8: it admits
+        # mmax 2427, whose counts print 4297 digits, and refuses 2428
+        argv = ["nazeta", "--curve", "y2=x3+x+1", "--p", "59", "--rank", "2"]
+        assert main(argv + ["--mmax", "2428"]) == 2
+        capsys.readouterr()
+        assert main(argv + ["--mmax", "2427"]) == 0
+        counts = json.loads(capsys.readouterr().out)["result"]["counts"]
+        assert 4290 < max(len(c.lstrip("-")) for c in counts) <= 4300
+
+    @pytest.fixture
+    def str_digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    def test_refusal_follows_str_digit_limit(self, capsys, str_digit_limit):
+        # the refusal reads the interpreter's limit: a lower one refuses
+        # more, and 0 (no limit) refuses nothing
+        str_digit_limit(1000)
+        argv = ["artin", "--curve", "y2=x3+x+1", "--p", "59", "--mmax", "600"]
+        assert main(argv) == 2
+        assert "1000 digits" in capsys.readouterr().err
+        str_digit_limit(0)
+        assert main(["nazeta", "--curve", "y2=x3+x+1", "--p", "59", "--rank", "2",
+                     "--mmax", "2500"]) == 0
+        counts = json.loads(capsys.readouterr().out)["result"]["counts"]
+        assert max(len(c.lstrip("-")) for c in counts) > 4300
+
     def test_artin_order_cap(self, capsys):
         # reciprocity_check's work grows about as order^3.5; the cap is 100
         start = time.perf_counter()

@@ -41,6 +41,7 @@ from zetalab.nazeta import (
     na_counts,
     na_numerator,
     rank2_local_numerator,
+    reciprocal_roots,
     root_pairing_residual,
 )
 
@@ -193,7 +194,7 @@ class TestProperties:
                     assert z.P.degree == 2 * r
                     assert fe_transform_check(z.P, z.q, r)
                     assert reflection_holds(z)
-                    assert root_pairing_residual(z) <= 1e-9
+                    assert root_pairing_residual(z.q, reciprocal_roots(z)) <= 1e-9
 
     def test_zero_constant_term_is_refused(self):
         with pytest.raises(InputError, match="constant term"):
@@ -282,7 +283,7 @@ class TestDurandKerner:
     def test_against_numpy_roots(self, numerators_to_100):
         for data, r, conv, z in numerators_to_100:
             want, np_roots = np_roots_residual(z)
-            got = root_pairing_residual(z)
+            got = root_pairing_residual(z.q, reciprocal_roots(z))
             assert got <= 1e-12 and abs(got - want) <= 1e-12, (data, r, conv)
             ptilde = z.normalized_numerator
             roots = nazeta._durand_kerner([float(c) for c in ptilde.coeffs])
@@ -374,10 +375,24 @@ class TestCountsDigitBound:
             for r in (1, 2, 3):
                 for conv in Convention:
                     z = ell_na_zeta(curve, r, conv)
+                    omegas = reciprocal_roots(z)
                     for m, count in enumerate(na_counts(z, 40), start=1):
-                        bound = nazeta.na_counts_log10_bound(z, m)
+                        bound = nazeta.na_counts_log10_bound(z, m, omegas)
                         assert math.log10(abs(count.numerator) or 1) < bound
                         assert math.log10(count.denominator) < bound
+
+    def test_bound_is_tight_on_integral_numerators(self, curves_to_23):
+        # with P/P(0) integral the bound is m log10 q + log10 4r, within
+        # log10 4 of N(m) ~ r q^m: no 2 max|a_j|^(1/j) root estimate
+        for curve in curves_to_23:
+            for conv in Convention:
+                z = ell_na_zeta(curve, 2, conv)
+                if any(c.denominator != 1 for c in z.normalized_numerator.coeffs):
+                    continue
+                omegas = reciprocal_roots(z)
+                count = na_counts(z, 40)[-1]
+                bound = nazeta.na_counts_log10_bound(z, 40, omegas)
+                assert bound - math.log10(abs(count)) < 0.7
 
 
 class TestRootsOfUnityProduct:
