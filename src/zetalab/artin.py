@@ -58,11 +58,17 @@ def elliptic_zeta(q: int, n1: int) -> ZetaCurve:
     return ZetaCurve(q, q + 1 - n1)
 
 
+def point_counts(zc: ZetaCurve, m_max: int) -> list[int]:
+    """[N_1, ..., N_m_max], N_m = q^m + 1 - (sum of m-th powers of
+    reciprocal roots), from one `power_sums` call."""
+    return [zc.q ** m + 1 - p_m for m, p_m in enumerate(zc.power_sums(m_max), start=1)]
+
+
 def nm(zc: ZetaCurve, m: int) -> int:
-    """N_m = q^m + 1 - (sum of m-th powers of reciprocal roots)."""
+    """N_m, the last of `point_counts(zc, m)`."""
     if m < 1:
         raise InputError("m must be >= 1")
-    return zc.q ** m + 1 - zc.power_sums(m)[m - 1]
+    return point_counts(zc, m)[-1]
 
 
 def base_extend(zc: ZetaCurve, n: int) -> ZetaCurve:

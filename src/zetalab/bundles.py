@@ -12,12 +12,16 @@ bundle-by-bundle route is the test oracle tests/bundle_oracle.py.
 Two counting conventions are first-class citizens and never silently
 merged.  `PAPER_SPLIT` reproduces the printed stratum counts, which treat
 all needed torsion points and roots as rational and all classes as split.
-`GALOIS_DESCENT` counts classes actually defined over F_q: torsion counts
-come from the group structure, non-rational pieces enter as Galois orbits
-with extension-field unit groups as automorphisms.  The descent census is
-cross-checked against the Harder-Narasimhan / Desale-Ramanan mass
-recursion: it closes the unstable-strata sums as geometric series of
-integer numerators over one denominator (on Fractions: bundle_oracle.py).
+`GALOIS_DESCENT` counts classes actually defined over F_q: the rational
+2- and 3-torsion come from the F_p walk that counts the points
+(`ffield.point_and_torsion_counts`), non-rational pieces enter as Galois
+orbits with extension-field unit groups as automorphisms.  The descent
+masses come from the Harder-Narasimhan / Desale-Ramanan mass recursion,
+which reads only q and N_1: it closes the unstable-strata sums as
+geometric series of integer numerators over one denominator (on
+Fractions: bundle_oracle.py).  The descent census prints the rows whose
+total mass the recursion gives, and the tests check the two against each
+other.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError
-from zetalab.ffield import GroupStructure, WeierstrassCurve, group_structure, torsion_count
+from zetalab.ffield import WeierstrassCurve, point_and_torsion_counts
 
 
 class Convention(Enum):
@@ -41,19 +45,19 @@ class Convention(Enum):
 
 @dataclass(frozen=True)
 class CurveData:
-    """Elliptic curve context for bundle counting: q and the group of
-    rational points, of order N_1 (its Hasse bound: `elliptic_zeta`)."""
+    """Elliptic curve context for bundle counting: q, the number N_1 of
+    rational points (its Hasse bound: `elliptic_zeta`), and the rational
+    torsion counts e2 = #E[2](F_q) and e3 = #E[3](F_q), which only the
+    descent census reads."""
 
     q: int
-    group: GroupStructure
+    n1: int
+    e2: int
+    e3: int
 
     @staticmethod
     def from_curve(curve: WeierstrassCurve) -> "CurveData":
-        return CurveData(curve.p, group_structure(curve))
-
-    @property
-    def n1(self) -> int:
-        return self.group.order
+        return CurveData(curve.p, *point_and_torsion_counts(curve))
 
     @property
     def zeta(self) -> ZetaCurve:
@@ -61,9 +65,6 @@ class CurveData:
 
     def point_count(self, m: int) -> int:
         return nm(self.zeta, m)
-
-    def torsion(self, m: int) -> int:
-        return torsion_count(self.group, m)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,7 @@ def _triple_count(n: int, eps2: int, eps3: int) -> int:
 
 
 def _census_descent(r: int, curve: CurveData) -> CensusResult:
-    q, n1 = curve.q, curve.n1
-    eps2 = curve.torsion(2)
+    q, n1, eps2, eps3 = curve.q, curve.n1, curve.e2, curve.e3
     # k_m = N_m / N_1 = |1 + alpha + ... + alpha^(m-1)|^2, an integer: the
     # order of the norm-one subgroup of Pic^0(F_{q^m})
     n2 = curve.point_count(2)
@@ -257,7 +257,6 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
         )
         return CensusResult("determinant O", rows)
 
-    eps3 = curve.torsion(3)
     n3 = curve.point_count(3)
     k3 = n3 // n1
     rows = (
@@ -280,10 +279,11 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 # mass invariants
 
 def _beta_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
-    q, n1 = curve.q, curve.n1
-    if r == 1:
-        return Fraction(n1, q - 1)
-    return n1 * strata_census(r, curve, conv).mass
+    # the split counts are the printed census; the descent census's total
+    # is the recursion's value (checked in tests/test_bundles.py)
+    if r > 1 and conv is Convention.PAPER_SPLIT:
+        return curve.n1 * _census_paper(r, curve).mass
+    return mass_recursion_beta(r, 0, curve.zeta)
 
 
 def _gamma_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
@@ -309,7 +309,8 @@ def invariant(kind: str, r: int, d: int, curve: CurveData,
         raise CapabilityError("invariants implemented for rank <= 3")
     q, n1 = curve.q, curve.n1
     if kind == "gamma" and d <= 0:
-        # no beta needed: the census behind beta_r(0) is the costly part
+        # no beta needed: h^0 = 0 below degree 0, and at degree 0 the
+        # classes with sections telescope to a lower rank
         return _gamma_degree_zero(r, curve, conv) if d == 0 else Fraction(0)
     beta = Fraction(n1, q - 1) if d % r else _beta_degree_zero(r, curve, conv)
     if kind == "beta":

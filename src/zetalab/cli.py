@@ -171,7 +171,7 @@ def cmd_artin(args) -> dict:
     return {
         "q": args.p,
         "numerator": zc.P,
-        "counts": [str(artin.nm(zc, m)) for m in range(1, args.mmax + 1)],
+        "counts": [str(n) for n in artin.point_counts(zc, args.mmax)],
         # 1 - at + qt^2 always has the functional equation, and ZetaCurve
         # refuses every datum that fails rh_check
         "functional_equation_ok": True,
@@ -258,6 +258,8 @@ def cmd_mass(args) -> dict:
 
 
 def cmd_allbundles(args) -> dict:
+    if args.order < 0:
+        raise InputError("--order must be >= 0")
     data = _curve_data(args)
     report = nazeta.allbundles_rank2(data, args.order)
     pieces = [{

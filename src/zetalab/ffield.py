@@ -1,21 +1,24 @@
 """Prime fields and point counting on Weierstrass curves.
 
 This is the counting layer that grounds the zeta machinery: prime fields
-F_p, projective point counts of y^2 = x^3 + ax + b, scalar multiplication
-on such a curve, and the group structure of the rational points.
-N_1 = #E(F_p) is a census over a table of squares; counts over F_{p^n}
-follow from N_1 through the curve's zeta function, and the enumeration of
-F_{p^n} that checks them lives in the tests.  The group structure is derived from
-N = #E(F_p): the points are read from a square-root table and the
-exponent is N with its primes stripped by scalar multiplication (Cohen,
-GTM 138, section 7.4).
+F_p, projective point counts of y^2 = x^3 + ax + b, the rational 2- and
+3-torsion, scalar multiplication on such a curve, and the group structure
+of the rational points.  N_1 = #E(F_p) is a census over a table of
+squares; counts over F_{p^n} follow from N_1 through the curve's zeta
+function, and the enumeration of F_{p^n} that checks them lives in the
+tests.  #E[2](F_p) and #E[3](F_p) are read in the same walk over x, from
+the roots of f and of the 3-division polynomial.  The group structure,
+which no command reads, is derived from N = #E(F_p): the points are read
+from a square-root table and the exponent is N with its primes stripped
+by scalar multiplication (Cohen, GTM 138, section 7.4); the tests check
+the torsion counts against it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from zetalab.artin import elliptic_zeta, nm
 from zetalab.errors import ENUMERATION_BUDGET, InputError, ResourceError
@@ -182,6 +185,44 @@ def _count_prime_field(p: int, a: int, b: int) -> int:
     return count
 
 
+def point_and_torsion_counts(curve: WeierstrassCurve) -> tuple[int, int, int]:
+    """(N_1, #E[2](F_p), #E[3](F_p)), from one walk over x with a table of
+    squares.
+
+    The points of order 2 are the (x, 0) with f(x) = x^3 + ax + b = 0, so
+    #E[2] = 1 + the number of roots of f.  The points of order 3 are the
+    flexes: x is a root of psi_3 = 3x^4 + 6ax^2 + 12bx - a^2, and (x, +-y)
+    is rational when f(x) is a nonzero square (f(x) = 0 would make the
+    point of order 2), so #E[3] = 1 + 2 #{x : psi_3(x) = 0, f(x) a nonzero
+    square}.
+
+    The walk is O(p), but p^2 is held to the enumeration budget
+    (ResourceError), the bound of the group census: the curve commands'
+    float root finding (`nazeta._durand_kerner`) has its simple-roots
+    precondition checked only for the primes below it.  `_count_prime_field`
+    stays a walk of its own: `count_points` and `ap_fast` need no psi_3
+    test and no such bound.
+    """
+    p, a, b = curve.p, curve.a, curve.b
+    if p * p > ENUMERATION_BUDGET:
+        raise ResourceError("F_p census exceeds the enumeration budget")
+    sq = bytearray(p)
+    for y in range(p):
+        sq[y * y % p] = 1
+    n1 = e2 = e3 = 1
+    for x in range(p):
+        xx = x * x % p
+        fx = (xx * x + a * x + b) % p
+        if fx == 0:
+            n1 += 1
+            e2 += 1
+        elif sq[fx]:
+            n1 += 2
+            if (3 * xx * xx + 6 * a * xx + 12 * b * x - a * a) % p == 0:
+                e3 += 2
+    return n1, e2, e3
+
+
 def trace_of_frobenius(p: int, a: int, b: int) -> int:
     """a_p = p + 1 - #E(F_p), by the same square-table census."""
     return p + 1 - _count_prime_field(p, a % p, b % p)
@@ -262,7 +303,8 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     exponent n2 starts at N; for each prime l | N it is divided by l while
     (n2 / l) * P = O for every point.  So n2 is the group exponent, and
     N / n2 is the n1 of the structure theorem: n1 | n2, and n1 | p - 1 by
-    the Weil pairing.
+    the Weil pairing.  No command calls it: the tests check
+    `point_and_torsion_counts` against it, and perfbench/tracing.py names it.
     """
     p, a = curve.p, curve.a
     if p * p > ENUMERATION_BUDGET:
@@ -274,10 +316,3 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
         while n2 % ell == 0 and all(ec_mul(p, a, P, n2 // ell) is None for P in points):
             n2 //= ell
     return GroupStructure(n // n2, n2)
-
-
-def torsion_count(gs: GroupStructure, m: int) -> int:
-    """#E[m](F_q) = gcd(m, n1) * gcd(m, n2)."""
-    if m < 1:
-        raise InputError("torsion level must be >= 1")
-    return gcd(m, gs.n1) * gcd(m, gs.n2)

@@ -123,12 +123,12 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
     Every normalized numerator a command builds has simple roots.  At rank
     1, 1 - at + qt^2 has a double root only if a^2 = 4q, which no prime q
     allows.  At ranks 2 and 3 an exhaustive check found no repeated root
-    for any prime q the group census accepts (q^2 <= ENUMERATION_BUDGET),
-    every a^2 <= 4q and every admissible n1, in both conventions
-    (tests/test_nazeta.py repeats it for q <= 100); raising that budget
-    must extend the check.  A double root converges only linearly, to
-    errors of 1e-9 to 1e-6 in spot checks, and a fourfold root does not
-    converge within DK_MAX_SWEEPS.
+    for any prime q the curve commands accept (q^2 <= ENUMERATION_BUDGET,
+    refused in `ffield.point_and_torsion_counts`), every a^2 <= 4q and
+    every admissible n1, in both conventions (tests/test_nazeta.py repeats
+    it for q <= 100); raising that bound must extend the check.  A double
+    root converges only linearly, to errors of 1e-9 to 1e-6 in spot
+    checks, and a fourfold root does not converge within DK_MAX_SWEEPS.
     """
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in reversed(coeffs)]

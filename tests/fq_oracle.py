@@ -4,9 +4,11 @@ The library counts points over extension fields through the zeta function
 (`ffield.count_points`) and runs its group law on plain ints mod p.  This
 module keeps the brute-force routes those answers are checked against:
 F_{p^n} as polynomial quotients with a deterministically chosen modulus,
-a group law over any such field, point counts by enumerating the field, and
+a group law over any such field, point counts by enumerating the field,
 the kernel of the trace map E(F_{p^n}) -> E(F_p) by summing Frobenius
-conjugates.
+conjugates, and the m-torsion counts read off the group structure, which
+check the library's torsion walk (`ffield.point_and_torsion_counts`).
+The test fixtures also tell curves apart by that group structure.
 """
 
 from __future__ import annotations
@@ -14,10 +16,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 from zetalab.errors import InputError, ResourceError
-from zetalab.ffield import ENUMERATION_BUDGET, WeierstrassCurve, is_prime
+from zetalab.ffield import (
+    ENUMERATION_BUDGET,
+    GroupStructure,
+    WeierstrassCurve,
+    group_structure,
+    is_prime,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +304,20 @@ def norm_kernel_size(curve: WeierstrassCurve, ext: int) -> int:
         if acc is None:
             kernel += 1
     return kernel
+
+
+def torsion_count(gs: GroupStructure, m: int) -> int:
+    """#E[m](F_q) = gcd(m, n1) * gcd(m, n2)."""
+    if m < 1:
+        raise InputError("torsion level must be >= 1")
+    return gcd(m, gs.n1) * gcd(m, gs.n2)
+
+
+def one_curve_per_group(curves: Iterable[WeierstrassCurve]) -> list[WeierstrassCurve]:
+    """The first of `curves` with each distinct (q, N_1, group): the group,
+    from `ffield.group_structure`, tells apart curves whose N_1 and 2- and
+    3-torsion agree."""
+    found = {}
+    for curve in curves:
+        found.setdefault((curve.p, group_structure(curve)), curve)
+    return list(found.values())

@@ -18,8 +18,8 @@ job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
 included, and EDGE_ARGVS: the exact kernels' edge orders and spans, and
 `nazeta`, `mass`, the rank-3 `census` and `allbundles --order 40` at the
-largest prime the group census accepts, which neither of the other lists
-reaches.  Each is run in process from the
+largest prime the curve commands accept, and their refusal at the next
+prime, which neither of the other lists reaches.  Each is run in process from the
 repository root, and its exit code and stdout are kept.  `perfbench/` is
 only read: no bytecode is written for it.  Pytest does not collect this
 file (no `test_` prefix).
@@ -42,18 +42,23 @@ SEEDS = {"ff_curves": (1, 2, 3), "euler": (1, 2, 3), "q_lattice": (1, 2, 3),
          "xi_high": (1,)}
 _EDGE_CURVE = ("--curve", "y2=x3+x+1", "--p", "59")
 _BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3137")
+_PAST_BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3163")
 EDGE_ARGVS = (
     *(("allbundles", *_EDGE_CURVE, "--order", order) for order in ("0", "1", "40")),
     ("explicit-ff", *_EDGE_CURVE, "--count", "0"),
     *(("explicit-ff", *_EDGE_CURVE, "--span", span) for span in ("0", "6")),
     *(("artin", *_EDGE_CURVE, "--order", order) for order in ("1", "100")),
-    # 3137 is the largest prime the group census accepts
+    # 3137 is the largest prime the curve commands accept, 3163 the next
     *(("nazeta", *_BIG_CURVE, "--rank", rank, "--convention", conv)
       for rank in ("2", "3") for conv in ("paper", "descent")),
     ("mass", *_BIG_CURVE),
     *(("census", *_BIG_CURVE, "--rank", "3", "--convention", conv)
       for conv in ("paper", "descent")),
     ("allbundles", *_BIG_CURVE, "--order", "40"),
+    ("nazeta", *_PAST_BIG_CURVE, "--rank", "2"),
+    ("census", *_PAST_BIG_CURVE, "--rank", "2"),
+    ("mass", *_PAST_BIG_CURVE),
+    ("allbundles", *_PAST_BIG_CURVE),
 )
 
 

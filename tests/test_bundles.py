@@ -17,7 +17,7 @@ from bundle_oracle import (
     t111_closed,
     zeta_value,
 )
-from fq_oracle import norm_kernel_size
+from fq_oracle import norm_kernel_size, one_curve_per_group, torsion_count
 from ratfunc_oracle import RatFunc
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
@@ -36,13 +36,7 @@ from zetalab.bundles import (
 )
 from zetalab.errors import CapabilityError, InputError
 from zetalab.exact import Poly
-from zetalab.ffield import (
-    FieldSpec,
-    GroupStructure,
-    WeierstrassCurve,
-    primes_up_to,
-    torsion_count,
-)
+from zetalab.ffield import FieldSpec, GroupStructure, WeierstrassCurve, primes_up_to
 
 O = LineOrbit.trivial()
 L = LineOrbit.rational(1)
@@ -200,7 +194,7 @@ class TestCensus:
                    WeierstrassCurve(FieldSpec(7), 1, 3)):
             curve = CurveData.from_curve(wc)
             k2 = norm_kernel_size(wc, 2)
-            eps2 = curve.torsion(2)
+            eps2 = curve.e2
             res = strata_census(2, curve, Convention.GALOIS_DESCENT)
             conj = next(r for r in res.rows if r.label == "(0;conj-pair)")
             assert conj.classes == F(k2 - eps2, 2)
@@ -277,6 +271,14 @@ class TestInvariant:
             assert invariant("beta", 3, 0, curve, Convention.GALOIS_DESCENT) == \
                 mass_recursion_beta(3, 0, curve.zeta)
 
+    def test_descent_census_mass_equals_recursion(self, census_curves):
+        # invariant reads the descent beta_r(0) from the recursion alone;
+        # the census rows, built from the torsion counts, must total it
+        for curve in census_curves:
+            for r in (2, 3):
+                census = strata_census(r, curve, Convention.GALOIS_DESCENT)
+                assert curve.n1 * census.mass == mass_recursion_beta(r, 0, curve.zeta)
+
     def test_paper_split_agreement_locus(self):
         # printed closed form matches the recursion exactly iff N1 = 2(q-1)
         for curve in GALLERY:
@@ -335,9 +337,10 @@ def weng_zagier_rh(r, curve, conv):
 def small_curves():
     """Every distinct (q, N_1, group) of a curve y^2 = x^3 + ax + b over F_p,
     5 <= p <= 23."""
-    return {CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
-            for p in primes_up_to(23)[2:] for a in range(p) for b in range(p)
-            if (4 * a ** 3 + 27 * b * b) % p}
+    return [CurveData.from_curve(curve) for curve in one_curve_per_group(
+        WeierstrassCurve(FieldSpec(p), a, b)
+        for p in primes_up_to(23)[2:] for a in range(p) for b in range(p)
+        if (4 * a ** 3 + 27 * b * b) % p)]
 
 
 class TestWengZagierRH:

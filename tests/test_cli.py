@@ -255,16 +255,28 @@ class TestExitCodes:
           "--mmax", "-4"], 1),
         (["artin", "--curve", "y2=x3+x+1", "--p", "5", "--mmax", "-1"], 1),
         (["mass", "--curve", "y2=x3+x+1", "--p", "5", "--rmax", "-2"], 1),
+        (["allbundles", "--curve", "y2=x3+x+1", "--p", "59", "--order", "-1"], 1),
         (["explicit-nf", "--zeros", ZEROS, "--pmax", "-7"], 1),
     ], ids=["gram-zero-denominator", "gram-nan", "gram-word",
             "zeros-missing", "zeros-directory", "zeros-not-utf8",
             "euler-pmax-zero", "euler-pmax-negative", "explicit-ff-count-negative",
             "explicit-ff-span-negative", "nazeta-mmax-negative", "artin-mmax-negative",
-            "mass-rmax-negative", "explicit-nf-pmax-negative"])
+            "mass-rmax-negative", "allbundles-order-negative",
+            "explicit-nf-pmax-negative"])
     def test_malformed_input_ends_in_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["nazeta", "--rank", "2"], ["census", "--rank", "2"], ["mass"], ["allbundles"],
+    ], ids=["nazeta", "census", "mass", "allbundles"])
+    def test_curve_commands_refuse_past_root_check_bound(self, capsys, argv):
+        # 3163 is the first prime with p^2 over ENUMERATION_BUDGET, the bound
+        # up to which the zeta numerators' roots were checked simple
+        assert main([*argv, "--curve", "y2=x3+x+1", "--p", "3163"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "resource error" in captured.err
 
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1

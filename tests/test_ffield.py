@@ -8,6 +8,7 @@ from fq_oracle import (
     norm_kernel_size,
     pt_add,
     smallest_irreducible,
+    torsion_count,
 )
 
 from zetalab import ffield
@@ -24,9 +25,9 @@ from zetalab.ffield import (
     ec_mul,
     group_structure,
     is_prime,
+    point_and_torsion_counts,
     prime_factors,
     primes_up_to,
-    torsion_count,
     trace_of_frobenius,
 )
 
@@ -223,6 +224,33 @@ class TestGroupStructureOracle:
         gs = census_group_structure(curve)
         assert gs.n1 == n1
         assert group_structure(curve) == gs
+
+
+def counts_from_group(curve):
+    gs = group_structure(curve)
+    return gs.order, torsion_count(gs, 2), torsion_count(gs, 3)
+
+
+class TestPointAndTorsionCounts:
+    def test_every_curve_below_60(self):
+        # N_1, #E[2] and #E[3] from the walk, against the group census
+        for p in primes_up_to(59)[2:]:
+            for curve in nonsingular_curves(p):
+                assert point_and_torsion_counts(curve) == counts_from_group(curve), curve
+
+    @pytest.mark.parametrize("a,b", [(1, 11), (1, 1), (1, 0), (1, 15), (0, 1), (1, 2)],
+                             ids=["e2=1,e3=1", "e2=2,e3=1", "e2=4,e3=1", "e2=1,e3=3",
+                                  "e2=2,e3=3", "e2=4,e3=3"])
+    def test_largest_prime_accepted(self, a, b):
+        # p = 3137, one curve for each pair of torsion counts it has
+        curve = WeierstrassCurve(FieldSpec(3137), a, b)
+        assert point_and_torsion_counts(curve) == counts_from_group(curve)
+
+    def test_budget(self):
+        # the walk keeps the group census's bound p^2 <= ENUMERATION_BUDGET
+        assert 3137 ** 2 <= ENUMERATION_BUDGET < 3163 ** 2
+        with pytest.raises(ResourceError):
+            point_and_torsion_counts(WeierstrassCurve(FieldSpec(3163), 1, 1))
 
 
 class TestEcMul:

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from fq_oracle import Fq, multiples, pt_add
+from fq_oracle import Fq, multiples, one_curve_per_group, pt_add, torsion_count
 from ratfunc_oracle import RatFunc, longdiv_series, poly_derivative, poly_eval, poly_gcd
 
 from zetalab import nazeta
@@ -77,16 +77,13 @@ def ratfunc_assembly(q, r, gamma0, betas):
 @pytest.fixture(scope="module")
 def curves_to_23():
     """Every nonsingular y^2 = x^3 + ax + b over F_p, 5 <= p <= 23, up to
-    its CurveData (the rank-r zeta depends on nothing else), with one
-    (a, b) for each."""
-    table = {}
-    for p in primes_up_to(23)[2:]:
-        for a in range(p):
-            for b in range(p):
-                if (4 * a ** 3 + 27 * b ** 2) % p:
-                    curve = CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
-                    table.setdefault(curve, (a, b))
-    return table
+    its (q, N_1, group) (the rank-r zeta depends on nothing else): its
+    CurveData and one (a, b) for each."""
+    return [(CurveData.from_curve(curve), (curve.a, curve.b))
+            for curve in one_curve_per_group(
+                WeierstrassCurve(FieldSpec(p), a, b)
+                for p in primes_up_to(23)[2:] for a in range(p) for b in range(p)
+                if (4 * a ** 3 + 27 * b ** 2) % p)]
 
 
 class TestEllNaZeta:
@@ -134,7 +131,7 @@ class TestEllNaZeta:
 
 class TestZseries:
     def test_rank_zeta_matches_long_division(self, curves_to_23):
-        for curve in curves_to_23:
+        for curve, _ in curves_to_23:
             for r in (1, 2, 3):
                 for conv in Convention:
                     z = ell_na_zeta(curve, r, conv)
@@ -143,7 +140,7 @@ class TestZseries:
                         z.P.coeffs, z.denominator.coeffs, 12)
 
     def test_artin_zeta_matches_long_division(self, curves_to_23):
-        for curve in curves_to_23:
+        for curve, _ in curves_to_23:
             zc = curve.zeta
             den = Poly([1, -1]) * Poly([1, -zc.q])
             assert list(zc.zseries(12).coeffs) == longdiv_series(
@@ -152,7 +149,7 @@ class TestZseries:
 
 class TestNaNumerator:
     def test_matches_ratfunc_assembly_for_every_curve(self, curves_to_23):
-        for curve in curves_to_23:
+        for curve, _ in curves_to_23:
             for r in (1, 2, 3):
                 for conv in Convention:
                     gamma0 = invariant("gamma", r, 0, curve, conv)
@@ -164,7 +161,7 @@ class TestNaNumerator:
         # the local factor at p is read off as the difference of the
         # partial products up to p and up to p - 1
         s = 3 + 1j
-        for curve, (a, b) in curves_to_23.items():
+        for curve, (a, b) in curves_to_23:
             p = curve.q
             ec = GlobalCurve(a, b)
             x = complex(p) ** (-s)
@@ -250,15 +247,17 @@ def np_roots_residual(z):
 def admissible_curve_data(q_max):
     """Every (q, N, n1) a curve over F_q, 5 <= q <= q_max prime, could have:
     N = q + 1 - a with a^2 <= 4q, n1^2 | N and n1 | q - 1.  A superset of
-    the CurveData of the actual curves."""
+    the CurveData of the actual curves, one for each Z/n1 x Z/(N/n1), with
+    its torsion counts read off that group."""
     found = []
     for q in primes_up_to(q_max)[2:]:
         w = math.isqrt(4 * q)
         for a in range(-w, w + 1):
             n = q + 1 - a
-            found += [CurveData(q, GroupStructure(n1, n // n1))
-                      for n1 in range(1, math.isqrt(n) + 1)
+            groups = [GroupStructure(n1, n // n1) for n1 in range(1, math.isqrt(n) + 1)
                       if n % (n1 * n1) == 0 and (q - 1) % n1 == 0]
+            found += [CurveData(q, n, torsion_count(gs, 2), torsion_count(gs, 3))
+                      for gs in groups]
     return found
 
 
@@ -274,7 +273,7 @@ class TestDurandKerner:
     def test_normalized_numerators_are_squarefree(self, numerators_to_100):
         # what lets Durand-Kerner run on P/P(0) itself: no numerator any
         # command builds at q <= 100 has a repeated root (the library's
-        # docstring records the same check up to the group census's budget)
+        # docstring records the same check up to the curve commands' bound)
         assert len(numerators_to_100) > 4000
         for data, r, conv, z in numerators_to_100:
             ptilde = z.normalized_numerator
@@ -371,7 +370,7 @@ class TestCountsDigitBound:
     def test_bound_holds(self, curves_to_23):
         # every N(m)'s numerator and denominator stays below the bound the
         # CLI refuses --mmax by
-        for curve in curves_to_23:
+        for curve, _ in curves_to_23:
             for r in (1, 2, 3):
                 for conv in Convention:
                     z = ell_na_zeta(curve, r, conv)
@@ -384,7 +383,7 @@ class TestCountsDigitBound:
     def test_bound_is_tight_on_integral_numerators(self, curves_to_23):
         # with P/P(0) integral the bound is m log10 q + log10 4r, within
         # log10 4 of N(m) ~ r q^m: no 2 max|a_j|^(1/j) root estimate
-        for curve in curves_to_23:
+        for curve, _ in curves_to_23:
             for conv in Convention:
                 z = ell_na_zeta(curve, 2, conv)
                 if any(c.denominator != 1 for c in z.normalized_numerator.coeffs):
