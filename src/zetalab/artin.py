@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zetalab.errors import InputError
-from zetalab.exact import Poly, Series, decimate
+from zetalab.exact import Poly
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ZetaCurve:
     @property
     def P(self) -> Poly:
         return Poly([1, -self.a, self.q])
-
-    def zseries(self, order: int) -> Series:
-        return Series.ratio(self.P, Poly([1, -1]) * Poly([1, -self.q]), order)
 
     def power_sums(self, m_max: int) -> list[int]:
         """p_1, ..., p_m_max of the two reciprocal roots: with p_0 = 2 and
@@ -78,20 +75,18 @@ def base_extend(zc: ZetaCurve, n: int) -> ZetaCurve:
 
 
 def reciprocity_check(zc: ZetaCurve, n: int, order: int) -> bool:
-    """Roots-of-unity product law, checked through log-series decimation.
+    """Roots-of-unity product law: prod_{zeta^n = 1} Z(zeta t) = Z_n(t^n),
+    Z_n the zeta over F_{q^n}, through order t^(n * order).
 
-    The product of Z over the n-th root-of-unity twists has logarithm
-    n * (every n-th coefficient of log Z), so the law holds iff that
-    decimation matches log of the base-extended Z.  Exact, and no root of
-    unity is ever materialized.
+    Taking logs, the law says N'_k = N_{nk} for k = 1..order, N'_k the
+    counts over F_{q^n}; with q^(nk) on both sides that is p'_k = p_{nk}.
+    So it compares two independent Newton recurrences: the power sums of
+    `base_extend(zc, n)`, in (p_n, q^n), against every n-th power sum of
+    zc, in (a, q).  O(n * order) big-integer products, no series.
     """
     if n < 1 or order < 1:
         raise InputError("n and order must be >= 1")
-    big = zc.zseries(order * n + 1).log()
-    left = decimate(big, n).scale(n)          # coefficient k is n*N_{nk}/(nk)
-    right = base_extend(zc, n).zseries(order + 1).log()
-    common = min(left.order, right.order)
-    return left.truncate(common) == right.truncate(common)
+    return base_extend(zc, n).power_sums(order) == zc.power_sums(n * order)[n - 1::n]
 
 
 def rh_check(zc: ZetaCurve) -> bool:

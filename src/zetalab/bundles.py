@@ -2,11 +2,12 @@
 
 Everything is bookkeeping over the Atiyah classification: S-equivalence
 classes of degree-0 semistable bundles are indexed by the multiset of
-line-bundle pieces of the graded object, a class's contents are the
-Jordan-block regroupings of those pieces, and each bundle contributes
-1/#Aut (mass) or (q^h0 - 1)/#Aut (gamma mass).  #Aut is a product over
-the distinct line-bundle orbits of the graded object, so a row's mass sums
-factor orbit by orbit and no bundle is built one at a time; the
+line-bundle pieces of the graded object, and each bundle of a class
+contributes 1/#Aut (mass) or (q^h0 - 1)/#Aut (gamma mass).  #Aut is a
+product over the distinct line-bundle orbits of the graded object, so a
+row's sums factor orbit by orbit, and an orbit's sum over its Jordan types
+has the closed form Q^(m(m-1)/2) / prod_{i<=m} (Q^i - 1) of Cohen and
+Lenstra (LNM 1068, 1984).  No bundle and no Jordan type is enumerated; the
 bundle-by-bundle route is the test oracle tests/bundle_oracle.py.
 
 Two counting conventions are first-class citizens and never silently
@@ -26,12 +27,9 @@ other.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError
@@ -68,40 +66,29 @@ class CurveData:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms of Jordan types
+# mass sums over Jordan types
 
-def _module_aut_count(partition: Sequence[int], q: int) -> int:
-    """#Aut of (+)_i I_{r_i} (x) L for a fixed line bundle L over F_q.
+def _orbit_mass(m: int, Q: int) -> tuple[int, int]:
+    """Sum over the Jordan types of m equal pieces over F_Q of 1/#Aut, as
+    (numerator, denominator): Q^(m(m-1)/2) / prod_{i=1}^m (Q^i - 1).
 
-    This is the automorphism count of a finite module of type `partition`
-    over a discrete valuation ring with residue field F_q:
-    q^s * prod_k prod_{i=1}^{m_k} (1 - q^-i), s = sum_{i,j} min(r_i, r_j),
-    where m_k is the multiplicity of the part k.  As an integer it is
-    q^(s - sum_k m_k(m_k+1)/2) * prod_k prod_{i=1}^{m_k} (q^i - 1); the
-    exponent is >= 0 as s >= sum_k m_k^2 >= sum_k m_k(m_k+1)/2.
+    A Jordan type is a module of length m over a discrete valuation ring
+    with residue field F_Q, and this is Cohen and Lenstra's sum of 1/#Aut
+    over those modules (LNM 1068, 1984).  Read at m - 1 it is the gamma
+    sum of (Q^blocks - 1)/#Aut: Q^blocks - 1 counts the nonzero socle
+    elements v, and the pairs (module, v) weighted by 1/#Aut are the
+    extensions of a length-(m-1) module by F_Q, whose Ext^1 and Hom have
+    the same size.
     """
-    mults = Counter(partition).values()
-    exponent = (sum(min(a, b) for a in partition for b in partition)
-                - sum(m * (m + 1) // 2 for m in mults))
-    total = q ** exponent
-    for mult in mults:
-        for i in range(1, mult + 1):
-            total *= q ** i - 1
-    return total
+    den = 1
+    for i in range(1, m + 1):
+        den *= Q ** i - 1
+    return Q ** (m * (m - 1) // 2), den
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """Every partition of n, parts in decreasing order."""
-    def parts(rest: int, most: int):
-        if rest == 0:
-            yield ()
-        for k in range(min(rest, most), 0, -1):
-            yield from ((k, *tail) for tail in parts(rest - k, k))
-    return list(parts(n, n))
-
-
-# the Jordan types of m <= 3 equal pieces, all a census row of rank <= 3 has
-_JORDAN_TYPES = tuple(_partitions(m) for m in range(4))
+# p(m), the number of Jordan types of m equal pieces, for every m <= 3 a
+# census row of rank <= 3 has
+_PARTITION_COUNTS = (1, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -151,29 +138,25 @@ def _class_row(label: str, classes, q: int, trivial: int,
     of O, and one pair (m, e) for every other distinct line-bundle orbit,
     m its multiplicity and e its orbit size.
 
-    #Aut(V) is the product over the distinct orbits of the module count of
-    V's Jordan type on that orbit over F_{q^e}, so the class's sums over its
-    bundles (one per choice of Jordan type on each orbit) factor orbit by
-    orbit: the mass is the product of the orbits' sums of 1/#Aut.  Only the
-    Jordan blocks of O carry sections, one each, so the gamma mass takes
-    O's sum of (q^blocks - 1)/#Aut in place of its mass sum.
+    #Aut(V) is the product over the distinct orbits of the automorphism
+    count of V's Jordan type on that orbit over F_{q^e}, so the class's
+    sums over its bundles (one per choice of Jordan type on each orbit)
+    factor orbit by orbit: the mass is the product of the orbits'
+    `_orbit_mass(m, q^e)`.  Only the Jordan blocks of O carry sections, one
+    each, so the gamma mass takes O's sum of (q^blocks - 1)/#Aut in place of
+    its mass sum; by the same product formula that sum is
+    `_orbit_mass(trivial - 1, q)`, and 0 when there is no O.
     """
-    def jordan_types(m: int, qe: int):
-        # one orbit's Jordan types, each 1/#Aut as weight/den
-        types = _JORDAN_TYPES[m]
-        auts = [_module_aut_count(lam, qe) for lam in types]
-        den = math.lcm(*auts)
-        return types, [den // a for a in auts], den
-
-    num = den = bundles = 1
+    num = den = 1
+    bundles = _PARTITION_COUNTS[trivial]
     for m, e in pieces:
-        types, weights, d = jordan_types(m, q ** e)
-        num, den, bundles = num * sum(weights), den * d, bundles * len(types)
-    types, weights, d = jordan_types(trivial, q)
-    gamma = sum((q ** len(lam) - 1) * w for lam, w in zip(types, weights))
-    return Stratum(label, Fraction(classes), bundles * len(types),
-                   Fraction(num * sum(weights), den * d),
-                   Fraction(num * gamma, den * d))
+        n, d = _orbit_mass(m, q ** e)
+        num, den, bundles = num * n, den * d, bundles * _PARTITION_COUNTS[m]
+    mass_num, mass_den = _orbit_mass(trivial, q)
+    gamma_num, gamma_den = _orbit_mass(trivial - 1, q) if trivial else (0, 1)
+    return Stratum(label, Fraction(classes), bundles,
+                   Fraction(num * mass_num, den * mass_den),
+                   Fraction(num * gamma_num, den * gamma_den))
 
 
 def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:

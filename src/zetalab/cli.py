@@ -26,9 +26,12 @@ from zetalab.exact import Poly
 from zetalab.ffield import FieldSpec, WeierstrassCurve, count_points
 
 USAGE_EXIT = 64
-# reciprocity_check's work grows about as order^3.5: at order 100 it takes
-# 0.2 s at p = 59 and 1.1 s at p = 999983, at order 250 4 s and 22 s
-ARTIN_ORDER_CAP = 100
+# reciprocity_check runs power-sum recurrences of length n * order with
+# digits growing in order, so its work grows about as order^2.3: for
+# n = 2, 3, 4 together, at order 3000 it takes 0.09 s at p = 59 and 0.36 s
+# at p = 9999991, the largest prime the point count accepts; at 4000,
+# 0.16 s and 0.69 s (one core of a shared 2-CPU container)
+ARTIN_ORDER_CAP = 3000
 
 
 class _UsageError(Exception):

@@ -7,8 +7,9 @@ stripped, and a truncated power series carries its truncation order as
 explicit state (mixing orders takes the minimum).  `Poly` is a ring with
 no evaluation and no division: a rational function num/den is never
 reduced, only expanded into its power series by `Series.ratio`.  The
-series product, inverse and log and the power sums run one recurrence for
-both kinds of coefficient, so integral input stays on Python ints.
+series product and inverse and the power sums, which the series log
+reads, run one recurrence for both kinds of coefficient, so integral
+input stays on Python ints.
 `Series.ratio` and `power_sums_from_poly` bring rational input to
 integers: the first clears denominators and substitutes t -> d0 t, d0 the
 denominator's constant term, and divides coefficient k of the integer
@@ -151,10 +152,6 @@ class Series:
         self.order = order
 
     @staticmethod
-    def from_poly(p: Poly, order: int) -> "Series":
-        return Series(p.coeffs, order)
-
-    @staticmethod
     def ratio(num: Poly, den: Poly, order: int) -> "Series":
         """Power-series expansion of num/den at t=0 to the given order."""
         if den[0] == 0:
@@ -184,11 +181,6 @@ class Series:
     def __hash__(self) -> int:
         return hash((self.coeffs, self.order))
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise InputError("cannot extend a truncated series")
-        return Series(self.coeffs[:order], order)
-
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -199,9 +191,6 @@ class Series:
                 for j in range(n - i):
                     out[i + j] += ci * b[j]
         return Series(out, n)
-
-    def scale(self, c: RatLike) -> "Series":
-        return Series([c * ci for ci in self.coeffs], self.order)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a unit constant term.  It is
@@ -220,20 +209,17 @@ class Series:
         return Series(inv, n)
 
     def log(self) -> "Series":
-        """log of a series with constant term 1."""
-        a = self.coeffs
-        if a[0] != 1:
+        """log of a series with constant term 1.
+
+        Below the order the series agrees with its truncation to a
+        polynomial prod_i (1 - w_i t), whose log is -sum_k p_k t^k / k, p_k
+        the power sums of the w_i: `power_sums_from_poly`'s Newton identity.
+        """
+        if self.coeffs[0] != 1:
             raise InputError("series log needs constant term 1")
-        n = self.order
-        # M_k = k*L_k solves k*S_k = sum_{j=1..k} M_j*S_{k-j}; it is an
-        # integer when S is integral
-        ms = [0] * n
-        for k in range(1, n):
-            acc = k * a[k]
-            for j in range(1, k):
-                acc -= ms[j] * a[k - j]
-            ms[k] = acc
-        return Series([0] + [Fraction(ms[k], k) for k in range(1, n)], n)
+        psums = power_sums_from_poly(Poly(self.coeffs), self.order - 1)
+        return Series([0] + [-Fraction(p, k) for k, p in enumerate(psums, start=1)],
+                      self.order)
 
     def exp(self) -> "Series":
         """exp of a series with constant term 0."""
@@ -250,14 +236,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({[str(c) for c in self.coeffs]}, order={self.order})"
-
-
-def decimate(s: Series, n: int) -> Series:
-    """Keep every n-th coefficient: result[k] = s[n*k]; order = floor(order/n)."""
-    if n < 1:
-        raise InputError("decimation step must be >= 1")
-    out = [s.coeffs[i] for i in range(0, s.order, n)]
-    return Series(out, len(out))
 
 
 def power_sums_from_poly(p: Poly, m_max: int) -> list[RatLike]:

@@ -2,11 +2,13 @@
 
 The library computes a census row from the shape of its graded object:
 #Aut(V) is a product over the distinct line-bundle orbits of V, so each
-row's mass sums factor orbit by orbit (`bundles._class_row`).  This module
-keeps the route those rows are checked against: validated descriptors of
-individual bundles, every bundle of a class built one at a time, and
-#Aut(V) and h^0(V) of each.  `ROW_GRADED` gives, for every census row
-label, the graded object the library row describes.
+row's mass sums factor orbit by orbit, and each orbit's sum over its Jordan
+types is the Cohen-Lenstra product formula (`bundles._class_row`,
+`bundles._orbit_mass`).  This module keeps the route those rows are
+checked against: validated descriptors of individual bundles, every
+Jordan type (`partitions`) of every class built one at a time, and
+#Aut(V) (`module_aut_count`) and h^0(V) of each.  `ROW_GRADED` gives, for
+every census row label, the graded object the library row describes.
 
 It also keeps the Harder-Narasimhan mass recursion summed term by term
 on Fractions, the oracle for the library's integer numerators over one
@@ -18,15 +20,47 @@ closed on Fractions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from ratfunc_oracle import poly_eval
 
 from zetalab.artin import ZetaCurve, nm
-from zetalab.bundles import Stratum, _module_aut_count, _partitions
+from zetalab.bundles import Stratum
 from zetalab.errors import CapabilityError, InputError
+
+
+def module_aut_count(partition: Sequence[int], q: int) -> int:
+    """#Aut of (+)_i I_{r_i} (x) L for a fixed line bundle L over F_q.
+
+    This is the automorphism count of a finite module of type `partition`
+    over a discrete valuation ring with residue field F_q:
+    q^s * prod_k prod_{i=1}^{m_k} (1 - q^-i), s = sum_{i,j} min(r_i, r_j),
+    where m_k is the multiplicity of the part k.  As an integer it is
+    q^(s - sum_k m_k(m_k+1)/2) * prod_k prod_{i=1}^{m_k} (q^i - 1); the
+    exponent is >= 0 as s >= sum_k m_k^2 >= sum_k m_k(m_k+1)/2.
+    """
+    mults = Counter(partition).values()
+    exponent = (sum(min(a, b) for a in partition for b in partition)
+                - sum(m * (m + 1) // 2 for m in mults))
+    total = q ** exponent
+    for mult in mults:
+        for i in range(1, mult + 1):
+            total *= q ** i - 1
+    return total
+
+
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Every partition of n, parts in decreasing order: the Jordan types of
+    n equal pieces."""
+    def parts(rest: int, most: int):
+        if rest == 0:
+            yield ()
+        for k in range(min(rest, most), 0, -1):
+            yield from ((k, *tail) for tail in parts(rest - k, k))
+    return list(parts(n, n))
 
 
 @dataclass(frozen=True)
@@ -96,7 +130,7 @@ def aut_order(b: BundleDescriptor, q: int) -> int:
         blocks.setdefault(orbit, []).append(r_j)
     total = 1
     for orbit, partition in blocks.items():
-        total *= _module_aut_count(partition, q ** orbit.size)
+        total *= module_aut_count(partition, q ** orbit.size)
     return total
 
 
@@ -120,7 +154,7 @@ def class_contents(gr: BundleDescriptor) -> list[BundleDescriptor]:
         mult[orbit] = mult.get(orbit, 0) + 1
     orbits = sorted(mult, key=lambda o: (o.kind, o.size, o.index))
     per_orbit = [
-        [(orbit, p) for p in _partitions(mult[orbit])] for orbit in orbits
+        [(orbit, p) for p in partitions(mult[orbit])] for orbit in orbits
     ]
     out = []
     for combo in itertools.product(*per_orbit):

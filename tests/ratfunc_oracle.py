@@ -9,7 +9,9 @@ functions, evaluate them and sum them independently of that expansion;
 `longdiv_series` expands num/den by explicit long division.
 `series_exp_from_power_sums` builds a zeta series from point counts, and
 `poly_from_power_sums` inverts `exact.power_sums_from_poly`, both through
-`Series.exp`.
+`Series.exp`.  `zseries` expands an elliptic curve's Artin zeta and
+`decimate` keeps every n-th coefficient of a series, the pieces of the
+log-series reciprocity oracle in tests/test_artin.py.
 """
 
 from fractions import Fraction
@@ -44,6 +46,19 @@ def poly_from_power_sums(psums: Sequence[RatLike], degree: int) -> Poly:
     if len(psums) < degree:
         raise InputError(f"need {degree} power sums, got {len(psums)}")
     return Poly(series_exp_from_power_sums([-c for c in psums[:degree]], degree + 1).coeffs)
+
+
+def zseries(zc, order: int) -> Series:
+    """Z(t) = P(t)/((1-t)(1-qt)) of a `ZetaCurve` to the given order."""
+    return Series.ratio(zc.P, Poly([1, -1]) * Poly([1, -zc.q]), order)
+
+
+def decimate(s: Series, n: int) -> Series:
+    """Keep every n-th coefficient: result[k] = s[n*k]; order = ceil(order/n)."""
+    if n < 1:
+        raise InputError("decimation step must be >= 1")
+    out = [s.coeffs[i] for i in range(0, s.order, n)]
+    return Series(out, len(out))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -168,7 +183,7 @@ class RatFunc:
         # a unit constant term keeps an integral pair, such as a Weil
         # numerator over (1-t)(1-qt), on the integer recurrences
         num, den = self.num.scale(Fraction(1) / d0), self.den.scale(Fraction(1) / d0)
-        return Series.from_poly(num, order) * Series.from_poly(den, order).inverse()
+        return Series(num.coeffs, order) * Series(den.coeffs, order).inverse()
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -16,13 +16,14 @@ with their own count, since most guard input no argv is meant to reach:
 The argvs are the golden cases of `test_cli_golden.py`, every distinct
 job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
-included, and EDGE_ARGVS: the exact kernels' edge orders and spans, and
-`nazeta`, `mass`, the rank-3 `census` and `allbundles --order 40` at the
-largest prime the curve commands accept, and their refusal at the next
-prime, which neither of the other lists reaches.  Each is run in process from the
-repository root, and its exit code and stdout are kept.  `perfbench/` is
-only read: no bytecode is written for it.  Pytest does not collect this
-file (no `test_` prefix).
+included, and EDGE_ARGVS: the exact kernels' edge orders and spans,
+`artin` at its `--order` cap and past it, the rank-3 `census` at p = 5,
+and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
+`artin` at its `--order` cap at the largest prime the curve commands
+accept, and their refusal at the next prime, which neither of the other
+lists reaches.  Each is run in process from the repository root, and its
+exit code and stdout are kept.  `perfbench/` is only read: no bytecode is
+written for it.  Pytest does not collect this file (no `test_` prefix).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zetalab"
 SEEDS = {"ff_curves": (1, 2, 3), "euler": (1, 2, 3), "q_lattice": (1, 2, 3),
          "xi_high": (1,)}
+_SMALL_CURVE = ("--curve", "y2=x3+x+1", "--p", "5")
 _EDGE_CURVE = ("--curve", "y2=x3+x+1", "--p", "59")
 _BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3137")
 _PAST_BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3163")
@@ -47,7 +49,10 @@ EDGE_ARGVS = (
     *(("allbundles", *_EDGE_CURVE, "--order", order) for order in ("0", "1", "40")),
     ("explicit-ff", *_EDGE_CURVE, "--count", "0"),
     *(("explicit-ff", *_EDGE_CURVE, "--span", span) for span in ("0", "6")),
-    *(("artin", *_EDGE_CURVE, "--order", order) for order in ("1", "100")),
+    *(("artin", *_EDGE_CURVE, "--order", order) for order in ("1", "100", "3000", "3001")),
+    ("artin", *_BIG_CURVE, "--order", "3000"),
+    *(("census", *_SMALL_CURVE, "--rank", "3", "--convention", conv)
+      for conv in ("paper", "descent")),
     # 3137 is the largest prime the curve commands accept, 3163 the next
     *(("nazeta", *_BIG_CURVE, "--rank", rank, "--convention", conv)
       for rank in ("2", "3") for conv in ("paper", "descent")),

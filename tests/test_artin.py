@@ -4,8 +4,9 @@ from typing import Sequence
 
 import pytest
 from fq_oracle import enumerated_count
-from ratfunc_oracle import poly_from_power_sums, series_exp_from_power_sums
+from ratfunc_oracle import decimate, poly_from_power_sums, series_exp_from_power_sums, zseries
 
+from zetalab import artin
 from zetalab.artin import (
     ZetaCurve,
     base_extend,
@@ -36,7 +37,7 @@ def artin_zeta_from_counts(q: int, counts: Sequence[int]) -> ZetaCurve:
     if not counts:
         raise InputError("need at least N_1")
     zser = series_exp_from_power_sums([rat(counts[0])], 2)
-    pser = zser * Series.from_poly(Poly([1, -1]) * Poly([1, -q]), 2)
+    pser = zser * Series((Poly([1, -1]) * Poly([1, -q])).coeffs, 2)
     zc = ZetaCurve(q, -int(pser[1]))
     for m, n_claimed in enumerate(counts, start=1):
         if nm(zc, m) != n_claimed:
@@ -52,6 +53,21 @@ def base_extend_by_power_sums(zc: ZetaCurve, n: int) -> tuple[int, Poly]:
     `base_extend`, which reads N_n off the base curve instead."""
     psums = zc.power_sums(2 * n)
     return zc.q ** n, poly_from_power_sums([psums[n - 1], psums[2 * n - 1]], 2)
+
+
+def log_series_reciprocity(zc: ZetaCurve, n: int, order: int) -> bool:
+    """The roots-of-unity product law through log-series decimation.
+
+    The product of Z over the n-th root-of-unity twists has logarithm
+    n * (every n-th coefficient of log Z), so the law holds through t^order
+    of the base-extended Z iff that decimation matches its log.  The
+    oracle for `reciprocity_check`, which compares power sums instead; it
+    reads `artin.base_extend` at call time, as the library does.
+    """
+    big = zseries(zc, order * n + 1).log()
+    left = [n * c for c in decimate(big, n).coeffs]   # coefficient k is n*N_{nk}/(nk)
+    right = zseries(artin.base_extend(zc, n), order + 1).log().coeffs
+    return left == list(right)
 
 
 class TestConstruction:
@@ -143,6 +159,30 @@ class TestReciprocity:
         for zc in GALLERY:
             for n in (2, 3, 4):
                 assert reciprocity_check(zc, n, 6)
+
+    def test_power_sums_equal_log_series_oracle(self, census_curves):
+        zetas = {curve.zeta for curve in census_curves}
+        # at the largest prime the curve commands accept: both Hasse ends
+        zetas |= {ZetaCurve(3137, a) for a in (-112, -1, 0, 1, 112)}
+        for zc in zetas:
+            for n in range(1, 5):
+                for order in (1, 8, 12):
+                    assert reciprocity_check(zc, n, order), (zc, n, order)
+                    assert log_series_reciprocity(zc, n, order), (zc, n, order)
+
+    def test_both_routes_refuse_a_wrong_extension(self, monkeypatch):
+        # base_extend off in the trace, or in the field size (which p'_1
+        # does not see, so order >= 2): both routes find the law broken
+        true_extend = base_extend
+        for wrong in (lambda e: ZetaCurve(e.q, e.a - 1 if e.a > 0 else e.a + 1),
+                      lambda e: ZetaCurve(e.q + 1, e.a)):
+            monkeypatch.setattr(artin, "base_extend",
+                                lambda zc, n, wrong=wrong: wrong(true_extend(zc, n)))
+            for zc in GALLERY:
+                for n in range(1, 5):
+                    for order in (2, 8):
+                        assert not reciprocity_check(zc, n, order), (zc, n, order)
+                        assert not log_series_reciprocity(zc, n, order), (zc, n, order)
 
 
 def check_fabricated(q, a, holds):

@@ -13,7 +13,9 @@ from bundle_oracle import (
     class_contents,
     fraction_mass_recursion_beta,
     h0_of_bundle,
+    module_aut_count,
     oracle_row,
+    partitions,
     t111_closed,
     zeta_value,
 )
@@ -22,12 +24,12 @@ from ratfunc_oracle import RatFunc
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.bundles import (
+    _PARTITION_COUNTS,
     Convention,
     CurveData,
     _beta_degree_zero,
     _gamma_degree_zero,
-    _module_aut_count,
-    _partitions,
+    _orbit_mass,
     _triple_count,
     _zeta_value,
     invariant,
@@ -99,13 +101,40 @@ class TestAutOrder:
         # an int result also shows the exponent of q is never negative
         for q in (2, 3, 5, 49):
             for n in range(1, 8):
-                for partition in _partitions(n):
+                for partition in partitions(n):
                     want = F(q) ** sum(min(a, b) for a in partition for b in partition)
                     for mult in Counter(partition).values():
                         for i in range(1, mult + 1):
                             want *= 1 - F(1, q ** i)
-                    got = _module_aut_count(partition, q)
+                    got = module_aut_count(partition, q)
                     assert type(got) is int and got == want, (q, partition)
+
+
+# small prime powers, the largest prime the curve commands accept and a
+# large power of it
+ORBIT_QS = (2, 3, 4, 5, 7, 8, 9, 25, 59, 3137, 3137 ** 3)
+
+
+class TestOrbitMass:
+    """`_orbit_mass` against the sums over every Jordan type of m pieces."""
+
+    def test_mass_equals_jordan_type_sum(self):
+        for q in ORBIT_QS:
+            for m in range(8):
+                want = sum(F(1, module_aut_count(lam, q)) for lam in partitions(m))
+                assert F(*_orbit_mass(m, q)) == want, (q, m)
+
+    def test_gamma_is_mass_one_piece_down(self):
+        # the sum of (q^blocks - 1)/#Aut over the types of m pieces; _class_row
+        # reads it as _orbit_mass(m - 1, q), and as 0 at m = 0
+        for q in ORBIT_QS:
+            for m in range(8):
+                want = sum(F(q ** len(lam) - 1, module_aut_count(lam, q))
+                           for lam in partitions(m))
+                assert (F(*_orbit_mass(m - 1, q)) if m else 0) == want, (q, m)
+
+    def test_partition_counts(self):
+        assert _PARTITION_COUNTS == tuple(len(partitions(m)) for m in range(4))
 
 
 class TestClassContents:

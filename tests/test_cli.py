@@ -372,12 +372,12 @@ class TestExitCodes:
         assert max(len(c.lstrip("-")) for c in counts) > 4300
 
     def test_artin_order_cap(self, capsys):
-        # reciprocity_check's work grows about as order^3.5; the cap is 100
+        # reciprocity_check's work grows about as order^2.3; the cap is 3000
         start = time.perf_counter()
-        assert main(["artin", "--curve", "y2=x3+x+1", "--p", "59", "--order", "101"]) == 2
+        assert main(["artin", "--curve", "y2=x3+x+1", "--p", "59", "--order", "3001"]) == 2
         assert time.perf_counter() - start < 0.5
         captured = capsys.readouterr()
-        assert captured.out == "" and "--order capped at 100" in captured.err
+        assert captured.out == "" and "--order capped at 3000" in captured.err
 
     def test_xi_far_left_is_bounded(self, capsys):
         # a large negative sigma must not raise the working precision

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from ratfunc_oracle import (
     RatFunc,
+    decimate,
     longdiv_series,
     poly_divmod,
     poly_eval,
@@ -21,7 +22,6 @@ from zetalab.exact import (
     Poly,
     Series,
     bernoulli_even,
-    decimate,
     fe_transform_check,
     power_sums_from_poly,
 )
@@ -72,7 +72,7 @@ def fraction_ratio(num, den, order):
 
 def log_power_sums(p, m_max):
     """Power sums as -m * [log p]_m, in Fractions: O(m_max^2)."""
-    lg = fraction_log(list(Series.from_poly(p, m_max + 1).coeffs))
+    lg = fraction_log(list(Series(p.coeffs, m_max + 1).coeffs))
     return [-m * lg[m] for m in range(1, m_max + 1)]
 
 
