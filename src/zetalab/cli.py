@@ -400,8 +400,9 @@ def cmd_explicit_nf(args) -> dict:
     zeros = explicit.load_zeros(args.zeros)
     f = explicit.NFTestFn(args.mu, args.sigma)
     model = explicit.MicroModel(args.K, zeros)
-    pairing = explicit.global_pairing(model, f)
+    # first, so that its range check on the prime powers precedes every quadrature
     rw = explicit.riemann_weil_residual(f, zeros, args.K, args.pmax)
+    pairing = explicit.global_pairing(model, f)
     return {
         "zeros_loaded": len(zeros),
         "K": args.K,
@@ -529,14 +530,29 @@ COMMANDS = {
 
 @functools.cache
 def build_parser() -> _Parser:
+    """The top-level parser; `commands` maps each command name to the
+    sub-parser it registers."""
     parser = _Parser(prog="zetalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (fn, help_, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        p = parser.commands[name] = sub.add_parser(name, help=help_)
         for flag, options in flags + OUTPUT:
             p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
     return parser
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The job an argv names.  An argv that starts with a command is parsed
+    once, by that command's own sub-parser: the top-level parser would only
+    hand it the same tokens.  The top-level parser serves the rest: no
+    argv, help and unknown commands, each ending in help or a usage error."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _public_params(args) -> dict:
@@ -551,12 +567,11 @@ def _public_params(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_argv(argv)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return USAGE_EXIT
     try:
         result = args.fn(args)

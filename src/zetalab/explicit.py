@@ -245,6 +245,11 @@ class NFTestFn:
         return (self.amplitude * self.sigma * math.sqrt(2 * math.pi)
                 * cmath.exp(self.mu * s + self.sigma ** 2 * s * s / 2))
 
+    @property
+    def log_reach(self) -> float:
+        """|log x| past which f(x) vanishes at double precision."""
+        return abs(self.mu) + 40 * self.sigma
+
     def convolve_with_dual(self, g: "NFTestFn") -> "NFTestFn":
         """h = f * g^* (multiplicative convolution with g^*(x) = g(1/x)/x);
         hhat(s) = fhat(s) ghat(1-s), again Gaussian in log."""
@@ -254,6 +259,25 @@ class NFTestFn:
                  * math.sqrt(2 * math.pi) / sigma_h
                  * math.exp(g.mu + g.sigma ** 2 / 2))
         return NFTestFn(mu_h, sigma_h, amp_h)
+
+
+# e^x overflows a double past this x, and 2.0 ** m from m log 2 = x on
+LOG_DOUBLE_MAX = 1024 * math.log(2)
+
+
+def _check_double_range(f: NFTestFn, prime_bound: int) -> None:
+    """Refuse (InputError), before any quadrature, a test function whose
+    values overflow a double: fhat(1), which has the factor
+    e^(mu + sigma^2/2), and, once prime_bound >= 2, the powers 2^m with
+    m log 2 <= f.log_reach that the prime-power sum takes.  Without the
+    check each such input ends in an OverflowError, or in a NumericError
+    after numpy's overflow warnings."""
+    if f.mu + f.sigma * f.sigma / 2 > LOG_DOUBLE_MAX:
+        raise InputError("mu + sigma^2/2 must be at most 1024 log 2: "
+                         "fhat(1) overflows a double")
+    if prime_bound >= 2 and LOG_DOUBLE_MAX <= f.log_reach:
+        raise InputError("|mu| + 40 sigma must stay below 1024 log 2: "
+                         "the prime powers overflow a double")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +465,7 @@ def global_pairing(model: MicroModel, f: NFTestFn,
     (fixed-point identity).
     """
     import numpy as np
+    _check_double_range(f, 0)
     lo_f = f.mu - HALFWIDTH_SIGMAS * f.sigma
     hi_f = f.mu + HALFWIDTH_SIGMAS * f.sigma
 
@@ -507,11 +532,11 @@ def _von_mangoldt_sum(f: NFTestFn, prime_bound: int) -> float:
     """sum over prime powers of log p * (f(p^m) + p^-m f(p^-m)).
 
     The m-range is cut where the Gaussian in log makes terms vanish at
-    double precision (|m log p| beyond mu + 40 sigma).
+    double precision (|m log p| beyond f.log_reach).
     """
     if prime_bound > 10 ** 6:
         raise ResourceError("prime bound capped at 10^6")
-    cutoff = abs(f.mu) + 40 * f.sigma
+    cutoff = f.log_reach
     terms = []
     for p in primes_up_to(prime_bound):
         logp = math.log(p)
@@ -594,6 +619,7 @@ def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,
     The K-truncated zero sum converges to the bracket as K and the prime
     bound grow; the residual is the quantitative gap.
     """
+    _check_double_range(f, prime_bound)
     model = MicroModel(K, zeros)
     zero_sum = _zero_sum_truncated(model, f)
     fhat0 = f.mellin(0).real

@@ -568,6 +568,13 @@ XI_MAX_ORDER = 40
 XI_MIN_SIGMA = -20
 # Dirichlet terms at most; at XI_DPS digits about 0.05 s, 1,229 of them primes
 XI_TERM_BUDGET = 10 ** 4
+# Right of this sigma |xi(s)| is above the double range at every |t| the
+# term budget admits, |t| < pi XI_TERM_BUDGET.  For sigma >= 2, |zeta(s)| >=
+# 1/zeta(2); |Gamma(sigma/2 + it/2)| falls as |t| grows (its product
+# formula), and pi^(-sigma/2) |Gamma(sigma/2 + it/2)| grows with sigma once
+# psi(sigma/2) > log pi, sigma >= 8.  At sigma = 10^4, |t| = pi 10^4 the
+# product is about 10^7813.
+XI_MAX_SIGMA = 10 ** 4
 
 
 @functools.cache
@@ -658,14 +665,16 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
 
     Refused: s not finite or near the poles 0, 1, eps not positive and
     finite (InputError), N above XI_TERM_BUDGET (ResourceError), a value
-    outside the normal double range or a remainder the Bernoulli table
-    cannot bring below eps (NumericError).
+    outside the normal double range, also any right of XI_MAX_SIGMA before
+    its work, or a remainder the Bernoulli table cannot bring below eps
+    (NumericError).
     """
     import mpmath
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise InputError("s must be finite")
-    if abs(s) < 1e-6 or abs(s - 1) < 1e-6:
+    # abs(s) raises past the double range, where no s is near a pole
+    if abs(s.imag) < 1e-6 and (abs(s) < 1e-6 or abs(s - 1) < 1e-6):
         raise InputError("evaluation too close to the poles s = 0, 1")
     if not 0 < eps < math.inf:
         raise InputError("eps must be positive and finite")
@@ -677,6 +686,8 @@ def xi_q(s: complex, eps: float = 1e-14) -> complex:
     if n > XI_TERM_BUDGET:
         raise ResourceError(f"xi at |t| = {abs(s.imag):g} needs {n} Dirichlet "
                             f"terms (budget {XI_TERM_BUDGET})")
+    if s.real > XI_MAX_SIGMA:
+        raise NumericError(f"|xi({s})| is outside the normal double range")
     dps = XI_DPS + max(0, math.ceil(-s.real * math.log10(n)))
     with mpmath.workdps(dps):
         ms = mpmath.mpc(s)

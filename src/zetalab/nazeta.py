@@ -479,7 +479,8 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
 
     Enforces the printed convergence region Re(s) > 1 + g + (r^2 - r)(g - 1),
     which at genus 1 reads Re(s) > 2 for every rank and is tested as that,
-    after refusing a non-finite s (NaN would pass every comparison).  A
+    after refusing a non-finite s (NaN would pass every comparison), and an
+    s whose angle t log p at the largest prime overflows.  A
     rank-2 factor has c_2 = p - 1 - a_p under GALOIS_DESCENT
     (beta_2(0)/beta_1(0) = (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under
     PAPER_SPLIT, so rank 1 and rank-2 GALOIS_DESCENT cost one `ap_fast` per
@@ -500,6 +501,9 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
 
     bad_primes = curve.bad_primes
     primes = [p for p in primes_up_to(prime_bound) if p > 3 and p not in bad_primes]
+    # p^(-s) turns by the angle t log p, which has no cosine once it overflows
+    if primes and math.isinf(s.imag * math.log(primes[-1])):
+        raise InputError(f"|Im(s)| log p overflows a double at p = {primes[-1]}")
 
     logs: list[complex] = []
     for p in primes:

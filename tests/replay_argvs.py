@@ -21,9 +21,14 @@ included, and EDGE_ARGVS: the exact kernels' edge orders and spans,
 and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
 `artin` at its `--order` cap at the largest prime the curve commands
 accept, and their refusal at the next prime, which neither of the other
-lists reaches.  Each is run in process from the repository root, and its
-exit code and stdout are kept.  `perfbench/` is only read: no bytecode is
-written for it.  Pytest does not collect this file (no `test_` prefix).
+lists reaches; argvs that end in a usage error or sit at the parser's
+edges (abbreviated, repeated and stray flags); and `xi`, `explicit-nf`
+and `euler` at floats near the double range's end.  Each is run in
+process from the repository root, with argparse's usage lines wrapped at
+80 columns, and its exit code, stdout and stderr are kept; an uncaught
+exception is kept as its type name in place of the exit code, and the
+run goes on.  `perfbench/` is only read: no bytecode is written for it.
+Pytest does not collect this file (no `test_` prefix).
 """
 
 from __future__ import annotations
@@ -64,6 +69,30 @@ EDGE_ARGVS = (
     ("census", *_PAST_BIG_CURVE, "--rank", "2"),
     ("mass", *_PAST_BIG_CURVE),
     ("allbundles", *_PAST_BIG_CURVE),
+    # the parser's edges: usage errors, and flags it accepts oddly spelt
+    (),
+    ("frobnicate",),
+    ("artin", "--curve", "y2=x3+x+1"),
+    ("artin", "--curve", "y2=x3+x+1", "--p", "x"),
+    ("artin", "--cur", "y2=x3+x+1", "--p", "5"),
+    ("artin", "--curve", "y2=x3+x+1", "--p=5", "--p", "7"),
+    ("artin", *_SMALL_CURVE, "extra"),
+    ("artin", *_SMALL_CURVE, "--bogus", "1"),
+    ("artin", *_SMALL_CURVE, "--threads", "2"),
+    ("nazeta", *_SMALL_CURVE, "--rank", "2", "--convention", "other"),
+    ("nazeta", *_SMALL_CURVE, "--rank", "2", "--format", "yaml"),
+    ("xi", "--s", "-1+2j"),
+    ("xi", "--s=-1+2j"),
+    ("--", "x"),
+    ("--format", "json", "artin"),
+    # floats near the end of the double range
+    *(("xi", f"--s={s}") for s in ("0.5+900j", "7e307", "8e307", "1.7e308", "-8e307")),
+    *(("explicit-nf", "--zeros", "tests/data/zeros100.txt", *flags)
+      for flags in (("--sigma", "18"), ("--sigma", "1e20"), ("--sigma", "1e154"),
+                    ("--sigma", "1e155"), ("--mu", "1e200", "--sigma", "1e200"),
+                    ("--mu", "700", "--sigma", "0.05", "--pmax", "0"))),
+    *(("euler", "--A", "1", "--B", "1", f"--s={s}")
+      for s in ("3+1e300j", "3+1e308j", "1e308+1e308j")),
 )
 
 
@@ -85,18 +114,23 @@ def argvs() -> dict[str, tuple[bool, tuple[str, ...]]]:
 
 
 def run(library: bool, argv: tuple[str, ...]) -> dict:
-    """Exit code and stdout of one argv; a library job prints its count."""
+    """Exit code, stdout and stderr of one argv, or the type name of the
+    exception it raised in place of the exit code; a library job prints
+    its count."""
     from zetalab import ffield
     from zetalab.cli import main
 
     if library:
         p, a, b, ext = (int(x) for x in argv[1:])
         curve = ffield.WeierstrassCurve(ffield.FieldSpec(p), a, b)
-        return {"exit": 0, "stdout": str(ffield.count_points(curve, ext))}
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return {"exit": code, "stdout": out.getvalue()}
+        return {"exit": 0, "stdout": str(ffield.count_points(curve, ext)), "stderr": ""}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception as exc:
+            code = type(exc).__name__
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def traced_lines() -> tuple[dict[str, set[int]], int]:
@@ -205,6 +239,7 @@ def main() -> int:
                       help="list function-body statements no argv executes")
     args = parser.parse_args()
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"               # argparse wraps usage lines to it
     if args.unreached:
         seen, count = traced_lines()
         statements, raises = unreached(seen)

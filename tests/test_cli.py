@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +13,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from zetalab.cli import build_parser, encode, main, parse_curve, parse_matrix
+import replay_argvs
+from zetalab.cli import (
+    _UsageError, build_parser, encode, main, parse_argv, parse_curve, parse_matrix,
+)
 from zetalab.exact import Poly
 
 SCHEMA = json.loads(
@@ -389,6 +395,31 @@ class TestExitCodes:
         payload = run_json(["xi", "--s", "80"], capsys)
         assert float(payload["result"]["functional_equation_residual"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["xi", "--s=8e307"],
+        ["xi", "--s=1.7e308"],
+        ["xi", "--s=-8e307"],
+        ["explicit-nf", "--zeros", ZEROS, "--sigma", "1e20"],
+        ["explicit-nf", "--zeros", ZEROS, "--sigma", "1e154"],
+        ["explicit-nf", "--zeros", ZEROS, "--sigma", "1e155"],
+        ["explicit-nf", "--zeros", ZEROS, "--mu", "1e200", "--sigma", "1e200"],
+        ["euler", "--A", "1", "--B", "1", "--s=3+1e308j"],
+        ["euler", "--A", "1", "--B", "1", "--s=1e308+1e308j"],
+    ], ids=["xi-8e307", "xi-1.7e308", "xi-minus-8e307", "nf-sigma-1e20",
+            "nf-sigma-1e154", "nf-sigma-1e155", "nf-mu-sigma-1e200",
+            "euler-t-1e308", "euler-s-1e308"])
+    def test_floats_past_double_range_end_in_one_error_line(self, capsys, argv):
+        # each ended in a traceback (OverflowError, ZeroDivisionError) or
+        # printed numpy overflow warnings before its error
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 # each subcommand with its required flags; `lattice` and `theta` need one
 # of --lattice and --gram
@@ -413,8 +444,10 @@ OMITTED = [(command, i) for command, flags in REQUIRED.items()
 
 class TestParserBehaviour:
     def test_every_subcommand_listed(self):
+        # `commands` holds the very sub-parsers the top-level parser registers
         action = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
+        assert build_parser().commands == action.choices
         assert set(action.choices) == set(REQUIRED)
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
@@ -440,6 +473,85 @@ class TestParserBehaviour:
     def test_unknown_convention(self, command, capsys):
         assert main([command, *REQUIRED[command], "--convention", "other"]) == 64
         assert capsys.readouterr().out == ""
+
+
+# argvs that end in help or a usage error, or that sit at the parser's
+# edges: abbreviated, repeated and stray flags, "--", options before the command
+PARSER_EDGE_ARGVS = [
+    [], ["--help"], ["-h"], ["frobnicate"], ["--", "x"], ["--format", "json", "artin"],
+    ["artin", "--curve", "y2=x3+x+1"],
+    ["artin", "--curve", "y2=x3+x+1", "--p", "x"],
+    ["artin", "--cur", "y2=x3+x+1", "--p", "5"],
+    ["artin", "--curve", "y2=x3+x+1", "--p=5", "--p", "7"],
+    ["artin", *CURVE, "extra"],
+    ["artin", *CURVE, "--bogus", "1"],
+    ["artin", *CURVE, "--threads", "2"],
+    ["artin", *CURVE, "--", "x"],
+    ["artin", "-h"], ["artin", "--h"], ["nazeta", "--help"],
+    ["nazeta", *CURVE, "--rank", "2", "--convention", "other"],
+    ["nazeta", *CURVE, "--rank", "2", "--format", "yaml"],
+    ["xi", "--s", "-1+2j"], ["xi", "--s=-1+2j"], ["xi"], ["andrianov", "x"],
+]
+HELP = {"-h", "--h", "--help"}
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """Every argv that tests/replay_argvs.py builds and that names a command."""
+    return [argv for library, argv in replay_argvs.argvs().values()
+            if not library and argv and argv[0] in build_parser().commands]
+
+
+def parsed(parse, argv):
+    """vars() of parse(argv), or the usage error it raised."""
+    try:
+        return vars(parse(list(argv)))
+    except _UsageError as exc:
+        return f"usage error: {exc}"
+
+
+def main_output(argv):
+    """Exit code (SystemExit's for help), stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneParse:
+    """A command's argv is parsed once, by its own sub-parser, to the job
+    the top-level parser made of it."""
+
+    def test_replay_argvs_name_every_command(self, replayed):
+        assert len(replayed) > 600
+        assert {argv[0] for argv in replayed} == set(REQUIRED)
+
+    def test_command_parser_gives_the_top_level_job(self, replayed):
+        for argv in replayed + [a for a in PARSER_EDGE_ARGVS if not HELP & set(a)]:
+            assert parsed(parse_argv, argv) == parsed(build_parser().parse_args, argv), argv
+
+    def test_top_level_parse_unused_for_commands(self, monkeypatch, replayed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse_args called")
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        # the commands' handlers are stubbed: only the route is under test
+        for command in build_parser().commands.values():
+            monkeypatch.setitem(command._defaults, "fn", lambda args: {})
+        for argv in replayed:
+            assert main_output(argv)[0] in (0, 64), argv
+        with pytest.raises(AssertionError, match="top-level"):
+            main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", PARSER_EDGE_ARGVS,
+                             ids=[" ".join(a) or "none" for a in PARSER_EDGE_ARGVS])
+    def test_usage_and_help_match_top_level_route(self, monkeypatch, argv):
+        # both sides in one process: help wraps at the terminal's width
+        now = main_output(argv)
+        monkeypatch.setattr(build_parser(), "commands", {})
+        assert now == main_output(argv)
 
 
 class TestDeterminism:

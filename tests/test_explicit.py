@@ -17,6 +17,7 @@ from zetalab.exact import power_sums_from_poly
 from zetalab.explicit import (
     FIRST_ZERO,
     HALFWIDTH_SIGMAS,
+    LOG_DOUBLE_MAX,
     QUAD_ORDER,
     FFPairing,
     FFTestFn,
@@ -36,11 +37,13 @@ from zetalab.explicit import (
 from zetalab.explicit import (
     PSI_SHIFT,
     _arch_term,
+    _check_double_range,
     _composite_quad,
     _cross_pairing,
     _panel_points,
     _re_digamma,
     _scaled_sides,
+    _von_mangoldt_sum,
     _weight_arr,
 )
 from zetalab.ffield import primes_up_to
@@ -707,3 +710,57 @@ class TestRiemannWeil:
     def test_k_validation(self):
         with pytest.raises(InputError):
             riemann_weil_residual(NFTestFn(0.1, 0.05), ZEROS, 101, 100)
+
+
+class TestDoubleRange:
+    @staticmethod
+    def _edge(value, over):
+        """The largest float with over() false, searched from value; over
+        is false below some float and true from it on."""
+        while over(value):
+            value = math.nextafter(value, -math.inf)
+        while not over(math.nextafter(value, math.inf)):
+            value = math.nextafter(value, math.inf)
+        return value
+
+    def test_prime_powers_refused_at_their_overflow(self):
+        # the prime-power sum takes 2.0 ** m while m log 2 <= |mu| + 40 sigma
+        # and raised OverflowError at m = 1024: the check refuses from there
+        sigma = self._edge((LOG_DOUBLE_MAX - 0.1) / 40,
+                           lambda x: NFTestFn(0.1, x).log_reach >= LOG_DOUBLE_MAX)
+        inside, outside = NFTestFn(0.1, sigma), NFTestFn(0.1, math.nextafter(sigma, math.inf))
+        _check_double_range(inside, 2)
+        _von_mangoldt_sum(inside, 2)
+        with pytest.raises(OverflowError):
+            _von_mangoldt_sum(outside, 2)
+        with pytest.raises(InputError, match="prime powers"):
+            _check_double_range(outside, 2)
+        _check_double_range(outside, 1)          # no prime, no power
+        with pytest.raises(InputError, match="prime powers"):
+            riemann_weil_residual(outside, ZEROS, 10, 2)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.1, 1e20), (0.1, 1e154), (0.1, 1e155),
+                                           (1e200, 1e200), (0.1, 40.0), (710.0, 0.05)])
+    def test_mellin_overflow_refused_before_quadrature(self, mu, sigma):
+        # fhat(1) = ... e^(mu + sigma^2/2) overflows; the quadratures ran
+        # first, with numpy overflow warnings or an OverflowError
+        f = NFTestFn(mu, sigma)
+        with pytest.raises(OverflowError):
+            f.mellin(1)
+        with pytest.raises(InputError, match="fhat"):
+            _check_double_range(f, 0)
+        with pytest.raises(InputError, match="fhat"):
+            global_pairing(MicroModel(10, ZEROS), f)
+        with pytest.raises(InputError, match="fhat"):
+            riemann_weil_residual(f, ZEROS, 10, 0)
+
+    def test_mellin_edge(self):
+        # the check's edge is where e^(mu + sigma^2/2) starts to raise
+        mu = self._edge(LOG_DOUBLE_MAX - 0.5, lambda x: x + 0.5 > LOG_DOUBLE_MAX)
+        inside, outside = NFTestFn(mu, 1.0), NFTestFn(math.nextafter(mu, math.inf), 1.0)
+        _check_double_range(inside, 0)
+        inside.mellin(1)
+        with pytest.raises(OverflowError):
+            outside.mellin(1)
+        with pytest.raises(InputError, match="fhat"):
+            _check_double_range(outside, 0)

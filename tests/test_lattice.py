@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -20,6 +21,7 @@ from zetalab.lattice import (
     XI_DPS,
     XI_EXTRA_TERMS,
     XI_MAX_ORDER,
+    XI_MAX_SIGMA,
     XI_MIN_SIGMA,
     XI_TERM_BUDGET,
     Lattice,
@@ -1012,6 +1014,32 @@ class TestXiQ:
         # |xi(1/2 + 900i)| ~ 1e-308 is subnormal
         with pytest.raises(NumericError):
             xi_q(0.5 + 900j)
+
+    @pytest.mark.parametrize("s", [8e307, 1.7e308, -8e307, 1e308 - 0.5j])
+    def test_far_right_is_outside_double_range(self, s):
+        # |s| log N and sigma log10 N overflowed to inf here; -8e307 takes
+        # the xi(1 - s) branch
+        with pytest.raises(NumericError, match="outside the normal double range"):
+            xi_q(s)
+
+    @pytest.mark.parametrize("s", [1e308 + 1e308j, -1.7e308 - 1.7e308j])
+    def test_modulus_past_double_range_meets_term_budget(self, s):
+        # |s| itself overflows: the pole guard must not take it
+        with pytest.raises(ResourceError):
+            xi_q(s)
+
+    def test_max_sigma_only_refuses_values_past_double_range(self):
+        # the lower bound pi^(-sigma/2) |Gamma(sigma/2 + it/2)| / zeta(2) on
+        # |xi| at sigma = XI_MAX_SIGMA and the budget's largest |t|
+        t = math.pi * XI_TERM_BUDGET
+        with mpmath.workdps(20):
+            log10_bound = (-XI_MAX_SIGMA / 2 * mpmath.log10(mpmath.pi)
+                           + mpmath.loggamma(mpmath.mpc(XI_MAX_SIGMA, t) / 2).real
+                           / mpmath.log(10) - mpmath.log10(mpmath.zeta(2)))
+        assert log10_bound > math.log10(sys.float_info.max)
+        # just left of the bound the sum itself finds the value too large
+        with pytest.raises(NumericError, match="outside the normal double range"):
+            xi_q(XI_MAX_SIGMA - 1)
 
     def test_remainder_out_of_reach(self):
         # far below what 30 digits and the Bernoulli table can certify

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Mapping
@@ -648,6 +649,24 @@ class TestGlobalEuler:
         report = global_na_zeta_partial(ec, 1, complex(2 + 2 ** -40), 100,
                                         Convention.PAPER_SPLIT)
         assert math.isfinite(report.tail_bound)
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_angle_overflow_refused_at_its_edge(self, conv):
+        # p^(-s) has the angle t log p; the last t whose angle at p = 997 is
+        # finite still runs, the next float ended in a ZeroDivisionError
+        ec = GlobalCurve(1, 1)
+        edge = sys.float_info.max / math.log(997)
+        while math.isinf(edge * math.log(997)):
+            edge = math.nextafter(edge, 0)
+        while not math.isinf(math.nextafter(edge, math.inf) * math.log(997)):
+            edge = math.nextafter(edge, math.inf)
+        report = global_na_zeta_partial(ec, 2, complex(3, edge), 1000, conv)
+        assert report.factors_used == 165
+        for t in (math.nextafter(edge, math.inf), 1e308, -1e308):
+            with pytest.raises(InputError, match="overflows"):
+                global_na_zeta_partial(ec, 2, complex(3, t), 1000, conv)
+        with pytest.raises(InputError, match="overflows"):
+            global_na_zeta_partial(ec, 1, complex(1e308, 1e308), 1000, conv)
 
     def test_bad_primes(self):
         ec = GlobalCurve(-1, 0)   # disc = -4*6 ... bad primes divide 6*4
