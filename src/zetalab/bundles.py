@@ -23,13 +23,18 @@ geometric series of integer numerators over one denominator (on
 Fractions: bundle_oracle.py).  The descent census prints the rows whose
 total mass the recursion gives, and the tests check the two against each
 other.
+
+No Fraction is made here: every exact value is an unreduced pair (integer
+numerator, denominator), a sum is one integer over the lcm of its terms'
+denominators, and the CLI makes the one Fraction that prints a value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import NamedTuple
 
 from zetalab.artin import ZetaCurve, elliptic_zeta, nm
 from zetalab.errors import CapabilityError, InputError
@@ -65,6 +70,16 @@ class CurveData:
         return nm(self.zeta, m)
 
 
+# an exact value: an integer numerator over a positive integer denominator
+NumDen = tuple[int, int]
+
+
+def _sum(terms: list[NumDen]) -> NumDen:
+    """A sum of pairs as one integer over the lcm of their denominators."""
+    den = math.lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
+
+
 # ---------------------------------------------------------------------------
 # mass sums over Jordan types
 
@@ -94,24 +109,15 @@ _PARTITION_COUNTS = (1, 1, 2, 3)
 # ---------------------------------------------------------------------------
 # strata census
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """One census row: a stratum, how many classes it holds, and the
     per-class mass sums (all bundles of one class together)."""
 
     label: str
-    classes: Fraction
+    classes: NumDen
     bundles_per_class: int
-    mass_per_class: Fraction
-    gamma_per_class: Fraction
-
-    @property
-    def mass(self) -> Fraction:
-        return self.classes * self.mass_per_class
-
-    @property
-    def gamma(self) -> Fraction:
-        return self.classes * self.gamma_per_class
+    mass_per_class: NumDen
+    gamma_per_class: NumDen
 
 
 @dataclass(frozen=True)
@@ -120,19 +126,21 @@ class CensusResult:
     rows: tuple[Stratum, ...]
 
     @property
-    def total_classes(self) -> Fraction:
-        return sum((row.classes for row in self.rows), Fraction(0))
+    def total_classes(self) -> NumDen:
+        return _sum([row.classes for row in self.rows])
 
     @property
-    def mass(self) -> Fraction:
-        return sum((row.mass for row in self.rows), Fraction(0))
+    def mass(self) -> NumDen:
+        return _sum([(row.classes[0] * row.mass_per_class[0],
+                      row.classes[1] * row.mass_per_class[1]) for row in self.rows])
 
     @property
-    def gamma(self) -> Fraction:
-        return sum((row.gamma for row in self.rows), Fraction(0))
+    def gamma(self) -> NumDen:
+        return _sum([(row.classes[0] * row.gamma_per_class[0],
+                      row.classes[1] * row.gamma_per_class[1]) for row in self.rows])
 
 
-def _class_row(label: str, classes, q: int, trivial: int,
+def _class_row(label: str, classes: int | NumDen, q: int, trivial: int,
                pieces: tuple[tuple[int, int], ...] = ()) -> Stratum:
     """One census row from the shape of its graded object: `trivial` copies
     of O, and one pair (m, e) for every other distinct line-bundle orbit,
@@ -154,9 +162,9 @@ def _class_row(label: str, classes, q: int, trivial: int,
         num, den, bundles = num * n, den * d, bundles * _PARTITION_COUNTS[m]
     mass_num, mass_den = _orbit_mass(trivial, q)
     gamma_num, gamma_den = _orbit_mass(trivial - 1, q) if trivial else (0, 1)
-    return Stratum(label, Fraction(classes), bundles,
-                   Fraction(num * mass_num, den * mass_den),
-                   Fraction(num * gamma_num, den * gamma_den))
+    return Stratum(label, classes if type(classes) is tuple else (classes, 1),
+                   bundles, (num * mass_num, den * mass_den),
+                   (num * gamma_num, den * gamma_den))
 
 
 def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
@@ -235,8 +243,8 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
         rows = (
             _class_row("(2;0)", 1, q, 2),
             _class_row("(0;2)", eps2 - 1, q, 0, ((2, 1),)),
-            _class_row("(0;1,1)", Fraction(n1 - eps2, 2), q, 0, ((1, 1), (1, 1))),
-            _class_row("(0;conj-pair)", Fraction(k2 - eps2, 2), q, 0, ((1, 2),)),
+            _class_row("(0;1,1)", (n1 - eps2, 2), q, 0, ((1, 1), (1, 1))),
+            _class_row("(0;conj-pair)", (k2 - eps2, 2), q, 0, ((1, 2),)),
         )
         return CensusResult("determinant O", rows)
 
@@ -245,15 +253,15 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
     rows = (
         _class_row("(3;0)", 1, q, 3),
         _class_row("(1;2)", eps2 - 1, q, 1, ((2, 1),)),
-        _class_row("(1;1,1)", Fraction(n1 - eps2, 2), q, 1, ((1, 1), (1, 1))),
-        _class_row("(1;conj-pair)", Fraction(k2 - eps2, 2), q, 1, ((1, 2),)),
+        _class_row("(1;1,1)", (n1 - eps2, 2), q, 1, ((1, 1), (1, 1))),
+        _class_row("(1;conj-pair)", (k2 - eps2, 2), q, 1, ((1, 2),)),
         _class_row("(0;3)", eps3 - 1, q, 0, ((3, 1),)),
         _class_row("(0;2,1)", n1 - (eps2 + eps3 - 1), q, 0, ((2, 1), (1, 1))),
         _class_row("(0;1,1,1)", _triple_count(n1, eps2, eps3), q, 0,
                    ((1, 1), (1, 1), (1, 1))),
-        _class_row("(0;1,conj-pair)", Fraction(n2 - n1 - (k2 - eps2), 2), q, 0,
+        _class_row("(0;1,conj-pair)", (n2 - n1 - (k2 - eps2), 2), q, 0,
                    ((1, 1), (1, 2))),
-        _class_row("(0;conj-triple)", Fraction(k3 - eps3, 3), q, 0, ((1, 3),)),
+        _class_row("(0;conj-triple)", (k3 - eps3, 3), q, 0, ((1, 3),)),
     )
     return CensusResult("determinant O", rows)
 
@@ -261,24 +269,25 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
 # ---------------------------------------------------------------------------
 # mass invariants
 
-def _beta_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
+def _beta_degree_zero(r: int, curve: CurveData, conv: Convention) -> NumDen:
     # the split counts are the printed census; the descent census's total
     # is the recursion's value (checked in tests/test_bundles.py)
     if r > 1 and conv is Convention.PAPER_SPLIT:
-        return curve.n1 * _census_paper(r, curve).mass
+        num, den = _census_paper(r, curve).mass
+        return curve.n1 * num, den
     return mass_recursion_beta(r, 0, curve.zeta)
 
 
-def _gamma_degree_zero(r: int, curve: CurveData, conv: Convention) -> Fraction:
+def _gamma_degree_zero(r: int, curve: CurveData, conv: Convention) -> NumDen:
     # classes with sections are O + (rank r-1 piece); the gamma mass
     # telescopes to the lower-rank beta mass
     if r == 1:
-        return Fraction(1)
+        return 1, 1
     return _beta_degree_zero(r - 1, curve, conv)
 
 
 def invariant(kind: str, r: int, d: int, curve: CurveData,
-              conv: Convention) -> Fraction:
+              conv: Convention) -> NumDen:
     """beta or gamma mass of rank r, degree d (all determinants); alpha = beta + gamma.
 
     beta is periodic in d with period r (twist by a rational degree-1
@@ -294,11 +303,11 @@ def invariant(kind: str, r: int, d: int, curve: CurveData,
     if kind == "gamma" and d <= 0:
         # no beta needed: h^0 = 0 below degree 0, and at degree 0 the
         # classes with sections telescope to a lower rank
-        return _gamma_degree_zero(r, curve, conv) if d == 0 else Fraction(0)
-    beta = Fraction(n1, q - 1) if d % r else _beta_degree_zero(r, curve, conv)
+        return _gamma_degree_zero(r, curve, conv) if d == 0 else (0, 1)
+    beta = (n1, q - 1) if d % r else _beta_degree_zero(r, curve, conv)
     if kind == "beta":
         return beta
-    return (Fraction(q) ** d - 1) * beta
+    return (q ** d - 1) * beta[0], beta[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +320,26 @@ def _zeta_value(zc: ZetaCurve, i: int) -> int:
     return qi * qi - zc.a * qi + zc.q
 
 
-def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
+def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> NumDen:
     """beta_r(d) from the mass recursion: the total rank-r mass is
     (N_1/(q-1)) * prod_{i=2}^r zeta(q^-i), and the unstable strata are
     subtracted as exactly-summed geometric series.
 
     Each Z(q^-i) is evaluated once, and every term is an integer numerator
     over one denominator, q (q-1)^2 (q^2-1) at rank 2 and q^2 (q-1)^3
-    (q^6-1)^2 at rank 3; the value returned is the one Fraction.
+    (q^6-1)^2 at rank 3, the pair returned.
     """
     if r not in (1, 2, 3):
         raise CapabilityError("recursion implemented for rank <= 3")
     q, n1 = zc.q, nm(zc, 1)
     if r == 1:
-        return Fraction(n1, q - 1)
+        return n1, q - 1
     # beta_2 of even and odd degree: b1 Z(q^-2) - b1^2/(q^2-1), the square
     # times q in odd degree, with b1 = n1/(q-1)
     z2 = _zeta_value(zc, 2)
     beta2 = n1 * (z2 - q * n1), n1 * (z2 - q * q * n1)
     if r == 2:
-        return Fraction(beta2[d % 2], q * (q - 1) ** 2 * (q * q - 1))
+        return beta2[d % 2], q * (q - 1) ** 2 * (q * q - 1)
     # HN types (1, 2): d1 = m (rank 1) > (d - m)/2, term b1 beta2(d-m)/q^(3m-d),
     # and (2, 1): d1 = m (rank 2) with m/2 > d - m, term beta2(m) b1/q^(3m-2d);
     # from the first m, where e0 = 3m - d (or 3m - 2d) is 1, 2 or 3, the sum
@@ -346,4 +355,4 @@ def mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
     c3, c6 = q * q + q + 1, q * q - q + 1
     num = (n1 * z2 * _zeta_value(zc, 3) * c3 * c6 * c6
            - n1 * q * c3 * c6 * t12 - q * q * n1 ** 3 * t111)
-    return Fraction(num, q * q * (q - 1) ** 3 * (q ** 6 - 1) ** 2)
+    return num, q * q * (q - 1) ** 3 * (q ** 6 - 1) ** 2

@@ -46,12 +46,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # formatting
 
-def fmt_rat(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def fmt_real(x: float) -> str:
     x = float(x)
     if x == 0:
@@ -59,29 +53,28 @@ def fmt_real(x: float) -> str:
     return f"{x:.12g}"
 
 
+# the JSON form of each type a result holds, looked up by its exact class;
+# str prints a Fraction as "num/den", or "num" when integral, and an int as "num"
+_ENCODERS = {
+    Fraction: str, float: fmt_real, Poly: lambda v: [str(c) for c in v.coeffs],
+    complex: lambda v: {"re": fmt_real(v.real), "im": fmt_real(v.imag)},
+    dict: lambda v: {k: encode(x) for k, x in v.items()},
+    **dict.fromkeys((list, tuple), lambda v: [encode(x) for x in v]),
+    **dict.fromkeys((bool, int, str), lambda v: v),
+}
+
+
 def encode(value: Any) -> Any:
     """The JSON form of a command result, through dicts, lists and tuples.
 
-    Fractions and Poly coefficients print with fmt_rat, floats with
+    Fractions and Poly coefficients print as "num/den", floats with
     fmt_real, complex numbers as {"re", "im"}; bool, int and str pass
     through unchanged.
     """
-    match value:
-        case bool() | int() | str():
-            return value
-        case Fraction():
-            return fmt_rat(value)
-        case float():
-            return fmt_real(value)
-        case complex():
-            return {"re": fmt_real(value.real), "im": fmt_real(value.imag)}
-        case Poly():
-            return [fmt_rat(c) for c in value.coeffs]
-        case dict():
-            return {k: encode(v) for k, v in value.items()}
-        case list() | tuple():
-            return [encode(v) for v in value]
-    raise TypeError(f"cannot encode a {type(value).__name__}")
+    fn = _ENCODERS.get(type(value))
+    if fn is None:
+        raise TypeError(f"cannot encode a {type(value).__name__}")
+    return fn(value)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +120,8 @@ def parse_matrix(spec: str) -> list[list[Fraction]]:
 
 
 def parse_lattice(args) -> lat.Lattice:
+    if args.gram is not None and args.lattice is not None:
+        raise _UsageError("give --lattice or --gram, not both")
     if args.gram:
         return lat.Lattice.from_gram(parse_matrix(args.gram))
     if args.lattice:
@@ -212,10 +207,10 @@ def cmd_census(args) -> dict:
     res = bundles.strata_census(args.rank, data, conv)
     rows = [{
         "stratum": row.label,
-        "classes": row.classes,
+        "classes": Fraction(*row.classes),
         "bundles_per_class": str(row.bundles_per_class),
-        "mass_per_class": row.mass_per_class,
-        "gamma_per_class": row.gamma_per_class,
+        "mass_per_class": Fraction(*row.mass_per_class),
+        "gamma_per_class": Fraction(*row.gamma_per_class),
     } for row in res.rows]
     return {
         "q": data.q,
@@ -224,9 +219,9 @@ def cmd_census(args) -> dict:
         "convention": args.convention,
         "slice": res.slice_note,
         "rows": rows,
-        "total_classes": res.total_classes,
-        "mass": res.mass,
-        "gamma": res.gamma,
+        "total_classes": Fraction(*res.total_classes),
+        "mass": Fraction(*res.mass),
+        "gamma": Fraction(*res.gamma),
     }
 
 
@@ -238,9 +233,9 @@ def cmd_mass(args) -> dict:
     rows = []
     for r in range(1, args.rmax + 1):
         for d in range(r):
-            paper = bundles.invariant("beta", r, d, data, bundles.Convention.PAPER_SPLIT)
-            descent = bundles.invariant("beta", r, d, data, bundles.Convention.GALOIS_DESCENT)
-            recursion = bundles.mass_recursion_beta(r, d, zc)
+            paper, descent = (Fraction(*bundles.invariant("beta", r, d, data, conv))
+                              for conv in bundles.Convention)
+            recursion = Fraction(*bundles.mass_recursion_beta(r, d, zc))
             rows.append({
                 "rank": str(r),
                 "degree": str(d),

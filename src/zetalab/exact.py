@@ -14,8 +14,11 @@ input stays on Python ints.
 integers: the first clears denominators and substitutes t -> d0 t, d0 the
 denominator's constant term, and divides coefficient k of the integer
 expansion by d0^(k+1) at the end; the second scales the reciprocal roots
-by the common denominator D and divides the m-th power sum by D^m.  The
-one float helper, `complex_fsum`, rounds once per component.
+by the common denominator D and divides the m-th power sum by D^m.  Those
+divisions, one per coefficient as in `Series.log` and `Series.exp`, make
+this module's Fractions, with `rat`, `bernoulli_even`, `Series.inverse` of
+a constant term other than +-1 and arithmetic on Fraction input.  The one
+float helper, `complex_fsum`, rounds once per component.
 """
 
 from __future__ import annotations

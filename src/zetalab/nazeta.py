@@ -17,6 +17,11 @@ match with a genus-two spinor factor under a specific substitution.
 `RankZeta` alone decides the degree and the functional equation; the
 only floats, `reciprocal_roots`, come from Durand-Kerner iteration on the
 normalized numerator, so the module imports no numeric library.
+
+A numerator is an integer polynomial over one denominator, from
+`na_numerator` on the `bundles` mass pairs or, at rank 2, from
+`rank2_local_numerator`; `RankZeta`'s P and P/P(0) are the only Fractions
+of a zeta, one per coefficient, as the all-bundles direct sums are.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from zetalab.bundles import Convention, CurveData, invariant
+from zetalab.bundles import Convention, CurveData, NumDen, invariant
 from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
 from zetalab.exact import (
     Poly,
@@ -43,24 +48,27 @@ from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobeni
 @dataclass(frozen=True)
 class RankZeta:
     """A rank-r zeta function Z = P/((1-t^r)(1-q^r t^r)) of an elliptic
-    curve over F_q; the numerator P has degree 2r, and P/P(0) is built once
-    with the datum."""
+    curve over F_q; P = num/den with `num` an integer polynomial of degree
+    2r, checked on integers, and P and P/P(0) are built once with the datum."""
 
     r: int
     q: int
-    P: Poly
+    num: Poly
+    den: int
+    P: Poly = field(init=False, repr=False, compare=False)
     normalized_numerator: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.P[0] == 0:
+        if self.num[0] == 0:
             raise InputError("numerator constant term gamma(0) must be nonzero")
-        if self.P.degree != 2 * self.r:
+        if self.num.degree != 2 * self.r:
             raise InputError(
-                f"numerator degree {self.P.degree} != 2r = {2 * self.r}")
-        if not fe_transform_check(self.P, self.q, self.r):
+                f"numerator degree {self.num.degree} != 2r = {2 * self.r}")
+        if not fe_transform_check(self.num, self.q, self.r):
             raise InputError("numerator violates the functional equation")
+        object.__setattr__(self, "P", Poly(Fraction(c, self.den) for c in self.num.coeffs))
         object.__setattr__(self, "normalized_numerator",
-                           self.P.scale(Fraction(1) / self.P[0]))
+                           Poly(Fraction(c, self.num[0]) for c in self.num.coeffs))
 
     @property
     def denominator(self) -> Poly:
@@ -70,35 +78,42 @@ class RankZeta:
         return one_minus_tr * one_minus_qtr
 
 
-def na_numerator(q: int, r: int, gamma0: RatLike,
-                 betas: Sequence[RatLike]) -> list[RatLike]:
-    """Exact numerator coefficients n_0..n_2r of a genus-1 rank-r zeta.
+def na_numerator(q: int, r: int, gamma0: NumDen,
+                 betas: Sequence[NumDen]) -> tuple[Poly, int]:
+    """Numerator coefficients n_0..n_2r of a genus-1 rank-r zeta, as an
+    integer polynomial over the lcm of the masses' denominators.
 
     Z(t) = sum_d c_d t^d, c_0 = gamma0, c_d = (q^d - 1) beta_(d mod r);
     times (1 - t^r)(1 - q^r t^r) this is n_k = c_k - (1 + q^r) c_(k-r) +
     q^r c_(k-2r), which vanishes for k > 2r as beta is period-r.
     """
+    den = math.lcm(*(d for _, d in (gamma0, *betas)))
+    g, *b = (n * (den // d) for n, d in (gamma0, *betas))
     qr = q ** r
-    c = [gamma0] + [(q ** d - 1) * betas[d % r] for d in range(1, 2 * r + 1)]
+    c = [g] + [(q ** d - 1) * b[d % r] for d in range(1, 2 * r + 1)]
     n = c[:]
     for k in range(r, 2 * r + 1):
         n[k] -= (1 + qr) * c[k - r]
     n[2 * r] += qr * c[0]
-    return n
+    return Poly(n), den
 
 
 def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
     """The rank-r zeta function of an elliptic curve in closed form.
 
     The numerator comes from `na_numerator` on the curve's gamma_r(0) and
-    beta_r(0..r-1) masses; rank 1 recovers the ordinary zeta function of
-    the curve exactly.
+    beta_r(0..r-1) masses, at rank 2 from gamma_2(0) = N_1/(q-1) times
+    `rank2_local_numerator`; rank 1 recovers the curve's zeta function.
     """
     if r not in (1, 2, 3):
         raise CapabilityError("rank must be 1, 2 or 3")
+    q, n1 = curve.q, curve.n1
+    if r == 2:
+        factor = rank2_local_numerator(q, q + 1 - n1, conv)
+        return RankZeta(2, q, Poly([n1 * c for c in factor]), q - 1)
     gamma0 = invariant("gamma", r, 0, curve, conv)
     betas = [invariant("beta", r, j, curve, conv) for j in range(r)]
-    return RankZeta(r, curve.q, Poly(na_numerator(curve.q, r, gamma0, betas)))
+    return RankZeta(r, q, *na_numerator(q, r, gamma0, betas))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +157,10 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
             value = 0j
             for c in monic:
                 value = value * zi + c
-            spread = math.prod(zi - zj for j, zj in enumerate(z) if j != i)
+            spread = 1
+            for j, zj in enumerate(z):
+                if j != i:
+                    spread *= zi - zj
             if spread == 0:
                 raise NumericError("Durand-Kerner iterates collided")
             step = value / spread
@@ -457,7 +475,8 @@ def ap_fast(p: int, A: int, B: int) -> int:
 
 def rank2_local_numerator(p: int, ap: int | None, conv: Convention) -> tuple[int, ...]:
     """1 + (p-1)t + c_2 t^2 + (p^2-p)t^3 + p^2 t^4, the rank-2 numerator at
-    a good prime p divided by gamma_2(0) = N_1/(p-1)."""
+    a good prime p divided by gamma_2(0) = N_1/(p-1): `ell_na_zeta`'s rank-2
+    numerator over it, and `global_na_zeta_partial`'s rank-2 Euler factor."""
     c2 = 2 * p - 4 if conv is Convention.PAPER_SPLIT else p - 1 - ap
     return (1, p - 1, c2, p * p - p, p * p)
 

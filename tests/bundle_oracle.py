@@ -10,11 +10,13 @@ Jordan type (`partitions`) of every class built one at a time, and
 #Aut(V) (`module_aut_count`) and h^0(V) of each.  `ROW_GRADED` gives, for
 every census row label, the graded object the library row describes.
 
-It also keeps the Harder-Narasimhan mass recursion summed term by term
-on Fractions, the oracle for the library's integer numerators over one
-denominator (`bundles.mass_recursion_beta`): Z(q^-i) evaluated from
-P(x)/((1-x)(1-qx)) at x = q^-i, and each stratum's geometric series
-closed on Fractions.
+It also keeps the Fraction routes that the library's integer numerators
+over one denominator are checked against: the Harder-Narasimhan mass
+recursion summed term by term (`bundles.mass_recursion_beta`), with
+Z(q^-i) evaluated from P(x)/((1-x)(1-qx)) at x = q^-i and each stratum's
+geometric series closed on Fractions; a census's totals summed row by row
+(`bundles.CensusResult`); and the rank-r zeta numerator assembled from
+Fraction masses (`nazeta.na_numerator`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Literal, Sequence
 from ratfunc_oracle import poly_eval
 
 from zetalab.artin import ZetaCurve, nm
-from zetalab.bundles import Stratum
+from zetalab.bundles import CensusResult
 from zetalab.errors import CapabilityError, InputError
 
 
@@ -165,14 +167,25 @@ def class_contents(gr: BundleDescriptor) -> list[BundleDescriptor]:
     return out
 
 
-def oracle_row(label: str, classes, gr: BundleDescriptor, q: int) -> Stratum:
-    """A census row summed bundle by bundle over the class contents."""
+def oracle_row(gr: BundleDescriptor, q: int) -> tuple[int, Fraction, Fraction]:
+    """A census row's bundles per class and per-class mass and gamma sums,
+    summed bundle by bundle over the class contents."""
     contents = class_contents(gr)
     auts = [aut_order(v, q) for v in contents]
     mass = sum(Fraction(1, a) for a in auts)
     gamma = sum(Fraction(q ** h0_of_bundle(v) - 1, a)
                 for v, a in zip(contents, auts))
-    return Stratum(label, Fraction(classes), len(contents), mass, gamma)
+    return len(contents), mass, gamma
+
+
+def fraction_totals(census: CensusResult) -> tuple[Fraction, Fraction, Fraction]:
+    """A census's total classes, mass and gamma mass, summed row by row on
+    Fractions."""
+    rows = [(Fraction(*row.classes), Fraction(*row.mass_per_class),
+             Fraction(*row.gamma_per_class)) for row in census.rows]
+    return (sum((c for c, _, _ in rows), Fraction(0)),
+            sum((c * m for c, m, _ in rows), Fraction(0)),
+            sum((c * g for c, _, g in rows), Fraction(0)))
 
 
 _O = LineOrbit.trivial()
@@ -261,3 +274,25 @@ def fraction_mass_recursion_beta(r: int, d: int, zc: ZetaCurve) -> Fraction:
         return beta2_parity(zc, b1, d % 2)
     total = b1 * zeta_value(zc, 2) * zeta_value(zc, 3)
     return total - t12_t21_closed(zc, b1, d) - t111_closed(zc, b1, d)
+
+
+# ---------------------------------------------------------------------------
+# the rank-r zeta numerator on Fractions
+
+def fraction_na_numerator(q: int, r: int, gamma0: Fraction,
+                          betas: Sequence[Fraction]) -> list[Fraction]:
+    """Numerator coefficients n_0..n_2r of a genus-1 rank-r zeta, every
+    term a Fraction.
+
+    Z(t) = sum_d c_d t^d, c_0 = gamma0, c_d = (q^d - 1) beta_(d mod r);
+    times (1 - t^r)(1 - q^r t^r) this is n_k = c_k - (1 + q^r) c_(k-r) +
+    q^r c_(k-2r), which vanishes for k > 2r as beta is period-r.
+    """
+    qr = q ** r
+    c = [Fraction(gamma0)] + [(q ** d - 1) * Fraction(betas[d % r])
+                              for d in range(1, 2 * r + 1)]
+    n = c[:]
+    for k in range(r, 2 * r + 1):
+        n[k] -= (1 + qr) * c[k - r]
+    n[2 * r] += qr * c[0]
+    return n

@@ -20,3 +20,13 @@ def census_curves():
                for p, a, b in ((5, 1, 1), (5, 4, 0), (7, 1, 1), (7, 1, 3),
                                (11, 1, 1), (11, 2, 5))]
     return [CurveData.from_curve(curve) for curve in one_curve_per_group(grid + gallery)]
+
+
+@pytest.fixture(scope="session")
+def curve_data_to_61():
+    """Every distinct CurveData of the curves y^2 = x^3 + ax + b over the
+    primes 5 <= p <= 61, in a fixed order."""
+    found = {CurveData.from_curve(WeierstrassCurve(FieldSpec(p), a, b))
+             for p in primes_up_to(61)[2:] for a in range(p) for b in range(p)
+             if (4 * a ** 3 + 27 * b * b) % p}
+    return sorted(found, key=lambda c: (c.q, c.n1, c.e2, c.e3))

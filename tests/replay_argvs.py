@@ -13,6 +13,12 @@ with their own count, since most guard input no argv is meant to reach:
 
     PYTHONPATH=src python tests/replay_argvs.py --unreached
 
+`--time` runs the seed-1 job lists of the timed workloads TIME_PASSES
+times in process, in the same way, and prints each command's median time
+per pass, with its job count, and the median pass:
+
+    PYTHONPATH=src python tests/replay_argvs.py --time
+
 The argvs are the golden cases of `test_cli_golden.py`, every distinct
 job that `perfbench/jobs.py` builds for seeds 1-3 of the three timed
 workloads and seed 1 of `xi_high`, the `count_points` library jobs
@@ -22,7 +28,8 @@ and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
 `artin` at its `--order` cap at the largest prime the curve commands
 accept, and their refusal at the next prime, which neither of the other
 lists reaches; argvs that end in a usage error or sit at the parser's
-edges (abbreviated, repeated and stray flags); and `xi`, `explicit-nf`
+edges (abbreviated, repeated and stray flags, and `lattice` and `theta`
+given both `--lattice` and `--gram`); and `xi`, `explicit-nf`
 and `euler` at floats near the double range's end.  Each is run in
 process from the repository root, with argparse's usage lines wrapped at
 80 columns, and its exit code, stdout and stderr are kept; an uncaught
@@ -39,13 +46,18 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import sys
+import time
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zetalab"
 SEEDS = {"ff_curves": (1, 2, 3), "euler": (1, 2, 3), "q_lattice": (1, 2, 3),
          "xi_high": (1,)}
+TIMED = ("ff_curves", "euler", "q_lattice")
+TIME_PASSES = 9
 _SMALL_CURVE = ("--curve", "y2=x3+x+1", "--p", "5")
 _EDGE_CURVE = ("--curve", "y2=x3+x+1", "--p", "59")
 _BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3137")
@@ -81,6 +93,8 @@ EDGE_ARGVS = (
     ("artin", *_SMALL_CURVE, "--threads", "2"),
     ("nazeta", *_SMALL_CURVE, "--rank", "2", "--convention", "other"),
     ("nazeta", *_SMALL_CURVE, "--rank", "2", "--format", "yaml"),
+    *((command, "--lattice", "2 0 / 0 2", "--gram", "1 0 / 0 1")
+      for command in ("lattice", "theta")),
     ("xi", "--s", "-1+2j"),
     ("xi", "--s=-1+2j"),
     ("--", "x"),
@@ -96,10 +110,15 @@ EDGE_ARGVS = (
 )
 
 
-def argvs() -> dict[str, tuple[bool, tuple[str, ...]]]:
-    """Distinct argvs keyed by their JSON form: (library call?, argv)."""
+def _import_paths() -> None:
+    """Let `tests/` and `perfbench/` modules import, writing no bytecode."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+
+def argvs() -> dict[str, tuple[bool, tuple[str, ...]]]:
+    """Distinct argvs keyed by their JSON form: (library call?, argv)."""
+    _import_paths()
     from test_cli_golden import CASES
     import jobs
 
@@ -230,6 +249,31 @@ def unreached(seen: dict[str, set[int]]) -> tuple[list[str], list[str]]:
     return rows[False], rows[True]
 
 
+def time_commands() -> None:
+    """Print, per timed workload, each command's median time per pass over
+    TIME_PASSES passes of its seed-1 job list, and the median pass."""
+    _import_paths()
+    import jobs
+
+    for workload in TIMED:
+        job_list = jobs.build(workload, 1)
+        counts = Counter(job.command for job in job_list)
+        passes = []
+        for _ in range(TIME_PASSES):
+            totals: dict[str, float] = defaultdict(float)
+            for job in job_list:
+                start = time.perf_counter()
+                run(job.library, job.argv)
+                totals[job.command] += time.perf_counter() - start
+            passes.append(totals)
+        for command in sorted(counts, key=lambda c: -statistics.median(
+                totals[c] for totals in passes)):
+            ms = statistics.median(totals[command] for totals in passes) * 1e3
+            print(f"{workload:<10} {command:<12} {counts[command]:>4} jobs {ms:>10.2f} ms")
+        ms = statistics.median(sum(totals.values()) for totals in passes) * 1e3
+        print(f"{workload:<10} {'pass':<12} {len(job_list):>4} jobs {ms:>10.2f} ms")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -237,9 +281,14 @@ def main() -> int:
     mode.add_argument("--compare", metavar="FILE", type=Path)
     mode.add_argument("--unreached", action="store_true",
                       help="list function-body statements no argv executes")
+    mode.add_argument("--time", action="store_true",
+                      help="print per-command medians over the timed workloads")
     args = parser.parse_args()
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"               # argparse wraps usage lines to it
+    if args.time:
+        time_commands()
+        return 0
     if args.unreached:
         seen, count = traced_lines()
         statements, raises = unreached(seen)

@@ -129,17 +129,17 @@ def test_criterion_04_mass_consistency():
         assert len({(d.q, d.n1) for d in GALLERY}) >= 5
         divergences = []
         for data in GALLERY:
-            descent = invariant("beta", 2, 0, data, Convention.GALOIS_DESCENT)
-            recursion = mass_recursion_beta(2, 0, data.zeta)
+            descent = F(*invariant("beta", 2, 0, data, Convention.GALOIS_DESCENT))
+            recursion = F(*mass_recursion_beta(2, 0, data.zeta))
             assert descent == recursion
-            paper = invariant("beta", 2, 0, data, Convention.PAPER_SPLIT)
+            paper = F(*invariant("beta", 2, 0, data, Convention.PAPER_SPLIT))
             if data.n1 == 2 * (data.q - 1):
                 assert paper == recursion
             else:
                 divergences.append((data.q, data.n1, paper - recursion))
         # y^2 = x^3 + 4x over F_5: N1 = 2(q-1) = 8, printed value 8/3
-        assert invariant("beta", 2, 0, E58, Convention.PAPER_SPLIT) == F(8, 3)
-        assert mass_recursion_beta(2, 0, E58.zeta) == F(8, 3)
+        assert F(*invariant("beta", 2, 0, E58, Convention.PAPER_SPLIT)) == F(8, 3)
+        assert F(*mass_recursion_beta(2, 0, E58.zeta)) == F(8, 3)
         assert divergences, "expected documented divergences off the locus"
     _report(4, t, f"descent=recursion on {len(GALLERY)} curves; "
                   f"{len(divergences)} documented split-count divergences")

@@ -12,6 +12,7 @@ from bundle_oracle import (
     beta2_parity,
     class_contents,
     fraction_mass_recursion_beta,
+    fraction_totals,
     h0_of_bundle,
     module_aut_count,
     oracle_row,
@@ -55,6 +56,16 @@ GALLERY = [
     CurveData.from_curve(WeierstrassCurve(FieldSpec(11), 1, 1)),
     CurveData.from_curve(WeierstrassCurve(FieldSpec(11), 2, 5)),
 ]
+
+
+def inv(kind, r, d, curve, conv) -> Fraction:
+    """`invariant`'s (numerator, denominator) pair as a Fraction."""
+    return F(*invariant(kind, r, d, curve, conv))
+
+
+def recursion(r, d, zc) -> Fraction:
+    """`mass_recursion_beta`'s pair as a Fraction."""
+    return F(*mass_recursion_beta(r, d, zc))
 
 
 def zfunc(zc):
@@ -184,38 +195,38 @@ def pair_loop_triple_count(gs):
 class TestCensus:
     def test_rank1(self):
         res = strata_census(1, E59, Convention.PAPER_SPLIT)
-        assert res.total_classes == E59.n1
-        assert all(r.mass_per_class == F(1, 4) for r in res.rows)
-        assert res.gamma == 1
+        assert F(*res.total_classes) == E59.n1
+        assert all(F(*r.mass_per_class) == F(1, 4) for r in res.rows)
+        assert F(*res.gamma) == 1
 
     def test_rank2_paper_split_counts(self):
         res = strata_census(2, E59, Convention.PAPER_SPLIT)
         by_label = {r.label: r for r in res.rows}
-        assert by_label["(2;0)"].classes == 1
-        assert by_label["(0;2)"].classes == 3
-        assert by_label["(0;1,1)"].classes == E59.q + 1 - 4
-        assert res.total_classes == E59.q + 1
+        assert by_label["(2;0)"].classes == (1, 1)
+        assert by_label["(0;2)"].classes == (3, 1)
+        assert by_label["(0;1,1)"].classes == (E59.q + 1 - 4, 1)
+        assert F(*res.total_classes) == E59.q + 1
 
     def test_rank2_descent_q5_n9(self):
         res = strata_census(2, E59, Convention.GALOIS_DESCENT)
         by_label = {r.label: r for r in res.rows}
-        assert by_label["(0;2)"].classes == 0          # no rational 2-torsion
-        assert by_label["(0;1,1)"].classes == 4
-        assert by_label["(0;conj-pair)"].classes == 1
-        assert res.total_classes == 6
+        assert by_label["(0;2)"].classes == (0, 1)     # no rational 2-torsion
+        assert F(*by_label["(0;1,1)"].classes) == 4
+        assert F(*by_label["(0;conj-pair)"].classes) == 1
+        assert F(*res.total_classes) == 6
 
     def test_descent_completeness_across_gallery(self, census_curves):
         for curve in census_curves:
             for r in (2, 3):
                 res = strata_census(r, curve, Convention.GALOIS_DESCENT)
-                assert res.total_classes == (curve.q ** r - 1) // (curve.q - 1)
+                assert F(*res.total_classes) == (curve.q ** r - 1) // (curve.q - 1)
 
     def test_paper_split_totals(self, census_curves):
         # the printed counts sum to #P^(r-1)(F_q) whatever N_1 is
         for curve in census_curves:
             for r in (2, 3):
                 res = strata_census(r, curve, Convention.PAPER_SPLIT)
-                assert res.total_classes == (curve.q ** r - 1) // (curve.q - 1)
+                assert F(*res.total_classes) == (curve.q ** r - 1) // (curve.q - 1)
 
     def test_conjugate_pair_count_against_trace_oracle(self):
         for wc in (WeierstrassCurve(FieldSpec(5), 1, 1),
@@ -226,7 +237,7 @@ class TestCensus:
             eps2 = curve.e2
             res = strata_census(2, curve, Convention.GALOIS_DESCENT)
             conj = next(r for r in res.rows if r.label == "(0;conj-pair)")
-            assert conj.classes == F(k2 - eps2, 2)
+            assert conj.classes == (k2 - eps2, 2)
 
     def test_triple_count_against_pair_loop(self):
         # every Z/n1 x Z/n2 a curve over 5 <= p <= 43 can have: n1 | n2,
@@ -244,7 +255,7 @@ class TestCensus:
         # the printed split census sums to N_1 (q + 3)/(q^2 - 1)
         for curve in GALLERY:
             q, n1 = curve.q, curve.n1
-            mass = strata_census(2, curve, Convention.PAPER_SPLIT).mass
+            mass = F(*strata_census(2, curve, Convention.PAPER_SPLIT).mass)
             assert n1 * mass == F(n1 * (q + 3), q * q - 1)
 
     def test_rows_match_bundle_by_bundle_oracle(self, census_curves):
@@ -255,12 +266,25 @@ class TestCensus:
             for conv in Convention:
                 for r in (1, 2, 3):
                     for row in strata_census(r, curve, conv).rows:
-                        want = oracle_row(row.label, row.classes,
-                                          ROW_GRADED[row.label], curve.q)
-                        assert row == want, (curve, conv, r)
+                        got = (row.bundles_per_class, F(*row.mass_per_class),
+                               F(*row.gamma_per_class))
+                        assert got == oracle_row(ROW_GRADED[row.label], curve.q), \
+                            (curve, conv, r)
                         rows += 1
         # paper 2 + 3 + 6 rows, descent 2 + 4 + 9
         assert rows == 26 * len(census_curves)
+
+    def test_totals_equal_fraction_route(self, curve_data_to_61):
+        # each total is one integer over one lcm; against the rows summed
+        # one by one on Fractions (tests/bundle_oracle.py)
+        for curve in curve_data_to_61:
+            for conv in Convention:
+                for r in (1, 2, 3):
+                    census = strata_census(r, curve, conv)
+                    totals = (census.total_classes, census.mass, census.gamma)
+                    assert all(type(x) is int for pair in totals for x in pair)
+                    assert tuple(F(*pair) for pair in totals) == fraction_totals(census), \
+                        (curve, conv, r)
 
     def test_gamma_only_from_sections(self):
         for curve in GALLERY[:3]:
@@ -268,37 +292,37 @@ class TestCensus:
                 res = strata_census(2, curve, conv)
                 for row in res.rows:
                     has_trivial = not row.label.startswith("(0;")
-                    assert (row.gamma_per_class > 0) == has_trivial
+                    assert (row.gamma_per_class[0] > 0) == has_trivial
 
 
 class TestInvariant:
     def test_beta_rank2_odd_degree(self):
         for curve in GALLERY:
             for conv in Convention:
-                assert invariant("beta", 2, 1, curve, conv) == F(curve.n1, curve.q - 1)
+                assert inv("beta", 2, 1, curve, conv) == F(curve.n1, curve.q - 1)
 
     def test_beta_rank2_paper_closed_form(self):
         for curve in GALLERY:
             expected = F(curve.n1 * (curve.q + 3), curve.q ** 2 - 1)
-            assert invariant("beta", 2, 0, curve, Convention.PAPER_SPLIT) == expected
+            assert inv("beta", 2, 0, curve, Convention.PAPER_SPLIT) == expected
 
     def test_gamma_rank2_degree0_both_conventions(self):
         for curve in GALLERY:
             for conv in Convention:
-                assert invariant("gamma", 2, 0, curve, conv) == F(curve.n1, curve.q - 1)
+                assert inv("gamma", 2, 0, curve, conv) == F(curve.n1, curve.q - 1)
 
     def test_beta_descent_equals_recursion_rank2(self):
-        assert invariant("beta", 2, 0, E59, Convention.GALOIS_DESCENT) == F(99, 32)
+        assert inv("beta", 2, 0, E59, Convention.GALOIS_DESCENT) == F(99, 32)
         for curve in GALLERY:
             zc = curve.zeta
-            assert invariant("beta", 2, 0, curve, Convention.GALOIS_DESCENT) == \
-                mass_recursion_beta(2, 0, zc)
+            assert inv("beta", 2, 0, curve, Convention.GALOIS_DESCENT) == \
+                recursion(2, 0, zc)
 
     def test_beta_descent_equals_recursion_rank3(self):
-        assert invariant("beta", 3, 0, E59, Convention.GALOIS_DESCENT) == F(13707, 3968)
+        assert inv("beta", 3, 0, E59, Convention.GALOIS_DESCENT) == F(13707, 3968)
         for curve in GALLERY:
-            assert invariant("beta", 3, 0, curve, Convention.GALOIS_DESCENT) == \
-                mass_recursion_beta(3, 0, curve.zeta)
+            assert inv("beta", 3, 0, curve, Convention.GALOIS_DESCENT) == \
+                recursion(3, 0, curve.zeta)
 
     def test_descent_census_mass_equals_recursion(self, census_curves):
         # invariant reads the descent beta_r(0) from the recursion alone;
@@ -306,32 +330,32 @@ class TestInvariant:
         for curve in census_curves:
             for r in (2, 3):
                 census = strata_census(r, curve, Convention.GALOIS_DESCENT)
-                assert curve.n1 * census.mass == mass_recursion_beta(r, 0, curve.zeta)
+                assert curve.n1 * F(*census.mass) == recursion(r, 0, curve.zeta)
 
     def test_paper_split_agreement_locus(self):
         # printed closed form matches the recursion exactly iff N1 = 2(q-1)
         for curve in GALLERY:
-            paper = invariant("beta", 2, 0, curve, Convention.PAPER_SPLIT)
-            rec = mass_recursion_beta(2, 0, curve.zeta)
+            paper = inv("beta", 2, 0, curve, Convention.PAPER_SPLIT)
+            rec = recursion(2, 0, curve.zeta)
             if curve.n1 == 2 * (curve.q - 1):
                 assert paper == rec
             else:
                 assert paper != rec
         assert E58.n1 == 2 * (E58.q - 1)
-        assert invariant("beta", 2, 0, E58, Convention.PAPER_SPLIT) == F(8, 3)
+        assert inv("beta", 2, 0, E58, Convention.PAPER_SPLIT) == F(8, 3)
 
     def test_beta_periodicity(self):
         for conv in Convention:
             for d in (-3, -1, 2, 3, 5, 6):
-                assert invariant("beta", 3, d, E59, conv) == \
-                    invariant("beta", 3, d % 3, E59, conv)
+                assert inv("beta", 3, d, E59, conv) == \
+                    inv("beta", 3, d % 3, E59, conv)
 
     def test_gamma_telescopes_to_lower_rank_beta(self):
         for curve in GALLERY[:4]:
             for conv in Convention:
                 for r in (2, 3):
-                    assert invariant("gamma", r, 0, curve, conv) == \
-                        invariant("beta", r - 1, 0, curve, conv)
+                    assert inv("gamma", r, 0, curve, conv) == \
+                        inv("beta", r - 1, 0, curve, conv)
 
     def test_alpha_beta_gamma_relation(self):
         # alpha = sum q^h0 / #Aut = beta + gamma, with h0 = d for d > 0
@@ -339,8 +363,8 @@ class TestInvariant:
         for conv in Convention:
             for r in (1, 2, 3):
                 for d in range(-2, 5):
-                    b = invariant("beta", r, d, E59, conv)
-                    g = invariant("gamma", r, d, E59, conv)
+                    b = inv("beta", r, d, E59, conv)
+                    g = inv("gamma", r, d, E59, conv)
                     a = b + g
                     if d:
                         assert a == (F(E59.q) ** d if d > 0 else 1) * b
@@ -355,8 +379,8 @@ def weng_zagier_rh(r, curve, conv):
     """The Riemann hypothesis for the rank-r zeta in degrees divisible by r,
     gamma_0 - c_1 T + gamma_0 q^r T^2 with c_1 = gamma_0 (1 + q^r) -
     beta_0 (q^r - 1) (Weng-Zagier, PNAS 117, 2020): c_1^2 <= 4 gamma_0^2 q^r."""
-    gamma0 = _gamma_degree_zero(r, curve, conv)
-    beta0 = _beta_degree_zero(r, curve, conv)
+    gamma0 = F(*_gamma_degree_zero(r, curve, conv))
+    beta0 = F(*_beta_degree_zero(r, curve, conv))
     qr = curve.q ** r
     c1 = gamma0 * (1 + qr) - beta0 * (qr - 1)
     return c1 * c1 <= 4 * gamma0 * gamma0 * qr
@@ -447,20 +471,20 @@ def hn_tail_closed(r: int, d: int, zc: ZetaCurve, terms: int) -> Fraction:
 
 class TestMassRecursion:
     def test_rank1_base(self):
-        assert mass_recursion_beta(1, 0, E59.zeta) == F(9, 4)
+        assert recursion(1, 0, E59.zeta) == F(9, 4)
 
     def test_rank2_values(self):
-        assert mass_recursion_beta(2, 0, E59.zeta) == F(99, 32)
-        assert mass_recursion_beta(2, 0, E58.zeta) == F(8, 3)
+        assert recursion(2, 0, E59.zeta) == F(99, 32)
+        assert recursion(2, 0, E58.zeta) == F(8, 3)
 
     def test_offdiagonal_degrees_reduce_to_stable_count(self):
         # every degree coprime to the rank must give N1/(q-1)
         for curve in GALLERY:
             b1 = F(curve.n1, curve.q - 1)
             zc = curve.zeta
-            assert mass_recursion_beta(2, 1, zc) == b1
-            assert mass_recursion_beta(3, 1, zc) == b1
-            assert mass_recursion_beta(3, 2, zc) == b1
+            assert recursion(2, 1, zc) == b1
+            assert recursion(3, 1, zc) == b1
+            assert recursion(3, 2, zc) == b1
 
     def test_closed_form_equals_truncation_plus_exact_tail(self):
         for curve in (E59, E58):
@@ -469,10 +493,10 @@ class TestMassRecursion:
                 closed = hn_correction_truncated(r, d, zc, 30) + hn_tail_closed(r, d, zc, 30)
                 b1 = F(curve.n1, curve.q - 1)
                 if r == 2:
-                    full = b1 * zfunc(zc)(F(1, zc.q ** 2)) - mass_recursion_beta(2, d, zc)
+                    full = b1 * zfunc(zc)(F(1, zc.q ** 2)) - recursion(2, d, zc)
                 else:
                     full = (b1 * zfunc(zc)(F(1, zc.q ** 2)) * zfunc(zc)(F(1, zc.q ** 3))
-                            - mass_recursion_beta(3, d, zc))
+                            - recursion(3, d, zc))
                 assert closed == full
 
     def test_truncation_within_geometric_tail_bound(self):
@@ -480,10 +504,10 @@ class TestMassRecursion:
         for r, d in ((2, 0), (3, 0)):
             b1 = F(9, 4)
             if r == 2:
-                full = b1 * zfunc(zc)(F(1, 25)) - mass_recursion_beta(2, d, zc)
+                full = b1 * zfunc(zc)(F(1, 25)) - recursion(2, d, zc)
             else:
                 full = (b1 * zfunc(zc)(F(1, 25)) * zfunc(zc)(F(1, 125))
-                        - mass_recursion_beta(3, d, zc))
+                        - recursion(3, d, zc))
             trunc = hn_correction_truncated(r, d, zc, 30)
             assert 0 <= full - trunc < F(1, 5 ** 40)
 
@@ -507,5 +531,5 @@ class TestMassRecursion:
             for r in (1, 2, 3):
                 for d in range(-6, 7):
                     got = mass_recursion_beta(r, d, zc)
-                    assert type(got) is F
-                    assert got == fraction_mass_recursion_beta(r, d, zc)
+                    assert [type(x) for x in got] == [int, int]
+                    assert F(*got) == fraction_mass_recursion_beta(r, d, zc)

@@ -17,6 +17,7 @@ import replay_argvs
 from zetalab.cli import (
     _UsageError, build_parser, encode, main, parse_argv, parse_curve, parse_matrix,
 )
+from zetalab import lattice
 from zetalab.exact import Poly
 
 SCHEMA = json.loads(
@@ -283,6 +284,19 @@ class TestExitCodes:
         assert main([*argv, "--curve", "y2=x3+x+1", "--p", "3163"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "resource error" in captured.err
+
+    @pytest.mark.parametrize("command", ["lattice", "theta"])
+    def test_lattice_and_gram_together_are_refused(self, capsys, monkeypatch, command):
+        # both flags used to print in params while the result came from
+        # --gram alone; the pair is refused before a lattice is built
+        def unbuilt(*args):
+            raise AssertionError("a lattice was built")
+        monkeypatch.setattr(lattice.Lattice, "from_gram", unbuilt)
+        monkeypatch.setattr(lattice.Lattice, "from_basis_columns", unbuilt)
+        assert main([command, "--lattice", "2 0 / 0 2", "--gram", "1 0 / 0 1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: give --lattice or --gram, not both\n"
 
     def test_pole_is_validation_error(self, capsys):
         assert main(["xi", "--s", "1"]) == 1

@@ -8,6 +8,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
+from bundle_oracle import fraction_na_numerator
 from fq_oracle import Fq, multiples, one_curve_per_group, pt_add, torsion_count
 from ratfunc_oracle import (
     RatFunc,
@@ -126,10 +127,10 @@ class TestEllNaZeta:
                 for r in (1, 2, 3):
                     z = ell_na_zeta(curve, r, conv)
                     series = Series.ratio(z.P, z.denominator, 3 * r + 1)
-                    assert series[0] == invariant("gamma", r, 0, curve, conv)
+                    assert series[0] == F(*invariant("gamma", r, 0, curve, conv))
                     for d in range(1, 3 * r + 1):
                         expected = ((F(curve.q) ** d - 1)
-                                    * invariant("beta", r, d, curve, conv))
+                                    * F(*invariant("beta", r, d, curve, conv)))
                         assert series[d] == expected
 
     def test_denominator_shape(self):
@@ -162,8 +163,30 @@ class TestNaNumerator:
                 for conv in Convention:
                     gamma0 = invariant("gamma", r, 0, curve, conv)
                     betas = [invariant("beta", r, j, curve, conv) for j in range(r)]
-                    assert (Poly(na_numerator(curve.q, r, gamma0, betas))
-                            == ratfunc_assembly(curve.q, r, gamma0, betas))
+                    num, den = na_numerator(curve.q, r, gamma0, betas)
+                    assert all(type(c) is int for c in num.coeffs)
+                    assert (Poly(F(c, den) for c in num.coeffs)
+                            == ratfunc_assembly(curve.q, r, F(*gamma0),
+                                                [F(*beta) for beta in betas]))
+
+    def test_ell_na_zeta_equals_fraction_route(self, curve_data_to_61):
+        # the integer numerator over one denominator, and at rank 2 the
+        # Euler factor times gamma_2(0), against the masses assembled on
+        # Fractions (tests/bundle_oracle.py)
+        for curve in curve_data_to_61:
+            for conv in Convention:
+                for r in (1, 2, 3):
+                    gamma0 = F(*invariant("gamma", r, 0, curve, conv))
+                    betas = [F(*invariant("beta", r, j, curve, conv)) for j in range(r)]
+                    want = Poly(fraction_na_numerator(curve.q, r, gamma0, betas))
+                    assert ell_na_zeta(curve, r, conv).P == want, (curve, conv, r)
+
+    def test_rank2_normalized_numerator_is_euler_factor(self, curve_data_to_61):
+        for curve in curve_data_to_61:
+            for conv in Convention:
+                factor = rank2_local_numerator(curve.q, curve.q + 1 - curve.n1, conv)
+                z = ell_na_zeta(curve, 2, conv)
+                assert z.normalized_numerator == Poly(factor), (curve, conv)
 
     def test_rank2_euler_factor_is_normalized_numerator(self, curves_to_23):
         # the local factor at p is read off as the difference of the
@@ -203,23 +226,23 @@ class TestProperties:
 
     def test_zero_constant_term_is_refused(self):
         with pytest.raises(InputError, match="constant term"):
-            RankZeta(1, 5, Poly([0, 3, 5]))
+            RankZeta(1, 5, Poly([0, 3, 5]), 1)
 
     def test_wrong_degree_is_refused(self):
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
         with pytest.raises(InputError, match="degree 3 != 2r = 4"):
-            RankZeta(2, z.q, Poly(z.P.coeffs[:4]))
+            RankZeta(2, z.q, Poly(z.num.coeffs[:4]), z.den)
         with pytest.raises(InputError, match="degree 4 != 2r = 6"):
-            RankZeta(3, z.q, z.P)
+            RankZeta(3, z.q, z.num, z.den)
 
     def test_corrupted_coefficient_fails_fe(self):
         # rank 1, so the t^2 coefficient pairs with t^0 and a corruption is
         # visible to the functional equation, which the constructor decides
         z = ell_na_zeta(E59, 1, Convention.PAPER_SPLIT)
-        coeffs = list(z.P.coeffs)
+        coeffs = list(z.num.coeffs)
         coeffs[2] += 1
         with pytest.raises(InputError, match="functional equation"):
-            RankZeta(z.r, z.q, Poly(coeffs))
+            RankZeta(z.r, z.q, Poly(coeffs), z.den)
         assert not fe_transform_check(Poly(coeffs), z.q, z.r)
 
     def test_middle_coefficient_is_self_paired_at_rank2(self):
@@ -228,13 +251,13 @@ class TestProperties:
         # constructor accepts it, and the defining series (mass
         # comparison) is what pins it instead
         z = ell_na_zeta(E59, 2, Convention.PAPER_SPLIT)
-        coeffs = list(z.P.coeffs)
+        coeffs = list(z.num.coeffs)
         coeffs[2] += 1
-        bad = RankZeta(z.r, z.q, Poly(coeffs))
+        bad = RankZeta(z.r, z.q, Poly(coeffs), z.den)
         assert reflection_holds(bad)
         series = Series.ratio(bad.P, bad.denominator, 3)
-        assert series[2] != (F(25) - 1) * invariant("beta", 2, 2, E59,
-                                                    Convention.PAPER_SPLIT)
+        assert series[2] != (F(25) - 1) * F(*invariant("beta", 2, 2, E59,
+                                                       Convention.PAPER_SPLIT))
 
 
 def np_roots_residual(z):
@@ -277,7 +300,43 @@ def numerators_to_100():
             for r in (1, 2, 3) for conv in Convention]
 
 
+def prod_durand_kerner(coeffs):
+    """Oracle for nazeta._durand_kerner: the same iteration with each
+    root's spread prod_{j != i} (z_i - z_j) taken by math.prod, which
+    multiplies from the int 1 in the same order as the library's loop."""
+    n = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in reversed(coeffs)]
+    radius = abs(monic[-1]) ** (1 / n)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+
+    def sweep():
+        small = True
+        for i, zi in enumerate(z):
+            value = 0j
+            for c in monic:
+                value = value * zi + c
+            spread = math.prod(zi - zj for j, zj in enumerate(z) if j != i)
+            step = value / spread
+            z[i] = zi - step
+            small = small and abs(step) <= nazeta.DK_TOL * abs(z[i])
+        return small
+
+    for _ in range(nazeta.DK_MAX_SWEEPS):
+        if sweep():
+            for _ in range(nazeta.DK_POLISH):
+                sweep()
+            return z
+    raise NumericError("no convergence")
+
+
 class TestDurandKerner:
+    def test_roots_bitwise_equal_math_prod_oracle(self, numerators_to_100):
+        for data, r, conv, z in numerators_to_100:
+            coeffs = [float(c) for c in z.normalized_numerator.coeffs]
+            got = [(x.real.hex(), x.imag.hex()) for x in nazeta._durand_kerner(coeffs)]
+            want = [(x.real.hex(), x.imag.hex()) for x in prod_durand_kerner(coeffs)]
+            assert got == want, (data, r, conv)
+
     def test_normalized_numerators_are_squarefree(self, numerators_to_100):
         # what lets Durand-Kerner run on P/P(0) itself: no numerator any
         # command builds at q <= 100 has a repeated root (the library's
@@ -734,12 +793,12 @@ def rank2_factor_oracle(p, n1, conv):
     """Oracle for rank2_local_numerator: the exact beta_2(0) of the
     convention (mass recursion, or the printed split census's
     N_1 (p + 3)/(p^2 - 1)), divided by gamma_2(0) = beta_1(0) = N_1/(p-1)
-    and fed through na_numerator."""
+    and fed through the numerator assembly on Fractions."""
     if conv is Convention.PAPER_SPLIT:
         beta0 = F(n1 * (p + 3), p * p - 1)
     else:
-        beta0 = mass_recursion_beta(2, 0, elliptic_zeta(p, n1))
-    return na_numerator(p, 2, 1, (beta0 / F(n1, p - 1), 1))
+        beta0 = F(*mass_recursion_beta(2, 0, elliptic_zeta(p, n1)))
+    return fraction_na_numerator(p, 2, 1, (beta0 / F(n1, p - 1), 1))
 
 
 class TestRank2LocalNumerator:
