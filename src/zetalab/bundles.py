@@ -11,18 +11,18 @@ Lenstra (LNM 1068, 1984).  No bundle and no Jordan type is enumerated; the
 bundle-by-bundle route is the test oracle tests/bundle_oracle.py.
 
 Two counting conventions are first-class citizens and never silently
-merged.  `PAPER_SPLIT` reproduces the printed stratum counts, which treat
-all needed torsion points and roots as rational and all classes as split.
-`GALOIS_DESCENT` counts classes actually defined over F_q: the rational
-2- and 3-torsion come from the F_p walk that counts the points
-(`ffield.point_and_torsion_counts`), non-rational pieces enter as Galois
-orbits with extension-field unit groups as automorphisms.  The descent
-masses come from the Harder-Narasimhan / Desale-Ramanan mass recursion,
-which reads only q and N_1: it closes the unstable-strata sums as
-geometric series of integer numerators over one denominator (on
-Fractions: bundle_oracle.py).  The descent census prints the rows whose
-total mass the recursion gives, and the tests check the two against each
-other.
+merged.  `PAPER_SPLIT` reproduces the printed stratum counts, which
+treat all needed torsion points and roots as rational and all classes as
+split.  `GALOIS_DESCENT` counts classes actually defined over F_q: the
+rational 2- and 3-torsion come from the F_p walk that counts the points
+(`ffield.point_and_torsion_counts`, p up to the enumeration budget), and
+non-rational pieces enter as Galois orbits with extension-field unit
+groups as automorphisms.  The descent masses come from the
+Harder-Narasimhan / Desale-Ramanan mass recursion, which reads only q
+and N_1: it closes the unstable-strata sums as geometric series of
+integer numerators over one denominator (on Fractions:
+bundle_oracle.py).  The descent census prints the rows whose total mass
+the recursion gives, and the tests check the two against each other.
 
 No Fraction is made here: every exact value is an unreduced pair (integer
 numerator, denominator), a sum is one integer over the lcm of its terms'
@@ -65,9 +65,6 @@ class CurveData:
     @property
     def zeta(self) -> ZetaCurve:
         return elliptic_zeta(self.q, self.n1)
-
-    def point_count(self, m: int) -> int:
-        return nm(self.zeta, m)
 
 
 # an exact value: an integer numerator over a positive integer denominator
@@ -236,7 +233,7 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
     q, n1, eps2, eps3 = curve.q, curve.n1, curve.e2, curve.e3
     # k_m = N_m / N_1 = |1 + alpha + ... + alpha^(m-1)|^2, an integer: the
     # order of the norm-one subgroup of Pic^0(F_{q^m})
-    n2 = curve.point_count(2)
+    n2 = nm(curve.zeta, 2)
     k2 = n2 // n1
 
     if r == 2:
@@ -248,7 +245,7 @@ def _census_descent(r: int, curve: CurveData) -> CensusResult:
         )
         return CensusResult("determinant O", rows)
 
-    n3 = curve.point_count(3)
+    n3 = nm(curve.zeta, 3)
     k3 = n3 // n1
     rows = (
         _class_row("(3;0)", 1, q, 3),

@@ -147,11 +147,6 @@ def _check_printable(log10_bound: float, flag: str) -> None:
                             f"{limit} digits")
 
 
-def _curve_data(args) -> bundles.CurveData:
-    curve = parse_curve(args.curve, args.p)
-    return bundles.CurveData.from_curve(curve)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -179,7 +174,9 @@ def cmd_artin(args) -> dict:
 
 
 def cmd_nazeta(args) -> dict:
-    data = _curve_data(args)
+    curve = parse_curve(args.curve, args.p)
+    nazeta.check_simple_roots(curve.p, args.rank)   # before the walk
+    data = bundles.CurveData.from_curve(curve)
     z = nazeta.ell_na_zeta(data, args.rank, bundles.Convention(args.convention))
     omegas = nazeta.reciprocal_roots(z)
     _check_printable(nazeta.na_counts_log10_bound(z, args.mmax, omegas), "--mmax")
@@ -202,7 +199,7 @@ def cmd_nazeta(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    data = _curve_data(args)
+    data = bundles.CurveData.from_curve(parse_curve(args.curve, args.p))
     conv = bundles.Convention(args.convention)
     res = bundles.strata_census(args.rank, data, conv)
     rows = [{
@@ -228,7 +225,7 @@ def cmd_census(args) -> dict:
 def cmd_mass(args) -> dict:
     if args.rmax < 0:
         raise InputError("--rmax must be >= 0")
-    data = _curve_data(args)
+    data = bundles.CurveData.from_curve(parse_curve(args.curve, args.p))
     zc = data.zeta
     rows = []
     for r in range(1, args.rmax + 1):
@@ -258,7 +255,7 @@ def cmd_mass(args) -> dict:
 def cmd_allbundles(args) -> dict:
     if args.order < 0:
         raise InputError("--order must be >= 0")
-    data = _curve_data(args)
+    data = bundles.CurveData.from_curve(parse_curve(args.curve, args.p))
     report = nazeta.allbundles_rank2(data, args.order)
     pieces = [{
         "piece": piece.name,
@@ -586,8 +583,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     rendered = RENDERERS[args.format](payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rendered)
+        # opened only now, so that a job that fails leaves the file as it was
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror}\n")
+            return 1
     else:
         sys.stdout.write(rendered)
     return 0

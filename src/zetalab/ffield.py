@@ -2,16 +2,17 @@
 
 This is the counting layer that grounds the zeta machinery: prime fields
 F_p, projective point counts of y^2 = x^3 + ax + b, the rational 2- and
-3-torsion, scalar multiplication on such a curve, and the group structure
-of the rational points.  N_1 = #E(F_p) is a census over a table of
-squares; counts over F_{p^n} follow from N_1 through the curve's zeta
-function, and the enumeration of F_{p^n} that checks them lives in the
-tests.  #E[2](F_p) and #E[3](F_p) are read in the same walk over x, from
-the roots of f and of the 3-division polynomial.  The group structure,
-which no command reads, is derived from N = #E(F_p): the points are read
-from a square-root table and the exponent is N with its primes stripped
-by scalar multiplication (Cohen, GTM 138, section 7.4); the tests check
-the torsion counts against it.
+3-torsion, the trace of Frobenius a_p, scalar multiplication on such a
+curve, and the group structure of the rational points.  N_1 = #E(F_p) is a
+census over a table of squares, and counts over F_{p^n} follow from it
+through the curve's zeta function (the tests enumerate F_{p^n}).  A second
+walk over x reads #E[2](F_p) and #E[3](F_p) from the roots of f and of the
+3-division polynomial; each walk holds p to the enumeration budget.  a_p
+comes from a Shanks-Mestre search above MESTRE_BOUND.  The group
+structure, which no command reads, is derived from N: the exponent is N
+with its primes stripped by scalar multiplication on the points of a
+square-root table (Cohen, GTM 138, section 7.4); the tests check the
+torsion counts against it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from zetalab.artin import elliptic_zeta, nm
-from zetalab.errors import ENUMERATION_BUDGET, InputError, ResourceError
+from zetalab.errors import ENUMERATION_BUDGET, InputError, NumericError, ResourceError
 
 # prime_factors trial-divides up to this bound (about 50 ms at most), so it
 # factors every n below 10^12 and any n whose cofactor above it is prime
@@ -161,20 +162,23 @@ def count_points(curve: WeierstrassCurve, ext: int = 1) -> int:
     """
     if ext < 1:
         raise InputError("extension degree must be >= 1")
-    p = curve.p
+    n1 = _count_prime_field(curve.p, curve.a, curve.b)
+    return n1 if ext == 1 else nm(elliptic_zeta(curve.p, n1), ext)
+
+
+def _squares(p: int) -> bytearray:
+    """sq[v] = 1 for the squares v of F_p; p is held to the enumeration budget."""
     if p > ENUMERATION_BUDGET:
         raise ResourceError(
             f"p = {p} exceeds the enumeration budget of the F_p census")
-    n1 = _count_prime_field(p, curve.a, curve.b)
-    if ext == 1:
-        return n1
-    return nm(elliptic_zeta(p, n1), ext)
-
-
-def _count_prime_field(p: int, a: int, b: int) -> int:
     sq = bytearray(p)
     for y in range(p):
         sq[y * y % p] = 1
+    return sq
+
+
+def _count_prime_field(p: int, a: int, b: int) -> int:
+    sq = _squares(p)
     count = 1
     for x in range(p):
         fx = (x * x % p * x + a * x + b) % p
@@ -196,19 +200,11 @@ def point_and_torsion_counts(curve: WeierstrassCurve) -> tuple[int, int, int]:
     point of order 2), so #E[3] = 1 + 2 #{x : psi_3(x) = 0, f(x) a nonzero
     square}.
 
-    The walk is O(p), but p^2 is held to the enumeration budget
-    (ResourceError), the bound of the group census: the curve commands'
-    float root finding (`nazeta._durand_kerner`) has its simple-roots
-    precondition checked only for the primes below it.  `_count_prime_field`
-    stays a walk of its own: `count_points` and `ap_fast` need no psi_3
-    test and no such bound.
+    `_count_prime_field` stays a walk of its own: `count_points` and
+    `ap_fast` need no psi_3 test.
     """
     p, a, b = curve.p, curve.a, curve.b
-    if p * p > ENUMERATION_BUDGET:
-        raise ResourceError("F_p census exceeds the enumeration budget")
-    sq = bytearray(p)
-    for y in range(p):
-        sq[y * y % p] = 1
+    sq = _squares(p)
     n1 = e2 = e3 = 1
     for x in range(p):
         xx = x * x % p
@@ -223,15 +219,10 @@ def point_and_torsion_counts(curve: WeierstrassCurve) -> tuple[int, int, int]:
     return n1, e2, e3
 
 
-def trace_of_frobenius(p: int, a: int, b: int) -> int:
-    """a_p = p + 1 - #E(F_p), by the same square-table census."""
-    return p + 1 - _count_prime_field(p, a % p, b % p)
-
-
 # -- group law on y^2 = x^3 + ax + b over F_p.  Affine points are (x, y)
 # with 0 <= x, y < p and None is the point at infinity.  ec_mul is the one
-# scalar multiplication; the Shanks-Mestre walks in nazeta add affine points
-# inline, and tests/fq_oracle.py's pt_add is the group-law oracle.
+# scalar multiplication; the Shanks-Mestre walks of `_hasse_multiples` add
+# affine points inline, and tests/fq_oracle.py's pt_add is the group-law oracle.
 
 def ec_mul(p: int, a: int, P, k: int):
     """k * P for k >= 0, returned affine (None for O).
@@ -284,6 +275,115 @@ def ec_mul(p: int, a: int, P, k: int):
     return X * zi2 % p, Y * zi2 * zi % p
 
 
+# Mestre: for p > 229, E or its quadratic twist has a point whose order has
+# exactly one multiple in the Hasse interval, so intersecting the candidate
+# traces of points on both curves always ends at one value (Cohen, "A Course
+# in Computational Algebraic Number Theory", GTM 138, section 7.4.3)
+MESTRE_BOUND = 229
+
+
+def _hasse_multiples(p: int, a: int, P) -> list[int]:
+    """Every M in [lo, hi] = [p+1-w, p+1+w], w = floor(2 sqrt p), with
+    M * P = O, for a point P with y(P) != 0 (`ap_fast` passes (dx, d^2)).
+
+    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a
+    repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the
+    second case a giant-step window [c-m, c+m] holds at most one multiple
+    of n, and cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The
+    giant step is G = (2m+1)P = (m+1)P + mP, and the windows are centred on
+    the multiples c of 2m+1 from k(2m+1), k = floor((lo+m)/(2m+1)), whose
+    window is the first to reach lo, so the walk starts at kG = ec_mul(G, k).
+    That first window can reach below lo; only M in [lo, hi] are kept.
+    Both walks add affine points inline: one inversion per step.
+    """
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    m = isqrt(w) + 1
+    px, py = P
+    baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
+    x, y, n = px, py, 0                       # jP
+    for j in range(1, m + 2):
+        if x in baby:
+            n = j + baby[x][0]
+            break
+        if j > m:
+            break
+        baby[x] = (j, y)
+        mx, my = x, y
+        if j > 1:                             # x(jP) != x(P): a chord
+            lam = (y - py) * pow(x - px, -1, p) % p
+        else:                                 # 2P by the tangent
+            lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
+        x3 = (lam * lam - x - px) % p
+        x, y = x3, (lam * (x - x3) - y) % p
+    if n:
+        return list(range(-(-lo // n) * n, hi + 1, n))
+    # (m+1)P and mP have different x, or (2m+1)P = O would have been found
+    lam = (y - my) * pow(x - mx, -1, p) % p
+    gx = (lam * lam - x - mx) % p
+    gy = (lam * (x - gx) - y) % p
+    step = 2 * m + 1
+    k = (lo + m) // step
+    c = k * step
+    Q = ec_mul(p, a, (gx, gy), k)
+    found = []
+    while True:
+        if Q is None:
+            M = c
+        else:
+            qx, qy = Q
+            hit = baby.get(qx)                # cP = jP or -jP
+            M = None if hit is None else (c - hit[0] if qy == hit[1] else c + hit[0])
+        if M is not None and lo <= M <= hi:
+            found.append(M)
+        c += step
+        if c - m > hi:
+            return found
+        if Q is None:                         # Q += G
+            Q = gx, gy
+            continue
+        if qx != gx:
+            lam = (gy - qy) * pow(gx - qx, -1, p) % p
+        elif qy == gy and qy:
+            lam = (3 * qx * qx + a) * pow(2 * qy, -1, p) % p
+        else:                                 # Q = -G
+            Q = None
+            continue
+        x3 = (lam * lam - qx - gx) % p
+        Q = x3, (lam * (qx - x3) - qy) % p
+
+
+def ap_fast(p: int, A: int, B: int) -> int:
+    """a_p of y^2 = x^3 + Ax + B over F_p in O(p^(1/4)) group operations.
+
+    Shanks-Mestre: for x = 0, 1, 2, ... with d = f(x) != 0, the point
+    (dx, d^2) lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a
+    square and its quadratic twist (trace -a_p) otherwise.  Each point's
+    orders in the Hasse interval give candidate traces, signed by the
+    Legendre symbol of d; the candidates are intersected until one is left.
+    Primes up to MESTRE_BOUND use the square-table census instead.
+    """
+    A, B = A % p, B % p
+    if p < 5 or (4 * A ** 3 + 27 * B * B) % p == 0:
+        raise InputError(f"y^2 = x^3 + {A}x + {B} is not an elliptic curve over F_{p}")
+    if p <= MESTRE_BOUND:
+        return p + 1 - _count_prime_field(p, A, B)
+    candidates: set[int] | None = None
+    for x in range(p):
+        d = (x * x * x + A * x + B) % p
+        if d == 0:
+            continue
+        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+        Ms = _hasse_multiples(p, A * d * d % p, (d * x % p, d * d % p))
+        traces = {chi * (p + 1 - M) for M in Ms}
+        candidates = traces if candidates is None else candidates & traces
+        if len(candidates) == 1:
+            return candidates.pop()
+        if not candidates:
+            raise NumericError(f"no trace at p = {p} fits every point")
+    raise NumericError(f"a_p at p = {p} still ambiguous after every x")
+
+
 def _enumerate_points(p: int, a: int, b: int):
     """Infinity (None) and the affine points, read from one table of
     square roots: O(p) field operations."""
@@ -305,6 +405,7 @@ def group_structure(curve: WeierstrassCurve) -> GroupStructure:
     N / n2 is the n1 of the structure theorem: n1 | n2, and n1 | p - 1 by
     the Weil pairing.  No command calls it: the tests check
     `point_and_torsion_counts` against it, and perfbench/tracing.py names it.
+    It lists all ~p points, so p^2 is held to the enumeration budget.
     """
     p, a = curve.p, curve.a
     if p * p > ENUMERATION_BUDGET:

@@ -12,10 +12,10 @@ checks both.
 The module also carries the all-rank-2-bundles decomposition (what the
 zeta function would pick up from unstable bundles), partial global Euler
 products over good primes, whose rank-2 factors are integer polynomials in
-p and a_p with a_p computed only where a factor uses it, and the formal
-match with a genus-two spinor factor under a specific substitution.
-`RankZeta` alone decides the degree and the functional equation; the
-only floats, `reciprocal_roots`, come from Durand-Kerner iteration on the
+p and a_p (`ffield.ap_fast`, called only where a factor uses it), and the
+formal match with a genus-two spinor factor under a specific substitution.
+`RankZeta` alone decides the degree and the functional equation; the only
+floats, `reciprocal_roots`, come from Durand-Kerner iteration on the
 normalized numerator, so the module imports no numeric library.
 
 A numerator is an integer polynomial over one denominator, from
@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from zetalab.bundles import Convention, CurveData, NumDen, invariant
-from zetalab.errors import CapabilityError, InputError, NumericError, ResourceError
+from zetalab.errors import (ENUMERATION_BUDGET, CapabilityError, InputError, NumericError,
+                            ResourceError)
 from zetalab.exact import (
     Poly,
     RatLike,
@@ -42,7 +43,7 @@ from zetalab.exact import (
     fe_transform_check,
     power_sums_from_poly,
 )
-from zetalab.ffield import ec_mul, prime_factors, primes_up_to, trace_of_frobenius
+from zetalab.ffield import ap_fast, prime_factors, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,10 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
     Every normalized numerator a command builds has simple roots.  At rank
     1, 1 - at + qt^2 has a double root only if a^2 = 4q, which no prime q
     allows.  At ranks 2 and 3 an exhaustive check found no repeated root
-    for any prime q the curve commands accept (q^2 <= ENUMERATION_BUDGET,
-    refused in `ffield.point_and_torsion_counts`), every a^2 <= 4q and
-    every admissible n1, in both conventions (tests/test_nazeta.py repeats
-    it for q <= 100); raising that bound must extend the check.  A double
+    for any prime q with q^2 <= ENUMERATION_BUDGET (q <= 3137), every
+    a^2 <= 4q and every admissible n1, in both conventions
+    (tests/test_nazeta.py repeats it for q <= 100).  `check_simple_roots`
+    refuses larger q; raising that bound must extend the check.  A double
     root converges only linearly, to errors of 1e-9 to 1e-6 in spot
     checks, and a fourfold root does not converge within DK_MAX_SWEEPS.
     """
@@ -174,6 +175,14 @@ def _durand_kerner(coeffs: Sequence[float]) -> list[complex]:
                 sweep()
             return z
     raise NumericError(f"Durand-Kerner did not converge in {DK_MAX_SWEEPS} sweeps")
+
+
+def check_simple_roots(q: int, r: int) -> None:
+    """Refuse (ResourceError), before the walk over F_q, a rank-2 or rank-3
+    zeta past the q its numerators' roots were checked simple for."""
+    if r in (2, 3) and q * q > ENUMERATION_BUDGET:
+        raise ResourceError(f"q = {q} is past q^2 <= {ENUMERATION_BUDGET}, where the "
+                            "numerators of ranks 2 and 3 were checked to have simple roots")
 
 
 def reciprocal_roots(z: RankZeta) -> list[complex]:
@@ -362,115 +371,6 @@ class GlobalCurve:
     @property
     def bad_primes(self) -> tuple[int, ...]:
         return prime_factors(abs(6 * (4 * self.A ** 3 + 27 * self.B ** 2)))
-
-
-# Mestre: for p > 229, E or its quadratic twist has a point whose order has
-# exactly one multiple in the Hasse interval, so intersecting the candidate
-# traces of points on both curves always ends at one value (Cohen, "A Course
-# in Computational Algebraic Number Theory", GTM 138, section 7.4.3)
-MESTRE_BOUND = 229
-
-
-def _hasse_multiples(p: int, a: int, P) -> list[int]:
-    """Every M in [lo, hi] = [p+1-w, p+1+w], w = floor(2 sqrt p), with
-    M * P = O, for a point P with y(P) != 0 (`ap_fast` passes (dx, d^2)).
-
-    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a
-    repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the
-    second case a giant-step window [c-m, c+m] holds at most one multiple
-    of n, and cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The
-    giant step is G = (2m+1)P = (m+1)P + mP, and the windows are centred on
-    the multiples c of 2m+1 from k(2m+1), k = floor((lo+m)/(2m+1)), whose
-    window is the first to reach lo, so the walk starts at kG = ec_mul(G, k).
-    That first window can reach below lo; only M in [lo, hi] are kept.
-    Both walks add affine points inline: one inversion per step.
-    """
-    w = math.isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    m = math.isqrt(w) + 1
-    px, py = P
-    baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
-    x, y, n = px, py, 0                       # jP
-    for j in range(1, m + 2):
-        if x in baby:
-            n = j + baby[x][0]
-            break
-        if j > m:
-            break
-        baby[x] = (j, y)
-        mx, my = x, y
-        if j > 1:                             # x(jP) != x(P): a chord
-            lam = (y - py) * pow(x - px, -1, p) % p
-        else:                                 # 2P by the tangent
-            lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
-        x3 = (lam * lam - x - px) % p
-        x, y = x3, (lam * (x - x3) - y) % p
-    if n:
-        return list(range(-(-lo // n) * n, hi + 1, n))
-    # (m+1)P and mP have different x, or (2m+1)P = O would have been found
-    lam = (y - my) * pow(x - mx, -1, p) % p
-    gx = (lam * lam - x - mx) % p
-    gy = (lam * (x - gx) - y) % p
-    step = 2 * m + 1
-    k = (lo + m) // step
-    c = k * step
-    Q = ec_mul(p, a, (gx, gy), k)
-    found = []
-    while True:
-        if Q is None:
-            M = c
-        else:
-            qx, qy = Q
-            hit = baby.get(qx)                # cP = jP or -jP
-            M = None if hit is None else (c - hit[0] if qy == hit[1] else c + hit[0])
-        if M is not None and lo <= M <= hi:
-            found.append(M)
-        c += step
-        if c - m > hi:
-            return found
-        if Q is None:                         # Q += G
-            Q = gx, gy
-            continue
-        if qx != gx:
-            lam = (gy - qy) * pow(gx - qx, -1, p) % p
-        elif qy == gy and qy:
-            lam = (3 * qx * qx + a) * pow(2 * qy, -1, p) % p
-        else:                                 # Q = -G
-            Q = None
-            continue
-        x3 = (lam * lam - qx - gx) % p
-        Q = x3, (lam * (qx - x3) - qy) % p
-
-
-def ap_fast(p: int, A: int, B: int) -> int:
-    """a_p of y^2 = x^3 + Ax + B over F_p in O(p^(1/4)) group operations.
-
-    Shanks-Mestre: for x = 0, 1, 2, ... with d = f(x) != 0, the point
-    (dx, d^2) lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a
-    square and its quadratic twist (trace -a_p) otherwise.  Each point's
-    orders in the Hasse interval give candidate traces, signed by the
-    Legendre symbol of d; the candidates are intersected until one is left.
-    Primes up to MESTRE_BOUND use the square-table census instead.
-    """
-    A, B = A % p, B % p
-    if p < 5 or (4 * A ** 3 + 27 * B * B) % p == 0:
-        raise InputError(f"y^2 = x^3 + {A}x + {B} is not an elliptic curve over F_{p}")
-    if p <= MESTRE_BOUND:
-        return trace_of_frobenius(p, A, B)
-    candidates: set[int] | None = None
-    for x in range(p):
-        d = (x * x * x + A * x + B) % p
-        if d == 0:
-            continue
-        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
-        Ms = _hasse_multiples(p, A * d * d % p, (d * x % p, d * d % p))
-        traces = {chi * (p + 1 - M) for M in Ms}
-        candidates = traces if candidates is None else candidates & traces
-        if len(candidates) == 1:
-            return candidates.pop()
-        if not candidates:
-            raise NumericError(f"no trace at p = {p} fits every point")
-    raise NumericError(f"a_p at p = {p} still ambiguous after every x")
 
 
 def rank2_local_numerator(p: int, ap: int | None, conv: Convention) -> tuple[int, ...]:

@@ -25,12 +25,14 @@ workloads and seed 1 of `xi_high`, the `count_points` library jobs
 included, and EDGE_ARGVS: the exact kernels' edge orders and spans,
 `artin` at its `--order` cap and past it, the rank-3 `census` at p = 5,
 and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
-`artin` at its `--order` cap at the largest prime the curve commands
-accept, and their refusal at the next prime, which neither of the other
-lists reaches; argvs that end in a usage error or sit at the parser's
-edges (abbreviated, repeated and stray flags, and `lattice` and `theta`
-given both `--lattice` and `--gram`); and `xi`, `explicit-nf`
-and `euler` at floats near the double range's end.  Each is run in
+`artin` at its `--order` cap at the largest prime where rank-2 and rank-3
+`nazeta` run, and the curve commands at the next prime, where `nazeta`
+refuses ranks 2 and 3, which neither of the other lists reaches; argvs
+that end in a usage error or sit at the parser's edges (abbreviated,
+repeated and stray flags, and `lattice` and `theta` given both
+`--lattice` and `--gram`); `andrianov` with `.` as `--out`; and
+`xi`, `explicit-nf` and `euler` at floats near the double range's end.
+Each is run in
 process from the repository root, with argparse's usage lines wrapped at
 80 columns, and its exit code, stdout and stderr are kept; an uncaught
 exception is kept as its type name in place of the exit code, and the
@@ -70,15 +72,17 @@ EDGE_ARGVS = (
     ("artin", *_BIG_CURVE, "--order", "3000"),
     *(("census", *_SMALL_CURVE, "--rank", "3", "--convention", conv)
       for conv in ("paper", "descent")),
-    # 3137 is the largest prime the curve commands accept, 3163 the next
+    # 3137 is the largest prime where `nazeta` runs ranks 2 and 3, 3163 the
+    # next, where it refuses them and the other curve commands still run
     *(("nazeta", *_BIG_CURVE, "--rank", rank, "--convention", conv)
       for rank in ("2", "3") for conv in ("paper", "descent")),
     ("mass", *_BIG_CURVE),
     *(("census", *_BIG_CURVE, "--rank", "3", "--convention", conv)
       for conv in ("paper", "descent")),
     ("allbundles", *_BIG_CURVE, "--order", "40"),
-    ("nazeta", *_PAST_BIG_CURVE, "--rank", "2"),
+    *(("nazeta", *_PAST_BIG_CURVE, "--rank", rank) for rank in ("1", "2", "3")),
     ("census", *_PAST_BIG_CURVE, "--rank", "2"),
+    ("census", *_PAST_BIG_CURVE, "--rank", "3", "--convention", "descent"),
     ("mass", *_PAST_BIG_CURVE),
     ("allbundles", *_PAST_BIG_CURVE),
     # the parser's edges: usage errors, and flags it accepts oddly spelt
@@ -95,6 +99,7 @@ EDGE_ARGVS = (
     ("nazeta", *_SMALL_CURVE, "--rank", "2", "--format", "yaml"),
     *((command, "--lattice", "2 0 / 0 2", "--gram", "1 0 / 0 1")
       for command in ("lattice", "theta")),
+    ("andrianov", "--out", "."),                # a directory from any cwd: no write
     ("xi", "--s", "-1+2j"),
     ("xi", "--s=-1+2j"),
     ("--", "x"),

@@ -17,7 +17,7 @@ import replay_argvs
 from zetalab.cli import (
     _UsageError, build_parser, encode, main, parse_argv, parse_curve, parse_matrix,
 )
-from zetalab import lattice
+from zetalab import bundles, ffield, lattice
 from zetalab.exact import Poly
 
 SCHEMA = json.loads(
@@ -275,15 +275,59 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["nazeta", "--rank", "2"], ["census", "--rank", "2"], ["mass"], ["allbundles"],
-    ], ids=["nazeta", "census", "mass", "allbundles"])
-    def test_curve_commands_refuse_past_root_check_bound(self, capsys, argv):
-        # 3163 is the first prime with p^2 over ENUMERATION_BUDGET, the bound
-        # up to which the zeta numerators' roots were checked simple
-        assert main([*argv, "--curve", "y2=x3+x+1", "--p", "3163"]) == 2
+    @pytest.mark.parametrize("rank", ["2", "3"], ids=["nazeta", "nazeta-rank3"])
+    def test_curve_commands_refuse_past_root_check_bound(self, capsys, monkeypatch, rank):
+        # 3163 is the first prime with q^2 over ENUMERATION_BUDGET, the bound
+        # up to which the rank-2 and rank-3 numerators' roots were checked
+        # simple; the refusal comes before the F_p walk
+        def unwalked(curve):
+            raise AssertionError("the F_p walk ran")
+        monkeypatch.setattr(bundles, "point_and_torsion_counts", unwalked)
+        monkeypatch.setattr(ffield, "point_and_torsion_counts", unwalked)
+        assert main(["nazeta", "--curve", "y2=x3+x+1", "--p", "3163", "--rank", rank]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "resource error" in captured.err
+        assert captured.out == ""
+        assert captured.err == ("resource error: q = 3163 is past q^2 <= 10000000, where the "
+                                "numerators of ranks 2 and 3 were checked to have simple roots\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--rank", "3"], ["census", "--rank", "3", "--convention", "paper"],
+        ["mass"], ["allbundles"],
+    ], ids=["census", "census-paper", "mass", "allbundles"])
+    def test_curve_commands_run_past_root_check_bound(self, capsys, argv):
+        # these find no roots, so they take every prime the F_p walk takes:
+        # N_1 by Euler's criterion, and a census total of #P^2(F_q)
+        q = 3163
+        result = run_json([*argv, "--curve", "y2=x3+x+1", "--p", str(q)], capsys)["result"]
+        fx = ((x ** 3 + x + 1) % q for x in range(q))
+        chi = sum(1 if pow(f, (q - 1) // 2, q) == 1 else -1 for f in fx if f)
+        assert result["n1"] == q + 1 + chi
+        if argv[0] == "census":
+            assert result["total_classes"] == str(q * q + q + 1)
+
+    def test_rank1_nazeta_past_root_check_bound_equals_artin(self, capsys):
+        # the rank-1 numerator 1 - at + qt^2 always has simple roots
+        curve = ["--curve", "y2=x3+x+1", "--p", "3163", "--mmax", "8"]
+        rank1 = run_json(["nazeta", *curve, "--rank", "1"], capsys)["result"]
+        assert rank1["counts"] == run_json(["artin", *curve], capsys)["result"]["counts"]
+        assert len(rank1["counts"]) == 8
+
+    @pytest.mark.parametrize("target", ["", "missing/x.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, target):
+        assert main(["andrianov", "--out", str(tmp_path / target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_failing_job_leaves_out_file(self, capsys, tmp_path):
+        # the file is opened only once the job has succeeded
+        out = tmp_path / "kept.json"
+        out.write_text("kept\n")
+        argv = ["artin", "--curve", "y2=x3+x+1", "--p", "5", "--mmax", "-1"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["lattice", "theta"])
     def test_lattice_and_gram_together_are_refused(self, capsys, monkeypatch, command):
@@ -555,7 +599,9 @@ class TestOneParse:
         for command in build_parser().commands.values():
             monkeypatch.setitem(command._defaults, "fn", lambda args: {})
         for argv in replayed:
-            assert main_output(argv)[0] in (0, 64), argv
+            # a stubbed job still writes its output, and the one replayed
+            # --out names a directory
+            assert main_output(argv)[0] in ((1,) if "--out" in argv else (0, 64)), argv
         with pytest.raises(AssertionError, match="top-level"):
             main(["frobnicate"])
 

@@ -20,6 +20,8 @@ explicit formula (explicit-nf) loads numpy but not mpmath.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -166,6 +168,29 @@ def test_explicit_nf_loads_no_mpmath():
 
 
 REPO = PACKAGE.parent.parent
+
+
+def traced_names() -> tuple[tuple[str, str], ...]:
+    """perfbench/tracing.py's TRACED table, read with ast."""
+    tracing = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tracing.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+
+
+def test_every_traced_name_resolves():
+    """Each TRACED (module, attr) names a function in vars() of
+    zetalab.<module>, or of its class: what Tracer.install looks up.  The
+    reach test below skips a name its module does not define, so a moved
+    function would pass it while a traced benchmark run raised KeyError."""
+    for module, attr in traced_names():
+        owner = importlib.import_module(f"zetalab.{module}")
+        *cls, leaf = attr.split(".")
+        if cls:
+            owner = vars(owner)[cls[0]]
+        assert inspect.isfunction(vars(owner).get(leaf)), f"{module}.{attr}"
+
+
 # what perfbench/run.py calls besides the CLI
 BENCHMARK_CALLS = {("ffield", "count_points"), ("ffield", "WeierstrassCurve"),
                    ("ffield", "FieldSpec")}
@@ -223,10 +248,7 @@ def test_every_library_name_is_reached():
     roots = {(m, name) for m in ("cli", "errors", "__init__") for name in defs[m]}
     roots |= set(import_bindings(ast.parse(
         (REPO / "tests" / "test_acceptance.py").read_text()))[0].values())
-    tracing = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
-    traced = next(ast.literal_eval(node.value) for node in tracing.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    traced = traced_names()
     assert len(traced) == 25
     roots |= {(module, attr.split(".")[0]) for module, attr in traced}
     roots |= BENCHMARK_CALLS
