@@ -164,6 +164,13 @@ def _class_row(label: str, classes: int | NumDen, q: int, trivial: int,
                    (num * gamma_num, den * gamma_den))
 
 
+def check_census_rank(r: int) -> None:
+    """Refuse (CapabilityError) a census rank other than 1, 2 and 3; it
+    needs no curve, so the CLI runs it before the walk over F_q."""
+    if r not in (1, 2, 3):
+        raise CapabilityError("census implemented for rank <= 3")
+
+
 def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
     """Complete disjoint census of degree-0 S-classes for one determinant slice.
 
@@ -178,8 +185,7 @@ def strata_census(r: int, curve: CurveData, conv: Convention) -> CensusResult:
     object (`_class_row`); tests/bundle_oracle.py rebuilds every row bundle
     by bundle.
     """
-    if r not in (1, 2, 3):
-        raise CapabilityError("census implemented for rank <= 3")
+    check_census_rank(r)
     q, n1 = curve.q, curve.n1
     if r == 1:
         rows = (

@@ -175,7 +175,9 @@ def cmd_artin(args) -> dict:
 
 def cmd_nazeta(args) -> dict:
     curve = parse_curve(args.curve, args.p)
-    nazeta.check_simple_roots(curve.p, args.rank)   # before the walk
+    nazeta.check_rank(args.rank)                    # before the walk
+    nazeta.check_simple_roots(curve.p, args.rank)
+    nazeta.check_m_max(args.mmax)
     data = bundles.CurveData.from_curve(curve)
     z = nazeta.ell_na_zeta(data, args.rank, bundles.Convention(args.convention))
     omegas = nazeta.reciprocal_roots(z)
@@ -199,7 +201,9 @@ def cmd_nazeta(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    data = bundles.CurveData.from_curve(parse_curve(args.curve, args.p))
+    curve = parse_curve(args.curve, args.p)
+    bundles.check_census_rank(args.rank)            # before the walk
+    data = bundles.CurveData.from_curve(curve)
     conv = bundles.Convention(args.convention)
     res = bundles.strata_census(args.rank, data, conv)
     rows = [{
@@ -255,8 +259,9 @@ def cmd_mass(args) -> dict:
 def cmd_allbundles(args) -> dict:
     if args.order < 0:
         raise InputError("--order must be >= 0")
-    data = bundles.CurveData.from_curve(parse_curve(args.curve, args.p))
-    report = nazeta.allbundles_rank2(data, args.order)
+    curve = parse_curve(args.curve, args.p)
+    nazeta.check_allbundles_order(args.order)       # before the walk
+    report = nazeta.allbundles_rank2(bundles.CurveData.from_curve(curve), args.order)
     pieces = [{
         "piece": piece.name,
         # a closed coefficient is an int where integral; it prints as a rational

@@ -4,11 +4,14 @@ This is the counting layer that grounds the zeta machinery: prime fields
 F_p, projective point counts of y^2 = x^3 + ax + b, the rational 2- and
 3-torsion, the trace of Frobenius a_p, scalar multiplication on such a
 curve, and the group structure of the rational points.  N_1 = #E(F_p) is a
-census over a table of squares, and counts over F_{p^n} follow from it
-through the curve's zeta function (the tests enumerate F_{p^n}).  A second
-walk over x reads #E[2](F_p) and #E[3](F_p) from the roots of f and of the
-3-division polynomial; each walk holds p to the enumeration budget.  a_p
-comes from a Shanks-Mestre search above MESTRE_BOUND.  The group
+census over a table of squares (half the y suffice: y and p - y have one
+square), and counts over F_{p^n} follow from it through the curve's zeta
+function (the tests enumerate F_{p^n}).  A second walk over x reads
+#E[2](F_p) and #E[3](F_p) from the roots of f and of the 3-division
+polynomial; each walk holds p to the enumeration budget.  a_p comes from a
+Shanks-Mestre search above MESTRE_BOUND: the discriminant's Legendre
+symbol says when #E(F_p) is even, which halves the interval searched, and
+a walk stops once its first multiple is provably the only one.  The group
 structure, which no command reads, is derived from N: the exponent is N
 with its primes stripped by scalar multiplication on the points of a
 square-root table (Cohen, GTM 138, section 7.4); the tests check the
@@ -172,7 +175,7 @@ def _squares(p: int) -> bytearray:
         raise ResourceError(
             f"p = {p} exceeds the enumeration budget of the F_p census")
     sq = bytearray(p)
-    for y in range(p):
+    for y in range((p + 1) // 2):             # y and p - y have one square
         sq[y * y % p] = 1
     return sq
 
@@ -282,42 +285,46 @@ def ec_mul(p: int, a: int, P, k: int):
 MESTRE_BOUND = 229
 
 
-def _hasse_multiples(p: int, a: int, P) -> list[int]:
-    """Every M in [lo, hi] = [p+1-w, p+1+w], w = floor(2 sqrt p), with
-    M * P = O, for a point P with y(P) != 0 (`ap_fast` passes (dx, d^2)).
+def _hasse_multiples(p: int, a: int, P, lo: int, hi: int) -> list[int]:
+    """Every M in [lo, hi] with M * P = O, ascending, for a point P with
+    y(P) != 0.
 
-    Baby steps jP, j = 1..m+1, either find the order n <= 2m+1 of P (a
-    repeated x-coordinate, jP = -j'P) or show n >= 2m+2.  In the
-    second case a giant-step window [c-m, c+m] holds at most one multiple
-    of n, and cP = tP, |t| <= m, is told from -tP by its y-coordinate.  The
-    giant step is G = (2m+1)P = (m+1)P + mP, and the windows are centred on
-    the multiples c of 2m+1 from k(2m+1), k = floor((lo+m)/(2m+1)), whose
-    window is the first to reach lo, so the walk starts at kG = ec_mul(G, k).
-    That first window can reach below lo; only M in [lo, hi] are kept.
-    Both walks add affine points inline: one inversion per step.
+    Baby steps jP, j = 1..m+1, m = floor(sqrt((hi-lo)/2)) + 1, either find
+    the order n <= 2m+1 of P (a repeated x-coordinate, jP = -j'P) or show
+    n >= 2m+2.  In the second case a giant-step window [c-m, c+m] holds at
+    most one multiple of n, and cP = tP, |t| <= m, is told from -tP by its
+    y-coordinate.  The giant step is G = (2m+1)P = (m+1)P + mP, and the
+    windows are centred on the multiples c of 2m+1 from k(2m+1),
+    k = floor((lo+m)/(2m+1)), whose window is the first to reach lo, so the
+    walk starts at kG = ec_mul(G, k).  That first window can reach below
+    lo; only M in [lo, hi] are kept.  Both walks add affine points inline:
+    one inversion per step.
+
+    Early exit: the windows are walked upward, so the first M_1 kept is the
+    least multiple of n in [lo, hi].  Then M_1 - n < lo, so n > M_1 - lo
+    and every other multiple is at least 2 M_1 - lo + 1; once 2 M_1 - lo
+    >= hi, M_1 is the only one and the walk stops there.
     """
-    w = isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    m = isqrt(w) + 1
+    m = isqrt((hi - lo) // 2) + 1
     px, py = P
-    baby: dict[int, tuple[int, int]] = {}     # x(jP) -> (j, y(jP)), j <= m
-    x, y, n = px, py, 0                       # jP
-    for j in range(1, m + 2):
-        if x in baby:
-            n = j + baby[x][0]
-            break
+    baby = {px: 1}                            # x(jP) -> j, j <= m
+    ys = [0, py]                              # ys[j] = y(jP)
+    lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
+    x = (lam * lam - 2 * px) % p              # 2P by the tangent
+    y = (lam * (px - x) - py) % p
+    mx, my = px, py
+    for j in range(2, m + 2):                 # x, y = jP
+        if x in baby:                         # jP = -iP: P has order j + i
+            n = j + baby[x]
+            return list(range(-(-lo // n) * n, hi + 1, n))
         if j > m:
             break
-        baby[x] = (j, y)
+        baby[x] = j
+        ys.append(y)
         mx, my = x, y
-        if j > 1:                             # x(jP) != x(P): a chord
-            lam = (y - py) * pow(x - px, -1, p) % p
-        else:                                 # 2P by the tangent
-            lam = (3 * px * px + a) * pow(2 * py, -1, p) % p
+        lam = (y - py) * pow(x - px, -1, p) % p   # x(jP) != x(P): a chord
         x3 = (lam * lam - x - px) % p
         x, y = x3, (lam * (x - x3) - y) % p
-    if n:
-        return list(range(-(-lo // n) * n, hi + 1, n))
     # (m+1)P and mP have different x, or (2m+1)P = O would have been found
     lam = (y - my) * pow(x - mx, -1, p) % p
     gx = (lam * lam - x - mx) % p
@@ -325,57 +332,83 @@ def _hasse_multiples(p: int, a: int, P) -> list[int]:
     step = 2 * m + 1
     k = (lo + m) // step
     c = k * step
-    Q = ec_mul(p, a, (gx, gy), k)
     found = []
-    while True:
-        if Q is None:
-            M = c
-        else:
-            qx, qy = Q
-            hit = baby.get(qx)                # cP = jP or -jP
-            M = None if hit is None else (c - hit[0] if qy == hit[1] else c + hit[0])
-        if M is not None and lo <= M <= hi:
-            found.append(M)
+    Q = ec_mul(p, a, (gx, gy), k)
+    if Q is None:                             # cP = O, and the next centre holds G
+        if c >= lo:
+            found.append(c)
+        c += step
+        Q = gx, gy
+    qx, qy = Q
+    while True:                               # qx, qy = cP, affine
+        if qx in baby:                        # cP = jP or -jP
+            j = baby[qx]
+            M = c - j if qy == ys[j] else c + j
+            if lo <= M <= hi:
+                if not found and 2 * M - lo >= hi:
+                    return [M]
+                found.append(M)
         c += step
         if c - m > hi:
             return found
-        if Q is None:                         # Q += G
-            Q = gx, gy
-            continue
-        if qx != gx:
+        if qx != gx:                          # Q += G by the chord
             lam = (gy - qy) * pow(gx - qx, -1, p) % p
-        elif qy == gy and qy:
+        elif qy == gy and qy:                 # Q = G: doubled by the tangent
             lam = (3 * qx * qx + a) * pow(2 * qy, -1, p) % p
-        else:                                 # Q = -G
-            Q = None
+        else:                                 # Q = -G: the centre c >= lo has cP = O
+            if c <= hi:
+                found.append(c)
+            c += step
+            qx, qy = gx, gy
             continue
         x3 = (lam * lam - qx - gx) % p
-        Q = x3, (lam * (qx - x3) - qy) % p
+        qx, qy = x3, (lam * (qx - x3) - qy) % p
 
 
 def ap_fast(p: int, A: int, B: int) -> int:
     """a_p of y^2 = x^3 + Ax + B over F_p in O(p^(1/4)) group operations.
 
     Shanks-Mestre: for x = 0, 1, 2, ... with d = f(x) != 0, the point
-    (dx, d^2) lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a
-    square and its quadratic twist (trace -a_p) otherwise.  Each point's
-    orders in the Hasse interval give candidate traces, signed by the
-    Legendre symbol of d; the candidates are intersected until one is left.
+    P = (dx, d^2) lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is
+    a square and its quadratic twist (trace -a_p) otherwise.  Each point's
+    orders in the Hasse interval [lo, hi] = [p+1-w, p+1+w], w = floor(2
+    sqrt p), give candidate traces, signed by the Legendre symbol of d; the
+    candidates are intersected until one is left.
+
+    Parity: by Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962) a
+    squarefree cubic over F_p has a non-square discriminant exactly when it
+    has one root in F_p.  So when Delta = -(4A^3 + 27B^2) is a non-square,
+    E has one point of order 2 and #E(F_p) is even, and so is the twist's
+    count: X^3 + A d^2 X + B d^3 = d^3 f(X/d) has as many roots as f.  Then
+    only even M = 2j are searched, with j (2P) = O for j in [lo/2, hi/2]:
+    half the width.  If 2P has y = 0 (P has order 4), P is searched over
+    the whole interval.
+
     Primes up to MESTRE_BOUND use the square-table census instead.
     """
     A, B = A % p, B % p
-    if p < 5 or (4 * A ** 3 + 27 * B * B) % p == 0:
+    disc = (4 * A ** 3 + 27 * B * B) % p
+    if p < 5 or disc == 0:
         raise InputError(f"y^2 = x^3 + {A}x + {B} is not an elliptic curve over F_{p}")
     if p <= MESTRE_BOUND:
         return p + 1 - _count_prime_field(p, A, B)
+    half = (p - 1) // 2
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    even = pow(p - disc, half, p) != 1       # -disc = Delta is a non-square
     candidates: set[int] | None = None
     for x in range(p):
         d = (x * x * x + A * x + B) % p
         if d == 0:
             continue
-        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
-        Ms = _hasse_multiples(p, A * d * d % p, (d * x % p, d * d % p))
-        traces = {chi * (p + 1 - M) for M in Ms}
+        chi = 1 if pow(d, half, p) == 1 else -1
+        a, P = A * d * d % p, (d * x % p, d * d % p)
+        P2 = ec_mul(p, a, P, 2) if even else None
+        if P2 is not None and P2[1]:
+            Ms, e = _hasse_multiples(p, a, P2, (lo + 1) // 2, hi // 2), 2
+        else:
+            Ms, e = _hasse_multiples(p, a, P, lo, hi), 1
+        traces = {chi * (p + 1 - e * M) for M in Ms}
         candidates = traces if candidates is None else candidates & traces
         if len(candidates) == 1:
             return candidates.pop()

@@ -99,6 +99,14 @@ def na_numerator(q: int, r: int, gamma0: NumDen,
     return Poly(n), den
 
 
+def check_rank(r: int) -> None:
+    """Refuse (CapabilityError) a rank `ell_na_zeta` has no closed form
+    for.  Like `check_m_max` and `check_allbundles_order`, it reads no
+    curve, so the CLI runs it before the walk over F_q."""
+    if r not in (1, 2, 3):
+        raise CapabilityError("rank must be 1, 2 or 3")
+
+
 def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
     """The rank-r zeta function of an elliptic curve in closed form.
 
@@ -106,8 +114,7 @@ def ell_na_zeta(curve: CurveData, r: int, conv: Convention) -> RankZeta:
     beta_r(0..r-1) masses, at rank 2 from gamma_2(0) = N_1/(q-1) times
     `rank2_local_numerator`; rank 1 recovers the curve's zeta function.
     """
-    if r not in (1, 2, 3):
-        raise CapabilityError("rank must be 1, 2 or 3")
+    check_rank(r)
     q, n1 = curve.q, curve.n1
     if r == 2:
         factor = rank2_local_numerator(q, q + 1 - n1, conv)
@@ -205,6 +212,12 @@ def root_pairing_residual(q: int, omegas: Sequence[complex]) -> float:
     return residual
 
 
+def check_m_max(m_max: int) -> None:
+    """Refuse (InputError) a negative count length for `na_counts`."""
+    if m_max < 0:
+        raise InputError("m_max must be >= 0")
+
+
 def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
     """The rational counts [N(1), ..., N(m_max)]: N(m) = r(1 + q^m) - p_m
     when r | m, else -p_m.
@@ -214,8 +227,7 @@ def na_counts(z: RankZeta, m_max: int) -> list[Fraction]:
     by term: the numerator gives -p_m and each factor of (1-t^r)(1-q^r t^r)
     gives r or r q^m when r | m (checked in tests/test_nazeta.py).
     """
-    if m_max < 0:
-        raise InputError("m_max must be >= 0")
+    check_m_max(m_max)
     psums = power_sums_from_poly(z.normalized_numerator, m_max)
     return [Fraction((z.r * (1 + z.q ** m) if m % z.r == 0 else 0) - p_m)
             for m, p_m in enumerate(psums, start=1)]
@@ -264,6 +276,12 @@ class AllBundlesReport:
                 and self.negative.agree)
 
 
+def check_allbundles_order(order: int) -> None:
+    """Refuse (ResourceError) an `allbundles_rank2` order past 40."""
+    if order > 40:
+        raise ResourceError("order capped at 40")
+
+
 def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     """Unstable rank-2 contributions: closed forms against direct sums.
 
@@ -276,8 +294,7 @@ def allbundles_rank2(curve: CurveData, order: int) -> AllBundlesReport:
     by coefficient.  Each direct value is one Fraction of an integer
     numerator, over q^(2T-d) (q-1)^2 (q^2-1) for a sum enumerated up to T.
     """
-    if order > 40:
-        raise ResourceError("order capped at 40")
+    check_allbundles_order(order)
     q, n1 = curve.q, curve.n1
     # mass_unit n1^2/(q-1)^2, over the (q^2-1) a closed geometric tail needs
     den_unit = (q - 1) ** 2 * (q * q - 1)
@@ -431,8 +448,11 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
             local = 1 - ap_fast(p, curve.A, curve.B) * x + p * x * x
         else:
             ap = None if conv is Convention.PAPER_SPLIT else ap_fast(p, curve.A, curve.B)
-            coeffs = rank2_local_numerator(p, ap, conv)
-            local = sum(float(c) * x ** i for i, c in enumerate(coeffs))
+            c0, c1, c2, c3, c4 = map(float, rank2_local_numerator(p, ap, conv))
+            # complex ** int forms these same products, so the factor is
+            # sum(c_i x**i) bit for bit
+            x2 = x * x
+            local = c0 + c1 * x + c2 * x2 + c3 * (x * x2) + c4 * (x2 * x2)
         logs.append(-cmath.log(local))
     total = complex_fsum(logs)
     tail = 8.0 * prime_bound ** (2 - s.real) / (s.real - 2)

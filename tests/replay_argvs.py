@@ -27,7 +27,10 @@ included, and EDGE_ARGVS: the exact kernels' edge orders and spans,
 and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
 `artin` at its `--order` cap at the largest prime where rank-2 and rank-3
 `nazeta` run, and the curve commands at the next prime, where `nazeta`
-refuses ranks 2 and 3, which neither of the other lists reaches; argvs
+refuses ranks 2 and 3, which neither of the other lists reaches; the
+refusals of `census` and `nazeta` ranks, `nazeta --mmax` and
+`allbundles --order` at p = 9999991, the largest prime the F_p walk
+takes, which read the arguments alone; argvs
 that end in a usage error or sit at the parser's edges (abbreviated,
 repeated and stray flags, and `lattice` and `theta` given both
 `--lattice` and `--gram`); `andrianov` with `.` as `--out`; and
@@ -64,6 +67,7 @@ _SMALL_CURVE = ("--curve", "y2=x3+x+1", "--p", "5")
 _EDGE_CURVE = ("--curve", "y2=x3+x+1", "--p", "59")
 _BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3137")
 _PAST_BIG_CURVE = ("--curve", "y2=x3+x+1", "--p", "3163")
+_WALK_CAP_CURVE = ("--curve", "y2=x3+x+1", "--p", "9999991")
 EDGE_ARGVS = (
     *(("allbundles", *_EDGE_CURVE, "--order", order) for order in ("0", "1", "40")),
     ("explicit-ff", *_EDGE_CURVE, "--count", "0"),
@@ -85,6 +89,12 @@ EDGE_ARGVS = (
     ("census", *_PAST_BIG_CURVE, "--rank", "3", "--convention", "descent"),
     ("mass", *_PAST_BIG_CURVE),
     ("allbundles", *_PAST_BIG_CURVE),
+    # refusals that read the arguments alone, at the largest prime the F_p
+    # walk takes, where a refusal after the walk would take seconds
+    *(("census", *_WALK_CAP_CURVE, "--rank", rank) for rank in ("4", "0")),
+    ("nazeta", *_WALK_CAP_CURVE, "--rank", "4"),
+    ("nazeta", *_WALK_CAP_CURVE, "--rank", "1", "--mmax", "-1"),
+    ("allbundles", *_WALK_CAP_CURVE, "--order", "41"),
     # the parser's edges: usage errors, and flags it accepts oddly spelt
     (),
     ("frobnicate",),

@@ -290,6 +290,27 @@ class TestExitCodes:
         assert captured.err == ("resource error: q = 3163 is past q^2 <= 10000000, where the "
                                 "numerators of ranks 2 and 3 were checked to have simple roots\n")
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["census", "--rank", "4"], 1, "error: census implemented for rank <= 3"),
+        (["census", "--rank", "0"], 1, "error: census implemented for rank <= 3"),
+        (["census", "--rank", "-1"], 1, "error: census implemented for rank <= 3"),
+        (["nazeta", "--rank", "4"], 1, "error: rank must be 1, 2 or 3"),
+        (["nazeta", "--rank", "1", "--mmax", "-1"], 1, "error: m_max must be >= 0"),
+        (["allbundles", "--order", "41"], 2, "resource error: order capped at 40"),
+    ], ids=["census-rank4", "census-rank0", "census-rank-1", "nazeta-rank4",
+            "nazeta-mmax-negative", "allbundles-order41"])
+    def test_argument_refusals_precede_the_walk(self, capsys, monkeypatch, argv, code, err):
+        # these read the arguments alone, so at the largest prime the F_p
+        # walk takes they answer at once rather than after seconds
+        def unwalked(curve):
+            raise AssertionError("the F_p walk ran")
+        monkeypatch.setattr(bundles, "point_and_torsion_counts", unwalked)
+        monkeypatch.setattr(ffield, "point_and_torsion_counts", unwalked)
+        assert main([*argv, "--curve", "y2=x3+x+1", "--p", "9999991"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err + "\n"
+
     @pytest.mark.parametrize("argv", [
         ["census", "--rank", "3"], ["census", "--rank", "3", "--convention", "paper"],
         ["mass"], ["allbundles"],

@@ -842,6 +842,27 @@ class TestRank2LocalNumerator:
             b = global_na_zeta_partial(e2, 2, s, 3000, conv).log_value
             assert (a == b) is same
 
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_rank2_factor_equals_the_power_sum_bitwise(self, conv):
+        # oracle: each factor summed as sum(c_i x**i).  The library's
+        # products x^2, x x^2, x^2 x^2 are the ones complex ** int forms,
+        # so the product must agree to the bit
+        ec, s = GlobalCurve(1, 1), 2.5 + 3j
+        logs = []
+        for p in primes_up_to(3000):
+            if p <= 3 or p in ec.bad_primes:
+                continue
+            x = complex(p) ** (-s)
+            ap = None if conv is Convention.PAPER_SPLIT else ap_census(p, 1, 1)
+            coeffs = rank2_local_numerator(p, ap, conv)
+            logs.append(-cmath.log(sum(float(c) * x ** i for i, c in enumerate(coeffs))))
+        total = complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
+        report = global_na_zeta_partial(ec, 2, s, 3000, conv)
+        assert report.factors_used == len(logs)
+        assert (report.log_value.real.hex(), report.log_value.imag.hex()) == \
+            (total.real.hex(), total.imag.hex())
+        assert report.value == cmath.exp(total)
+
 
 def ap_census(p, A, B):
     """Oracle for ap_fast: a_p by a numpy quadratic-residue census, O(p)."""
@@ -897,7 +918,7 @@ class TestApShanksMestre:
         d = B % p
         w = math.isqrt(4 * p)
         assert math.isqrt(w) + 1 == 7
-        assert _hasse_multiples(p, A * d * d % p, (0, d * d % p)) == \
+        assert _hasse_multiples(p, A * d * d % p, (0, d * d % p), p + 1 - w, p + 1 + w) == \
             [M for M in range(p + 1 - w, p + 2 + w) if M % 14 == 0]
         assert ap_fast(p, A, B) == 34 == ap_census(p, A, B)
 
@@ -914,7 +935,7 @@ class TestApShanksMestre:
         c0 = (lo + m) // (2 * m + 1) * (2 * m + 1)
         assert (m, lo, c0) == (6, 210, 208)
         assert len(multiples(Fq(p), a, P)) - 1 == 16
-        assert _hasse_multiples(p, a, P) == [224, 240, 256] == \
+        assert _hasse_multiples(p, a, P, lo, hi) == [224, 240, 256] == \
             [M for M in range(lo, hi + 1) if M % 16 == 0]
 
     def test_hasse_multiples_of_small_order_points(self):
@@ -939,7 +960,7 @@ class TestApShanksMestre:
                         R, n = pt_add(fld, a, R, P), n + 1
                     if R is None:
                         orders.add(n - 2 * m)
-                        assert _hasse_multiples(p, a, P) == \
+                        assert _hasse_multiples(p, a, P, p + 1 - w, p + 1 + w) == \
                             [M for M in range(p + 1 - w, p + 2 + w) if M % n == 0]
         assert {0, 1, 2, 3} <= orders   # n = 2m .. 2m + 3 all occur
 
@@ -953,10 +974,73 @@ class TestApShanksMestre:
         assert (p + 1 + w) // e - (p - w) // e > 1
         assert ap_fast(p, A, B) == ap_census(p, A, B)
 
+    @staticmethod
+    def _recorded_searches(monkeypatch):
+        """Record the (point, lo, hi) of every `_hasse_multiples` call."""
+        calls = []
+
+        def recorded(p, a, P, lo, hi):
+            calls.append((P, lo, hi))
+            return _hasse_multiples(p, a, P, lo, hi)
+        monkeypatch.setattr(ffield, "_hasse_multiples", recorded)
+        return calls
+
+    def test_parity_route_searches_even_multiples(self, monkeypatch):
+        # p = 239, y^2 = x^3 + 3x: Delta = -108 is a non-square (239 = 2
+        # mod 3), so f has one root and every twist has an even count.  At
+        # x = 1 (d = 4) P has order 30, and j (2P) = O is searched for j in
+        # [105, 135]: j = 105, 120, 135, M = 210, 240, 270.  The first
+        # multiple is lo itself, so 2 M_1 - lo < hi and the walk goes on
+        p, A, B, x = 239, 3, 0, 1
+        assert pow(-(4 * A ** 3 + 27 * B ** 2) % p, (p - 1) // 2, p) == p - 1
+        d = (x ** 3 + A * x + B) % p
+        a, P = A * d * d % p, (d * x % p, d * d % p)
+        P2 = ffield.ec_mul(p, a, P, 2)
+        assert _hasse_multiples(p, a, P, 210, 270) == [210, 240, 270]
+        assert _hasse_multiples(p, a, P2, 105, 135) == [105, 120, 135]
+        calls = self._recorded_searches(monkeypatch)
+        assert ap_fast(p, A, B) == ap_census(p, A, B)
+        assert calls[0] == (P2, 105, 135)          # x = 0 is a root of f
+        assert all(hi - lo == 30 for _, lo, hi in calls)   # every point: half the width
+
+    def test_point_of_order_four_searches_the_whole_interval(self, monkeypatch):
+        # p = 233, y^2 = x^3 - 2x + 1: Delta is a non-square, but at x = 0
+        # P = (0, 1) has order 4 and 2P = (1, 0) has no tangent, so P
+        # itself is searched over [204, 264]
+        p, A, B = 233, -2, 1
+        assert pow(-(4 * A ** 3 + 27 * B ** 2) % p, (p - 1) // 2, p) == p - 1
+        assert ffield.ec_mul(p, A, (0, 1), 2) == (1, 0)
+        calls = self._recorded_searches(monkeypatch)
+        assert ap_fast(p, A, B) == ap_census(p, A, B)
+        assert calls[0] == ((0, 1), 204, 264)
+
+    def test_early_exit_stops_at_the_only_multiple(self, monkeypatch):
+        # p = 233, y^2 = x^3 + x + 1, x = 0: Delta = -31 is a square, so
+        # P = (0, 1) is searched over all of [204, 264].  It has order 79 and
+        # 237 is its one multiple there; 2 * 237 - 204 >= 264 proves it at the
+        # third giant window, two short of the walk's end.  Inversions: m = 6
+        # baby steps, one for G, one for ec_mul(G, 16), one per giant step
+        p, a, P, lo, hi = 233, 1, (0, 1), 204, 264
+        assert pow(-31 % p, (p - 1) // 2, p) == 1
+        assert [M for M in range(lo, hi + 1) if ffield.ec_mul(p, a, P, M) is None] == [237]
+        calls = self._recorded_searches(monkeypatch)
+        assert ap_fast(p, 1, 1) == ap_census(p, 1, 1)
+        assert calls[0] == (P, lo, hi)
+        monkeypatch.undo()
+        inversions = []
+
+        def counted(base, e, mod=None):
+            if e == -1:
+                inversions.append(base)
+            return pow(base, e, mod)
+        monkeypatch.setattr(ffield, "pow", counted, raising=False)
+        assert _hasse_multiples(p, a, P, lo, hi) == [237]
+        assert len(inversions) == 6 + 1 + 1 + 2
+
     def test_never_guesses(self, monkeypatch):
         # a point that always leaves two traces open must end in
         # NumericError once x runs out, not in a pick
-        def both_ends(p, a, P):
+        def both_ends(p, a, P, lo, hi):
             w = math.isqrt(4 * p)
             return [p + 1 - w, p + 1 + w]
         monkeypatch.setattr(ffield, "_hasse_multiples", both_ends)
