@@ -313,8 +313,7 @@ def cmd_lattice(args) -> dict:
     if lattice.rank == 2 and lattice.covolume2 == 1:
         a, b, ok = lat.reduce_rank2(lattice)
         result["reduction"] = {"a": a, "b": b, "in_domain": ok}
-    integral = all(x.denominator == 1 for row in lattice.gram for x in row)
-    if integral and lattice.covolume2 == 1:
+    if lattice.den == 1 and lattice.covolume2 == 1:
         result["unimodular"] = {"semistable": filtration.is_single,
                                 "stable": filtration.stable}
     return result

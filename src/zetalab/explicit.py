@@ -350,10 +350,19 @@ def micro_pairing(model: MicroModel, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # global divisors and quadrature
 
-# Gauss-Legendre nodes per panel, and the half-width of a Gaussian-in-log
-# test function's integration range in units of its sigma
+# Gauss-Legendre nodes per panel (one rule a process: `_gauss_legendre`), and
+# the half-width of a Gaussian-in-log test function's range in units of sigma
 QUAD_ORDER = 16
 HALFWIDTH_SIGMAS = 10.0
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's leggauss(QUAD_ORDER) nodes and weights, read-only."""
+    import numpy as np
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -396,8 +405,7 @@ def _refine_until_stable(estimate, panels: int, spec: QuadratureSpec,
 
 
 def _composite_quad(fn, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    nodes, weights = _gauss_legendre()
 
     def estimate(panels: int) -> float:
         pts, half = _panel_points(lo, hi, panels, nodes)
@@ -491,7 +499,7 @@ def global_pairing(model: MicroModel, f: NFTestFn,
     ef2_rhs = fhat0 + fhat1 - _zero_sum_truncated(model, f)
 
     # self-pairing: double quadrature over f's log-axis
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    nodes, weights = _gauss_legendre()
 
     def cross_estimate(panels: int) -> float:
         u, half = _panel_points(lo_f, hi_f, panels, nodes)

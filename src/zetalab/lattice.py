@@ -1,14 +1,16 @@
 """Lattices over the rationals: stability, filtrations, theta cohomology.
 
-A lattice is its exact rational Gram matrix G; a basis, when one is
-supplied, only gives the Gram.  The exact layer runs on the integral Gram
-den*G, den the lcm of G's denominators: one fraction-free Gram-Schmidt
-pass (leading minors d_k and integers lambda_kj) validates it, gives the
-squared covolume and seeds an integral LLL (Cohen, GTM 138, Alg. 2.6.7).
-Stability comparisons compare squared covolumes raised to integer powers.
-The minima they need come from a Fincke-Pohst enumeration on the d and
-lambda of the LLL-reduced Gram, so its cost follows the lattice rather
-than the basis it is given (Fincke and Pohst, Math. Comp. 44, 1985).
+A lattice is held as its integral Gram g = den*G, den the least common
+denominator of its rational Gram G; a basis, when one is supplied, only
+gives g = B^T B.  One fraction-free Gram-Schmidt pass (leading minors d_k
+and integers lambda_kj) validates g, gives the squared covolume and seeds
+an integral LLL (Cohen, GTM 138, Alg. 2.6.7).  The dual, the HN quotients
+and the theta bound stay on integers; Fractions appear only in printed
+values and in `Lattice.gram`.  Stability comparisons compare squared
+covolumes raised to integer powers.  The minima they need come from a
+Fincke-Pohst enumeration on the d and lambda of the LLL-reduced Gram, so
+its cost follows the lattice rather than the basis it is given (Fincke and
+Pohst, Math. Comp. 44, 1985).
 The analytic layer on top -- theta sums with certified tail bounds, the
 Riemann-Roch residual over Q, and the completed zeta xi(s) as the gamma
 factor times an Euler-Maclaurin zeta(s) truncated by its proven remainder
@@ -40,16 +42,12 @@ from zetalab.exact import bernoulli_even, rat
 if TYPE_CHECKING:
     import mpmath
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-IntMatrix = list[list[int]]
+IntMatrix = Sequence[Sequence[int]]
 
 
-def _mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(rat(x) for x in row) for row in rows)
-
-
-def _scaled(a: Matrix) -> tuple[int, IntMatrix]:
-    """(den, den * a), den the lcm of the entries' denominators."""
+def _scaled(rows: Sequence[Sequence]) -> tuple[int, IntMatrix]:
+    """(den, den * a), a the rows as rationals, den their least common denominator."""
+    a = [[rat(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in a for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
 
@@ -58,10 +56,6 @@ def _gram_of(g: IntMatrix, cols: Sequence[Sequence[int]]) -> IntMatrix:
     """The Gram (c_i^T g c_j) of integer coefficient vectors c_i."""
     gc = [[sum(r * x for r, x in zip(row, c)) for row in g] for c in cols]
     return [[sum(x * y for x, y in zip(a, b)) for b in gc] for a in cols]
-
-
-def _over(a: IntMatrix, den: int) -> Matrix:
-    return tuple(tuple(Fraction(x, den) for x in row) for row in a)
 
 
 def _gram_schmidt(g: IntMatrix) -> tuple[list[int], IntMatrix]:
@@ -87,80 +81,12 @@ def _gram_schmidt(g: IntMatrix) -> tuple[list[int], IntMatrix]:
     return d, lam
 
 
-def _log_fraction(x: Fraction) -> float:
-    # avoids overflow for very large numerators/denominators
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Full-rank lattice, held as its exact rational Gram matrix.
-
-    Construction checks the Gram is square and symmetric; its fraction-free
-    Gram-Schmidt pass over den * G refuses it unless every leading minor
-    d_k is positive, and covolume2 = d_n / den^n.  `scaled` keeps
-    (den, den * G, d, lam) for LLL, the dual and the HN splits.  A basis
-    given to `from_basis_columns` only supplies the Gram B^T B, so a
-    singular basis is refused through its singular Gram.
-    """
-
-    gram: Matrix
-    covolume2: Fraction = field(init=False, repr=False, compare=False)
-    scaled: tuple[int, IntMatrix, list[int], IntMatrix] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.gram)
-        if n < 1 or n > 4:
-            raise CapabilityError("rank must be between 1 and 4")
-        if any(len(row) != n for row in self.gram):
-            raise InputError("Gram matrix must be square")
-        den, g = _scaled(self.gram)
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-            raise InputError("Gram matrix must be symmetric")
-        d, lam = _gram_schmidt(g)
-        object.__setattr__(self, "scaled", (den, g, d, lam))
-        object.__setattr__(self, "covolume2", Fraction(d[n], den ** n))
-
-    @staticmethod
-    def from_basis_columns(cols: Sequence[Sequence]) -> "Lattice":
-        den, b = _scaled(_mat(cols))
-        return Lattice(_over([[sum(x * y for x, y in zip(u, v)) for v in b] for u in b],
-                             den * den))
-
-    @staticmethod
-    def from_gram(gram: Sequence[Sequence]) -> "Lattice":
-        return Lattice(_mat(gram))
-
-    @staticmethod
-    def standard(n: int) -> "Lattice":
-        return Lattice.diagonal([1] * n)
-
-    @staticmethod
-    def diagonal(entries: Sequence) -> "Lattice":
-        """The lattice spanned by entries[i] * e_i."""
-        entries = [rat(e) for e in entries]
-        n = len(entries)
-        return Lattice(tuple(tuple(entries[i] ** 2 if i == j else Fraction(0)
-                                   for j in range(n)) for i in range(n)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-
-def deg(lat: Lattice) -> float:
-    """Degree of the lattice, deg = -log covolume (exact covolume^2 input)."""
-    return -0.5 * _log_fraction(lat.covolume2)
-
-
-def _inverse(lat: Lattice) -> Matrix:
-    """G^-1 = den adj(g) / det(g), g = den * G: fraction-free Gauss-Jordan
-    on [g | I] (Bareiss) ends with det(g) I beside adj(g).  Each division
-    is exact, and pivot k is the leading minor d[k+1] > 0: no row swaps."""
-    den, g, d, _ = lat.scaled
+def _adjugate(g: IntMatrix) -> IntMatrix:
+    """adj(g) of an integral positive definite g: fraction-free Gauss-Jordan
+    on [g | I] (Bareiss) ends with det(g) I beside adj(g).  Each division is
+    exact, and pivot k is the leading minor d[k+1] > 0: no row swaps."""
     n = len(g)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
     prev = 1
     for k in range(n):
         pivot = m[k][k]
@@ -169,13 +95,73 @@ def _inverse(lat: Lattice) -> Matrix:
                 f = m[i][k]
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], m[k])]
         prev = pivot
-    return tuple(tuple(Fraction(den * x, d[n]) for x in row[n:]) for row in m)
+    return [row[n:] for row in m]
+
+
+def _log_fraction(x: Fraction) -> float:
+    # avoids overflow for very large numerators/denominators
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Full-rank lattice, held as its integral Gram g = den * G.
+
+    Construction checks g is square and symmetric, divides den and g by
+    their gcd, so den is the least common denominator of G and equal
+    lattices have equal (den, g), and refuses g unless every leading minor
+    d_k of its fraction-free Gram-Schmidt pass is positive; covolume2 =
+    d_n / den^n, and d, lam seed LLL.  A basis given to `from_basis_columns`
+    only supplies the Gram B^T B, so a singular basis is refused through
+    its singular Gram.  The rational Gram G is `gram`, built on demand.
+    """
+
+    den: int
+    g: tuple[tuple[int, ...], ...]
+    covolume2: Fraction = field(init=False, repr=False, compare=False)
+    d: list[int] = field(init=False, repr=False, compare=False)
+    lam: IntMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.g)
+        if n < 1 or n > 4:
+            raise CapabilityError("rank must be between 1 and 4")
+        if any(len(row) != n for row in self.g):
+            raise InputError("Gram matrix must be square")
+        if any(self.g[i][j] != self.g[j][i] for i in range(n) for j in range(i)):
+            raise InputError("Gram matrix must be symmetric")
+        c = math.gcd(self.den, *(x for row in self.g for x in row))
+        den, g = self.den // c, tuple(tuple(x // c for x in row) for row in self.g)
+        d, lam = _gram_schmidt(g)
+        self.__dict__.update(den=den, g=g, d=d, lam=lam, covolume2=Fraction(d[n], den ** n))
+
+    @staticmethod
+    def from_basis_columns(cols: Sequence[Sequence]) -> "Lattice":
+        den, b = _scaled(cols)
+        return Lattice(den * den, [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b])
+
+    @staticmethod
+    def from_gram(gram: Sequence[Sequence]) -> "Lattice":
+        return Lattice(*_scaled(gram))
+
+    @property
+    def rank(self) -> int:
+        return len(self.g)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.g)
+
+
+def deg(lat: Lattice) -> float:
+    """Degree of the lattice, deg = -log covolume (exact covolume^2 input)."""
+    return -0.5 * _log_fraction(lat.covolume2)
 
 
 def dual(lat: Lattice) -> Lattice:
-    """Dual lattice in the dual basis: its Gram is G^-1, inverted exactly,
-    so dual(dual(L)) == L on the nose."""
-    return Lattice(_inverse(lat))
+    """Dual lattice in the dual basis: its Gram is G^-1 = den adj(g) / d_n,
+    inverted exactly, so dual(dual(L)) == L on the nose."""
+    return Lattice(lat.d[-1], [[lat.den * x for x in row] for row in _adjugate(lat.g)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +175,7 @@ def _lll(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[int], IntMatri
     den * U^T G U.  As mu[k][j] = lam[k][j] / d[j+1] and B_k = d[k+1] / d[k],
     the rounding and the Lovasz test are the rational algorithm's."""
     n = lat.rank
-    d, lam = list(lat.scaled[2]), [list(row) for row in lat.scaled[3]]
+    d, lam = list(lat.d), [list(row) for row in lat.lam]
     u = [[int(i == j) for j in range(n)] for i in range(n)]   # u[k]: basis vector k
 
     def size_reduce(k: int, l: int) -> None:
@@ -224,61 +210,68 @@ def _lll(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[int], IntMatri
     return tuple(zip(*u)), d, lam
 
 
-def _short_vectors(d: list[int], lam: IntMatrix,
-                   bound: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(N, y) for every y != 0 with N = y^T g y <= bound, one of each pair
-    +-y, g an integral Gram with fraction-free Gram-Schmidt data (d, lam).
+def _short_vector_runs(d: list[int], lam: IntMatrix, bound: int) -> list[tuple]:
+    """Every y != 0 with N = y^T g y <= bound, one of each pair +-y, g an
+    integral Gram with fraction-free Gram-Schmidt data (d, lam), as runs
+    (y_1.., N_1, c_0, lo, hi): the y with those y_1.. and lo <= y_0 <= hi.
 
     Fincke-Pohst (Math. Comp. 44, 1985), on integers: with
-    t_i = d[i+1] y_i + sum_(j>i) lam[j][i] y_j, the part of
+    t_i = d[i+1] y_i + c_i, c_i = sum_(j>i) lam[j][i] y_j, the part of
     sum_(j>=i) y_j b_j orthogonal to b_0..b_(i-1) has squared length
     N_i / d[i], N_i = (t_i^2 + d[i] N_(i+1)) / d[i+1] exactly, and level i
     keeps the y_i with N_i <= d[i] * bound, i.e. t_i^2 <= d[i] (d[i+1]
-    bound - N_(i+1)).  N_0 is the norm.
+    bound - N_(i+1)).  N_0 is the norm.  The walk stops at level 1: at
+    level 0 the kept y_0 form one interval, N = (t_0^2 + N_1) / d[1] as
+    d[0] = 1, and the caller expands it.
     """
     n = len(d) - 1
     y = [0] * n
-    found = []
+    runs = []
 
     def level(i: int, above: int, nonzero: bool) -> None:
         s = math.isqrt(d[i] * (d[i + 1] * bound - above))     # |t_i| <= s
         c = sum(lam[j][i] * y[j] for j in range(i + 1, n))
-        # the first nonzero y_j from the top is positive
-        lo = -((s + c) // d[i + 1]) if nonzero else 0
-        for yi in range(lo, (s - c) // d[i + 1] + 1):
+        # the first nonzero y_j from the top is positive, and y = 0 is left out
+        lo = -((s + c) // d[i + 1]) if nonzero else int(i == 0)
+        hi = (s - c) // d[i + 1]
+        if i == 0:
+            runs.append((tuple(y[1:]), above, c, lo, hi))
+            return
+        for yi in range(lo, hi + 1):
             y[i] = yi
             t = d[i + 1] * yi + c
-            norm = (t * t + d[i] * above) // d[i + 1]
-            if i:
-                level(i - 1, norm, nonzero or yi != 0)
-            elif nonzero or yi:
-                found.append((norm, tuple(y)))
+            level(i - 1, (t * t + d[i] * above) // d[i + 1], nonzero or yi != 0)
         y[i] = 0
 
     level(n - 1, 0, False)
-    return found
+    return runs
+
+
+def _run_norms(runs, d1: int) -> list[int]:
+    """The norm of every vector in `_short_vector_runs`' runs, d1 = d[1]."""
+    return [(t * t + above) // d1 for _, above, c, lo, hi in runs
+            for t in range(d1 * lo + c, d1 * hi + c + 1, d1)]
 
 
 def shortest_vector(lat: Lattice) -> tuple[Fraction, tuple[int, ...]]:
     """Minimal nonzero squared length and a coefficient vector achieving it.
 
-    `_short_vectors` on the LLL-reduced basis, bounded by its first vector,
-    finds every minimal vector.  Each is mapped back to the input
-    coordinates, and the lexicographically least one whose first nonzero
-    entry is positive is returned.  The search tree on a reduced basis of
-    rank <= 4 has bounded size, so the cost follows the lattice, not its
-    basis.
+    `_short_vector_runs` on the LLL-reduced basis, bounded by its first
+    vector, finds every minimal vector; the runs reaching the least norm are
+    expanded with coordinates.  Each minimal vector is mapped back to the
+    input coordinates, and the lexicographically least one whose first
+    nonzero entry is positive is returned.  The search tree on a reduced
+    basis of rank <= 4 has bounded size, so the cost follows the lattice,
+    not its basis.
     """
     u, d, lam = _lll(lat)
-    n = lat.rank
-    found = _short_vectors(d, lam, d[1])
-    best = min(norm for norm, _ in found)
-    cands = []
-    for norm, y in found:
-        if norm == best:
-            x = tuple(sum(u[i][j] * y[j] for j in range(n)) for i in range(n))
-            cands.append(max(x, tuple(-c for c in x)))
-    return Fraction(best, lat.scaled[0]), min(cands)
+    n, d1 = lat.rank, d[1]
+    runs = _short_vector_runs(d, lam, d1)
+    best = min(_run_norms(runs, d1))
+    minimal = [(y0, *ys) for ys, above, c, lo, hi in runs for y0 in range(lo, hi + 1)
+               if ((d1 * y0 + c) ** 2 + above) // d1 == best]
+    xs = [tuple(sum(u[i][j] * y[j] for j in range(n)) for i in range(n)) for y in minimal]
+    return Fraction(best, lat.den), min(max(x, tuple(-c for c in x)) for x in xs)
 
 
 def is_semistable(lat: Lattice) -> bool:
@@ -328,15 +321,14 @@ def _column_reduce_to_e1(x: Sequence[int]) -> IntMatrix:
     return ucols
 
 
-def _sub_quotient_grams(lat: Lattice, x: Sequence[int]) -> tuple[Fraction, Matrix]:
-    """Split off Z*x (x primitive): its squared covolume and the Gram of
-    the quotient (Schur complement in an x-completed basis)."""
-    den, g, _, _ = lat.scaled
-    gp = _gram_of(g, _column_reduce_to_e1(x))
+def _sub_quotient_grams(lat: Lattice, x: Sequence[int]) -> tuple[Fraction, tuple[int, IntMatrix]]:
+    """Split off Z*x (x primitive): its squared covolume and the quotient's
+    (den, g) (Schur complement in an x-completed basis), its gcd not taken."""
+    gp = _gram_of(lat.g, _column_reduce_to_e1(x))
     g11 = gp[0][0]
-    quot = tuple(tuple(Fraction(gp[i][j] * g11 - gp[i][0] * gp[0][j], g11 * den)
-                       for j in range(1, lat.rank)) for i in range(1, lat.rank))
-    return Fraction(g11, den), quot
+    quot = [[gp[i][j] * g11 - gp[i][0] * gp[0][j] for j in range(1, lat.rank)]
+            for i in range(1, lat.rank)]
+    return Fraction(g11, lat.den), (g11 * lat.den, quot)
 
 
 @dataclass(frozen=True)
@@ -390,7 +382,7 @@ def _hn_steps(lat: Lattice) -> tuple[list[tuple[int, Fraction]], bool]:
         if sub2_cov2 <= lam2 * lam2:
             return [(2, sub2_cov2), (1, c2 / sub2_cov2)], False
     sub_cov2, quot = _sub_quotient_grams(lat, x)
-    return [(1, sub_cov2)] + _hn_steps(Lattice(quot))[0], False
+    return [(1, sub_cov2)] + _hn_steps(Lattice(*quot))[0], False
 
 
 def hn_filtration(lat: Lattice) -> HNFiltration:
@@ -431,7 +423,7 @@ def reduce_rank2(lat: Lattice) -> tuple[float, float, bool]:
         raise InputError("reduction needs rank 2")
     if lat.covolume2 != 1:
         raise InputError("reduction needs covolume exactly 1")
-    den, ((g11, g12), (_, g22)), _, _ = lat.scaled
+    den, ((g11, g12), (_, g22)) = lat.den, lat.g
     while True:
         if g22 < g11:
             g11, g22 = g22, g11
@@ -479,16 +471,18 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
 
     The radius is grown until the proven tail bound drops below eps; the
     partial sum is at least 1, so the bound also controls the error of
-    the logarithm.  The vectors inside the radius come from `_short_vectors`
-    on the LLL-reduced basis, with exact norms.  A search box of more than
-    ENUMERATION_BUDGET points raises ResourceError before it starts.
+    the logarithm.  The vectors inside the radius come from
+    `_short_vector_runs` on the LLL-reduced basis, expanded to their exact
+    integral norms alone (`_run_norms`): no coordinate vector is built.  A
+    search box of more than ENUMERATION_BUDGET points raises ResourceError
+    before it starts.
     """
     if not 0 < eps < math.inf:
         raise InputError("tolerance must be positive and finite")
-    n = lat.rank
-    ginv = _inverse(lat)
-    # lambda_1^2 >= 1/trace(G^-1), exactly computable
-    lam1 = math.sqrt(1.0 / float(sum(ginv[i][i] for i in range(n))))
+    n, den = lat.rank, lat.den
+    # lambda_1^2 >= 1/trace(G^-1), trace(G^-1) = den trace(adj g) / d_n exactly
+    trace = Fraction(den * sum(row[i] for i, row in enumerate(_adjugate(lat.g))), lat.d[n])
+    lam1 = math.sqrt(1.0 / float(trace))
     radius = max(1.5, math.sqrt(max(0.0, math.log(2.0 / eps)) / math.pi))
     while True:
         bound = _tail_bound(radius, lam1, n)
@@ -502,7 +496,6 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     # the tail bound at `radius`, so a tiny slack on the cut is sound
     # (extra boundary points only help)
     cut = float(bound_norm) * (1 + 1e-9)
-    den = lat.scaled[0]
     top = math.floor(Fraction(cut) * den)
     _, d, lam = _lll(lat)
     # level i admits about 2 sqrt(top / B_i) + 1 values of y_i
@@ -513,7 +506,7 @@ def theta_h0(lat: Lattice, eps: float = 1e-12) -> ThetaValue:
     # exact norms m / den <= cut, each rounded once: the terms do not
     # depend on the basis
     total = math.fsum([1.0] + [2 * math.exp(-math.pi * (m / den))
-                               for m, _ in _short_vectors(d, lam, top)])
+                               for m in _run_norms(_short_vector_runs(d, lam, top), d[1])])
     return ThetaValue(math.log(total), bound)
 
 

@@ -30,7 +30,9 @@ and `nazeta`, `mass`, the rank-3 `census`, `allbundles --order 40` and
 refuses ranks 2 and 3, which neither of the other lists reaches; the
 refusals of `census` and `nazeta` ranks, `nazeta --mmax` and
 `allbundles --order` at p = 9999991, the largest prime the F_p walk
-takes, which read the arguments alone; argvs
+takes, which read the arguments alone; `lattice` and `theta` on Z^3 in
+the skewed basis `1 3 3 / -3 2 -2 / 3 1 4` and on Z^2 in the rational
+basis `3/5 -4/5 / 4/5 3/5`; argvs
 that end in a usage error or sit at the parser's edges (abbreviated,
 repeated and stray flags, and `lattice` and `theta` given both
 `--lattice` and `--gram`); `andrianov` with `.` as `--out`; and
@@ -95,6 +97,10 @@ EDGE_ARGVS = (
     ("nazeta", *_WALK_CAP_CURVE, "--rank", "4"),
     ("nazeta", *_WALK_CAP_CURVE, "--rank", "1", "--mmax", "-1"),
     ("allbundles", *_WALK_CAP_CURVE, "--order", "41"),
+    # Z^3 in a skewed basis, and Z^2 in a rational basis whose Gram B^T B
+    # = 25 I / 25 is integral only once den and g lose their gcd
+    *((command, "--lattice", basis) for command in ("lattice", "theta")
+      for basis in ("1 3 3 / -3 2 -2 / 3 1 4", "3/5 -4/5 / 4/5 3/5")),
     # the parser's edges: usage errors, and flags it accepts oddly spelt
     (),
     ("frobnicate",),

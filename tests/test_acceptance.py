@@ -13,6 +13,7 @@ from pathlib import Path
 
 import mpmath
 from fq_oracle import enumerated_count
+from lattice_oracle import diagonal, standard
 from test_explicit import hodge_defect_oracle
 from test_nazeta import reflection_holds
 
@@ -193,8 +194,8 @@ def test_criterion_07_riemann_roch():
 def test_criterion_08_lattice_stability():
     with _Timer(5.0) as t:
         for n in (1, 2, 3):
-            assert is_semistable(Lattice.standard(n))
-        filt = hn_filtration(Lattice.diagonal([F(1, 2), 2]))
+            assert is_semistable(standard(n))
+        filt = hn_filtration(diagonal([F(1, 2), 2]))
         assert [s.rank for s in filt.steps] == [1, 1]
         assert abs(filt.steps[0].slope - math.log(2)) < 1e-12
         assert abs(filt.steps[1].slope + math.log(2)) < 1e-12

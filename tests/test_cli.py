@@ -155,6 +155,22 @@ class TestCommands:
         payload = run_json(["lattice", "--gram", "2 1 / 1 1"], capsys)
         assert payload["result"]["unimodular"]["semistable"] is True
 
+    def test_lattice_rational_basis_of_z2_is_unimodular(self, capsys):
+        # its Gram B^T B is 25 I / 25: integral once den and g lose their gcd
+        payload = run_json(["lattice", "--lattice", "3/5 -4/5 / 4/5 3/5"], capsys)
+        assert payload["result"]["unimodular"] == {"semistable": True, "stable": False}
+
+    @pytest.mark.parametrize("command", ["lattice", "theta"])
+    def test_skewed_basis_prints_what_the_identity_prints(self, capsys, command):
+        # Z^3 in the basis whose HN filtration took minutes before LLL;
+        # theta's certified_tails follows the basis through trace(G^-1)
+        skewed, ident = [run_json([command, "--lattice", basis], capsys)["result"]
+                         for basis in ("1 3 3 / -3 2 -2 / 3 1 4", "1 0 0 / 0 1 0 / 0 0 1")]
+        if command == "theta":
+            assert float(skewed.pop("certified_tails")) < 1e-9
+            ident.pop("certified_tails")
+        assert skewed == ident
+
     def test_theta_example(self, capsys):
         payload = run_json(["theta", "--lattice", "2 0 / 0 0.5"], capsys)
         assert abs(float(payload["result"]["rr_residual"])) < 1e-9

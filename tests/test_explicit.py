@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zetalab.artin import ZetaCurve, elliptic_zeta
+from zetalab.cli import main
 from zetalab.errors import InputError, NumericError, ResourceError
 from zetalab.exact import power_sums_from_poly
 from zetalab.explicit import (
@@ -40,6 +41,7 @@ from zetalab.explicit import (
     _check_double_range,
     _composite_quad,
     _cross_pairing,
+    _gauss_legendre,
     _panel_points,
     _re_digamma,
     _scaled_sides,
@@ -573,6 +575,28 @@ class TestSeparableCrossPairing:
         # one refused grid alone would be 81 MB
         assert peak < 8e6
         assert _cross_pairing(MicroModel(100, table), u, w) != 0
+
+
+class TestGaussLegendreRule:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        # explicit-nf runs five quadratures, each on the same rule
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        _gauss_legendre.cache_clear()
+        for _ in range(2):
+            assert main(["explicit-nf", "--zeros", str(ZEROS_PATH), "--K", "25",
+                         "--pmax", "100"]) == 0
+        assert calls == [QUAD_ORDER]
+        nodes, weights = _gauss_legendre()
+        want_nodes, want_weights = leggauss(QUAD_ORDER)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 class TestQuadratureSpec:

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracle import diagonal, gauss_jordan_inverse, inverse, standard
 
 from zetalab import lattice
 from zetalab.errors import (
@@ -28,8 +29,9 @@ from zetalab.lattice import (
     _column_reduce_to_e1,
     _sub_quotient_grams,
     _em_coefficients,
-    _inverse,
     _lll,
+    _run_norms,
+    _short_vector_runs,
     _zeta_em,
     deg,
     dual,
@@ -53,8 +55,8 @@ _H = HEX_LIKE.gram
 HEX_LIFTED = Lattice.from_gram([[1, F(1, 2), F(1, 2)],
                                 [F(1, 2), F(1, 4) + _H[0][0], F(1, 4) + _H[0][1]],
                                 [F(1, 2), F(1, 4) + _H[1][0], F(1, 4) + _H[1][1]]])
-BASES = [Lattice.standard(2), Lattice.standard(3), Lattice.diagonal([F(1, 2), 2]),
-         Lattice.diagonal([1, 1, 9]), Lattice.diagonal([F(1, 4), 1, 4]), HEX_LIKE]
+BASES = [standard(2), standard(3), diagonal([F(1, 2), 2]),
+         diagonal([1, 1, 9]), diagonal([F(1, 4), 1, 4]), HEX_LIKE]
 
 
 def minima_semistable(lat, strict=False):
@@ -78,23 +80,6 @@ def minima_semistable(lat, strict=False):
 
 
 D4 = Lattice.from_gram([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
-
-
-def gauss_jordan_inverse(a):
-    """Oracle inverse: Gauss-Jordan elimination on Fractions."""
-    n = len(a)
-    m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def box_shortest_vector(lat):
@@ -250,7 +235,7 @@ def unimodular(draw, n):
 
 class TestLatticeConstruction:
     def test_standard(self):
-        z3 = Lattice.standard(3)
+        z3 = standard(3)
         assert z3.covolume2 == 1
         assert z3.rank == 3
 
@@ -268,7 +253,7 @@ class TestLatticeConstruction:
                                for i in range(5)])
 
     def test_covolume2_exact(self):
-        lat = Lattice.diagonal([F(1, 2), 2])
+        lat = diagonal([F(1, 2), 2])
         assert lat.covolume2 == 1
 
     def test_singular_basis_refused(self):
@@ -306,27 +291,40 @@ class TestLatticeConstruction:
                 continue
             assert definite, gram
             assert lat.covolume2 == minors[-1]
-            den, g, d, _ = lat.scaled
+            den, g, d = lat.den, lat.g, lat.d
             assert d == [1] + leading_minors(g)
             assert d[1:] == [x * den ** k for k, x in enumerate(minors, 1)]
         assert min(kinds.values()) >= 20, kinds
 
 
+    def test_gram_is_divided_by_its_gcd(self):
+        # B^T B = 25 I over den^2 = 25: Z^2, so den 1 and g = I
+        lat = Lattice.from_basis_columns([[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]])
+        assert (lat.den, lat.g) == (1, ((1, 0), (0, 1)))
+        assert lat == standard(2) and lat.gram == standard(2).gram
+        # the dual's (d_n, den adj g) = (4, 2 I) is Z^2 scaled by 1/2
+        quarter = dual(diagonal([2, 2]))
+        assert (quarter.den, quarter.g) == (4, ((1, 0), (0, 1)))
+        for lat in BASES + [HEX_LIFTED, D4]:
+            assert math.gcd(lat.den, *(x for row in lat.g for x in row)) == 1
+            assert lat.den == math.lcm(*(x.denominator for row in lat.gram for x in row))
+
+
 class TestDeg:
     def test_standard_lattice(self):
         for n in (1, 2, 3):
-            assert deg(Lattice.standard(n)) == 0.0
+            assert deg(standard(n)) == 0.0
 
     def test_scaled_line(self):
-        assert abs(deg(Lattice.diagonal([2])) + math.log(2)) < 1e-15
+        assert abs(deg(diagonal([2])) + math.log(2)) < 1e-15
 
     def test_determinant_one_shear(self):
-        assert deg(Lattice.diagonal([3, F(1, 3)])) == 0.0
+        assert deg(diagonal([3, F(1, 3)])) == 0.0
 
 
 class TestDual:
     def test_selfdual_standard(self):
-        z2 = Lattice.standard(2)
+        z2 = standard(2)
         assert dual(z2).gram == z2.gram
 
     def test_involution_exact(self):
@@ -342,7 +340,7 @@ class TestDual:
             assert back.gram == lat.gram
 
     def test_scaled_line_inverts(self):
-        lat = Lattice.diagonal([4])
+        lat = diagonal([4])
         assert dual(lat).gram == ((F(1, 16),),)
 
     def test_deg_antisymmetry(self):
@@ -352,10 +350,10 @@ class TestDual:
     def test_inverse_against_gauss_jordan(self):
         for lat in BASES + [HEX_LIFTED, D4]:
             assert dual(lat).gram == gauss_jordan_inverse(lat.gram)
-            assert _inverse(dual(lat)) == gauss_jordan_inverse(dual(lat).gram)
+            assert inverse(dual(lat)) == gauss_jordan_inverse(dual(lat).gram)
 
     def test_gram_diag_swap(self):
-        lat = Lattice.diagonal([F(2) ** F(1), F(1, 2)])
+        lat = diagonal([F(2) ** F(1), F(1, 2)])
         d = dual(lat)
         assert d.gram == ((F(1, 4), F(0)), (F(0), F(4)))
 
@@ -363,10 +361,10 @@ class TestDual:
 class TestSemistability:
     def test_standard_semistable_not_stable(self):
         for n in (1, 2, 3):
-            assert is_semistable(Lattice.standard(n))
+            assert is_semistable(standard(n))
 
     def test_unbalanced_diagonal_unstable(self):
-        assert not is_semistable(Lattice.diagonal([F(1, 2), 2]))
+        assert not is_semistable(diagonal([F(1, 2), 2]))
 
     def test_hexagonal_like_stable(self):
         lam2, _ = shortest_vector(HEX_LIKE)
@@ -376,15 +374,15 @@ class TestSemistability:
 
     def test_rank3_dual_route(self):
         # very flat lattice: a dense rank-2 sublattice destabilizes
-        lat = Lattice.diagonal([1, 1, 9])
+        lat = diagonal([1, 1, 9])
         assert not is_semistable(lat)
 
     def test_semistable_iff_single_hn_step(self):
         # is_semistable is the one-step test; the minima criterion is the
         # independent route
         rng = random.Random(11)
-        samples = [Lattice.standard(2), Lattice.standard(3),
-                   Lattice.diagonal([F(1, 2), 2]), Lattice.diagonal([1, 1, 9]),
+        samples = [standard(2), standard(3),
+                   diagonal([F(1, 2), 2]), diagonal([1, 1, 9]),
                    HEX_LIKE, HEX_LIFTED, dual(HEX_LIFTED)]
         for _ in range(15):
             cols = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
@@ -442,15 +440,15 @@ class TestLLL:
         assert Lattice.from_basis_columns(list(zip(*u))).covolume2 == 1
         assert is_lll_reduced(reduced)
         # d and lam are the fraction-free Gram-Schmidt data of den * U^T G U
-        den = lat.scaled[0]
+        den = lat.den
         assert d == [1] + leading_minors([[x * den for x in row] for row in reduced])
         mu, _ = fraction_gram_schmidt(reduced)
         n = lat.rank
         assert all(lam[k][j] == mu[k][j] * d[j + 1] for k in range(n) for j in range(k))
         # the adjugate inverse against Gauss-Jordan, on the input Gram and on
         # the reduced one
-        assert _inverse(lat) == gauss_jordan_inverse(lat.gram)
-        assert _inverse(Lattice(reduced)) == gauss_jordan_inverse(reduced)
+        assert inverse(lat) == gauss_jordan_inverse(lat.gram)
+        assert inverse(Lattice.from_gram(reduced)) == gauss_jordan_inverse(reduced)
 
     def test_random_rational_grams(self):
         rng = random.Random(41)
@@ -477,12 +475,86 @@ class TestLLL:
                                 for i in range(3))
 
     def test_reduced_input_is_fixed(self):
-        for lat in (Lattice.standard(3), Lattice.from_gram([[2, 1], [1, 2]])):
+        for lat in (standard(3), Lattice.from_gram([[2, 1], [1, 2]])):
             u = _lll(lat)[0]
             reduced = change_basis(lat, u).gram
             assert u == tuple(tuple(int(i == j) for j in range(lat.rank))
                               for i in range(lat.rank))
             assert reduced == lat.gram
+
+
+def box_short_vectors(g, bound):
+    """Oracle for the expanded runs: (N, y) for every y != 0 in the box
+    |y_i| <= sqrt(bound (g^-1)_ii) with N = y^T g y <= bound, the one of each
+    pair +-y whose last nonzero entry is positive, sorted."""
+    n = len(g)
+    ginv = gauss_jordan_inverse(g)
+    box = [math.isqrt(math.floor(bound * ginv[i][i])) for i in range(n)]
+    found = []
+    for y in iproduct(*(range(-b, b + 1) for b in box)):
+        nonzero = [c for c in y if c]
+        if nonzero and nonzero[-1] > 0:
+            norm = sum(g[i][j] * y[i] * y[j] for i in range(n) for j in range(n))
+            if norm <= bound:
+                found.append((norm, y))
+    return sorted(found)
+
+
+def expand_runs(runs, d1):
+    """(N, y) for every vector of the runs, y = (y_0, y_1..)."""
+    out = []
+    for ys, above, c, lo, hi in runs:
+        for y0 in range(lo, hi + 1):
+            t = d1 * y0 + c
+            out.append(((t * t + above) // d1, (y0, *ys)))
+    return out
+
+
+class TestShortVectorRuns:
+    """The Fincke-Pohst runs, expanded with coordinates, against a box
+    search in the input basis; theta's norm-only expansion against that."""
+
+    def test_against_box_enumeration(self):
+        # seeded random integral bases of ranks 1-4, half of them skewed by
+        # a shear; the bound is a norm the lattice attains
+        rng = random.Random(38)
+        done, sheared, at_bound = 0, 0, 0
+        while done < 60:
+            n = rng.randint(1, 4)
+            cols = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            try:
+                lat = Lattice.from_basis_columns(cols)
+            except InputError:
+                continue
+            skew = n > 1 and rng.random() < 0.5
+            if skew:
+                k = rng.randint(2, 3)
+                shear = [[1, 0, 0, 0], [k, 1, 0, 0], [k * k + 1, k, 1, 0], [0, 0, 0, 1]]
+                lat = change_basis(lat, [row[:n] for row in shear[:n]])
+            g = lat.g
+            y = [rng.randint(-1, 1) for _ in range(n)]
+            bound = sum(g[i][j] * y[i] * y[j] for i in range(n) for j in range(n)) or g[0][0]
+            ginv = gauss_jordan_inverse(g)
+            if math.prod(2 * math.sqrt(bound * ginv[i][i]) + 1 for i in range(n)) > 30000:
+                continue
+            runs = _short_vector_runs(lat.d, lat.lam, bound)
+            vectors = expand_runs(runs, lat.d[1])
+            want = box_short_vectors(g, bound)
+            assert sorted(vectors) == want, (g, bound)
+            assert sorted(_run_norms(runs, lat.d[1])) == [norm for norm, _ in want]
+            done += 1
+            sheared += skew
+            at_bound += any(norm == bound for norm, _ in want)
+        assert sheared >= 15 and at_bound >= 50, (sheared, at_bound)
+
+    def test_skewed_basis_costs_what_the_identity_costs(self):
+        # Z^3 in the basis whose HN filtration took minutes before LLL:
+        # reduced, it has the identity's Gram-Schmidt data and search tree
+        skewed = Lattice.from_basis_columns([[1, -3, 3], [3, 2, 1], [3, -2, 4]])
+        for lat in (skewed, standard(3)):
+            _, d, lam = _lll(lat)
+            assert (d, lam) == ([1, 1, 1, 1], [[0, 0, 0]] * 3)
+            assert len(_short_vector_runs(d, lam, 40)) == 65
 
 
 class TestShortestVectorOracle:
@@ -562,7 +634,7 @@ class TestHNFiltration:
         assert [_sub_quotient_grams(lat, x) for x in vectors] == splits
 
     def test_two_step_example(self):
-        f = hn_filtration(Lattice.diagonal([F(1, 2), 2]))
+        f = hn_filtration(diagonal([F(1, 2), 2]))
         assert len(f.steps) == 2
         assert f.steps[0].covol2 == F(1, 4)
         assert f.steps[1].covol2 == F(4)
@@ -593,13 +665,13 @@ class TestHNFiltration:
         assert types == {(2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)}
 
     def test_rank3_maximal_destabilizer_is_rank2(self):
-        lat = Lattice.diagonal([1, 1, 9])
+        lat = diagonal([1, 1, 9])
         f = hn_filtration(lat)
         assert f.steps[0].rank == 2
         assert f.steps[0].covol2 == 1
 
     def test_rank3_rank1_first(self):
-        lat = Lattice.diagonal([F(1, 4), 1, 4])
+        lat = diagonal([F(1, 4), 1, 4])
         f = hn_filtration(lat)
         assert f.steps[0].rank == 1
         assert f.steps[0].covol2 == F(1, 16)
@@ -612,9 +684,9 @@ def semistable_and_stable(lat):
 
 class TestUnimodular:
     def test_standard_lattices(self):
-        assert semistable_and_stable(Lattice.standard(1)) == (True, True)
-        assert semistable_and_stable(Lattice.standard(2)) == (True, False)
-        assert semistable_and_stable(Lattice.standard(3)) == (True, False)
+        assert semistable_and_stable(standard(1)) == (True, True)
+        assert semistable_and_stable(standard(2)) == (True, False)
+        assert semistable_and_stable(standard(3)) == (True, False)
 
     def test_integral_gram_library(self):
         library = [
@@ -634,7 +706,7 @@ class TestUnimodular:
 
 class TestReduceRank2:
     def test_standard(self):
-        a, b, ok = reduce_rank2(Lattice.standard(2))
+        a, b, ok = reduce_rank2(standard(2))
         assert (a, b, ok) == (1.0, 0.0, True)
 
     def test_hexagonal_corner(self):
@@ -644,7 +716,7 @@ class TestReduceRank2:
         assert abs(b - a / 2) < 1e-9
 
     def test_unstable_lattice_not_in_domain(self):
-        a, b, ok = reduce_rank2(Lattice.diagonal([2, F(1, 2)]))
+        a, b, ok = reduce_rank2(diagonal([2, F(1, 2)]))
         assert abs(a - 0.5) < 1e-12
         assert not ok
 
@@ -655,7 +727,7 @@ class TestReduceRank2:
 
     def test_requires_unit_covolume(self):
         with pytest.raises(InputError):
-            reduce_rank2(Lattice.diagonal([2, 2]))
+            reduce_rank2(diagonal([2, 2]))
 
     def test_just_below_unit_minimum_is_outside(self):
         # a = 1 - 5e-14 sits within any float tolerance of the edge a = 1
@@ -715,18 +787,18 @@ H0_L4_DUAL = 0.693154155220335
 
 class TestTheta:
     def test_worked_example(self):
-        lat = Lattice.diagonal([2])
+        lat = diagonal([2])
         t = theta_h0(lat, 1e-12)
         assert abs(t.value - H0_L4) < 1e-12
         assert t.tail_bound <= 1e-12
 
     def test_worked_example_dual(self):
-        t = theta_h0(dual(Lattice.diagonal([2])), 1e-12)
+        t = theta_h0(dual(diagonal([2])), 1e-12)
         assert abs(t.value - H0_L4_DUAL) < 1e-12
         assert round(t.value, 7) == 0.6931542
 
     def test_unit_line(self):
-        t = theta_h0(Lattice.standard(1), 1e-13)
+        t = theta_h0(standard(1), 1e-13)
         direct = math.log(1 + 2 * math.exp(-math.pi) + 2 * math.exp(-4 * math.pi)
                           + 2 * math.exp(-9 * math.pi))
         assert abs(t.value - direct) < 1e-12
@@ -736,13 +808,13 @@ class TestTheta:
         rng = random.Random(7)
         for _ in range(5):
             c = F(rng.randint(2, 5))
-            lat = Lattice.diagonal([1, F(3, 2)])
-            big = Lattice.diagonal([c, F(3, 2) * c])
+            lat = diagonal([1, F(3, 2)])
+            big = diagonal([c, F(3, 2) * c])
             assert theta_h0(big, 1e-10).value < theta_h0(lat, 1e-10).value
 
     def test_large_shortest_vector_kills_theta(self):
         # only the zero vector survives as the minimum grows
-        t = theta_h0(Lattice.diagonal([6]), 1e-14)
+        t = theta_h0(diagonal([6]), 1e-14)
         assert 0 <= t.value < 1e-30
 
     @settings(max_examples=60, deadline=None)
@@ -763,24 +835,24 @@ class TestTheta:
     def test_box_budget(self):
         # rank 4 with lambda_1 = 1/20: about 10^9 candidate points
         with pytest.raises(ResourceError):
-            theta_h0(Lattice.diagonal([F(1, 20)] * 4))
+            theta_h0(diagonal([F(1, 20)] * 4))
 
     @pytest.mark.parametrize("eps", [0.0, -1e-12, math.inf, math.nan])
     def test_eps_must_be_positive_and_finite(self, eps):
         # inf hit a math domain error; NaN grew the radius to its blow-up
         with pytest.raises(InputError):
-            theta_h0(Lattice.standard(2), eps)
+            theta_h0(standard(2), eps)
 
 
 class TestRiemannRoch:
     def test_worked_t4(self):
-        report = rr_check(Lattice.diagonal([2]), 1e-10)
+        report = rr_check(diagonal([2]), 1e-10)
         assert abs(report.residual) < 1e-10
         assert abs(report.degree + math.log(2)) < 1e-14
 
     def test_standard_self_dual(self):
         for n in (1, 2, 3):
-            report = rr_check(Lattice.standard(n), 1e-12)
+            report = rr_check(standard(n), 1e-12)
             assert report.residual == 0.0
 
     def test_random_rank2_rank3(self):
@@ -802,13 +874,13 @@ class TestRiemannRoch:
 
     def test_config_error_on_impossible_tolerance(self):
         with pytest.raises(ConfigError):
-            rr_check(Lattice.standard(2), 1e-15)
+            rr_check(standard(2), 1e-15)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_non_finite_tolerance_is_input_error(self, tol):
         # NaN passes the floor check, and inf made theta_h0 take log(0)
         with pytest.raises(InputError):
-            rr_check(Lattice.standard(2), tol)
+            rr_check(standard(2), tol)
 
 
 XI_HALF = -3.97696622550651   # pi^(-1/4) Gamma(1/4) zeta(1/2), mpmath 30 dps
