@@ -396,7 +396,7 @@ def cmd_explicit_nf(args) -> dict:
     zeros = explicit.load_zeros(args.zeros)
     f = explicit.NFTestFn(args.mu, args.sigma)
     model = explicit.MicroModel(args.K, zeros)
-    # first, so that its range check on the prime powers precedes every quadrature
+    explicit.check(f, args.pmax)
     rw = explicit.riemann_weil_residual(f, zeros, args.K, args.pmax)
     pairing = explicit.global_pairing(model, f)
     return {

@@ -269,15 +269,33 @@ def _check_double_range(f: NFTestFn, prime_bound: int) -> None:
     """Refuse (InputError), before any quadrature, a test function whose
     values overflow a double: fhat(1), which has the factor
     e^(mu + sigma^2/2), and, once prime_bound >= 2, the powers 2^m with
-    m log 2 <= f.log_reach that the prime-power sum takes.  Without the
-    check each such input ends in an OverflowError, or in a NumericError
-    after numpy's overflow warnings."""
+    m log 2 <= f.log_reach that the prime-power sum takes, and t^2 up to
+    the end t of `_arch_term`'s integral.  Without the check each such
+    input ends in an OverflowError, or in a NumericError after numpy's
+    overflow warnings."""
     if f.mu + f.sigma * f.sigma / 2 > LOG_DOUBLE_MAX:
         raise InputError("mu + sigma^2/2 must be at most 1024 log 2: "
                          "fhat(1) overflows a double")
     if prime_bound >= 2 and LOG_DOUBLE_MAX <= f.log_reach:
         raise InputError("|mu| + 40 sigma must stay below 1024 log 2: "
                          "the prime powers overflow a double")
+    if _arch_reach(f) >= 2.0 ** 512:
+        raise InputError("sqrt(76)/sigma + |mu| + 10 must stay below 2^512: "
+                         "the archimedean integral squares t up to it")
+
+
+def check(f: NFTestFn, prime_bound: int) -> None:
+    """Refuse (InputError), before any quadrature, a test function that
+    `riemann_weil_residual` at prime_bound or `global_pairing` cannot
+    evaluate in doubles: `_check_double_range`, and the window
+    mu +- HALFWIDTH_SIGMAS sigma of `global_pairing`'s quadratures, which
+    take e^u and e^-u on it.  Past 1024 log 2 those overflow, numpy warns,
+    and the pairing prints garbage or fails to stabilize; without a prime
+    the prime-power check does not cover the window."""
+    _check_double_range(f, prime_bound)
+    if abs(f.mu) + HALFWIDTH_SIGMAS * f.sigma >= LOG_DOUBLE_MAX:
+        raise InputError("|mu| + 10 sigma must stay below 1024 log 2: "
+                         "e^u overflows a double on the quadrature window")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +491,7 @@ def global_pairing(model: MicroModel, f: NFTestFn,
     (fixed-point identity).
     """
     import numpy as np
-    _check_double_range(f, 0)
+    check(f, 0)
     lo_f = f.mu - HALFWIDTH_SIGMAS * f.sigma
     hi_f = f.mu + HALFWIDTH_SIGMAS * f.sigma
 
@@ -604,8 +622,6 @@ def _arch_term(f: NFTestFn) -> float:
     the quadrature.
     """
     import numpy as np
-    # Re fhat(1/2+it) decays like exp(-sigma^2 t^2 / 2)
-    t_max = math.sqrt(2 * 38.0) / f.sigma + abs(f.mu) + 10.0
 
     def integrand(t):
         s_half = 0.5 + 1j * t
@@ -614,7 +630,13 @@ def _arch_term(f: NFTestFn) -> float:
         kernel = _re_digamma(0.25 + 0.5j * t) - math.log(math.pi)
         return np.real(fh) * kernel
 
-    return _composite_quad(integrand, 0.0, t_max, ARCH_QUAD) / math.pi
+    return _composite_quad(integrand, 0.0, _arch_reach(f), ARCH_QUAD) / math.pi
+
+
+def _arch_reach(f: NFTestFn) -> float:
+    """The end of `_arch_term`'s integral: Re fhat(1/2+it) decays like
+    exp(-sigma^2 t^2 / 2), below e^-38 past sqrt(76)/sigma."""
+    return math.sqrt(2 * 38.0) / f.sigma + abs(f.mu) + 10.0
 
 
 def riemann_weil_residual(f: NFTestFn, zeros: ZeroTable, K: int,

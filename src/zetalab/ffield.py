@@ -11,11 +11,16 @@ function (the tests enumerate F_{p^n}).  A second walk over x reads
 polynomial; each walk holds p to the enumeration budget.  a_p comes from a
 Shanks-Mestre search above MESTRE_BOUND: the discriminant's Legendre
 symbol says when #E(F_p) is even, which halves the interval searched, and
-a walk stops once its first multiple is provably the only one.  The group
-structure, which no command reads, is derived from N: the exponent is N
-with its primes stripped by scalar multiplication on the points of a
-square-root table (Cohen, GTM 138, section 7.4); the tests check the
-torsion counts against it.
+a walk stops once its first multiple is provably the only one.  The CM
+families need less, from the reduction mod p alone: a_p = 0 with no search
+on y^2 = x^3 + B at p = 2 (mod 3) and on y^2 = x^3 + Ax at p = 3 (mod 4)
+(Deuring; x -> x^3 is a bijection, or f(-x) = -f(x) with chi(-1) = -1);
+(0, 0) makes every count of y^2 = x^3 + Ax even; and the order-3 flex
+(0, sqrt B) of y^2 = x^3 + B, which cannot decide, is never searched.
+The group structure, which no command reads, is derived from N: the
+exponent is N with its primes stripped by scalar multiplication on the
+points of a square-root table (Cohen, GTM 138, section 7.4); the tests
+check the torsion counts against it.
 """
 
 from __future__ import annotations
@@ -373,7 +378,8 @@ def ap_fast(p: int, A: int, B: int) -> int:
     a square and its quadratic twist (trace -a_p) otherwise.  Each point's
     orders in the Hasse interval [lo, hi] = [p+1-w, p+1+w], w = floor(2
     sqrt p), give candidate traces, signed by the Legendre symbol of d; the
-    candidates are intersected until one is left.
+    candidates are intersected until one is left.  A first point with a
+    single multiple returns its trace directly.
 
     Parity: by Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962) a
     squarefree cubic over F_p has a non-square discriminant exactly when it
@@ -384,20 +390,37 @@ def ap_fast(p: int, A: int, B: int) -> int:
     half the width.  If 2P has y = 0 (P has order 4), P is searched over
     the whole interval.
 
+    The two CM families read only the reduction mod p (Deuring; Ireland
+    and Rosen, GTM 84, chapter 18):
+    - Closed form: a_p = 0 when A = 0 and p = 2 (mod 3), since x -> x^3 is
+      a bijection of F_p and x^3 + B takes each value once; and when
+      B = 0 and p = 3 (mod 4), since f(-x) = -f(x) while chi(-1) = -1, so
+      the Legendre symbols of f cancel in pairs.  This holds at every
+      p >= 5, small primes included.
+    - Parity from the root: when B = 0, (0, 0) has order 2 on E and on
+      every twist, so #E(F_p) is even whatever Delta is.
+    - No flex: when A = 0, x = 0 gives (0, d^2) on y^2 = X^3 + B d^3, a
+      root of the 3-division polynomial 3X^4 + 12 B d^3 X, so a point of
+      order 3.  For p > MESTRE_BOUND the Hasse interval holds 2w + 1 >= 61
+      integers, at least 20 multiples of 3, so that point never decides,
+      and the walk starts at x = 1.
+
     Primes up to MESTRE_BOUND use the square-table census instead.
     """
     A, B = A % p, B % p
     disc = (4 * A ** 3 + 27 * B * B) % p
     if p < 5 or disc == 0:
         raise InputError(f"y^2 = x^3 + {A}x + {B} is not an elliptic curve over F_{p}")
+    if (A == 0 and p % 3 == 2) or (B == 0 and p % 4 == 3):
+        return 0
     if p <= MESTRE_BOUND:
         return p + 1 - _count_prime_field(p, A, B)
     half = (p - 1) // 2
     w = isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
-    even = pow(p - disc, half, p) != 1       # -disc = Delta is a non-square
+    even = B == 0 or pow(p - disc, half, p) != 1     # (0, 0), or Delta a non-square
     candidates: set[int] | None = None
-    for x in range(p):
+    for x in range(1 if A == 0 else 0, p):
         d = (x * x * x + A * x + B) % p
         if d == 0:
             continue
@@ -408,6 +431,8 @@ def ap_fast(p: int, A: int, B: int) -> int:
             Ms, e = _hasse_multiples(p, a, P2, (lo + 1) // 2, hi // 2), 2
         else:
             Ms, e = _hasse_multiples(p, a, P, lo, hi), 1
+        if candidates is None and len(Ms) == 1:
+            return chi * (p + 1 - e * Ms[0])
         traces = {chi * (p + 1 - e * M) for M in Ms}
         candidates = traces if candidates is None else candidates & traces
         if len(candidates) == 1:

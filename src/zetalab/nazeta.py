@@ -420,7 +420,11 @@ def global_na_zeta_partial(curve: GlobalCurve, r: int, s: complex,
     rank-2 factor has c_2 = p - 1 - a_p under GALOIS_DESCENT
     (beta_2(0)/beta_1(0) = (p^2+p-a_p)/(p^2-1)) and c_2 = 2p - 4 under
     PAPER_SPLIT, so rank 1 and rank-2 GALOIS_DESCENT cost one `ap_fast` per
-    factor and rank-2 PAPER_SPLIT costs none.  The logs are summed in ascending-prime order.
+    factor and rank-2 PAPER_SPLIT costs none.  An `ap_fast` call is a
+    Shanks-Mestre search of O(p^(1/4)) group operations, except on the CM
+    curves y^2 = x^3 + B at p = 2 (mod 3) and y^2 = x^3 + Ax at p = 3
+    (mod 4), half of their primes, where a_p = 0 is read off the reduction
+    with no search.  The logs are summed in ascending-prime order.
     The work is pure Python and runs serially: a thread pool would only
     contend for the interpreter lock.
     """

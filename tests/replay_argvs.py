@@ -15,7 +15,9 @@ with their own count, since most guard input no argv is meant to reach:
 
 `--time` runs the seed-1 job lists of the timed workloads TIME_PASSES
 times in process, in the same way, and prints each command's median time
-per pass, with its job count, and the median pass:
+per pass, with its job count, and the median pass, in the reference
+seconds of `perfbench/speed.py`'s probe, so that runs minutes apart on a
+drifting host compare:
 
     PYTHONPATH=src python tests/replay_argvs.py --time
 
@@ -35,8 +37,10 @@ the skewed basis `1 3 3 / -3 2 -2 / 3 1 4` and on Z^2 in the rational
 basis `3/5 -4/5 / 4/5 3/5`; argvs
 that end in a usage error or sit at the parser's edges (abbreviated,
 repeated and stray flags, and `lattice` and `theta` given both
-`--lattice` and `--gram`); `andrianov` with `.` as `--out`; and
-`xi`, `explicit-nf` and `euler` at floats near the double range's end.
+`--lattice` and `--gram`); `andrianov` with `.` as `--out`;
+`xi`, `explicit-nf` and `euler` at floats near the double range's end;
+`explicit-nf` with no prime and a quadrature past that range; and
+`euler` on y^2 = x^3 + 8 and y^2 = x^3 - x at the prime cap 10^5.
 Each is run in
 process from the repository root, with argparse's usage lines wrapped at
 80 columns, and its exit code, stdout and stderr are kept; an uncaught
@@ -126,8 +130,17 @@ EDGE_ARGVS = (
       for flags in (("--sigma", "18"), ("--sigma", "1e20"), ("--sigma", "1e154"),
                     ("--sigma", "1e155"), ("--mu", "1e200", "--sigma", "1e200"),
                     ("--mu", "700", "--sigma", "0.05", "--pmax", "0"))),
+    # no prime in range: the quadrature window passes the double range, or
+    # sigma is too small for the archimedean integral
+    *(("explicit-nf", "--zeros", "tests/data/zeros100.txt", *flags, "--pmax", "0")
+      for flags in (("--mu", "-800", "--sigma", "1"), ("--mu", "700", "--sigma", "1"),
+                    ("--sigma", "1e-300"))),
     *(("euler", "--A", "1", "--B", "1", f"--s={s}")
       for s in ("3+1e300j", "3+1e308j", "1e308+1e308j")),
+    # the two CM families at the prime cap: a_p = 0 at half the primes
+    *(("euler", "--A", A, "--B", B, "--s", "3", "--pmax", "100000", *rank)
+      for A, B in (("0", "8"), ("-1", "0"))
+      for rank in (("--rank", "1"), ("--rank", "2", "--convention", "descent"))),
 )
 
 
@@ -272,20 +285,30 @@ def unreached(seen: dict[str, set[int]]) -> tuple[list[str], list[str]]:
 
 def time_commands() -> None:
     """Print, per timed workload, each command's median time per pass over
-    TIME_PASSES passes of its seed-1 job list, and the median pass."""
+    TIME_PASSES passes of its seed-1 job list, and the median pass.  Times
+    are reference seconds, as `perfbench/run.py` reports them: the speed
+    probe of `perfbench/speed.py` runs between jobs, and each job's time is
+    scaled by the probes around it, with the workload's sensitivity."""
     _import_paths()
     import jobs
+    import speed
 
     for workload in TIMED:
         job_list = jobs.build(workload, 1)
         counts = Counter(job.command for job in job_list)
+        sensitivity = jobs.SPEED_SENSITIVITY.get(workload, 1.0)
         passes = []
         for _ in range(TIME_PASSES):
-            totals: dict[str, float] = defaultdict(float)
+            spans, probes = [], [speed.probe()]
             for job in job_list:
                 start = time.perf_counter()
                 run(job.library, job.argv)
-                totals[job.command] += time.perf_counter() - start
+                spans.append((start, time.perf_counter()))
+                probes.append(speed.probe())
+            totals: dict[str, float] = defaultdict(float)
+            seconds = speed.reference_times(spans, probes, sensitivity)
+            for job, t in zip(job_list, seconds):
+                totals[job.command] += t
             passes.append(totals)
         for command in sorted(counts, key=lambda c: -statistics.median(
                 totals[c] for totals in passes)):

@@ -17,7 +17,7 @@ import replay_argvs
 from zetalab.cli import (
     _UsageError, build_parser, encode, main, parse_argv, parse_curve, parse_matrix,
 )
-from zetalab import bundles, ffield, lattice
+from zetalab import bundles, explicit, ffield, lattice
 from zetalab.exact import Poly
 
 SCHEMA = json.loads(
@@ -262,6 +262,28 @@ class TestExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--mu", "-800", "--sigma", "1"], "quadrature window"),
+        (["--mu", "700", "--sigma", "1"], "quadrature window"),
+        (["--sigma", "1e-300"], "archimedean"),
+    ], ids=["mu-800", "mu700", "sigma1e-300"])
+    @pytest.mark.parametrize("pmax", ["0", "1"])
+    def test_explicit_nf_overflow_refused_up_front(self, capsys, monkeypatch, flags, what,
+                                                   pmax):
+        # with no prime in range these ran into numpy overflow warnings, then
+        # exited 0 on garbage or failed to stabilize; now one error line,
+        # before any quadrature
+        def unrun(*args):
+            raise AssertionError("a quadrature ran")
+        monkeypatch.setattr(explicit, "_refine_until_stable", unrun)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["explicit-nf", "--zeros", ZEROS, *flags, "--pmax", pmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and what in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, code", [
         (["lattice", "--gram", "1/0 0 / 0 1"], 64),

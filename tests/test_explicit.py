@@ -26,6 +26,7 @@ from zetalab.explicit import (
     NFTestFn,
     QuadratureSpec,
     ZeroTable,
+    check,
     ff_explicit_formula_check,
     ff_hodge_defect,
     ff_pairing,
@@ -37,6 +38,7 @@ from zetalab.explicit import (
 )
 from zetalab.explicit import (
     PSI_SHIFT,
+    _arch_reach,
     _arch_term,
     _check_double_range,
     _composite_quad,
@@ -788,3 +790,49 @@ class TestDoubleRange:
             outside.mellin(1)
         with pytest.raises(InputError, match="fhat"):
             _check_double_range(outside, 0)
+
+    @pytest.mark.parametrize("mu, sigma", [(-800.0, 1.0), (700.0, 1.0)])
+    def test_quadrature_window_refused_without_a_prime(self, mu, sigma):
+        # mu +- 10 sigma passes 1024 log 2, where the pairing's e^u or e^-u
+        # overflows; from pmax = 2 the prime-power check covers the window,
+        # below it `check` alone refuses it
+        f = NFTestFn(mu, sigma)
+        _check_double_range(f, 0)
+        for pmax in (0, 1):
+            with pytest.raises(InputError, match="quadrature window"):
+                check(f, pmax)
+        with pytest.raises(InputError, match="prime powers"):
+            check(f, 2)
+        with pytest.raises(InputError, match="quadrature window"):
+            global_pairing(MicroModel(10, ZEROS), f)
+
+    def test_quadrature_window_edge(self):
+        # just inside the edge e^u, e^-u and 1/e^u stay finite on every node
+        mu = self._edge(LOG_DOUBLE_MAX - HALFWIDTH_SIGMAS,
+                        lambda x: x + HALFWIDTH_SIGMAS >= LOG_DOUBLE_MAX)
+        for sign in (1, -1):
+            inside = NFTestFn(sign * mu, 1.0)
+            check(inside, 0)
+            with pytest.raises(InputError, match="quadrature window"):
+                check(NFTestFn(sign * math.nextafter(mu, math.inf), 1.0), 0)
+            u, _ = _panel_points(inside.mu - HALFWIDTH_SIGMAS, inside.mu + HALFWIDTH_SIGMAS,
+                                 64, _gauss_legendre()[0])
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                assert np.isfinite(1 / np.exp(u)).all() and np.isfinite(np.exp(-u)).all()
+                assert np.isfinite(_weight_arr(inside, u)).all()
+
+    def test_tiny_sigma_refused(self):
+        # sigma = 1e-300 squares to 0 in the Gaussian, and the archimedean
+        # integral, which runs to t = sqrt(76)/sigma, overflows t^2; numpy
+        # warned before the quadrature failed to stabilize
+        with pytest.raises(InputError, match="archimedean"):
+            riemann_weil_residual(NFTestFn(0.0, 1e-300), ZEROS, 10, 0)
+        sigma = self._edge(math.sqrt(76) / 2.0 ** 512,
+                           lambda x: _arch_reach(NFTestFn(0.0, x)) < 2.0 ** 512)
+        inside = NFTestFn(0.0, math.nextafter(sigma, math.inf))
+        _check_double_range(inside, 0)
+        with pytest.raises(InputError, match="archimedean"):
+            check(NFTestFn(0.0, sigma), 0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"), \
+                pytest.raises(NumericError, match="stabilize"):
+            _arch_term(inside)

@@ -986,22 +986,98 @@ class TestApShanksMestre:
         return calls
 
     def test_parity_route_searches_even_multiples(self, monkeypatch):
-        # p = 239, y^2 = x^3 + 3x: Delta = -108 is a non-square (239 = 2
-        # mod 3), so f has one root and every twist has an even count.  At
-        # x = 1 (d = 4) P has order 30, and j (2P) = O is searched for j in
-        # [105, 135]: j = 105, 120, 135, M = 210, 240, 270.  The first
-        # multiple is lo itself, so 2 M_1 - lo < hi and the walk goes on
+        # p = 239, y^2 = x^3 + 3x, x = 1 (d = 4): P has order 30, and j (2P)
+        # = O for j in [105, 135] gives j = 105, 120, 135, M = 210, 240, 270
         p, A, B, x = 239, 3, 0, 1
-        assert pow(-(4 * A ** 3 + 27 * B ** 2) % p, (p - 1) // 2, p) == p - 1
         d = (x ** 3 + A * x + B) % p
         a, P = A * d * d % p, (d * x % p, d * d % p)
         P2 = ffield.ec_mul(p, a, P, 2)
         assert _hasse_multiples(p, a, P, 210, 270) == [210, 240, 270]
         assert _hasse_multiples(p, a, P2, 105, 135) == [105, 120, 135]
+        # 239 = 3 (mod 4) is a closed-form prime, so the recorded searches
+        # run at p = 281 = 1 (mod 4): Delta = -108 is a non-square (281 = 2
+        # mod 3), f has one root and every twist has an even count.  At
+        # x = 1 (d = 4) P has odd order 25, and j (2P) = O is searched for
+        # j in [125, 157]: j = 125, 150, M = 250, 300 (275 is odd).  The
+        # first multiple is the interval's least j, so 2 M_1 - lo < hi and
+        # the walk goes on
+        p = 281
+        assert pow(-(4 * A ** 3 + 27 * B ** 2) % p, (p - 1) // 2, p) == p - 1
+        a, P = A * d * d % p, (d * x % p, d * d % p)
+        P2 = ffield.ec_mul(p, a, P, 2)
+        assert _hasse_multiples(p, a, P, 249, 315) == [250, 275, 300]
+        assert _hasse_multiples(p, a, P2, 125, 157) == [125, 150]
         calls = self._recorded_searches(monkeypatch)
         assert ap_fast(p, A, B) == ap_census(p, A, B)
-        assert calls[0] == (P2, 105, 135)          # x = 0 is a root of f
-        assert all(hi - lo == 30 for _, lo, hi in calls)   # every point: half the width
+        assert calls[0] == (P2, 125, 157)          # x = 0 is a root of f
+        assert len(calls) > 1
+        assert all(hi - lo == 32 for _, lo, hi in calls)   # every point: half the width
+
+    def test_root_at_zero_gives_the_parity_route(self, monkeypatch):
+        # p = 233, y^2 = x^3 - x: Delta = 4 is a square (f has three roots),
+        # yet (0, 0) has order 2 on every twist, so each count is even and
+        # every search is half the Hasse interval [204, 264]
+        p, A, B = 233, -1, 0
+        assert pow(-(4 * A ** 3 + 27 * B ** 2) % p, (p - 1) // 2, p) == 1
+        calls = self._recorded_searches(monkeypatch)
+        assert ap_fast(p, A, B) == ap_census(p, A, B) == 26
+        assert len(calls) == 6
+        assert all((lo, hi) == (102, 132) for _, lo, hi in calls)
+
+    def test_cm_families_every_good_prime_to_the_benchmark_bound(self):
+        # y^2 = x^3 + B (j = 0) and y^2 = x^3 + Ax (j = 1728): closed form,
+        # parity from (0, 0), and the walk that skips the flex
+        for A, B in ((0, 8), (0, -7), (-1, 0), (3, 0)):
+            for p in primes_up_to(20000)[2:]:
+                if _good(p, A, B):
+                    assert ap_fast(p, A, B) == ap_census(p, A, B), (A, B, p)
+
+    def test_supersingular_cm_primes_make_no_search(self, monkeypatch):
+        # a_p = 0 from the reduction alone: x -> x^3 is a bijection of F_p
+        # at p = 2 (mod 3), and f(-x) = -f(x) with chi(-1) = -1 at p = 3
+        # (mod 4).  p = 239 is 2 mod 3 and 3 mod 4
+        calls = self._recorded_searches(monkeypatch)
+        for p, A, B in ((239, 0, 8), (239, 0, -7), (239, 3, 0), (239, -1, 0),
+                        (19991, 0, 8), (19991, 3, 0), (11, 0, 1), (7, 2, 0)):
+            assert ap_fast(p, A, B) == 0 == ap_census(p, A, B), (p, A, B)
+        assert calls == []
+
+    def test_coefficient_vanishing_mod_p(self, monkeypatch):
+        # A = 233 reduces to the j = 0 family at p = 233 = 2 (mod 3), and
+        # B = 239 to the j = 1728 family at p = 239 = 3 (mod 4)
+        calls = self._recorded_searches(monkeypatch)
+        for B in (1, 8, -7, 232):
+            assert ap_fast(233, 233, B) == 0 == ap_census(233, 233, B), B
+            assert ap_fast(233, -233, B) == 0, B
+        for A in (1, 3, -1, 238):
+            assert ap_fast(239, A, 239) == 0 == ap_census(239, A, 239), A
+            assert ap_fast(239, A, -239) == 0, A
+        assert calls == []
+        # at p = 1 (mod 3) and 1 (mod 4) the reduced curves are searched
+        assert ap_fast(241, 241, 8) == ap_census(241, 0, 8)
+        assert ap_fast(241, 3, 241) == ap_census(241, 3, 0)
+        assert calls
+
+    def test_j0_walk_skips_the_flex(self, monkeypatch):
+        # on y^2 = x^3 + B, x = 0 gives (0, B^2), a point of order 3 whose
+        # multiples fill the Hasse interval; the walk starts at x = 1
+        p, B = 241, 8
+        assert ffield.ec_mul(p, 0, (0, B * B % p), 3) is None
+        calls = self._recorded_searches(monkeypatch)
+        assert ap_fast(p, 0, B) == ap_census(p, 0, B)
+        d = 1 + B
+        assert calls[0][0] == (d % p, d * d % p)
+
+    def test_j0_search_count_to_the_benchmark_bound(self, monkeypatch):
+        # y^2 = x^3 + 8 over the 2,212 primes 229 < p <= 2 * 10^4: half are
+        # closed-form primes, and no search starts at the flex (the walk
+        # that searched every prime from x = 0 made 4,752 searches)
+        primes = [p for p in primes_up_to(20000) if p > MESTRE_BOUND]
+        assert len(primes) == 2212
+        calls = self._recorded_searches(monkeypatch)
+        for p in primes:
+            ap_fast(p, 0, 8)
+        assert len(calls) == 1499
 
     def test_point_of_order_four_searches_the_whole_interval(self, monkeypatch):
         # p = 233, y^2 = x^3 - 2x + 1: Delta is a non-square, but at x = 0
